@@ -16,10 +16,11 @@
 //!    selected, the binned fit must beat the presorted fit by at least
 //!    [`MIN_BINNED_SPEEDUP`]x or the process exits nonzero.
 //! 2. **DT-HPO grid** — seven independent fits (the pre-truncation
-//!    `grid_search` loop) vs one deep fit + six O(nodes) truncations, with
+//!    `grid_search` loop) vs one deep fit scored at every depth by one
+//!    root-to-leaf walk per validation row, plus one truncation, with
 //!    the winning spec, its `val_f1` bits, and its predictions asserted
 //!    equal. Both sides run the workspace-default (binned) kernel, so this
-//!    isolates the truncation speedup from the kernel choice.
+//!    isolates the deep-fit speedup from the kernel choice.
 //! 3. **Forest fit / predict** — the class-balanced 50-tree forest through
 //!    the pooled-workspace fused-gather path in each selected exactness
 //!    mode, plus the per-row cost of the scratch-reusing batch predictor.
@@ -32,7 +33,7 @@
 //!    [`F1_TOLERANCE`] of presorted. Full runs gate the u16 kernel at
 //!    [`MIN_WIDE_SPEEDUP`]x over presorted.
 //! 5. **Million-row cell** (full runs only) — one timed `Binned4096`+GOSS
-//!    fit at 10^6 streamed rows.
+//!    fit and one timed `Binned256` fit at 10^6 streamed rows.
 //!
 //! `--exactness binned|binned4096|presorted|both` (default `both`) selects
 //! which kernels are *timed*; the agreement assertions above run in every
@@ -52,7 +53,7 @@ use dfs_data::synthetic::{generate, generate_streamed_collect, million_row_spec,
 use dfs_linalg::Matrix;
 use dfs_models::forest::{ForestConfig, RandomForest};
 use dfs_models::tree::{BinSet, DecisionTree, GossConfig, Node, SplitExactness, TreeWorkspace};
-use dfs_models::{hpo, CodeWidth, ModelKind, ModelSpec, TrainedModel};
+use dfs_models::{hpo, ModelKind, ModelSpec, TrainedModel};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -463,7 +464,7 @@ fn main() {
         }
     }
 
-    // 2. DT-HPO grid: 7 independent fits vs 1 deep fit + 6 truncations.
+    // 2. DT-HPO grid: 7 independent fits vs 1 deep fit scored at every depth.
     //    Both sides use the workspace-default kernel, so this isolates the
     //    truncation speedup from the kernel choice.
     let (naive_spec, naive_f1, naive_model) = naive_dt_grid(&x_train, &y_train, &x_val, &y_val);
@@ -588,24 +589,31 @@ fn main() {
         gate_ok = false;
     }
 
-    // 5. Million-row watchdog cell (full runs only): one u16+GOSS fit at
-    //    10^6 streamed rows, timed once — proof the kernel holds at the
-    //    paper-motivating scale, not a median.
-    let million_ns: Option<u64> = (!smoke).then(|| {
+    // 5. Million-row watchdog cell (full runs only): one u16+GOSS fit and
+    //    one Binned256 fit at 10^6 streamed rows, each timed once — proof
+    //    the kernels hold at the paper-motivating scale, not a median.
+    let million_ns: Option<(u64, u64)> = (!smoke).then(|| {
         let spec = million_row_spec();
         let m = generate_streamed_collect(&spec, scale_seed, 8192);
         let d = m.x.ncols();
         let cols: Vec<usize> = (0..d).collect();
         let rows_all: Vec<usize> = (0..m.x.nrows()).collect();
-        let mut ws = TreeWorkspace::with_exactness(SplitExactness::Binned4096);
-        let bins = std::sync::Arc::new(BinSet::derive_with(&m.x, CodeWidth::U16));
-        ws.bind_bins(&bins, &cols, &rows_all);
-        ws.set_goss(Some(goss_cfg));
-        let t = Instant::now();
-        let tree = DecisionTree::fit_in(&m.x, &m.y, GRID_DEPTH, None, &mut ws);
-        let ns = t.elapsed().as_nanos() as u64;
-        assert!(tree.n_nodes() > 0);
-        ns
+        let timed_fit = |exactness: SplitExactness, goss: Option<GossConfig>| {
+            let mut ws = TreeWorkspace::with_exactness(exactness);
+            if let Some(width) = exactness.code_width() {
+                let bins = std::sync::Arc::new(BinSet::derive_with(&m.x, width));
+                ws.bind_bins(&bins, &cols, &rows_all);
+            }
+            ws.set_goss(goss);
+            let t = Instant::now();
+            let tree = DecisionTree::fit_in(&m.x, &m.y, GRID_DEPTH, None, &mut ws);
+            let ns = t.elapsed().as_nanos() as u64;
+            assert!(tree.n_nodes() > 0);
+            ns
+        };
+        let goss_ns = timed_fit(SplitExactness::Binned4096, Some(goss_cfg));
+        let u8_ns = timed_fit(SplitExactness::Binned256, None);
+        (goss_ns, u8_ns)
     });
 
     let mut json = String::new();
@@ -671,7 +679,11 @@ fn main() {
       "binned4096_goss": {scale_goss_f1:.4}
     }}
   }},
-  "million_row": {{ "rows": 1000000, "binned4096_goss_ns": {million_ns_json} }},
+  "million_row": {{
+    "rows": 1000000,
+    "binned4096_goss_ns": {million_goss_json},
+    "binned256_ns": {million_u8_json}
+  }},
   "gates_passed": {gate_ok}
 }}
 "#,
@@ -690,7 +702,8 @@ fn main() {
         goss_top = GOSS_SHARES.0,
         goss_rest = GOSS_SHARES.1,
         goss_kept = goss_cfg.kept_frac(),
-        million_ns_json = ns_json(million_ns),
+        million_goss_json = ns_json(million_ns.map(|(goss, _)| goss)),
+        million_u8_json = ns_json(million_ns.map(|(_, u8)| u8)),
     );
 
     print!("{json}");

@@ -99,35 +99,41 @@ pub fn grid_search_ws(
     // collector-less helper threads and record nothing, by design.
     let _g = dfs_obs::span("hpo.grid");
     dfs_obs::counter("hpo.grid_points", evaluations as u64);
-    let scored = if kind == ModelKind::DecisionTree {
+    let (val_f1, i, model) = if kind == ModelKind::DecisionTree {
         score_dt_grid_by_truncation(&specs, x_train, y_train, x_val, y_val, ws)
     } else {
-        exec.par_map_indexed(&specs, |_, spec| {
+        let mut scored = exec.par_map_indexed(&specs, |_, spec| {
             let model = spec.fit(x_train, y_train);
             let f1 = f1_score(&model.predict(x_val), y_val);
             (f1, model)
-        })
+        });
+        let (f1, i) = best_by_f1(scored.iter().map(|(f1, _)| *f1));
+        (f1, i, scored.swap_remove(i).1)
     };
-    let mut best: Option<(f64, ModelSpec, TrainedModel)> = None;
-    for (spec, (f1, model)) in specs.iter().zip(scored) {
-        let better = match &best {
-            None => true,
-            Some((best_f1, _, _)) => f1 > *best_f1,
-        };
-        if better {
-            best = Some((f1, spec.clone(), model));
-        }
-    }
-    let Some((val_f1, spec, model)) = best else {
-        unreachable!("grid(kind) always returns at least one spec");
-    };
-    HpoResult { spec, model, val_f1, evaluations }
+    HpoResult { spec: specs[i].clone(), model, val_f1, evaluations }
 }
 
-/// Scores the DT depth grid from one deep fit plus per-depth truncations.
-/// Runs sequentially on the calling thread (a truncation is a preorder
-/// arena copy — parallelism would cost more than it saves), which also
-/// makes it safe to record the fit-level tree counters here.
+/// The grid fold: the first point with the highest F1 (later points must
+/// be strictly better to win). Returns `(f1, index)`.
+fn best_by_f1(f1s: impl Iterator<Item = f64>) -> (f64, usize) {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, f1) in f1s.enumerate() {
+        if best.is_none_or(|(best_f1, _)| f1 > best_f1) {
+            best = Some((f1, i));
+        }
+    }
+    let Some(best) = best else {
+        unreachable!("grid(kind) always returns at least one spec");
+    };
+    best
+}
+
+/// Scores the DT depth grid from one deep fit: one root-to-leaf walk per
+/// validation row labels the row at every depth
+/// ([`DeepTree::predict_by_depth`](crate::tree::DeepTree::predict_by_depth)),
+/// and only the winning depth is materialized by truncation. Runs
+/// sequentially on the calling thread, which also makes it safe to record
+/// the fit-level tree counters here. Returns `(val_f1, grid index, model)`.
 fn score_dt_grid_by_truncation(
     specs: &[ModelSpec],
     x_train: &Matrix,
@@ -135,7 +141,7 @@ fn score_dt_grid_by_truncation(
     x_val: &Matrix,
     y_val: &[bool],
     ws: &mut TreeWorkspace,
-) -> Vec<(f64, TrainedModel)> {
+) -> (f64, usize, TrainedModel) {
     let depths: Vec<usize> = specs
         .iter()
         .map(|spec| match spec {
@@ -146,14 +152,17 @@ fn score_dt_grid_by_truncation(
     let deepest = depths.iter().copied().max().unwrap_or(1);
     let deep = DecisionTree::fit_deep_in(x_train, y_train, deepest, None, ws);
     deep.stats().record();
-    depths
-        .iter()
-        .map(|&depth| {
-            let model = TrainedModel::Dt(deep.truncate(depth));
-            let f1 = f1_score(&model.predict(x_val), y_val);
-            (f1, model)
-        })
-        .collect()
+    // labels[c - 1] holds the depth-c tree's predictions.
+    let mut labels = vec![Vec::with_capacity(x_val.nrows()); deepest];
+    let mut row_labels = vec![false; deepest];
+    for row in x_val.rows_iter() {
+        deep.predict_by_depth(row, &mut row_labels);
+        for (col, &label) in labels.iter_mut().zip(&row_labels) {
+            col.push(label);
+        }
+    }
+    let (f1, i) = best_by_f1(depths.iter().map(|&depth| f1_score(&labels[depth - 1], y_val)));
+    (f1, i, TrainedModel::Dt(deep.truncate(depths[i])))
 }
 
 /// Fits a model either with default hyperparameters or with grid-search HPO,

@@ -518,18 +518,16 @@ pub struct TreeWorkspace {
     bin_hi: Vec<f64>,
     /// Prefix offsets into `bin_lo`/`bin_hi` (`d + 1` entries).
     bin_off: Vec<u32>,
-    /// Per-node compact weight gather (binned kernel).
-    w_buf: Vec<f64>,
-    /// Per-node compact positive-weight gather (binned kernel).
-    pos_buf: Vec<f64>,
     /// GOSS per-node (gradient proxy, row) selection buffer.
     goss_g: Vec<(f64, u32)>,
     /// GOSS per-node (row hash, row) sampling buffer.
     goss_h: Vec<(u64, u32)>,
     /// GOSS per-node sampled row list (row-ascending).
     goss_rows: Vec<u32>,
-    /// Histogram buffer pool; all buffers are zeroed between uses.
-    hist_pool: Vec<HistBuf>,
+    /// Histogram scratch of unweighted fits (packed integer bins).
+    unit_hist: HistScratch<UnitBin>,
+    /// Histogram scratch of weighted or GOSS-sampled fits.
+    weighted_hist: HistScratch<WeightedBin>,
     /// Total bins the pool buffers are sized for.
     hist_stride: usize,
     /// Feature count the pool buffers are sized for.
@@ -568,7 +566,8 @@ impl TreeWorkspace {
     ///
     /// The binding stays armed until rebound or cleared; callers must
     /// rebind (or [`TreeWorkspace::clear_bins`]) whenever the training
-    /// matrix changes, since a stale same-shape binding cannot be detected.
+    /// matrix changes. Release builds cannot detect a stale same-shape
+    /// binding; debug builds panic on the first cell outside its bin.
     ///
     /// # Panics
     /// Panics when an index is out of range for the bin set.
@@ -611,22 +610,135 @@ impl TreeWorkspace {
     }
 }
 
-/// One pooled histogram buffer of the binned kernel: per-bin instance
-/// count, weight sum, and positive-weight sum, plus per-feature occupied
-/// and touched code ranges (inclusive; `(1, 0)` means empty).
+/// One histogram bin's accumulator. The binned kernel is written once
+/// against this trait and instantiated twice: [`UnitBin`] for unweighted
+/// fits and [`WeightedBin`] for weighted or GOSS-sampled ones (see
+/// [`run_binned_kernel`] for the choice).
+trait Bin: Copy + Default + std::fmt::Debug {
+    /// The accumulator of one row of weight `w` and label `positive`.
+    fn of_row(w: f64, positive: bool) -> Self;
+    /// Adds another accumulator (a row's, or a bin's) into this one.
+    fn add(&mut self, other: Self);
+    /// Adds `other` when `keep` holds, leaving `self` unchanged otherwise.
+    fn add_if(&mut self, other: Self, keep: bool);
+    /// Removes `other`, which was accumulated from a subset of this bin's
+    /// rows in the same row order.
+    fn sub(&mut self, other: Self);
+    /// Rows accumulated.
+    fn count(self) -> u32;
+    /// Σw of the rows accumulated.
+    fn total(self) -> f64;
+    /// Σw of the positive rows accumulated.
+    fn positives(self) -> f64;
+    /// This accumulator's scratch on the workspace.
+    fn scratch(ws: &mut TreeWorkspace) -> &mut HistScratch<Self>;
+}
+
+/// Unit-weight bin: the row count in the low 32 bits and the positive
+/// count in the high 32, so a row updates one `u64`. Every partial sum is
+/// an integer below 2⁵³, hence exactly the `f64` a row-order sum of `1.0`
+/// / `0.0` weights produces: scans, node totals and gains see the same
+/// bits as the weighted bin fed all-ones weights.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct UnitBin(u64);
+
+impl Bin for UnitBin {
+    fn of_row(w: f64, positive: bool) -> Self {
+        debug_assert_eq!(w, 1.0, "UnitBin carries unit weights only");
+        UnitBin(1 | (positive as u64) << 32)
+    }
+    fn add(&mut self, other: Self) {
+        self.0 += other.0;
+    }
+    fn add_if(&mut self, other: Self, keep: bool) {
+        self.0 += other.0 & (keep as u64).wrapping_neg();
+    }
+    fn sub(&mut self, other: Self) {
+        // Both halves of `other` are at most this bin's, so no borrow
+        // crosses from the count into the positive half.
+        self.0 -= other.0;
+    }
+    fn count(self) -> u32 {
+        self.0 as u32
+    }
+    fn total(self) -> f64 {
+        self.count() as f64
+    }
+    fn positives(self) -> f64 {
+        (self.0 >> 32) as f64
+    }
+    fn scratch(ws: &mut TreeWorkspace) -> &mut HistScratch<Self> {
+        &mut ws.unit_hist
+    }
+}
+
+/// Weighted bin: instance count, Σw and Σw·[y=1]. A negative-class row adds
+/// `+0.0` to the positive sum, which leaves any sum started at `+0.0`
+/// bit-unchanged, so the sums equal the branchy row-order ones.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct WeightedBin {
+    cnt: u32,
+    wtot: f64,
+    wpos: f64,
+}
+
+impl Bin for WeightedBin {
+    fn of_row(w: f64, positive: bool) -> Self {
+        WeightedBin { cnt: 1, wtot: w, wpos: if positive { w } else { 0.0 } }
+    }
+    fn add(&mut self, other: Self) {
+        self.cnt += other.cnt;
+        self.wtot += other.wtot;
+        self.wpos += other.wpos;
+    }
+    fn add_if(&mut self, other: Self, keep: bool) {
+        if keep {
+            self.add(other);
+        }
+    }
+    fn sub(&mut self, other: Self) {
+        self.cnt -= other.cnt;
+        self.wtot -= other.wtot;
+        self.wpos -= other.wpos;
+    }
+    fn count(self) -> u32 {
+        self.cnt
+    }
+    fn total(self) -> f64 {
+        self.wtot
+    }
+    fn positives(self) -> f64 {
+        self.wpos
+    }
+    fn scratch(ws: &mut TreeWorkspace) -> &mut HistScratch<Self> {
+        &mut ws.weighted_hist
+    }
+}
+
+/// One pooled histogram buffer of the binned kernel: one accumulator per
+/// bin, plus per-feature occupied and touched code ranges (inclusive;
+/// `(1, 0)` means empty).
 ///
 /// Invariant: outside an `alloc`/`release` window every buffer is fully
 /// zero — `release` zeroes the *touched* (`dirty`) span, which covers the
 /// occupied one, so fresh builds never pay a full `MAX_BINS` reset.
 #[derive(Debug, Default)]
-struct HistBuf {
-    cnt: Vec<u32>,
-    wtot: Vec<f64>,
-    wpos: Vec<f64>,
+struct HistBuf<B> {
+    bins: Vec<B>,
     /// Occupied code range per feature (tightened after subtraction).
     range: Vec<(u16, u16)>,
     /// Widest code range ever written this allocation (zeroing span).
     dirty: Vec<(u16, u16)>,
+}
+
+/// Per-accumulator scratch of the binned kernel, kept on the workspace
+/// between fits.
+#[derive(Debug, Default)]
+struct HistScratch<B> {
+    /// Histogram buffer pool; all buffers are zeroed between uses.
+    pool: Vec<HistBuf<B>>,
+    /// Per-node compact gather of the rows' accumulators.
+    inc: Vec<B>,
 }
 
 /// A trained decision tree.
@@ -807,6 +919,39 @@ impl DeepTree {
                     let r = self.copy_subtree(right, cutoff, out);
                     out[me] = Node::Split { feature, threshold, left: l, right: r };
                     me
+                }
+            }
+        }
+    }
+
+    /// Labels of every truncation depth `1..=max_depth` for one row, from
+    /// a single root-to-leaf walk: `out[c - 1]` is what
+    /// `self.truncate(c).predict_one(x)` returns. [`DeepTree::truncate`]
+    /// demotes the split nodes created at depth `>= c` to leaves carrying
+    /// their recorded probability, so the depth-`c` tree's leaf for `x` is
+    /// the first node on the path with depth `>= c`, or the leaf the path
+    /// ends in.
+    ///
+    /// # Panics
+    /// Panics when `out` is shorter than the fitted depth.
+    pub fn predict_by_depth(&self, x: &[f64], out: &mut [bool]) {
+        let out = &mut out[..self.max_depth];
+        let mut c = 1; // smallest cutoff not yet resolved
+        let mut i = 0;
+        loop {
+            match &self.nodes[i] {
+                Node::Leaf { proba } => {
+                    out[c - 1..].fill(*proba > 0.5);
+                    return;
+                }
+                Node::Split { feature, threshold, left, right } => {
+                    // A split sits above the fitted depth: `depth < out.len()`.
+                    let depth = self.depth[i] as usize;
+                    if c <= depth {
+                        out[c - 1..depth].fill(self.proba[i] > 0.5);
+                        c = depth + 1;
+                    }
+                    i = if x[*feature] <= *threshold { *left } else { *right };
                 }
             }
         }
@@ -1050,7 +1195,7 @@ impl Kernel<'_> {
                         // split has exactly zero Gini gain.
                         let gain = (node_gini - child).max(0.0);
                         if best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
-                            best = Some(SplitChoice { feature, threshold, gain });
+                            best = Some(SplitChoice { feature, threshold, gain, left_code: None });
                         }
                     }
                 }
@@ -1117,6 +1262,9 @@ struct SplitChoice {
     feature: usize,
     threshold: f64,
     gain: f64,
+    /// Highest bin code of the rows routed left, when routing by code is
+    /// exact (binned kernel only); `None` routes by raw value.
+    left_code: Option<u16>,
 }
 
 /// Sentinel slot id for nodes that never need a histogram (guaranteed
@@ -1127,6 +1275,10 @@ const NO_SLOT: usize = usize::MAX;
 /// tables (`ws.bin_lo` / `ws.bin_hi` / `ws.bin_off`): a pure code gather
 /// from the bound [`BinSet`] when one is armed, a per-fit derivation at
 /// the exactness mode's bin budget otherwise.
+///
+/// Debug builds check that every cell lies within its bin,
+/// `lo[code] <= x <= hi[code]`: the code-space partition relies on it, and
+/// it catches a stale same-shape binding.
 fn prepare_binned_inputs(x: &Matrix, ws: &mut TreeWorkspace) {
     let (n, d) = x.shape();
     let width = ws.exactness.code_width().unwrap_or_default();
@@ -1183,9 +1335,26 @@ fn prepare_binned_inputs(x: &Matrix, ws: &mut TreeWorkspace) {
             ws.col = col;
         }
     }
+    if cfg!(debug_assertions) {
+        for f in 0..d {
+            let base = ws.bin_off[f] as usize;
+            let codes = &ws.codes[f * n..(f + 1) * n];
+            for (i, (&c, v)) in codes.iter().zip(x.col_iter(f)).enumerate() {
+                let (lo, hi) = (ws.bin_lo[base + c as usize], ws.bin_hi[base + c as usize]);
+                assert!(
+                    lo <= v && v <= hi,
+                    "TreeWorkspace: cell ({i}, {f}) = {v} lies outside its bin [{lo}, {hi}] \
+                     (stale bound bins?)"
+                );
+            }
+        }
+    }
 }
 
-/// The histogram-kernel driver behind [`run_kernel`].
+/// The histogram-kernel driver behind [`run_kernel`]. Unweighted fits
+/// without active GOSS count in integers ([`UnitBin`]); caller weights or
+/// GOSS amplification take the float accumulator ([`WeightedBin`]). Both
+/// build bit-identical trees where both apply.
 fn run_binned_kernel(
     x: &Matrix,
     y: &[bool],
@@ -1197,138 +1366,105 @@ fn run_binned_kernel(
     assert_eq!(n, y.len(), "DecisionTree: row/label mismatch");
     assert!(n > 0, "DecisionTree: empty training set");
     assert!(n <= u32::MAX as usize, "DecisionTree: too many rows for the u32 kernel");
-
-    let mut unit_w = std::mem::take(&mut ws.unit_w);
-    let w: &[f64] = match weights {
-        Some(w) => {
-            assert_eq!(w.len(), n, "DecisionTree: weight length mismatch");
-            w
-        }
-        None => {
-            unit_w.clear();
-            unit_w.resize(n, 1.0);
-            &unit_w
-        }
-    };
+    if let Some(w) = weights {
+        assert_eq!(w.len(), n, "DecisionTree: weight length mismatch");
+    }
 
     prepare_binned_inputs(x, ws);
     let stride = ws.bin_off[d] as usize;
     if stride != ws.hist_stride || d != ws.hist_d {
         // Pool buffers are sized (and zeroed) for one (stride, d) shape;
         // reshaping drops them so `alloc_slot` rebuilds clean ones.
-        ws.hist_pool.clear();
+        ws.unit_hist.pool.clear();
+        ws.weighted_hist.pool.clear();
         ws.hist_stride = stride;
         ws.hist_d = d;
     }
 
-    let mut rows = std::mem::take(&mut ws.rows);
-    rows.clear();
-    rows.extend(0..n as u32);
-
     // An inactive config cannot drop rows, so it runs the identical
     // unsampled code path (the `goss(1.0, 1.0) ≡ off` bit-identity).
     let goss = ws.goss.filter(GossConfig::active);
-
-    let mut kernel = BinnedKernel {
-        x,
-        y,
-        w,
-        n,
-        d,
-        max_depth,
-        goss,
-        codes: std::mem::take(&mut ws.codes),
-        bin_lo: std::mem::take(&mut ws.bin_lo),
-        bin_hi: std::mem::take(&mut ws.bin_hi),
-        off: std::mem::take(&mut ws.bin_off),
-        rows,
-        scratch: std::mem::take(&mut ws.scratch),
-        w_buf: std::mem::take(&mut ws.w_buf),
-        pos_buf: std::mem::take(&mut ws.pos_buf),
-        goss_g: std::mem::take(&mut ws.goss_g),
-        goss_h: std::mem::take(&mut ws.goss_h),
-        goss_rows: std::mem::take(&mut ws.goss_rows),
-        pool: std::mem::take(&mut ws.hist_pool),
-        free: Vec::new(),
-        stride,
-        nodes: Vec::new(),
-        depth: Vec::new(),
-        proba: Vec::new(),
-        gain_w: Vec::new(),
-        stats: FitStats::default(),
-    };
-    // Every pooled buffer is zero between fits (the release invariant), so
-    // all of them start free.
-    kernel.free.extend(0..kernel.pool.len());
-
-    // Root class counts, accumulated in row-ascending order (identical to
-    // the presorted kernel).
-    let mut w_pos = 0.0;
-    let mut w_total = 0.0;
-    for i in 0..n {
-        w_total += w[i];
-        if y[i] {
-            w_pos += w[i];
-        }
-    }
-    // Under GOSS every splittable node builds its own (sampled) histogram
-    // at `build` entry — sibling derivation is off, because a subsampled
-    // parent histogram is not the sum of its children's.
-    let root_slot = if goss.is_none() && kernel.needs_split_scan(n, 0, gini(w_pos, w_total)) {
-        let s = kernel.alloc_slot();
-        kernel.build_hist(0, n, s);
-        s
+    if weights.is_none() && goss.is_none() {
+        BinnedKernel::<UnitBin>::run(x, y, max_depth, None, None, ws)
     } else {
-        NO_SLOT
-    };
-    kernel.build(0, n, 0, w_pos, w_total, root_slot);
+        BinnedKernel::<WeightedBin>::run(x, y, max_depth, weights, goss, ws)
+    }
+}
 
-    let BinnedKernel {
-        codes,
-        bin_lo,
-        bin_hi,
-        off,
-        rows,
-        scratch,
-        w_buf,
-        pos_buf,
-        goss_g,
-        goss_h,
-        goss_rows,
-        pool,
-        nodes,
-        depth,
-        proba,
-        gain_w,
-        stats,
-        ..
-    } = kernel;
-    ws.codes = codes;
-    ws.bin_lo = bin_lo;
-    ws.bin_hi = bin_hi;
-    ws.bin_off = off;
-    ws.rows = rows;
-    ws.scratch = scratch;
-    ws.w_buf = w_buf;
-    ws.pos_buf = pos_buf;
-    ws.goss_g = goss_g;
-    ws.goss_h = goss_h;
-    ws.goss_rows = goss_rows;
-    ws.hist_pool = pool;
-    ws.unit_w = unit_w;
-    ws.last_stats = stats;
+/// The accumulator of row `r`: weight `w[r]` (1 when unweighted), label
+/// `y[r]`.
+#[inline]
+fn row_acc<B: Bin>(w: Option<&[f64]>, y: &[bool], r: usize) -> B {
+    B::of_row(w.map_or(1.0, |w| w[r]), y[r])
+}
 
-    DeepTree { nodes, depth, proba, gain_w, n_features: d, max_depth, stats }
+/// Scatters `rows` (with their accumulators `acc`) into a zeroed
+/// histogram buffer, one feature column of the `d × n` code arena at a
+/// time, recording each feature's occupied code range.
+fn scatter<B: Bin>(
+    buf: &mut HistBuf<B>,
+    codes: &[u16],
+    n: usize,
+    off: &[u32],
+    rows: &[u32],
+    acc: &[B],
+) {
+    for f in 0..off.len() - 1 {
+        let bins = &mut buf.bins[off[f] as usize..off[f + 1] as usize];
+        let col = &codes[f * n..(f + 1) * n];
+        for (&r, &a) in rows.iter().zip(acc) {
+            bins[col[r as usize] as usize].add(a);
+        }
+        let range = match bins.iter().position(|b| b.count() > 0) {
+            Some(mn) => {
+                let mx = bins.iter().rposition(|b| b.count() > 0).unwrap_or(mn);
+                (mn as u16, mx as u16)
+            }
+            None => (1, 0),
+        };
+        buf.range[f] = range;
+        buf.dirty[f] = range;
+    }
+}
+
+/// Stable, branch-free two-way partition of `seg`: every row is written
+/// to both cursors — the left one in place, the right one into `right`
+/// (at least `seg.len()` long) — and only the cursor `goes_left` picks
+/// advances. Each side's accumulator sums its rows in row order. Returns
+/// `(left_len, left, right)`.
+#[inline(always)]
+fn route<B: Bin>(
+    seg: &mut [u32],
+    right: &mut [u32],
+    goes_left: impl Fn(usize) -> bool,
+    acc: impl Fn(usize) -> B,
+) -> (usize, B, B) {
+    let (mut nl, mut nr) = (0usize, 0usize);
+    let (mut left_acc, mut right_acc) = (B::default(), B::default());
+    for i in 0..seg.len() {
+        let r = seg[i];
+        let left = goes_left(r as usize);
+        let a = acc(r as usize);
+        seg[nl] = r;
+        right[nr] = r;
+        nl += left as usize;
+        nr += !left as usize;
+        left_acc.add_if(a, left);
+        right_acc.add_if(a, !left);
+    }
+    seg[nl..].copy_from_slice(&right[..nr]);
+    (nl, left_acc, right_acc)
 }
 
 /// The histogram builder: every node owns the segment `[lo, hi)` of the
 /// shared `rows` array (row-ascending) plus, when it can split, one pooled
 /// histogram buffer; children reuse the parent's buffer via in-place
 /// parent-minus-sibling subtraction.
-struct BinnedKernel<'a> {
+struct BinnedKernel<'a, B> {
     x: &'a Matrix,
     y: &'a [bool],
-    w: &'a [f64],
+    /// Caller weights; `None` means every row weighs 1.
+    w: Option<&'a [f64]>,
     n: usize,
     d: usize,
     max_depth: usize,
@@ -1345,12 +1481,12 @@ struct BinnedKernel<'a> {
     off: Vec<u32>,
     rows: Vec<u32>,
     scratch: Vec<u32>,
-    w_buf: Vec<f64>,
-    pos_buf: Vec<f64>,
+    /// Per-node compact gather of the rows' accumulators.
+    inc: Vec<B>,
     goss_g: Vec<(f64, u32)>,
     goss_h: Vec<(u64, u32)>,
     goss_rows: Vec<u32>,
-    pool: Vec<HistBuf>,
+    pool: Vec<HistBuf<B>>,
     free: Vec<usize>,
     stride: usize,
     nodes: Vec<Node>,
@@ -1360,7 +1496,111 @@ struct BinnedKernel<'a> {
     stats: FitStats,
 }
 
-impl BinnedKernel<'_> {
+impl<'a, B: Bin> BinnedKernel<'a, B> {
+    /// Fits through `ws` (inputs already prepared by
+    /// [`prepare_binned_inputs`]) and hands every buffer back to it.
+    fn run(
+        x: &'a Matrix,
+        y: &'a [bool],
+        max_depth: usize,
+        w: Option<&'a [f64]>,
+        goss: Option<GossConfig>,
+        ws: &mut TreeWorkspace,
+    ) -> DeepTree {
+        let (n, d) = x.shape();
+        let hist = B::scratch(ws);
+        let pool = std::mem::take(&mut hist.pool);
+        let inc = std::mem::take(&mut hist.inc);
+        let mut rows = std::mem::take(&mut ws.rows);
+        rows.clear();
+        rows.extend(0..n as u32);
+
+        let mut kernel = BinnedKernel {
+            x,
+            y,
+            w,
+            n,
+            d,
+            max_depth,
+            goss,
+            codes: std::mem::take(&mut ws.codes),
+            bin_lo: std::mem::take(&mut ws.bin_lo),
+            bin_hi: std::mem::take(&mut ws.bin_hi),
+            off: std::mem::take(&mut ws.bin_off),
+            rows,
+            scratch: std::mem::take(&mut ws.scratch),
+            inc,
+            goss_g: std::mem::take(&mut ws.goss_g),
+            goss_h: std::mem::take(&mut ws.goss_h),
+            goss_rows: std::mem::take(&mut ws.goss_rows),
+            pool,
+            free: Vec::new(),
+            stride: ws.hist_stride,
+            nodes: Vec::new(),
+            depth: Vec::new(),
+            proba: Vec::new(),
+            gain_w: Vec::new(),
+            stats: FitStats::default(),
+        };
+        // Every pooled buffer is zero between fits (the release invariant),
+        // so all of them start free.
+        kernel.free.extend(0..kernel.pool.len());
+
+        // Root class counts, accumulated in row-ascending order (identical
+        // to the presorted kernel).
+        let mut root = B::default();
+        for i in 0..n {
+            root.add(row_acc(w, y, i));
+        }
+        // Under GOSS every splittable node builds its own (sampled)
+        // histogram at `build` entry — sibling derivation is off, because a
+        // subsampled parent histogram is not the sum of its children's.
+        let root_gini = gini(root.positives(), root.total());
+        let root_slot = if goss.is_none() && kernel.needs_split_scan(n, 0, root_gini) {
+            let s = kernel.alloc_slot();
+            kernel.build_hist(0, n, s);
+            s
+        } else {
+            NO_SLOT
+        };
+        kernel.build(0, n, 0, root, root_slot);
+
+        let BinnedKernel {
+            codes,
+            bin_lo,
+            bin_hi,
+            off,
+            rows,
+            scratch,
+            inc,
+            goss_g,
+            goss_h,
+            goss_rows,
+            pool,
+            nodes,
+            depth,
+            proba,
+            gain_w,
+            stats,
+            ..
+        } = kernel;
+        ws.codes = codes;
+        ws.bin_lo = bin_lo;
+        ws.bin_hi = bin_hi;
+        ws.bin_off = off;
+        ws.rows = rows;
+        ws.scratch = scratch;
+        ws.goss_g = goss_g;
+        ws.goss_h = goss_h;
+        ws.goss_rows = goss_rows;
+        let hist = B::scratch(ws);
+        hist.pool = pool;
+        hist.inc = inc;
+        ws.last_stats = stats;
+
+        DeepTree { nodes, depth, proba, gain_w, n_features: d, max_depth, stats }
+    }
+
     /// Whether a node with these parameters will attempt a split — the
     /// negation of the leaf test, factored out so a parent can decide
     /// before recursing whether a child needs a histogram at all.
@@ -1374,9 +1614,7 @@ impl BinnedKernel<'_> {
             return s;
         }
         self.pool.push(HistBuf {
-            cnt: vec![0; self.stride],
-            wtot: vec![0.0; self.stride],
-            wpos: vec![0.0; self.stride],
+            bins: vec![B::default(); self.stride],
             range: vec![(1, 0); self.d],
             dirty: vec![(1, 0); self.d],
         });
@@ -1396,51 +1634,23 @@ impl BinnedKernel<'_> {
                 continue;
             }
             let base = self.off[f] as usize;
-            let lo = base + mn as usize;
-            let hi = base + mx as usize + 1;
-            buf.cnt[lo..hi].fill(0);
-            buf.wtot[lo..hi].fill(0.0);
-            buf.wpos[lo..hi].fill(0.0);
+            buf.bins[base + mn as usize..=base + mx as usize].fill(B::default());
             buf.range[f] = (1, 0);
             buf.dirty[f] = (1, 0);
         }
         self.free.push(slot);
     }
 
-    /// Builds the node's histogram in one pass over its rows: weights and
-    /// positive-weights are gathered into compact buffers once, then each
-    /// feature's loop reads them sequentially while scattering into the
-    /// per-bin accumulators (branchless — negatives contribute `+0.0` to
-    /// the positive sum, which is bit-neutral for the non-negative partial
-    /// sums involved).
+    /// Builds the node's histogram in one pass over its rows: the rows'
+    /// accumulators are gathered into a compact buffer once, then each
+    /// feature's loop reads it sequentially while scattering into the
+    /// per-bin accumulators.
     fn build_hist(&mut self, lo: usize, hi: usize, slot: usize) {
-        self.w_buf.clear();
-        self.pos_buf.clear();
-        for &r in &self.rows[lo..hi] {
-            let ri = r as usize;
-            let wr = self.w[ri];
-            self.w_buf.push(wr);
-            self.pos_buf.push(if self.y[ri] { wr } else { 0.0 });
-        }
         let rows = &self.rows[lo..hi];
-        let buf = &mut self.pool[slot];
-        for f in 0..self.d {
-            let base = self.off[f] as usize;
-            let col = &self.codes[f * self.n..(f + 1) * self.n];
-            let mut minc = u16::MAX;
-            let mut maxc = 0u16;
-            for ((&r, &wr), &pr) in rows.iter().zip(&self.w_buf).zip(&self.pos_buf) {
-                let b = col[r as usize];
-                let i = base + b as usize;
-                buf.cnt[i] += 1;
-                buf.wtot[i] += wr;
-                buf.wpos[i] += pr;
-                minc = minc.min(b);
-                maxc = maxc.max(b);
-            }
-            buf.range[f] = (minc, maxc);
-            buf.dirty[f] = (minc, maxc);
-        }
+        let (w, y) = (self.w, self.y);
+        self.inc.clear();
+        self.inc.extend(rows.iter().map(|&r| row_acc::<B>(w, y, r as usize)));
+        scatter(&mut self.pool[slot], &self.codes, self.n, &self.off, rows, &self.inc);
     }
 
     /// GOSS histogram build for the node over `[lo, hi)` (`node_id` is its
@@ -1472,12 +1682,14 @@ impl BinnedKernel<'_> {
             self.build_hist(lo, hi, slot);
             return None;
         }
+        let (w, y) = (self.w, self.y);
+        let weight = |r: usize| w.map_or(1.0, |w| w[r]);
         let mut gbuf = std::mem::take(&mut self.goss_g);
         gbuf.clear();
         for &r in &self.rows[lo..hi] {
             let ri = r as usize;
-            let target = if self.y[ri] { 1.0 } else { 0.0 };
-            gbuf.push((self.w[ri] * (target - proba).abs(), r));
+            let target = if y[ri] { 1.0 } else { 0.0 };
+            gbuf.push((weight(ri) * (target - proba).abs(), r));
         }
         // Top-`keep` by gradient (descending, row-ascending tiebreak): a
         // total order, so the selected *set* is order-independent.
@@ -1501,14 +1713,12 @@ impl BinnedKernel<'_> {
         hbuf[..rest].sort_unstable_by_key(|&(_, r)| r);
 
         // Merge the two disjoint row-ascending sets, filling the compact
-        // weight gathers (kept rows exact, drawn rows amplified) and the
-        // sampled totals along the way.
+        // accumulator gather (kept rows exact, drawn rows amplified) and
+        // the sampled totals along the way.
         let mut samp = std::mem::take(&mut self.goss_rows);
         samp.clear();
-        self.w_buf.clear();
-        self.pos_buf.clear();
-        let mut scan_pos = 0.0;
-        let mut scan_total = 0.0;
+        self.inc.clear();
+        let mut scan = B::default();
         let (mut i, mut j) = (0usize, 0usize);
         while i < keep || j < rest {
             let take_top = j >= rest || (i < keep && gbuf[i].1 < hbuf[j].1);
@@ -1522,48 +1732,24 @@ impl BinnedKernel<'_> {
                 (r, amp)
             };
             let ri = r as usize;
-            let wr = self.w[ri] * mult;
-            let pr = if self.y[ri] { wr } else { 0.0 };
+            let a = B::of_row(weight(ri) * mult, y[ri]);
             samp.push(r);
-            self.w_buf.push(wr);
-            self.pos_buf.push(pr);
-            scan_total += wr;
-            scan_pos += pr;
+            self.inc.push(a);
+            scan.add(a);
         }
         self.goss_g = gbuf;
         self.goss_h = hbuf;
-
-        // Scatter the sampled rows into the histogram (the same loop shape
-        // as `build_hist`, over the sampled list).
-        let buf = &mut self.pool[slot];
-        for f in 0..self.d {
-            let base = self.off[f] as usize;
-            let col = &self.codes[f * self.n..(f + 1) * self.n];
-            let mut minc = u16::MAX;
-            let mut maxc = 0u16;
-            for ((&r, &wr), &pr) in samp.iter().zip(&self.w_buf).zip(&self.pos_buf) {
-                let b = col[r as usize];
-                let i = base + b as usize;
-                buf.cnt[i] += 1;
-                buf.wtot[i] += wr;
-                buf.wpos[i] += pr;
-                minc = minc.min(b);
-                maxc = maxc.max(b);
-            }
-            buf.range[f] = (minc, maxc);
-            buf.dirty[f] = (minc, maxc);
-        }
+        scatter(&mut self.pool[slot], &self.codes, self.n, &self.off, &samp, &self.inc);
         self.goss_rows = samp;
-        Some((scan_pos, scan_total))
+        Some((scan.positives(), scan.total()))
     }
 
     /// Converts the parent's histogram into the larger child's in place:
-    /// `parent -= smaller_child`, a blocked stride-1 subtraction over the
-    /// parent's occupied span, then tightens the occupied range from the
-    /// exact integer counts. Counts subtract exactly; weight sums of bins
-    /// fully owned by the smaller child cancel to exactly `0.0` (both sides
-    /// accumulated the identical row-order sequence), so emptied bins stay
-    /// clean.
+    /// `parent -= smaller_child` over the parent's occupied span, then
+    /// tightens the occupied range from the exact integer counts. Counts
+    /// subtract exactly; float sums of bins fully owned by the smaller
+    /// child cancel to exactly `0.0` (both sides accumulated the identical
+    /// row-order sequence), so emptied bins stay clean.
     fn derive_sibling(&mut self, parent: usize, small: usize) {
         debug_assert_ne!(parent, small);
         let (pbuf, sbuf) = if parent < small {
@@ -1581,19 +1767,13 @@ impl BinnedKernel<'_> {
             let base = self.off[f] as usize;
             let lo = base + pmin as usize;
             let hi = base + pmax as usize + 1;
-            for (a, b) in pbuf.cnt[lo..hi].iter_mut().zip(&sbuf.cnt[lo..hi]) {
-                *a -= *b;
-            }
-            for (a, b) in pbuf.wtot[lo..hi].iter_mut().zip(&sbuf.wtot[lo..hi]) {
-                *a -= *b;
-            }
-            for (a, b) in pbuf.wpos[lo..hi].iter_mut().zip(&sbuf.wpos[lo..hi]) {
-                *a -= *b;
+            for (a, b) in pbuf.bins[lo..hi].iter_mut().zip(&sbuf.bins[lo..hi]) {
+                a.sub(*b);
             }
             let mut minc = u16::MAX;
             let mut maxc = 0u16;
-            for (k, c) in pbuf.cnt[lo..hi].iter().enumerate() {
-                if *c > 0 {
+            for (k, bin) in pbuf.bins[lo..hi].iter().enumerate() {
+                if bin.count() > 0 {
                     let b = (pmin as usize + k) as u16;
                     if minc == u16::MAX {
                         minc = b;
@@ -1609,9 +1789,9 @@ impl BinnedKernel<'_> {
     }
 
     /// Builds the subtree over segment `[lo, hi)` whose histogram (if any)
-    /// sits in `slot`, returning its arena index. `w_pos` / `w_total` are
-    /// this node's class counts, accumulated by the parent's partition in
-    /// row-ascending order, exactly like the presorted kernel.
+    /// sits in `slot`, returning its arena index. `node` holds this node's
+    /// class counts, accumulated by the parent's partition in row-ascending
+    /// order, exactly like the presorted kernel.
     ///
     /// Under GOSS, `slot` is always `NO_SLOT` on entry: each splittable
     /// node allocates a buffer and builds its own sampled histogram here,
@@ -1619,16 +1799,9 @@ impl BinnedKernel<'_> {
     /// exactly the index this node will occupy — parents push themselves
     /// before recursing). Leaf tests, probabilities, partitions, and the
     /// children's class counts all remain exact.
-    fn build(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        w_pos: f64,
-        w_total: f64,
-        slot: usize,
-    ) -> usize {
+    fn build(&mut self, lo: usize, hi: usize, depth: usize, node: B, slot: usize) -> usize {
         let node_id = self.nodes.len() as u64;
+        let (w_pos, w_total) = (node.positives(), node.total());
         let proba = if w_total > 0.0 { w_pos / w_total } else { 0.5 };
         let node_gini = gini(w_pos, w_total);
 
@@ -1637,16 +1810,16 @@ impl BinnedKernel<'_> {
             return self.push(Node::Leaf { proba }, depth, proba, 0.0);
         }
 
-        let (slot, scan_pos, scan_total, scan_gini) = match self.goss {
+        let (slot, scan_pos, scan_total, scan_gini, sampled) = match self.goss {
             Some(g) => {
                 debug_assert_eq!(slot, NO_SLOT);
                 let s = self.alloc_slot();
                 match self.build_hist_goss(lo, hi, s, node_id, g, proba) {
-                    Some((sp, st)) => (s, sp, st, gini(sp, st)),
-                    None => (s, w_pos, w_total, node_gini),
+                    Some((sp, st)) => (s, sp, st, gini(sp, st), true),
+                    None => (s, w_pos, w_total, node_gini, false),
                 }
             }
-            None => (slot, w_pos, w_total, node_gini),
+            None => (slot, w_pos, w_total, node_gini, false),
         };
 
         match self.best_split(slot, scan_gini, scan_pos, scan_total) {
@@ -1654,17 +1827,27 @@ impl BinnedKernel<'_> {
                 self.release(slot);
                 self.push(Node::Leaf { proba }, depth, proba, 0.0)
             }
-            Some(split) => {
+            Some(mut split) => {
+                if sampled {
+                    // A sampled histogram can miss node rows in the bins
+                    // between the two it split, so route by value.
+                    split.left_code = None;
+                }
                 // With GOSS the gain and totals are the (unbiased) sampled
                 // estimates; without, they are the exact node sums.
                 let gain_w = split.gain * scan_total;
-                let (nl, left_counts, right_counts) =
-                    self.partition(lo, hi, split.feature, split.threshold);
+                let (nl, left_counts, right_counts) = self.partition(lo, hi, &split);
                 let nr = (hi - lo) - nl;
-                let left_needs =
-                    self.needs_split_scan(nl, depth + 1, gini(left_counts.0, left_counts.1));
-                let right_needs =
-                    self.needs_split_scan(nr, depth + 1, gini(right_counts.0, right_counts.1));
+                let left_needs = self.needs_split_scan(
+                    nl,
+                    depth + 1,
+                    gini(left_counts.positives(), left_counts.total()),
+                );
+                let right_needs = self.needs_split_scan(
+                    nr,
+                    depth + 1,
+                    gini(right_counts.positives(), right_counts.total()),
+                );
                 let (left_slot, right_slot) = if self.goss.is_some() {
                     // Sampled histograms don't subtract: children build
                     // their own at their turn.
@@ -1706,9 +1889,8 @@ impl BinnedKernel<'_> {
                 };
                 // Reserve this node's slot before recursing.
                 let me = self.push(Node::Leaf { proba }, depth, proba, gain_w);
-                let left = self.build(lo, lo + nl, depth + 1, left_counts.0, left_counts.1, left_slot);
-                let right =
-                    self.build(lo + nl, hi, depth + 1, right_counts.0, right_counts.1, right_slot);
+                let left = self.build(lo, lo + nl, depth + 1, left_counts, left_slot);
+                let right = self.build(lo + nl, hi, depth + 1, right_counts, right_slot);
                 self.nodes[me] =
                     Node::Split { feature: split.feature, threshold: split.threshold, left, right };
                 me
@@ -1729,7 +1911,15 @@ impl BinnedKernel<'_> {
     /// O(occupied bins) walk emitting a candidate at every boundary between
     /// occupied bins, with the identical gain expression, comparison order,
     /// and tie-breaking as the presorted kernel. Thresholds come from the
-    /// dataset-level bin representatives: `0.5 * (hi[prev] + lo[next])`.
+    /// dataset-level bin representatives: `t = 0.5 * (hi[p] + lo[b])` for
+    /// adjacent occupied bins `p < b`.
+    ///
+    /// The winner records `p` as its `left_code` when `hi[p] <= t < lo[b]`:
+    /// every cell lies within its bin, so a node row with code `<= p` has
+    /// value `<= hi[p] <= t` and one with code `>= b` has value
+    /// `>= lo[b] > t`, and the node has no rows in between — routing by
+    /// code is then exactly routing by value. The test fails only when `t`
+    /// rounds onto `lo[b]` (adjacent doubles) or `hi[p] + lo[b]` overflows.
     fn best_split(
         &mut self,
         slot: usize,
@@ -1751,13 +1941,15 @@ impl BinnedKernel<'_> {
             let mut prev: Option<usize> = None;
             for b in (minc as usize)..=(maxc as usize) {
                 let i = base + b;
-                if buf.cnt[i] == 0 {
+                let bin = buf.bins[i];
+                if bin.count() == 0 {
                     continue;
                 }
                 if let Some(p) = prev {
                     // Candidate between occupied bins p and b; the left
                     // sums cover bins <= p.
-                    let threshold = 0.5 * (self.bin_hi[base + p] + self.bin_lo[i]);
+                    let (hi_p, lo_b) = (self.bin_hi[base + p], self.bin_lo[i]);
+                    let threshold = 0.5 * (hi_p + lo_b);
                     let right_total = w_total - left_total;
                     if left_total > 0.0 && right_total > 0.0 {
                         let right_pos = w_pos - left_pos;
@@ -1766,58 +1958,43 @@ impl BinnedKernel<'_> {
                             / w_total;
                         let gain = (node_gini - child).max(0.0);
                         if best.as_ref().map(|bst| gain > bst.gain).unwrap_or(true) {
-                            best = Some(SplitChoice { feature, threshold, gain });
+                            let left_code =
+                                (hi_p <= threshold && threshold < lo_b).then_some(p as u16);
+                            best = Some(SplitChoice { feature, threshold, gain, left_code });
                         }
                     }
                 }
-                left_total += buf.wtot[i];
-                left_pos += buf.wpos[i];
+                left_total += bin.total();
+                left_pos += bin.positives();
                 prev = Some(b);
             }
         }
         best
     }
 
-    /// Stably partitions the node's row segment by raw value against the
-    /// chosen threshold (the same test prediction routing uses), in exactly
-    /// the presorted kernel's manner — minus its d per-feature order-array
-    /// partitions, which the histogram kernel does not need.
-    fn partition(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        feature: usize,
-        threshold: f64,
-    ) -> (usize, (f64, f64), (f64, f64)) {
-        let x = self.x;
-        let mut left_pos = 0.0;
-        let mut left_total = 0.0;
-        let mut right_pos = 0.0;
-        let mut right_total = 0.0;
-        self.scratch.clear();
+    /// Stably partitions the node's row segment by the chosen split —
+    /// by code against `left_code` when [`Self::best_split`] proved that
+    /// exact, else by raw value against the threshold (the test prediction
+    /// routing uses) — accumulating each child's class counts in its
+    /// row-ascending order, exactly like the presorted kernel minus its d
+    /// per-feature order-array partitions.
+    fn partition(&mut self, lo: usize, hi: usize, split: &SplitChoice) -> (usize, B, B) {
         let seg = &mut self.rows[lo..hi];
-        let mut write = 0usize;
-        for read in 0..seg.len() {
-            let r = seg[read];
-            let ri = r as usize;
-            let wr = self.w[ri];
-            if x[(ri, feature)] <= threshold {
-                seg[write] = r;
-                write += 1;
-                left_total += wr;
-                if self.y[ri] {
-                    left_pos += wr;
-                }
-            } else {
-                self.scratch.push(r);
-                right_total += wr;
-                if self.y[ri] {
-                    right_pos += wr;
-                }
+        self.scratch.clear();
+        self.scratch.resize(seg.len(), 0);
+        let (w, y) = (self.w, self.y);
+        let acc = |r: usize| row_acc::<B>(w, y, r);
+        let f = split.feature;
+        match split.left_code {
+            Some(p) => {
+                let col = &self.codes[f * self.n..(f + 1) * self.n];
+                route(seg, &mut self.scratch, |r| col[r] <= p, acc)
+            }
+            None => {
+                let (x, t) = (self.x, split.threshold);
+                route(seg, &mut self.scratch, |r| x[(r, f)] <= t, acc)
             }
         }
-        seg[write..].copy_from_slice(&self.scratch);
-        (write, (left_pos, left_total), (right_pos, right_total))
     }
 }
 
@@ -1979,7 +2156,7 @@ mod tests {
                             / w_total;
                         let gain = (node_gini - child).max(0.0);
                         if best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
-                            best = Some(SplitChoice { feature, threshold, gain });
+                            best = Some(SplitChoice { feature, threshold, gain, left_code: None });
                         }
                     }
                 }
@@ -2325,6 +2502,132 @@ mod tests {
         }
     }
 
+    /// Fits `(x, y)` twice through `ws` at `depth` — unweighted (the
+    /// integer-count path) and with all-ones weights (the float path) —
+    /// and demands bit-equal nodes, thresholds, node probabilities, gains
+    /// and importances.
+    fn assert_unit_path_matches_ones(x: &Matrix, y: &[bool], depth: usize, ws: &mut TreeWorkspace) {
+        let ones = vec![1.0; y.len()];
+        let unit = DecisionTree::fit_deep_in(x, y, depth, None, ws);
+        let weighted = DecisionTree::fit_deep_in(x, y, depth, Some(&ones), ws);
+        assert_eq!(unit.nodes, weighted.nodes, "node arenas differ at depth {depth}");
+        assert_eq!(unit.depth, weighted.depth);
+        for (a, b) in [(&unit.proba, &weighted.proba), (&unit.gain_w, &weighted.gain_w)] {
+            assert!(a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits()));
+        }
+        let direct_unit = DecisionTree::fit_in(x, y, depth, None, ws);
+        let direct_ones = DecisionTree::fit_in(x, y, depth, Some(&ones), ws);
+        assert_bit_identical(&direct_unit, &direct_ones);
+    }
+
+    #[test]
+    fn unit_counts_match_all_ones_weights_bit_for_bit() {
+        for mode in [SplitExactness::Binned256, SplitExactness::Binned4096] {
+            let mut ws = TreeWorkspace::with_exactness(mode);
+            for seed in 0..20u64 {
+                let (x, y, _) = awkward_problem(seed, 70 + (seed as usize % 5) * 23, 6);
+                for depth in [1, 2, 4, 7] {
+                    assert_unit_path_matches_ones(&x, &y, depth, &mut ws);
+                }
+            }
+            // More than 256 distinct values: Binned256 quantizes, so the
+            // bins hold value ranges rather than single values.
+            let (x, y) = mid_cardinality_problem(700);
+            for depth in [1, 2, 4, 7] {
+                assert_unit_path_matches_ones(&x, &y, depth, &mut ws);
+            }
+        }
+    }
+
+    #[test]
+    fn unit_counts_match_all_ones_weights_on_bound_subsets() {
+        let (x, y) = mid_cardinality_problem(900);
+        let cols = vec![2usize, 0];
+        let rows: Vec<usize> = (0..x.nrows()).filter(|r| r % 5 != 3).collect();
+        let sub = x.select_rows_cols(&rows, &cols);
+        let suby: Vec<bool> = rows.iter().map(|&r| y[r]).collect();
+        for width in [CodeWidth::U8, CodeWidth::U16] {
+            let mode = match width {
+                CodeWidth::U8 => SplitExactness::Binned256,
+                CodeWidth::U16 => SplitExactness::Binned4096,
+            };
+            let bins = Arc::new(BinSet::derive_with(&x, width));
+            let mut ws = TreeWorkspace::with_exactness(mode);
+            ws.bind_bins(&bins, &cols, &rows);
+            for depth in [1, 2, 4, 7] {
+                assert_unit_path_matches_ones(&sub, &suby, depth, &mut ws);
+            }
+        }
+    }
+
+    #[test]
+    fn adjacent_double_threshold_routes_by_value_like_presorted() {
+        // The midpoint of the adjacent doubles 1 + 2⁻⁵² and 1 + 2⁻⁵¹ rounds
+        // onto the upper one, so `x <= t` sends both values left. Routing
+        // by bin code would split them, so the kernel must fall back to
+        // raw values here and match the presorted tree.
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        assert_eq!(0.5 * (a + b), b);
+        let n = 64;
+        let rows: Vec<Vec<f64>> =
+            (0..n).map(|i| vec![if i % 3 == 0 { b } else { a }, (i % 2) as f64]).collect();
+        let y: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+        let x = Matrix::from_rows(&rows);
+        let w: Vec<f64> = (0..n).map(|i| if i % 4 == 0 { 2.5 } else { 1.0 }).collect();
+        for mode in [SplitExactness::Binned256, SplitExactness::Binned4096] {
+            let mut binned = TreeWorkspace::with_exactness(mode);
+            let mut exact = TreeWorkspace::with_exactness(SplitExactness::Presorted);
+            for weights in [None, Some(w.as_slice())] {
+                for depth in [1, 3] {
+                    let t = DecisionTree::fit_in(&x, &y, depth, weights, &mut binned);
+                    let p = DecisionTree::fit_in(&x, &y, depth, weights, &mut exact);
+                    assert!(
+                        matches!(t.nodes[0], Node::Split { feature: 0, threshold, .. } if threshold == b),
+                        "root must split feature 0 at the upper double: {:?}",
+                        t.nodes[0]
+                    );
+                    assert_bit_identical(&t, &p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its bin")]
+    fn stale_same_shape_binding_is_caught_in_debug_builds() {
+        let (x, y, _) = awkward_problem(7, 60, 4);
+        let bins = Arc::new(BinSet::derive(&x));
+        let cols: Vec<usize> = (0..x.ncols()).collect();
+        let rows: Vec<usize> = (0..x.nrows()).collect();
+        let mut ws = TreeWorkspace::new();
+        ws.bind_bins(&bins, &cols, &rows);
+        // Same shape, different values: the binding is stale.
+        let (other, _, _) = awkward_problem(8, 60, 4);
+        let _ = DecisionTree::fit_in(&other, &y, 3, None, &mut ws);
+    }
+
+    #[test]
+    fn predict_by_depth_matches_every_truncation() {
+        let mut out = [false; 7];
+        for mode in [SplitExactness::Binned256, SplitExactness::Presorted] {
+            let mut ws = TreeWorkspace::with_exactness(mode);
+            for seed in [2u64, 5, 19] {
+                let (x, y, w) = awkward_problem(seed, 150, 5);
+                for weights in [None, Some(w.as_slice())] {
+                    let deep = DecisionTree::fit_deep_in(&x, &y, 7, weights, &mut ws);
+                    let trees: Vec<DecisionTree> = (1..=7).map(|c| deep.truncate(c)).collect();
+                    for row in x.rows_iter() {
+                        deep.predict_by_depth(row, &mut out);
+                        for (c, tree) in trees.iter().enumerate() {
+                            assert_eq!(out[c], tree.predict_one(row), "cutoff {}", c + 1);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn workspace_survives_mode_switches() {
         let (x, y, w) = awkward_problem(6, 90, 5);
@@ -2485,17 +2788,20 @@ mod tests {
         let mut ws = TreeWorkspace::with_exactness(SplitExactness::Binned4096);
         let first = DecisionTree::fit_in(&x, &y, 7, None, &mut ws);
         assert!(ws.hist_stride > MAX_BINS, "wide fit should exceed the u8 stride");
-        assert!(!ws.hist_pool.is_empty());
-        for (s, buf) in ws.hist_pool.iter().enumerate() {
-            assert!(buf.cnt.iter().all(|&c| c == 0), "slot {s}: counts not zeroed");
-            assert!(buf.wtot.iter().all(|&v| v == 0.0), "slot {s}: weights not zeroed");
-            assert!(buf.wpos.iter().all(|&v| v == 0.0), "slot {s}: pos weights not zeroed");
-            assert!(buf.range.iter().all(|&r| r == (1, 0)), "slot {s}: range not reset");
-            assert!(buf.dirty.iter().all(|&r| r == (1, 0)), "slot {s}: dirty not reset");
-        }
+        assert!(!ws.unit_hist.pool.is_empty());
+        assert_pool_clean(&ws.unit_hist.pool);
         // A re-acquire of the same buffers must behave like fresh ones.
         let again = DecisionTree::fit_in(&x, &y, 7, None, &mut ws);
         assert_bit_identical(&first, &again);
+    }
+
+    /// Every pooled buffer must be back at the all-zero release invariant.
+    fn assert_pool_clean<B: Bin + PartialEq>(pool: &[HistBuf<B>]) {
+        for (s, buf) in pool.iter().enumerate() {
+            assert!(buf.bins.iter().all(|&b| b == B::default()), "slot {s}: bins not zeroed");
+            assert!(buf.range.iter().all(|&r| r == (1, 0)), "slot {s}: range not reset");
+            assert!(buf.dirty.iter().all(|&r| r == (1, 0)), "slot {s}: dirty not reset");
+        }
     }
 
     /// A larger weighted problem for the GOSS paths: enough rows that
@@ -2583,15 +2889,43 @@ mod tests {
         let errors =
             x.rows_iter().zip(&y).filter(|(row, &label)| t.predict_one(row) != label).count();
         assert!(errors <= 24, "goss tree misclassified {errors} of 800 rows");
-        for buf in &ws.hist_pool {
-            assert!(buf.cnt.iter().all(|&c| c == 0));
-            assert!(buf.wtot.iter().all(|&v| v == 0.0));
-        }
+        assert!(!ws.weighted_hist.pool.is_empty());
+        assert_pool_clean(&ws.weighted_hist.pool);
         // The presorted kernel ignores GOSS: still bit-exact vs reference.
         ws.set_exactness(SplitExactness::Presorted);
         let p = DecisionTree::fit_in(&x, &y, 4, None, &mut ws);
         let naive = reference::fit(&x, &y, 4, None);
         assert_bit_identical(&p, &naive);
+    }
+
+    #[test]
+    fn goss_nodes_hold_exactly_the_rows_their_thresholds_route() {
+        // Sampled histograms may miss node rows between the two bins a
+        // split separates, so sampled nodes must partition by value: every
+        // node's probability is then the positive share of the training
+        // rows prediction routing sends through it.
+        let (x, y) = mid_cardinality_problem(800);
+        let mut ws = TreeWorkspace::with_exactness(SplitExactness::Binned4096);
+        ws.set_goss(Some(GossConfig { top_frac: 0.2, rest_frac: 0.1, seed: 5, min_rows: 32 }));
+        let deep = DecisionTree::fit_deep_in(&x, &y, 6, None, &mut ws);
+        let mut reach = vec![(0u32, 0u32); deep.nodes.len()];
+        for (row, &label) in x.rows_iter().zip(&y) {
+            let mut i = 0;
+            loop {
+                reach[i].0 += label as u32;
+                reach[i].1 += 1;
+                match &deep.nodes[i] {
+                    Node::Leaf { .. } => break,
+                    Node::Split { feature, threshold, left, right } => {
+                        i = if row[*feature] <= *threshold { *left } else { *right };
+                    }
+                }
+            }
+        }
+        for (i, &(pos, total)) in reach.iter().enumerate() {
+            let expected = if total > 0 { pos as f64 / total as f64 } else { 0.5 };
+            assert_eq!(deep.proba[i].to_bits(), expected.to_bits(), "node {i}");
+        }
     }
 
     #[test]
