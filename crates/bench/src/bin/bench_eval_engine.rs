@@ -1,6 +1,6 @@
 //! Before/after microbenchmark for the fused evaluation engine.
 //!
-//! Three measurements, mirroring the layers of the engine rework:
+//! Two measurements, mirroring the layers of the engine rework:
 //!
 //! 1. **Gather**: the old composed projection (`select_cols` then
 //!    `select_rows`, materializing a full-height intermediate) against the
@@ -29,11 +29,10 @@ use dfs_constraints::ConstraintSet;
 use dfs_core::runner::{run_benchmark_opts, Arm, RunnerOptions};
 use dfs_core::{MlScenario, ScenarioSettings};
 use dfs_data::split::stratified_three_way;
-use dfs_data::synthetic::{generate, generate_streamed_collect, million_row_spec, spec_by_name};
+use dfs_data::synthetic::{generate, spec_by_name};
 use dfs_fs::StrategyId;
 use dfs_linalg::rng::{sample_without_replacement, uniform, Rng};
 use dfs_linalg::Matrix;
-use dfs_models::tree::DecisionTree;
 use dfs_models::ModelKind;
 use dfs_rankings::RankingKind;
 use std::collections::HashMap;
@@ -161,69 +160,10 @@ fn bench_ranking_cache() -> CacheBench {
     }
 }
 
-struct StreamedEvalBench {
-    rows: usize,
-    picked_cols: usize,
-    block_rows: usize,
-    monolithic_ns: u64,
-    chunked_ns: u64,
-    monolithic_scratch_bytes: u64,
-    chunked_scratch_bytes: u64,
-}
-
-/// A full predict pass over the streamed million-row corpus: one
-/// monolithic gather of every picked column vs the runner's block-wise
-/// `select_row_range_cols_into` loop. Predictions must be bit-identical
-/// (asserted); the win is peak gather scratch, not wall-clock.
-fn bench_streamed_eval() -> StreamedEvalBench {
-    let spec = million_row_spec();
-    let ds = generate_streamed_collect(&spec, 0xE7A1, 8192);
-    let n = ds.x.nrows();
-    let cols: Vec<usize> = (0..ds.x.ncols()).step_by(2).collect();
-    // A shallow tree fit on a leading slice gives predict real structure
-    // without dominating the measurement.
-    let fit_rows = 20_000.min(n);
-    let mut x_fit = Matrix::zeros(0, 0);
-    ds.x.select_row_range_cols_into(0..fit_rows, &cols, &mut x_fit);
-    let tree = DecisionTree::fit(&x_fit, &ds.y[..fit_rows], 6);
-
-    let block = 8192usize;
-    let mut scratch = Matrix::zeros(0, 0);
-    let mut mono_preds: Vec<bool> = Vec::new();
-    let monolithic_ns = median_ns(3, || {
-        ds.x.select_cols_into(&cols, &mut scratch);
-        mono_preds = scratch.rows_iter().map(|r| tree.predict_one(r)).collect();
-    });
-    let mut block_scratch = Matrix::zeros(0, 0);
-    let mut chunk_preds: Vec<bool> = Vec::new();
-    let chunked_ns = median_ns(3, || {
-        chunk_preds.clear();
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + block).min(n);
-            ds.x.select_row_range_cols_into(lo..hi, &cols, &mut block_scratch);
-            chunk_preds.extend(block_scratch.rows_iter().map(|r| tree.predict_one(r)));
-            lo = hi;
-        }
-    });
-    assert_eq!(mono_preds, chunk_preds, "chunked predict pass must be bit-identical");
-
-    StreamedEvalBench {
-        rows: n,
-        picked_cols: cols.len(),
-        block_rows: block,
-        monolithic_ns,
-        chunked_ns,
-        monolithic_scratch_bytes: (n * cols.len() * 8) as u64,
-        chunked_scratch_bytes: (block * cols.len() * 8) as u64,
-    }
-}
-
 fn main() {
     let stamp = dfs_bench::stamp::stamp_json_fields();
     let gather = bench_gather();
     let cache = bench_ranking_cache();
-    let streamed = bench_streamed_eval();
 
     let ratio = |old: u64, new: u64| old as f64 / new.max(1) as f64;
     let mut json = String::new();
@@ -250,17 +190,6 @@ fn main() {
     "cached_ranking_hits": {chits},
     "compute_reduction": {cred:.2},
     "speedup": {cspeed:.2}
-  }},
-  "streamed_eval": {{
-    "rows": {srows},
-    "picked_cols": {scols},
-    "block_rows": {sblock},
-    "monolithic_ns": {smono},
-    "chunked_ns": {schunk},
-    "monolithic_scratch_bytes": {smbytes},
-    "chunked_scratch_bytes": {scbytes},
-    "scratch_reduction": {sred:.1},
-    "chunked_vs_monolithic": {srel:.2}
   }}
 }}
 "#,
@@ -281,15 +210,6 @@ fn main() {
         chits = cache.cached_ranking_hits,
         cred = ratio(cache.uncached_ranking_computes, cache.cached_ranking_computes),
         cspeed = ratio(cache.uncached_ns, cache.cached_ns),
-        srows = streamed.rows,
-        scols = streamed.picked_cols,
-        sblock = streamed.block_rows,
-        smono = streamed.monolithic_ns,
-        schunk = streamed.chunked_ns,
-        smbytes = streamed.monolithic_scratch_bytes,
-        scbytes = streamed.chunked_scratch_bytes,
-        sred = ratio(streamed.monolithic_scratch_bytes, streamed.chunked_scratch_bytes),
-        srel = ratio(streamed.monolithic_ns, streamed.chunked_ns),
     );
 
     print!("{json}");

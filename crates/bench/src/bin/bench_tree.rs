@@ -529,8 +529,7 @@ fn main() {
     let scale_train = (scale.x.nrows() * 4) / 5;
     let scale_cols: Vec<usize> = (0..scale_d).collect();
     let scale_train_rows: Vec<usize> = (0..scale_train).collect();
-    let mut x_scale = Matrix::zeros(0, 0);
-    scale.x.select_row_range_cols_into(0..scale_train, &scale_cols, &mut x_scale);
+    let x_scale = scale.x.select_rows_cols(&scale_train_rows, &scale_cols);
     let y_scale = &scale.y[..scale_train];
     let holdout_f1 = |t: &DecisionTree| {
         let preds: Vec<bool> = scale

@@ -4,12 +4,13 @@
 //! that needs it first looks here. The format is a line-oriented TSV keyed
 //! by a config fingerprint, written atomically (temp file + rename).
 //!
-//! Codec v6 carries each cell's [`CellStatus`] (so fault-isolated runs
-//! roundtrip losslessly) and its [`EvalPerf`] work counters, including the
-//! attack/ranking timing and HPO grid-point fields added with the
-//! observability layer, the memo/bound-pruning/warm-start counters
-//! added with the cross-arm evaluation memo, and the chunked-evaluator
-//! block counter added with the streaming evaluator. A file that
+//! Codec v7 carries each cell's [`CellStatus`] (so fault-isolated runs
+//! roundtrip losslessly) and its thirteen [`EvalPerf`] work counters,
+//! including the attack/ranking timing and HPO grid-point fields added
+//! with the observability layer and the memo/bound-pruning/warm-start
+//! counters added with the cross-arm evaluation memo. v7 dropped the
+//! validation-gather and chunked-evaluator block counters of v6 along
+//! with the gathers they counted. A file that
 //! fails validation — wrong version, truncated, or garbled — is never
 //! trusted partially: [`load`] quarantines it (renames it aside with a
 //! `.quarantined` suffix) and the caller recomputes. The per-cell line
@@ -70,7 +71,7 @@ pub fn fingerprint(cfg: &CorpusConfig) -> u64 {
     h
 }
 
-/// Serializes a matrix to the TSV codec (v5).
+/// Serializes a matrix to the TSV codec (v7).
 ///
 /// Errors with [`DfsError::CacheEncode`] on a non-canonical arm set — the
 /// compact codec stores no arm column, so only `Arm::all()` matrices are
@@ -87,7 +88,7 @@ pub fn encode(matrix: &BenchmarkMatrix) -> DfsResult<String> {
             ),
         });
     }
-    let _ = writeln!(out, "#dfs-matrix\tv6\t{}\t{}", matrix.scenarios.len(), matrix.arms.len());
+    let _ = writeln!(out, "#dfs-matrix\tv7\t{}\t{}", matrix.scenarios.len(), matrix.arms.len());
     for (s, row) in matrix.scenarios.iter().zip(&matrix.results) {
         let c = &s.constraints;
         let _ = writeln!(
@@ -112,13 +113,13 @@ pub fn encode(matrix: &BenchmarkMatrix) -> DfsResult<String> {
     Ok(out)
 }
 
-/// Writes one `R` result line (v6: leading one-character status code, then
-/// the metrics, then the fifteen [`EvalPerf`] work counters).
+/// Writes one `R` result line (v7: leading one-character status code, then
+/// the metrics, then the thirteen [`EvalPerf`] work counters).
 pub(crate) fn encode_cell(out: &mut String, cell: &CellResult) {
     let p = &cell.perf;
     let _ = writeln!(
         out,
-        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         cell.status.code(),
         cell.success as u8,
         cell.elapsed.as_secs_f64(),
@@ -131,7 +132,6 @@ pub(crate) fn encode_cell(out: &mut String, cell: &CellResult) {
         p.cache_hits,
         p.ranking_computes,
         p.ranking_hits,
-        p.val_gathers,
         p.gather_ns,
         p.train_ns,
         p.attack_ns,
@@ -141,16 +141,15 @@ pub(crate) fn encode_cell(out: &mut String, cell: &CellResult) {
         p.memo_misses,
         p.bound_skips,
         p.warm_starts,
-        p.eval_blocks,
     );
 }
 
-/// Parses one tab-split `R` line (`fields[0] == "R"`, 24 fields). Every
+/// Parses one tab-split `R` line (`fields[0] == "R"`, 22 fields). Every
 /// field is validated — a truncated or bit-flipped line is an error, never
 /// a silently wrong cell.
 pub(crate) fn decode_cell(fields: &[&str]) -> Result<CellResult, String> {
-    if fields.len() != 24 {
-        return Err(format!("result line has {} fields, expected 24", fields.len()));
+    if fields.len() != 22 {
+        return Err(format!("result line has {} fields, expected 22", fields.len()));
     }
     let parse = |i: usize| -> Result<f64, String> {
         fields[i].parse().map_err(|e| format!("result field {i}: {e}"))
@@ -187,17 +186,15 @@ pub(crate) fn decode_cell(fields: &[&str]) -> Result<CellResult, String> {
             cache_hits: count(10)?,
             ranking_computes: count(11)?,
             ranking_hits: count(12)?,
-            val_gathers: count(13)?,
-            gather_ns: count(14)?,
-            train_ns: count(15)?,
-            attack_ns: count(16)?,
-            ranking_ns: count(17)?,
-            hpo_grid_points: count(18)?,
-            memo_hits: count(19)?,
-            memo_misses: count(20)?,
-            bound_skips: count(21)?,
-            warm_starts: count(22)?,
-            eval_blocks: count(23)?,
+            gather_ns: count(13)?,
+            train_ns: count(14)?,
+            attack_ns: count(15)?,
+            ranking_ns: count(16)?,
+            hpo_grid_points: count(17)?,
+            memo_hits: count(18)?,
+            memo_misses: count(19)?,
+            bound_skips: count(20)?,
+            warm_starts: count(21)?,
         },
     })
 }
@@ -210,8 +207,8 @@ pub fn decode(s: &str) -> Result<BenchmarkMatrix, String> {
     if head.len() != 4 || head[0] != "#dfs-matrix" {
         return Err(format!("bad header '{header}'"));
     }
-    if head[1] != "v6" {
-        return Err(format!("unsupported cache version '{}' (this build reads v6)", head[1]));
+    if head[1] != "v7" {
+        return Err(format!("unsupported cache version '{}' (this build reads v7)", head[1]));
     }
     let n_scenarios: usize = head[2].parse().map_err(|e| format!("bad count: {e}"))?;
     let n_arms: usize = head[3].parse().map_err(|e| format!("bad arm count: {e}"))?;
@@ -372,7 +369,6 @@ mod tests {
                     cache_hits: 2 * i as u64,
                     ranking_computes: (i % 3) as u64,
                     ranking_hits: (i % 5) as u64,
-                    val_gathers: (i % 2) as u64,
                     gather_ns: 1_000 + i as u64,
                     train_ns: 2_000 + i as u64,
                     attack_ns: 3_000 + i as u64,
@@ -382,7 +378,6 @@ mod tests {
                     memo_misses: 5 + i as u64,
                     bound_skips: (i % 6) as u64,
                     warm_starts: (i % 3) as u64,
-                    eval_blocks: (i % 5) as u64,
                 },
             })
             .collect();
@@ -440,16 +435,17 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode("").is_err());
         // Older codecs (v1 pre-status, v2 pre-perf, v3 pre-obs-counters,
-        // v4 pre-memo-counters, v5 pre-eval-blocks) are a version
-        // mismatch, not a panic; so is any future version.
-        for old in ["v1", "v2", "v3", "v4", "v5"] {
+        // v4 pre-memo-counters, v5 pre-eval-blocks, v6 with the gather
+        // counters) are a version mismatch, not a panic; so is any future
+        // version.
+        for old in ["v1", "v2", "v3", "v4", "v5", "v6"] {
             assert!(decode(&format!("#dfs-matrix\t{old}\t0\t17\n"))
                 .is_err_and(|e| e.contains("unsupported cache version")));
         }
-        assert!(decode("#dfs-matrix\tv7\t0\t17\n").is_err());
-        assert!(decode("#dfs-matrix\tv6\t1\t17\nX\tfoo\n").is_err());
+        assert!(decode("#dfs-matrix\tv8\t0\t17\n").is_err());
+        assert!(decode("#dfs-matrix\tv7\t1\t17\nX\tfoo\n").is_err());
         // Wrong arm count.
-        assert!(decode("#dfs-matrix\tv6\t0\t3\n").is_err());
+        assert!(decode("#dfs-matrix\tv7\t0\t3\n").is_err());
     }
 
     #[test]
@@ -521,9 +517,9 @@ mod tests {
         let path = dir.join("bad.tsv");
         let qpath = PathBuf::from(format!("{}.quarantined", path.display()));
         std::fs::remove_file(&qpath).ok();
-        // A v5 file from the previous build is quarantined like any other
-        // version mismatch — the recompute writes fresh v6 bytes.
-        std::fs::write(&path, "#dfs-matrix\tv5\t0\t17\n").expect("write");
+        // A v6 file from the previous build is quarantined like any other
+        // version mismatch — the recompute writes fresh v7 bytes.
+        std::fs::write(&path, "#dfs-matrix\tv6\t0\t17\n").expect("write");
         dfs_obs::set_trace_enabled(true);
         let (loaded, collected) = dfs_obs::scoped(|| load(&path));
         assert!(loaded.is_none());

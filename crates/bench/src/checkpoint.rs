@@ -23,12 +23,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-// Tracks the cell-line codec version in `cache` (v6 added the chunked-
-// evaluator block counter; v5 the memo/bound-pruning/warm-start perf
-// counters), so a sidecar written by an older build is a header mismatch,
-// never a misparsed row.
+// Tracks the cell-line codec version in `cache` (v7 dropped the
+// validation-gather and chunked-evaluator block counters; v5 added the
+// memo/bound-pruning/warm-start perf counters), so a sidecar written by an
+// older build is a header mismatch, never a misparsed row.
 const HEADER_TAG: &str = "#dfs-checkpoint";
-const VERSION: &str = "v6";
+const VERSION: &str = "v7";
 
 /// A partially computed matrix being persisted row by row.
 ///

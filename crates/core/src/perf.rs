@@ -28,12 +28,9 @@ pub struct EvalPerf {
     pub ranking_computes: u64,
     /// Feature rankings served from the shared per-row artifact cache.
     pub ranking_hits: u64,
-    /// Separate validation-split gathers. Zero whenever neither HPO nor
-    /// the evaluation target needs a distinct validation matrix — the
-    /// fused-gather engine skips the gather entirely in that case.
-    pub val_gathers: u64,
     /// Nanoseconds spent gathering (row-subsample + column-project) data
-    /// matrices.
+    /// matrices: the train split for fits that do not read it in place,
+    /// and the validation split for NB permutation importance.
     pub gather_ns: u64,
     /// Nanoseconds spent fitting models.
     pub train_ns: u64,
@@ -58,10 +55,6 @@ pub struct EvalPerf {
     /// LR/SVM fits seeded from a parent subset's weights (only in the
     /// opt-in inexact warm-start mode).
     pub warm_starts: u64,
-    /// Block gathers performed by the chunked streaming evaluator (zero
-    /// when every evaluation matrix fit within one block or chunking was
-    /// disabled).
-    pub eval_blocks: u64,
 }
 
 impl EvalPerf {
@@ -72,7 +65,6 @@ impl EvalPerf {
         self.cache_hits += other.cache_hits;
         self.ranking_computes += other.ranking_computes;
         self.ranking_hits += other.ranking_hits;
-        self.val_gathers += other.val_gathers;
         self.gather_ns += other.gather_ns;
         self.train_ns += other.train_ns;
         self.attack_ns += other.attack_ns;
@@ -82,7 +74,6 @@ impl EvalPerf {
         self.memo_misses += other.memo_misses;
         self.bound_skips += other.bound_skips;
         self.warm_starts += other.warm_starts;
-        self.eval_blocks += other.eval_blocks;
     }
 
     /// This counter set with the wall-clock-derived fields zeroed.
@@ -107,7 +98,6 @@ mod tests {
             model_fits: 3,
             ranking_computes: 4,
             ranking_hits: 5,
-            val_gathers: 6,
             train_ns: 7,
             attack_ns: 8,
             ranking_ns: 9,
@@ -116,7 +106,6 @@ mod tests {
             memo_misses: 13,
             bound_skips: 14,
             warm_starts: 15,
-            eval_blocks: 16,
             ..EvalPerf::default()
         };
         a.merge(&b);
@@ -127,8 +116,7 @@ mod tests {
                 cache_hits: 2,
                 ranking_computes: 4,
                 ranking_hits: 5,
-                val_gathers: 6,
-                gather_ns: 10,
+                    gather_ns: 10,
                 train_ns: 7,
                 attack_ns: 8,
                 ranking_ns: 9,
@@ -137,8 +125,7 @@ mod tests {
                 memo_misses: 13,
                 bound_skips: 14,
                 warm_starts: 15,
-                eval_blocks: 16,
-            }
+                }
         );
     }
 
@@ -146,7 +133,7 @@ mod tests {
     fn merge_is_associative_and_identity_respecting() {
         let samples = [
             EvalPerf { model_fits: 1, cache_hits: 9, gather_ns: 100, ..EvalPerf::default() },
-            EvalPerf { ranking_computes: 3, val_gathers: 2, train_ns: 7, ..EvalPerf::default() },
+            EvalPerf { ranking_computes: 3, train_ns: 7, ..EvalPerf::default() },
             EvalPerf { model_fits: 5, ranking_hits: 4, attack_ns: 3, ..EvalPerf::default() },
             EvalPerf { ranking_ns: 6, hpo_grid_points: 2, cache_hits: 1, ..EvalPerf::default() },
             EvalPerf { memo_hits: 8, memo_misses: 3, bound_skips: 2, warm_starts: 1, ..EvalPerf::default() },
@@ -185,7 +172,6 @@ mod tests {
             cache_hits: 3,
             ranking_computes: 4,
             ranking_hits: 5,
-            val_gathers: 6,
             gather_ns: 1_000,
             train_ns: 2_000,
             attack_ns: 3_000,
@@ -195,7 +181,6 @@ mod tests {
             memo_misses: 9,
             bound_skips: 10,
             warm_starts: 11,
-            eval_blocks: 12,
         };
         let t = p.without_timings();
         assert_eq!(

@@ -9,13 +9,13 @@ use dfs_constraints::{ConstraintSet, Evaluation};
 use dfs_data::split::Split;
 use dfs_fs::SubsetEvaluator;
 use dfs_linalg::rng::derive_seed;
-use dfs_linalg::Matrix;
+use dfs_linalg::{ColumnView, Matrix};
 use dfs_metrics::{empirical_safety_with, equal_opportunity, f1_score, AttackConfig};
-use dfs_models::hpo::fit_maybe_hpo_ws;
+use dfs_models::hpo::{dt_grid_search_ws, grid_search_ws};
 use dfs_models::importance::importance_or_permutation;
 use dfs_models::logistic::LogisticRegression;
 use dfs_models::svm::LinearSvm;
-use dfs_models::tree::TreeWorkspace;
+use dfs_models::tree::{DecisionTree, TreeWorkspace};
 use dfs_models::{BinSet, BinView, GossConfig, ModelKind, ModelSpec, SplitExactness, TrainedModel};
 use dfs_obs as obs;
 use dfs_rankings::{Ranking, RankingKind};
@@ -82,16 +82,6 @@ pub struct ScenarioSettings {
     /// kernel runs (DT, no DP, binned exactness); presorted and DP fits
     /// ignore it.
     pub goss: Option<(f64, f64)>,
-    /// Row count of one chunked-evaluation block. Evaluation splits taller
-    /// than this are streamed through one block-sized gather buffer
-    /// instead of being materialized whole, so a million-row test split
-    /// never allocates more than one block of gathered scratch.
-    /// Predictions are per-row, so the streamed pass is bit-identical at
-    /// every block size — which is why this knob is *not* part of the
-    /// settings fingerprint. `0` disables chunking; the monolithic path
-    /// is also kept whenever the fit itself needs the full evaluation
-    /// matrix (HPO scoring on validation during search).
-    pub eval_block_rows: usize,
 }
 
 impl ScenarioSettings {
@@ -106,7 +96,6 @@ impl ScenarioSettings {
             warm_exact: true,
             exactness: SplitExactness::default(),
             goss: None,
-            eval_block_rows: 8192,
         }
     }
 
@@ -128,7 +117,6 @@ impl ScenarioSettings {
             warm_exact: true,
             exactness: SplitExactness::default(),
             goss: None,
-            eval_block_rows: 8192,
         }
     }
 }
@@ -196,8 +184,6 @@ pub fn settings_fingerprint(
             }
         }
     }
-    // `eval_block_rows` is deliberately absent: the chunked evaluator is
-    // bit-identical to the monolithic one at every block size.
     h
 }
 
@@ -238,14 +224,10 @@ pub struct ScenarioContext<'a> {
     train_rows: Vec<usize>,
     /// Subsampled labels, gathered once — every evaluation reuses them.
     y_train: Vec<bool>,
-    // Reusable gather buffers: after warm-up, an evaluation performs no
-    // matrix allocation at all (O(1) steady-state allocation).
-    scratch_train: Matrix,
-    scratch_eval: Matrix,
-    scratch_val: Matrix,
-    /// Presorted-CART scratch shared by every serial tree fit (HPO grids,
-    /// default fits, RFE importances).
-    scratch_tree: TreeWorkspace,
+    /// Scratch of the serial path (measurements and RFE importances):
+    /// after warm-up, an evaluation performs no matrix allocation at all
+    /// (O(1) steady-state allocation).
+    scratch: Scratch,
     perf: EvalPerf,
     artifacts: Option<Arc<ArtifactCache>>,
     /// Cross-arm subset-evaluation memo (shared like `artifacts`).
@@ -270,14 +252,12 @@ pub struct ScenarioContext<'a> {
     eval_lat: obs::Histogram,
 }
 
-/// Per-measurement gather buffers. The context keeps one set for the
-/// serial path; batch workers each build their own so measurements never
-/// share mutable state.
+/// Per-measurement scratch. The context keeps one set for the serial
+/// path; batch workers each build their own so measurements never share
+/// mutable state.
 #[derive(Default)]
 struct Scratch {
     train: Matrix,
-    eval: Matrix,
-    val: Matrix,
     tree: TreeWorkspace,
 }
 
@@ -298,118 +278,159 @@ struct MeasureEnv<'a> {
     bins: Option<&'a Arc<BinSet>>,
 }
 
-/// Trains the scenario's model on a subset (train split only). `val`
-/// carries the gathered validation data when (and only when) the fit
-/// actually consumes it — i.e. under HPO without DP. `warm` carries a
-/// parent subset's linear-model solution (remapped to this subset's
-/// column order); it only reaches the optimizer in the opt-in inexact
-/// warm-start mode, for LR/SVM default-parameter fits.
+/// The training features of one fit.
+enum TrainX<'a> {
+    /// The train split read in place through the subset's column map.
+    InPlace(ColumnView<'a>),
+    /// A gathered copy of the subset's train columns.
+    Gathered(&'a Matrix),
+}
+
+impl<'a> TrainX<'a> {
+    /// The gathered copy. Only binned tree fits read in place, so every
+    /// other fit has one.
+    fn gathered(&self) -> &'a Matrix {
+        match self {
+            TrainX::Gathered(x) => x,
+            TrainX::InPlace(_) => {
+                unreachable!("only binned tree fits read the train split in place")
+            }
+        }
+    }
+}
+
+/// The training features of a fit on `subset`. With `in_place` (binned DT
+/// fits), the train split is read where it lies: the kernel trains from
+/// the bound bin codes and reads raw values only in its `x <= t` fallback,
+/// which compares the same doubles through the column map. Every other fit
+/// (LR/NB/SVM, DP trees, the presorted kernel) gets a fused row-subsample
+/// and column-projection into `buf`, timed under the `gather` span.
+fn train_features<'a>(
+    env: &MeasureEnv<'a>,
+    subset: &'a [usize],
+    in_place: bool,
+    buf: &'a mut Matrix,
+    perf: &mut EvalPerf,
+) -> TrainX<'a> {
+    let x = &env.split.train.x;
+    if in_place {
+        return TrainX::InPlace(ColumnView::head(x, env.train_rows.len(), subset));
+    }
+    obs::heartbeat("eval.gather");
+    let _gather_span = obs::span("gather");
+    let gather_start = Instant::now();
+    x.select_rows_cols_into(env.train_rows, subset, buf);
+    perf.gather_ns += gather_start.elapsed().as_nanos() as u64;
+    TrainX::Gathered(buf)
+}
+
+/// Arms `ws` for one DT fit on `subset`. The bin binding must be refreshed
+/// per fit: the subset changes every call and the binding is sticky. GOSS
+/// samples per node inside the binned kernel only; its seed derives from
+/// `(scenario seed, subset hash)`, so a fit stays a pure function of its
+/// inputs at any thread count and never inherits the previous fit's
+/// sticky GOSS state.
+fn arm_tree(env: &MeasureEnv<'_>, subset: &[usize], ws: &mut TreeWorkspace) {
+    ws.set_exactness(env.settings.exactness);
+    match env.bins {
+        Some(b) => ws.bind_bins(b, subset, env.train_rows),
+        None => ws.clear_bins(),
+    }
+    let goss = match (env.settings.goss, env.scenario.constraints.privacy_epsilon) {
+        (Some((top, rest)), None) => Some(GossConfig::new(
+            top,
+            rest,
+            derive_seed(env.scenario.seed, 0x6055_5EED ^ hash_subset(subset)),
+        )),
+        _ => None,
+    };
+    ws.set_goss(goss);
+}
+
+/// The default-parameter fit of the scenario's model (no HPO, no DP): the
+/// tree through the caller's workspace, in place when `x` is.
+fn fit_default(
+    kind: ModelKind,
+    x: &TrainX<'_>,
+    y: &[bool],
+    ws: &mut TreeWorkspace,
+) -> TrainedModel {
+    let spec = ModelSpec::default_for(kind);
+    let model = match (x, &spec) {
+        (TrainX::InPlace(view), ModelSpec::Dt { max_depth }) => {
+            TrainedModel::Dt(DecisionTree::fit_in(view, y, *max_depth, None, ws))
+        }
+        _ => spec.fit_ws(x.gathered(), y, ws),
+    };
+    if kind == ModelKind::DecisionTree {
+        ws.last_stats().record();
+    }
+    model
+}
+
+/// Trains the scenario's model on a subset (train split only). `hpo_val`
+/// carries the validation split, read through the subset's column map,
+/// when (and only when) the fit grid-searches on it — under HPO without
+/// DP. `warm` carries a parent subset's linear-model solution (remapped to
+/// this subset's column order); it only reaches the optimizer in the
+/// opt-in inexact warm-start mode, for LR/SVM default-parameter fits.
 fn train_subset(
     env: &MeasureEnv<'_>,
     subset: &[usize],
-    x_train: &Matrix,
-    val: Option<(&Matrix, &[bool])>,
+    x_train: &TrainX<'_>,
+    hpo_val: Option<(&ColumnView<'_>, &[bool])>,
     warm: Option<&(Vec<f64>, f64)>,
     tree_ws: &mut TreeWorkspace,
     perf: &mut EvalPerf,
 ) -> TrainedModel {
     perf.model_fits += 1;
-    if env.scenario.model == ModelKind::DecisionTree {
-        // Arm the workspace for this subset's gathered matrix: `x_train`'s
-        // column `f` is source column `subset[f]`, its rows are the train
-        // subsample. Binding must be refreshed per fit — the subset changes
-        // every call and the binding is sticky.
-        tree_ws.set_exactness(env.settings.exactness);
-        match env.bins {
-            Some(b) => tree_ws.bind_bins(b, subset, env.train_rows),
-            None => tree_ws.clear_bins(),
-        }
-        // GOSS samples per-node inside the binned kernel only; the seed
-        // derives from `(scenario seed, subset hash)` so a measurement
-        // stays a pure function of its inputs at any thread count.
-        let goss = match (env.settings.goss, env.scenario.constraints.privacy_epsilon) {
-            (Some((top, rest)), None) => Some(GossConfig::new(
-                top,
-                rest,
-                derive_seed(env.scenario.seed, 0x6055_5EED ^ hash_subset(subset)),
-            )),
-            _ => None,
+    let kind = env.scenario.model;
+    if kind == ModelKind::DecisionTree {
+        arm_tree(env, subset, tree_ws);
+    }
+    if let Some(eps) = env.scenario.constraints.privacy_epsilon {
+        // DP variant; HPO would multiply the privacy spend, so DP training
+        // always uses default hyperparameters (one train run per
+        // evaluation — the paper's setting trains the DP alternative of
+        // the chosen model). The DP random tree partitions from the
+        // scenario's bin codes when they exist — bit-identical to the raw
+        // compare, so the choice follows the split kernel without touching
+        // any fingerprint.
+        let spec = ModelSpec::default_for(kind);
+        let dp_seed = derive_seed(env.scenario.seed, hash_subset(subset));
+        let view = env.bins.map(|b| BinView::new(b, subset, env.train_rows));
+        return spec.fit_dp_with(x_train.gathered(), env.y_train, eps, dp_seed, view);
+    }
+    if let Some((x_val, y_val)) = hpo_val {
+        perf.hpo_grid_points += dfs_models::hpo::grid(kind).len() as u64;
+        let result = match x_train {
+            TrainX::InPlace(x) => dt_grid_search_ws(x, env.y_train, x_val, y_val, tree_ws),
+            TrainX::Gathered(x) => {
+                grid_search_ws(kind, x, env.y_train, x_val, y_val, env.exec, tree_ws)
+            }
         };
-        tree_ws.set_goss(goss);
+        return result.model;
     }
-    match env.scenario.constraints.privacy_epsilon {
-        Some(eps) => {
-            // DP variant; HPO would multiply the privacy spend, so DP
-            // training always uses default hyperparameters (one train
-            // run per evaluation — the paper's setting trains the DP
-            // alternative of the chosen model).
-            let spec = ModelSpec::default_for(env.scenario.model);
-            let dp_seed = derive_seed(env.scenario.seed, hash_subset(subset));
-            // The DP random tree partitions from the scenario's bin codes
-            // when they exist — bit-identical to the raw compare, so the
-            // choice follows the split kernel without touching any
-            // fingerprint.
-            let view = env.bins.map(|b| BinView::new(b, subset, env.train_rows));
-            spec.fit_dp_with(x_train, env.y_train, eps, dp_seed, view)
+    if let Some((w0, b0)) = warm {
+        // Non-linear models never receive a warm seed (the caller's
+        // eligibility check prevents it).
+        match ModelSpec::default_for(kind) {
+            ModelSpec::Lr { c } => {
+                perf.warm_starts += 1;
+                obs::counter("eval.warm_start", 1);
+                let x = x_train.gathered();
+                return TrainedModel::Lr(LogisticRegression::fit_from(x, env.y_train, c, w0, *b0));
+            }
+            ModelSpec::Svm { c } => {
+                perf.warm_starts += 1;
+                obs::counter("eval.warm_start", 1);
+                let x = x_train.gathered();
+                return TrainedModel::Svm(LinearSvm::fit_from(x, env.y_train, c, w0, *b0));
+            }
+            _ => {}
         }
-        None => match val {
-            Some((x_val, y_val)) => {
-                if env.scenario.hpo {
-                    perf.hpo_grid_points +=
-                        dfs_models::hpo::grid(env.scenario.model).len() as u64;
-                }
-                let (_, model) = fit_maybe_hpo_ws(
-                    env.scenario.model,
-                    env.scenario.hpo,
-                    x_train,
-                    env.y_train,
-                    x_val,
-                    y_val,
-                    env.exec,
-                    tree_ws,
-                );
-                model
-            }
-            // No validation data needed: the non-HPO fit ignores it.
-            None => {
-                let spec = ModelSpec::default_for(env.scenario.model);
-                if let Some((w0, b0)) = warm {
-                    match &spec {
-                        ModelSpec::Lr { c } => {
-                            perf.warm_starts += 1;
-                            obs::counter("eval.warm_start", 1);
-                            return TrainedModel::Lr(LogisticRegression::fit_from(
-                                x_train,
-                                env.y_train,
-                                *c,
-                                w0,
-                                *b0,
-                            ));
-                        }
-                        ModelSpec::Svm { c } => {
-                            perf.warm_starts += 1;
-                            obs::counter("eval.warm_start", 1);
-                            return TrainedModel::Svm(LinearSvm::fit_from(
-                                x_train,
-                                env.y_train,
-                                *c,
-                                w0,
-                                *b0,
-                            ));
-                        }
-                        // Non-linear models never receive a warm seed
-                        // (the caller's eligibility check prevents it).
-                        _ => {}
-                    }
-                }
-                let model = spec.fit_ws(x_train, env.y_train, tree_ws);
-                if env.scenario.model == ModelKind::DecisionTree {
-                    tree_ws.last_stats().record();
-                }
-                model
-            }
-        },
     }
+    fit_default(kind, x_train, env.y_train, tree_ws)
 }
 
 /// Result of one (possibly bound-short-circuited) measurement.
@@ -430,11 +451,12 @@ struct Measured {
 /// Used for both validation (during search) and test (confirmation), from
 /// the serial path and from batch workers alike.
 ///
-/// Gathers are fused (row subsample and column projection in one pass, no
-/// full-height intermediate) into the caller's scratch buffers, and the
-/// validation matrix is only materialized when the fit needs it: HPO
-/// scores candidates on validation, while DP and default-parameter fits
-/// never look at it.
+/// Gather-free where it can be: binned tree fits read the train split in
+/// place (see [`train_features`]; every other fit gathers it into the
+/// caller's scratch), and every model predicts the evaluation split — and
+/// HPO scores the validation split — through the subset's column map.
+/// Only the evasion attack, which needs contiguous probe rows, copies its
+/// first `max_points` evaluation rows.
 ///
 /// All randomness (DP noise, attack trajectories) derives from
 /// `(scenario seed, subset hash)` — never from shared mutable RNG state —
@@ -461,7 +483,7 @@ fn measure_subset_bounded(
 ) -> Measured {
     let split = env.split;
     let constraints = &env.scenario.constraints;
-    let needs_val = env.scenario.hpo && constraints.privacy_epsilon.is_none();
+    let dp = constraints.privacy_epsilon.is_some();
     obs::observe("eval.subset_size", subset.len() as u64);
 
     // Stage 0 (free): the feature-size term needs no model. When it alone
@@ -481,40 +503,16 @@ fn measure_subset_bounded(
         }
     }
 
-    obs::heartbeat("eval.gather");
-    let gather_span = obs::span("gather");
-    let gather_start = Instant::now();
-    split.train.x.select_rows_cols_into(env.train_rows, subset, &mut scratch.train);
-    let part = if eval_on_test { &split.test } else { &split.val };
-    // Oversized evaluation splits are streamed block-wise through the
-    // eval scratch buffer after the fit instead of being materialized
-    // here — unless the fit itself consumes the full matrix (HPO scores
-    // on validation during search, where the eval gather doubles as the
-    // validation gather).
-    let chunk = env.settings.eval_block_rows;
-    let chunked = chunk > 0 && part.x.nrows() > chunk && !(needs_val && !eval_on_test);
-    if !chunked {
-        part.x.select_cols_into(subset, &mut scratch.eval);
-    }
-    // HPO always scores on validation, never on test. When the evaluation
-    // target *is* validation, the eval gather above already produced the
-    // validation matrix — reuse it instead of gathering twice.
-    let val_data: Option<(&Matrix, &[bool])> = if !needs_val {
-        None
-    } else if eval_on_test {
-        split.val.x.select_cols_into(subset, &mut scratch.val);
-        perf.val_gathers += 1;
-        Some((&scratch.val, &split.val.y))
-    } else {
-        Some((&scratch.eval, &split.val.y))
-    };
-    perf.gather_ns += gather_start.elapsed().as_nanos() as u64;
-    drop(gather_span);
+    let in_place = env.bins.is_some() && !dp;
+    let x_train = train_features(env, subset, in_place, &mut scratch.train, perf);
+    // HPO always scores on validation, never on test.
+    let x_val = ColumnView::new(&split.val.x, subset);
+    let hpo_val = (env.scenario.hpo && !dp).then_some((&x_val, split.val.y.as_slice()));
 
     obs::heartbeat("eval.fit");
     let fit_span = obs::span("fit");
     let train_start = Instant::now();
-    let model = train_subset(env, subset, &scratch.train, val_data, warm, &mut scratch.tree, perf);
+    let model = train_subset(env, subset, &x_train, hpo_val, warm, &mut scratch.tree, perf);
     perf.train_ns += train_start.elapsed().as_nanos() as u64;
     drop(fit_span);
 
@@ -528,28 +526,15 @@ fn measure_subset_bounded(
         None
     };
 
+    let part = if eval_on_test { &split.test } else { &split.val };
+    let x_eval = ColumnView::new(&part.x, subset);
     let y_eval = &part.y;
-    let preds = if chunked {
-        // Predictions are strictly per-row, so concatenating block-wise
-        // predictions is bit-identical to one monolithic pass; only one
-        // block of gathered scratch is ever live.
-        obs::heartbeat("eval.blocks");
-        let n = part.x.nrows();
-        let mut preds = Vec::with_capacity(n);
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            part.x.select_row_range_cols_into(lo..hi, subset, &mut scratch.eval);
-            preds.extend(model.predict(&scratch.eval));
-            perf.eval_blocks += 1;
-            lo = hi;
-        }
-        preds
-    } else {
-        model.predict(&scratch.eval)
+    let (f1, eo) = {
+        let _predict_span = obs::span("predict");
+        let preds = model.predict_view(&x_eval);
+        let f1 = f1_score(&preds, y_eval);
+        (f1, constraints.needs_eo().then(|| equal_opportunity(&preds, y_eval, &part.protected)))
     };
-    let f1 = f1_score(&preds, y_eval);
-    let eo = constraints.needs_eo().then(|| equal_opportunity(&preds, y_eval, &part.protected));
 
     // Stage 1 (cheap): accuracy and fairness are measured; the attack is
     // not. Re-check the bound with safety still at its optimistic maximum.
@@ -576,22 +561,47 @@ fn measure_subset_bounded(
         let attack_start = Instant::now();
         let mut cfg = env.settings.attack.clone();
         cfg.seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
-        // The attack consumes only the first `max_points` evaluation rows
-        // (and truncates `y` to match); after the block-wise prediction
-        // loop the scratch buffer holds the *last* block, so re-gather
-        // exactly that prefix.
-        if chunked {
-            let k = cfg.max_points.min(part.x.nrows());
-            part.x.select_row_range_cols_into(0..k, subset, &mut scratch.eval);
-        }
+        // The attack reads only the first `max_points` evaluation rows (and
+        // truncates `y` to match), as contiguous rows: gather just those.
+        let rows = cfg.max_points.min(part.x.nrows());
+        let probe = ColumnView::head(&part.x, rows, subset).gather();
         let predict = |row: &[f64]| model.predict_one(row);
-        let safety = empirical_safety_with(&predict, &scratch.eval, y_eval, &cfg, env.exec);
+        let safety = empirical_safety_with(&predict, &probe, y_eval, &cfg, env.exec);
         perf.attack_ns += attack_start.elapsed().as_nanos() as u64;
         safety
     });
     let eval =
         Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() };
     Measured { eval, exact: true, weights }
+}
+
+/// RFE importances of a default-parameter fit on `subset`: the ranking
+/// step is not HPO'd in the reference implementation either, and never
+/// trains the DP variant. Binned trees fit in place; only NB's permutation
+/// importance reads validation data, so only NB gathers it.
+fn importances_of(
+    env: &MeasureEnv<'_>,
+    subset: &[usize],
+    scratch: &mut Scratch,
+    perf: &mut EvalPerf,
+) -> Vec<f64> {
+    let kind = env.scenario.model;
+    let x_train = train_features(env, subset, env.bins.is_some(), &mut scratch.train, perf);
+    let train_start = Instant::now();
+    if kind == ModelKind::DecisionTree {
+        arm_tree(env, subset, &mut scratch.tree);
+    }
+    let model = fit_default(kind, &x_train, env.y_train, &mut scratch.tree);
+    perf.train_ns += train_start.elapsed().as_nanos() as u64;
+    perf.model_fits += 1;
+    if let Some(scores) = model.feature_importance() {
+        return scores;
+    }
+    let gather_start = Instant::now();
+    env.split.val.x.select_cols_into(subset, &mut scratch.train);
+    perf.gather_ns += gather_start.elapsed().as_nanos() as u64;
+    let seed = derive_seed(env.scenario.seed, 0x1339 ^ hash_subset(subset));
+    importance_or_permutation(&model, &scratch.train, &env.split.val.y, seed)
 }
 
 /// [`measure_subset_bounded`] without bound or warm seed: always exact.
@@ -627,10 +637,7 @@ impl<'a> ScenarioContext<'a> {
             importance_cache: HashMap::new(),
             train_rows,
             y_train,
-            scratch_train: Matrix::zeros(0, 0),
-            scratch_eval: Matrix::zeros(0, 0),
-            scratch_val: Matrix::zeros(0, 0),
-            scratch_tree: TreeWorkspace::new(),
+            scratch: Scratch::default(),
             perf: EvalPerf::default(),
             artifacts: None,
             memo: None,
@@ -744,6 +751,20 @@ impl<'a> ScenarioContext<'a> {
         self.measure_full(subset, eval_on_test, None, None, false).eval
     }
 
+    /// Runs `f` on the measurement environment with the context's scratch
+    /// and counters, handing both back afterwards.
+    fn with_scratch<R>(
+        &mut self,
+        f: impl FnOnce(&MeasureEnv<'_>, &mut Scratch, &mut EvalPerf) -> R,
+    ) -> R {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut perf = self.perf;
+        let r = f(&self.env(), &mut scratch, &mut perf);
+        self.perf = perf;
+        self.scratch = scratch;
+        r
+    }
+
     /// Serial measurement via [`measure_subset_bounded`], reusing the
     /// context's scratch buffers (no steady-state allocation).
     fn measure_full(
@@ -754,31 +775,11 @@ impl<'a> ScenarioContext<'a> {
         warm: Option<(Vec<f64>, f64)>,
         want_weights: bool,
     ) -> Measured {
-        let mut scratch = Scratch {
-            train: std::mem::take(&mut self.scratch_train),
-            eval: std::mem::take(&mut self.scratch_eval),
-            val: std::mem::take(&mut self.scratch_val),
-            tree: std::mem::take(&mut self.scratch_tree),
-        };
-        let mut perf = self.perf;
-        let env = self.env();
-        let measured = measure_subset_bounded(
-            &env,
-            subset,
-            eval_on_test,
-            &mut scratch,
-            &mut perf,
-            bound,
-            warm.as_ref(),
-            want_weights,
-        );
-        self.perf = perf;
-        // Hand the buffers back for the next evaluation.
-        self.scratch_train = scratch.train;
-        self.scratch_eval = scratch.eval;
-        self.scratch_val = scratch.val;
-        self.scratch_tree = scratch.tree;
-        measured
+        let warm = warm.as_ref();
+        self.with_scratch(|env, scratch, perf| {
+            let test = eval_on_test;
+            measure_subset_bounded(env, subset, test, scratch, perf, bound, warm, want_weights)
+        })
     }
 
     /// The shared-memo key of a subset measurement in this context.
@@ -1190,9 +1191,9 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         obs::heartbeat("eval.measure");
         let measure_span = obs::span("eval.measure");
         obs::observe("eval.batch_fresh", fresh.len() as u64);
-        let measured: Vec<(Evaluation, EvalPerf, Option<obs::Collector>, u64)> = {
+        let measured: Vec<(Evaluation, EvalPerf, u64)> = {
             let env = self.env();
-            env.exec.par_map_indexed(&fresh, |_, subset| {
+            let traced = env.exec.par_map_indexed(&fresh, |_, subset| {
                 let t0 = Instant::now();
                 let ((eval, perf), trace) = obs::scoped(|| {
                     let mut scratch = Scratch::default();
@@ -1201,20 +1202,30 @@ impl SubsetEvaluator for ScenarioContext<'_> {
                     (eval, perf)
                 });
                 (eval, perf, trace, t0.elapsed().as_nanos() as u64)
-            })
+            });
+            // Absorb the workers' traces in submission order while
+            // `eval.measure` is still open: their spans are its children,
+            // so the ledger charges each to its own layer instead of
+            // counting the whole fan-out again as the span's self time.
+            traced
+                .into_iter()
+                .map(|(eval, perf, trace, dur_ns)| {
+                    if let Some(child) = trace {
+                        obs::absorb(child);
+                    }
+                    (eval, perf, dur_ns)
+                })
+                .collect()
         };
         drop(measure_span);
 
-        // Phase C: replay in submission order — cache inserts, counter
-        // merges, and trace absorption all land in the serial order.
+        // Phase C: replay in submission order — cache inserts and counter
+        // merges land in the serial order.
         let commit_span = obs::span("eval.commit");
         let mut measured_evals: Vec<Evaluation> = Vec::with_capacity(measured.len());
-        for (subset, (eval, perf, trace, dur_ns)) in fresh.iter().zip(measured) {
+        for (subset, (eval, perf, dur_ns)) in fresh.iter().zip(measured) {
             self.perf.merge(&perf);
             self.eval_lat.record(dur_ns);
-            if let Some(child) = trace {
-                obs::absorb(child);
-            }
             let score = self.objective_of(&eval);
             self.memo_insert(subset, false, eval);
             self.cache
@@ -1295,53 +1306,10 @@ impl SubsetEvaluator for ScenarioContext<'_> {
             return None;
         }
         let _g = obs::span("importances");
-        let split = self.split;
-        let mut x_train = std::mem::take(&mut self.scratch_train);
-        let mut x_val = std::mem::take(&mut self.scratch_val);
-        let gather_start = Instant::now();
-        split.train.x.select_rows_cols_into(&self.train_rows, subset, &mut x_train);
-        split.val.x.select_cols_into(subset, &mut x_val);
-        self.perf.val_gathers += 1;
-        self.perf.gather_ns += gather_start.elapsed().as_nanos() as u64;
-        // RFE trains with default hyperparameters (the ranking step is not
-        // HPO'd in the reference implementation either).
-        let spec = ModelSpec::default_for(self.scenario.model);
-        let train_start = Instant::now();
-        let mut tree_ws = std::mem::take(&mut self.scratch_tree);
-        if self.scenario.model == ModelKind::DecisionTree {
-            tree_ws.set_exactness(self.settings.exactness);
-            match self.dataset_bins() {
-                Some(b) => {
-                    let b = Arc::clone(b);
-                    tree_ws.bind_bins(&b, subset, &self.train_rows);
-                }
-                None => tree_ws.clear_bins(),
-            }
-            // Same arming rule (and seed derivation) as `train_subset`, so
-            // an importance fit is a pure function of its subset and never
-            // inherits the previous fit's sticky GOSS state.
-            let goss = match (self.settings.goss, self.scenario.constraints.privacy_epsilon) {
-                (Some((top, rest)), None) => Some(GossConfig::new(
-                    top,
-                    rest,
-                    derive_seed(self.scenario.seed, 0x6055_5EED ^ hash_subset(subset)),
-                )),
-                _ => None,
-            };
-            tree_ws.set_goss(goss);
-        }
-        let model = spec.fit_ws(&x_train, &self.y_train, &mut tree_ws);
-        if self.scenario.model == ModelKind::DecisionTree {
-            tree_ws.last_stats().record();
-        }
-        self.scratch_tree = tree_ws;
-        self.perf.train_ns += train_start.elapsed().as_nanos() as u64;
-        self.perf.model_fits += 1;
-        let seed = derive_seed(self.scenario.seed, 0x1339 ^ hash_subset(subset));
-        let importances = importance_or_permutation(&model, &x_val, &split.val.y, seed);
+        let importances = self.with_scratch(|env, scratch, perf| {
+            importances_of(env, subset, scratch, perf)
+        });
         self.importance_cache.insert(subset.to_vec(), importances.clone());
-        self.scratch_train = x_train;
-        self.scratch_val = x_val;
         Some(importances)
     }
 
@@ -1534,37 +1502,42 @@ mod tests {
     #[test]
     fn no_validation_gather_without_hpo_or_dp() {
         let (_, split) = setup();
-        // hpo = false, no DP: the fit never looks at validation data, so
-        // the engine must not gather it — not even on test confirmation.
+        // hpo = false, no DP: the fit never looks at validation data, and
+        // every prediction reads its split through the column map.
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
         ctx.evaluate(&[0, 1]).unwrap();
         ctx.evaluate(&[2, 3]).unwrap();
         ctx.confirm_on_test(&[0, 1]);
-        assert_eq!(ctx.perf().val_gathers, 0);
         assert_eq!(ctx.perf().model_fits, 3);
 
-        // With HPO the validation matrix is needed — but only the test
-        // confirmation requires a *separate* gather (during search the
-        // evaluation matrix is the validation matrix).
-        let mut sc_hpo = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        sc_hpo.hpo = true;
-        let mut ctx = ScenarioContext::new(&sc_hpo, &split, &settings);
-        ctx.evaluate(&[0, 1]).unwrap();
-        assert_eq!(ctx.perf().val_gathers, 0, "search-time eval gather doubles as val");
-        ctx.confirm_on_test(&[0, 1]);
-        assert_eq!(ctx.perf().val_gathers, 1, "test confirmation needs its own val gather");
+        // A binned tree gathers nothing at all, with or without HPO: it
+        // trains from the train split in place, and the HPO grid scores
+        // the validation split through the column map too.
+        let mut sc_dt = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
+        sc_dt.model = ModelKind::DecisionTree;
+        for hpo in [false, true] {
+            sc_dt.hpo = hpo;
+            let mut ctx = ScenarioContext::new(&sc_dt, &split, &settings);
+            ctx.evaluate(&[0, 1]).unwrap();
+            ctx.confirm_on_test(&[0, 1]);
+            assert_eq!(ctx.perf().model_fits, 2);
+            assert_eq!(ctx.perf().gather_ns, 0, "hpo = {hpo}: binned DT must not gather");
+        }
 
-        // DP ignores validation data even under HPO.
+        // DP ignores validation data even under HPO; its tree trains from a
+        // gathered copy.
         let mut c_dp = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
         c_dp.privacy_epsilon = Some(10.0);
         let mut sc_dp = scenario(c_dp);
+        sc_dp.model = ModelKind::DecisionTree;
         sc_dp.hpo = true;
         let mut ctx = ScenarioContext::new(&sc_dp, &split, &settings);
         ctx.evaluate(&[0, 1]).unwrap();
         ctx.confirm_on_test(&[0, 1]);
-        assert_eq!(ctx.perf().val_gathers, 0);
+        assert_eq!(ctx.perf().hpo_grid_points, 0, "DP fits never grid-search");
+        assert!(ctx.perf().gather_ns > 0);
     }
 
     #[test]
@@ -1916,13 +1889,6 @@ mod tests {
             settings_fingerprint(&dt_dp, &base, 100),
             settings_fingerprint(&dt_dp, &active, 100)
         );
-        // Block size is a pure execution knob — never fingerprinted.
-        let mut blocks = ScenarioSettings::fast();
-        blocks.eval_block_rows = 7;
-        assert_eq!(
-            settings_fingerprint(&dt, &base, 100),
-            settings_fingerprint(&dt, &blocks, 100)
-        );
     }
 
     #[test]
@@ -1941,54 +1907,107 @@ mod tests {
         assert!(x.is_finite());
     }
 
-    #[test]
-    fn chunked_evaluation_is_bit_identical_to_monolithic() {
-        let (_, split) = setup();
-        let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
-        c.min_eo = Some(0.8);
-        c.min_safety = Some(0.8);
-        for model in [ModelKind::LogisticRegression, ModelKind::DecisionTree] {
-            let mut sc = scenario(c.clone());
-            sc.model = model;
-            let mono_settings = ScenarioSettings::fast();
-            let mut block_settings = ScenarioSettings::fast();
-            block_settings.eval_block_rows = 7;
-            let mut mono = ScenarioContext::new(&sc, &split, &mono_settings);
-            let mut blocks = ScenarioContext::new(&sc, &split, &block_settings);
-            for subset in [vec![0, 1], vec![0, 2, 4]] {
-                let x = mono.evaluate(&subset).unwrap();
-                let y = blocks.evaluate(&subset).unwrap();
-                assert_eq!(x.to_bits(), y.to_bits(), "{model:?} subset {subset:?}");
-            }
-            let (eval_m, dist_m) = mono.confirm_on_test(&[0, 1]);
-            let (eval_b, dist_b) = blocks.confirm_on_test(&[0, 1]);
-            assert_eq!(eval_m.f1.to_bits(), eval_b.f1.to_bits());
-            assert_eq!(dist_m.to_bits(), dist_b.to_bits());
-            assert!(blocks.perf().eval_blocks > 0, "{model:?}: chunking must engage");
-            assert_eq!(mono.perf().eval_blocks, 0);
+    /// The gather-then-predict oracle: a measurement as the engine made it
+    /// before it read splits in place. Every fit trains on a gathered
+    /// copy of the train columns, HPO scores a gathered validation matrix,
+    /// and the model predicts (and the attack probes) a gathered
+    /// evaluation matrix.
+    fn measure_gathered(env: &MeasureEnv<'_>, subset: &[usize], on_test: bool) -> Evaluation {
+        let (split, c, kind) = (env.split, &env.scenario.constraints, env.scenario.model);
+        let x_train = split.train.x.select_rows_cols(env.train_rows, subset);
+        let part = if on_test { &split.test } else { &split.val };
+        let x_eval = part.x.select_cols(subset);
+        let x_val = split.val.x.select_cols(subset);
+        let all_cols: Vec<usize> = (0..subset.len()).collect();
+        let mut ws = TreeWorkspace::new();
+        if kind == ModelKind::DecisionTree {
+            arm_tree(env, subset, &mut ws);
         }
+        let spec = ModelSpec::default_for(kind);
+        let model = match c.privacy_epsilon {
+            Some(eps) => {
+                let seed = derive_seed(env.scenario.seed, hash_subset(subset));
+                let view = env.bins.map(|b| BinView::new(b, subset, env.train_rows));
+                spec.fit_dp_with(&x_train, env.y_train, eps, seed, view)
+            }
+            None if env.scenario.hpo => {
+                let x_val = ColumnView::new(&x_val, &all_cols);
+                grid_search_ws(kind, &x_train, env.y_train, &x_val, &split.val.y, env.exec, &mut ws)
+                    .model
+            }
+            None => spec.fit_ws(&x_train, env.y_train, &mut ws),
+        };
+        let preds = model.predict(&x_eval);
+        let f1 = f1_score(&preds, &part.y);
+        let eo = c.needs_eo().then(|| equal_opportunity(&preds, &part.y, &part.protected));
+        let safety = c.needs_safety().then(|| {
+            let mut cfg = env.settings.attack.clone();
+            cfg.seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
+            let predict = |row: &[f64]| model.predict_one(row);
+            empirical_safety_with(&predict, &x_eval, &part.y, &cfg, env.exec)
+        });
+        Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() }
     }
 
     #[test]
-    fn hpo_search_evals_stay_monolithic_but_still_match() {
-        // Under HPO without DP the search-time eval matrix doubles as the
-        // fit's validation matrix, so those measurements must not chunk —
-        // and a tiny block size must therefore change nothing at all.
-        let (_, split) = setup();
-        let mut sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        sc.hpo = true;
-        let mono_settings = ScenarioSettings::fast();
-        let mut block_settings = ScenarioSettings::fast();
-        block_settings.eval_block_rows = 7;
-        let mut mono = ScenarioContext::new(&sc, &split, &mono_settings);
-        let mut blocks = ScenarioContext::new(&sc, &split, &block_settings);
-        let x = mono.evaluate(&[0, 1, 2]).unwrap();
-        let y = blocks.evaluate(&[0, 1, 2]).unwrap();
-        assert_eq!(x.to_bits(), y.to_bits());
-        assert_eq!(blocks.perf().eval_blocks, 0, "search-time HPO eval must not chunk");
-        // Test confirmation gathers validation separately, so it chunks.
-        blocks.confirm_on_test(&[0, 1, 2]);
-        assert!(blocks.perf().eval_blocks > 0);
+    fn in_place_measurements_match_the_gathered_oracle() {
+        let (ds, split) = setup();
+        let d = ds.n_features();
+        let mut settings = ScenarioSettings::fast();
+        settings.max_train_rows = 100; // a train-row cap below the split height
+        assert!(split.train.n_rows() > settings.max_train_rows);
+        let subsets = [vec![2], vec![5, 0, 3, 1], (0..d).rev().step_by(2).collect::<Vec<_>>()];
+        for model in [
+            ModelKind::LogisticRegression,
+            ModelKind::GaussianNb,
+            ModelKind::DecisionTree,
+            ModelKind::LinearSvm,
+        ] {
+            for mode in ["plain", "hpo", "safety", "dp"] {
+                let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
+                match mode {
+                    "safety" => {
+                        c.min_eo = Some(0.8);
+                        c.min_safety = Some(0.8);
+                    }
+                    "dp" => c.privacy_epsilon = Some(5.0),
+                    _ => {}
+                }
+                let mut sc = scenario(c);
+                sc.model = model;
+                sc.hpo = mode == "hpo";
+                let exactness: &[SplitExactness] = if model == ModelKind::DecisionTree {
+                    &[SplitExactness::Binned256, SplitExactness::Presorted]
+                } else {
+                    &[SplitExactness::Binned256]
+                };
+                for &exactness in exactness {
+                    settings.exactness = exactness;
+                    let ctx = ScenarioContext::new(&sc, &split, &settings);
+                    let env = ctx.env();
+                    for subset in &subsets {
+                        for eval_on_test in [false, true] {
+                            let got = measure_subset(
+                                &env,
+                                subset,
+                                eval_on_test,
+                                &mut Scratch::default(),
+                                &mut EvalPerf::default(),
+                            );
+                            let want = measure_gathered(&env, subset, eval_on_test);
+                            let bits = |e: &Evaluation| {
+                                (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits))
+                            };
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{model:?} {mode} {exactness:?} {subset:?} test={eval_on_test}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

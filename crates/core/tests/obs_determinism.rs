@@ -179,3 +179,60 @@ fn timed_out_cell_reports_the_stalled_phase() {
         "stalled phase not attributed in the journal: {journal}"
     );
 }
+
+#[test]
+fn batch_worker_spans_nest_inside_eval_measure() {
+    // A batch evaluation absorbs each worker's trace while `eval.measure`
+    // is open, so the workers' spans are its children in the journal: the
+    // ledger charges them to their layers once, instead of counting the
+    // whole fan-out again as `eval.measure` self time.
+    obs::set_trace_enabled(true);
+    let observer = obs::RunObserver::new("obs-batch-nesting");
+    let mut settings = ScenarioSettings::fast();
+    settings.max_evals = 16;
+    let opts = RunnerOptions {
+        threads: 2,
+        inner_threads: 2,
+        observer: Some(&observer),
+        ..RunnerOptions::default()
+    };
+    let arms = vec![Arm::Strategy(StrategyId::Nsga2Nr)];
+    run_benchmark_opts(&splits(), scenarios(), &arms, &settings, &opts);
+
+    let journal = observer.journal(true);
+    let mut open: Vec<String> = Vec::new();
+    let mut absorbed = [0usize; 2];
+    for line in journal.lines() {
+        if line.starts_with("{\"scope\"") {
+            assert!(open.is_empty(), "scope opened inside a span");
+            continue;
+        }
+        let (Some(kind), Some(name)) = (field(line, "e"), field(line, "n")) else {
+            continue;
+        };
+        if line.contains("\"g\":") {
+            if kind == "enter" && (name == "gather" || name == "fit") {
+                absorbed[(name == "fit") as usize] += 1;
+                assert_eq!(
+                    open.last().map(String::as_str),
+                    Some("eval.measure"),
+                    "absorbed '{name}' span outside eval.measure (open: {open:?})"
+                );
+            }
+            continue;
+        }
+        match kind {
+            "enter" => open.push(name.to_string()),
+            "exit" => assert_eq!(open.pop().as_deref(), Some(name), "unbalanced journal"),
+            _ => {}
+        }
+    }
+    assert!(absorbed[0] > 0 && absorbed[1] > 0, "no absorbed gather/fit spans: {absorbed:?}");
+}
+
+/// The string value of `"key":"…"` in one journal line.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let start = line.find(&format!("\"{key}\":\""))? + key.len() + 4;
+    let len = line[start..].find('"')?;
+    Some(&line[start..start + len])
+}

@@ -24,6 +24,9 @@
 //!   deflation) used by the MCFS spectral embedding.
 //! - [`solvers`] — coordinate-descent lasso used by MCFS's per-eigenvector
 //!   sparse regressions.
+//! - [`view`] — [`ColumnView`], a read-in-place view of a matrix through a
+//!   column map, and the [`Cells`] / [`FeatureRow`] access traits the tree
+//!   kernels and model predictions are generic over.
 
 pub mod eigen;
 pub mod matrix;
@@ -32,8 +35,10 @@ pub mod solvers;
 pub mod sort;
 pub mod sparse;
 pub mod stats;
+pub mod view;
 
 pub use matrix::Matrix;
+pub use view::{Cells, ColumnView, FeatureRow, MappedRow};
 
 /// Tolerance used across the workspace when comparing floating-point scores.
 pub const EPS: f64 = 1e-12;

@@ -187,42 +187,6 @@ impl Matrix {
         }
     }
 
-    /// Gathers the contiguous row block `row_range` under the column
-    /// projection `cols` into an existing matrix, reusing its buffer.
-    ///
-    /// This is the block-streaming form of [`Matrix::select_rows_cols_into`]:
-    /// chunked evaluation passes walk a large split in fixed-size row blocks
-    /// so scratch never exceeds one block, and a contiguous range needs no
-    /// per-row index vector. Equivalent to gathering
-    /// `(row_range.start..row_range.end).collect::<Vec<_>>()` row by row.
-    ///
-    /// # Panics
-    /// Panics when the range is decreasing, exceeds the row count, or any
-    /// column index is out of bounds.
-    pub fn select_row_range_cols_into(
-        &self,
-        row_range: std::ops::Range<usize>,
-        cols: &[usize],
-        out: &mut Matrix,
-    ) {
-        assert!(
-            row_range.start <= row_range.end && row_range.end <= self.rows,
-            "select_row_range_cols: range {row_range:?} out of bounds ({})",
-            self.rows
-        );
-        for &j in cols {
-            assert!(j < self.cols, "select_row_range_cols: col {j} out of bounds ({})", self.cols);
-        }
-        let n = row_range.len();
-        out.rows = n;
-        out.cols = cols.len();
-        out.data.clear();
-        out.data.resize(n * cols.len(), 0.0);
-        for (i, dst) in row_range.zip(out.data.chunks_exact_mut(cols.len().max(1))) {
-            gather_row(self.row(i), cols, dst);
-        }
-    }
-
     /// Column projection into an existing matrix, reusing its buffer.
     ///
     /// Equivalent to [`Matrix::select_cols`] but allocation-free at steady
@@ -442,29 +406,6 @@ mod tests {
         let mut scratch = Matrix::zeros(0, 0);
         m.select_cols_into(&[2, 0], &mut scratch);
         assert_eq!(scratch, m.select_cols(&[2, 0]));
-    }
-
-    #[test]
-    fn select_row_range_matches_indexed_gather() {
-        let m = Matrix::from_rows(
-            &(0..7).map(|i| (0..4).map(|j| (i * 4 + j) as f64).collect()).collect::<Vec<_>>(),
-        );
-        let cols = [3usize, 1];
-        let mut by_range = Matrix::zeros(0, 0);
-        let mut by_index = Matrix::zeros(0, 0);
-        for (lo, hi) in [(0, 7), (2, 5), (4, 4), (6, 7)] {
-            m.select_row_range_cols_into(lo..hi, &cols, &mut by_range);
-            let idx: Vec<usize> = (lo..hi).collect();
-            m.select_rows_cols_into(&idx, &cols, &mut by_index);
-            assert_eq!(by_range, by_index, "range {lo}..{hi}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn select_row_range_checks_bounds() {
-        let mut out = Matrix::zeros(0, 0);
-        sample().select_row_range_cols_into(1..3, &[0], &mut out);
     }
 
     #[test]

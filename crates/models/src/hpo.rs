@@ -9,7 +9,7 @@
 use crate::tree::{DecisionTree, TreeWorkspace};
 use crate::{ModelKind, ModelSpec, TrainedModel};
 use dfs_exec::Executor;
-use dfs_linalg::Matrix;
+use dfs_linalg::{Cells, ColumnView, Matrix};
 use dfs_metrics::f1_score;
 
 /// The paper's hyperparameter grid for a model family.
@@ -70,46 +70,40 @@ pub fn grid_search_with(
     y_val: &[bool],
     exec: &Executor,
 ) -> HpoResult {
-    grid_search_ws(kind, x_train, y_train, x_val, y_val, exec, &mut TreeWorkspace::new())
+    let cols: Vec<usize> = (0..x_val.ncols()).collect();
+    let x_val = ColumnView::new(x_val, &cols);
+    grid_search_ws(kind, x_train, y_train, &x_val, y_val, exec, &mut TreeWorkspace::new())
 }
 
 /// [`grid_search_with`] with tree fits routed through a caller-owned
-/// [`TreeWorkspace`] (the scenario engine keeps one per evaluation slot).
-///
-/// For `ModelKind::DecisionTree` the grid is *not* fitted point by point:
-/// greedy CART's split sequence does not depend on `max_depth` (depth only
-/// gates stopping), so the deepest grid tree is fitted once and every
-/// shallower grid point is derived by O(nodes) truncation
-/// ([`DeepTree::truncate`](crate::tree::DeepTree::truncate)), bit-identical
-/// to the 7 independent fits the naive loop performs — same winning `spec`,
-/// same `val_f1` bits, same predictions, and `evaluations` still reports
-/// every grid point scored.
+/// [`TreeWorkspace`] (the scenario engine keeps one per evaluation slot),
+/// scoring on a validation split read in place through the subset's
+/// column map. Decision trees take [`dt_grid_search_ws`].
 pub fn grid_search_ws(
     kind: ModelKind,
     x_train: &Matrix,
     y_train: &[bool],
-    x_val: &Matrix,
+    x_val: &ColumnView<'_>,
     y_val: &[bool],
     exec: &Executor,
     ws: &mut TreeWorkspace,
 ) -> HpoResult {
+    if kind == ModelKind::DecisionTree {
+        return dt_grid_search_ws(x_train, y_train, x_val, y_val, ws);
+    }
     let specs = grid(kind);
     let evaluations = specs.len();
     // Span and counter at the grid level only — per-spec fits may run on
     // collector-less helper threads and record nothing, by design.
     let _g = dfs_obs::span("hpo.grid");
     dfs_obs::counter("hpo.grid_points", evaluations as u64);
-    let (val_f1, i, model) = if kind == ModelKind::DecisionTree {
-        score_dt_grid_by_truncation(&specs, x_train, y_train, x_val, y_val, ws)
-    } else {
-        let mut scored = exec.par_map_indexed(&specs, |_, spec| {
-            let model = spec.fit(x_train, y_train);
-            let f1 = f1_score(&model.predict(x_val), y_val);
-            (f1, model)
-        });
-        let (f1, i) = best_by_f1(scored.iter().map(|(f1, _)| *f1));
-        (f1, i, scored.swap_remove(i).1)
-    };
+    let mut scored = exec.par_map_indexed(&specs, |_, spec| {
+        let model = spec.fit(x_train, y_train);
+        let f1 = f1_score(&model.predict_view(x_val), y_val);
+        (f1, model)
+    });
+    let (val_f1, i) = best_by_f1(scored.iter().map(|(f1, _)| *f1));
+    let model = scored.swap_remove(i).1;
     HpoResult { spec: specs[i].clone(), model, val_f1, evaluations }
 }
 
@@ -128,20 +122,34 @@ fn best_by_f1(f1s: impl Iterator<Item = f64>) -> (f64, usize) {
     best
 }
 
-/// Scores the DT depth grid from one deep fit: one root-to-leaf walk per
-/// validation row labels the row at every depth
+/// The DT depth grid, scored from one deep fit.
+///
+/// The grid is *not* fitted point by point: greedy CART's split sequence
+/// does not depend on `max_depth` (depth only gates stopping), so the
+/// deepest grid tree is fitted once. One root-to-leaf walk per validation
+/// row labels the row at every depth
 /// ([`DeepTree::predict_by_depth`](crate::tree::DeepTree::predict_by_depth)),
-/// and only the winning depth is materialized by truncation. Runs
-/// sequentially on the calling thread, which also makes it safe to record
-/// the fit-level tree counters here. Returns `(val_f1, grid index, model)`.
-fn score_dt_grid_by_truncation(
-    specs: &[ModelSpec],
-    x_train: &Matrix,
+/// and only the winning depth is materialized by O(nodes) truncation
+/// ([`DeepTree::truncate`](crate::tree::DeepTree::truncate)). The result
+/// is bit-identical to the 7 independent fits the naive loop performs —
+/// same winning `spec`, same `val_f1` bits, same predictions — and
+/// `evaluations` still reports every grid point scored.
+///
+/// `x_train` is any [`Cells`] source, so a binned fit with bins bound in
+/// `ws` may read the train split in place. Runs sequentially on the
+/// calling thread, which also makes it safe to record the fit-level tree
+/// counters here.
+pub fn dt_grid_search_ws<X: Cells>(
+    x_train: &X,
     y_train: &[bool],
-    x_val: &Matrix,
+    x_val: &ColumnView<'_>,
     y_val: &[bool],
     ws: &mut TreeWorkspace,
-) -> (f64, usize, TrainedModel) {
+) -> HpoResult {
+    let specs = grid(ModelKind::DecisionTree);
+    let evaluations = specs.len();
+    let _g = dfs_obs::span("hpo.grid");
+    dfs_obs::counter("hpo.grid_points", evaluations as u64);
     let depths: Vec<usize> = specs
         .iter()
         .map(|spec| match spec {
@@ -161,8 +169,10 @@ fn score_dt_grid_by_truncation(
             col.push(label);
         }
     }
-    let (f1, i) = best_by_f1(depths.iter().map(|&depth| f1_score(&labels[depth - 1], y_val)));
-    (f1, i, TrainedModel::Dt(deep.truncate(depths[i])))
+    let (val_f1, i) =
+        best_by_f1(depths.iter().map(|&depth| f1_score(&labels[depth - 1], y_val)));
+    let model = TrainedModel::Dt(deep.truncate(depths[i]));
+    HpoResult { spec: specs[i].clone(), model, val_f1, evaluations }
 }
 
 /// Fits a model either with default hyperparameters or with grid-search HPO,
@@ -175,41 +185,13 @@ pub fn fit_maybe_hpo(
     x_val: &Matrix,
     y_val: &[bool],
 ) -> (ModelSpec, TrainedModel) {
-    fit_maybe_hpo_with(kind, hpo, x_train, y_train, x_val, y_val, &Executor::sequential())
-}
-
-/// [`fit_maybe_hpo`] with HPO grid fits routed through `exec`.
-pub fn fit_maybe_hpo_with(
-    kind: ModelKind,
-    hpo: bool,
-    x_train: &Matrix,
-    y_train: &[bool],
-    x_val: &Matrix,
-    y_val: &[bool],
-    exec: &Executor,
-) -> (ModelSpec, TrainedModel) {
-    fit_maybe_hpo_ws(kind, hpo, x_train, y_train, x_val, y_val, exec, &mut TreeWorkspace::new())
-}
-
-/// [`fit_maybe_hpo_with`] with tree fits routed through a caller-owned
-/// [`TreeWorkspace`], so repeated evaluations reuse the kernel's scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn fit_maybe_hpo_ws(
-    kind: ModelKind,
-    hpo: bool,
-    x_train: &Matrix,
-    y_train: &[bool],
-    x_val: &Matrix,
-    y_val: &[bool],
-    exec: &Executor,
-    ws: &mut TreeWorkspace,
-) -> (ModelSpec, TrainedModel) {
     if hpo {
-        let result = grid_search_ws(kind, x_train, y_train, x_val, y_val, exec, ws);
+        let result = grid_search(kind, x_train, y_train, x_val, y_val);
         (result.spec, result.model)
     } else {
         let spec = ModelSpec::default_for(kind);
-        let model = spec.fit_ws(x_train, y_train, ws);
+        let mut ws = TreeWorkspace::new();
+        let model = spec.fit_ws(x_train, y_train, &mut ws);
         if kind == ModelKind::DecisionTree {
             ws.last_stats().record();
         }

@@ -41,7 +41,7 @@ pub mod naive_bayes;
 pub mod svm;
 pub mod tree;
 
-use dfs_linalg::Matrix;
+use dfs_linalg::{ColumnView, FeatureRow, Matrix};
 
 pub use dp::BinView;
 pub use tree::{BinSet, CodeWidth, GossConfig, SplitExactness, MAX_BINS, MAX_BINS_WIDE};
@@ -214,17 +214,32 @@ pub enum TrainedModel {
 impl TrainedModel {
     /// Predicts a single instance.
     pub fn predict_one(&self, x: &[f64]) -> bool {
+        self.predict_row(x)
+    }
+
+    /// [`Self::predict_one`] for any [`FeatureRow`]. Each family gives a
+    /// mapped source row the bits of its gathered copy: trees compare the
+    /// same doubles, LR/SVM keep `dot`'s four-lane order over subset
+    /// positions, and NB folds its terms in feature order.
+    pub fn predict_row(&self, x: impl FeatureRow) -> bool {
         match self {
-            TrainedModel::Lr(m) => m.predict_one(x),
-            TrainedModel::Nb(m) => m.predict_one(x),
-            TrainedModel::Dt(m) => m.predict_one(x),
-            TrainedModel::Svm(m) => m.predict_one(x),
+            TrainedModel::Lr(m) => m.predict_row(x),
+            TrainedModel::Nb(m) => m.predict_row(x),
+            TrainedModel::Dt(m) => m.predict_row(x),
+            TrainedModel::Svm(m) => m.predict_row(x),
         }
     }
 
     /// Predicts every row of `x`.
     pub fn predict(&self, x: &Matrix) -> Vec<bool> {
-        x.rows_iter().map(|r| self.predict_one(r)).collect()
+        x.rows_iter().map(|r| self.predict_row(r)).collect()
+    }
+
+    /// Predicts every row of a source split read through a subset's column
+    /// map — bit-identical to gathering the view and calling
+    /// [`Self::predict`], without the copy.
+    pub fn predict_view(&self, x: &ColumnView<'_>) -> Vec<bool> {
+        x.rows_iter().map(|r| self.predict_row(r)).collect()
     }
 
     /// Estimated `P(y = 1)` per row (calibration is model-dependent).
@@ -324,6 +339,42 @@ mod tests {
             assert_eq!(ModelSpec::default_for(kind).kind(), kind);
         }
         assert_eq!(ModelKind::LogisticRegression.short_name(), "LR");
+    }
+
+    #[test]
+    fn column_map_prediction_matches_gathered_rows_bit_for_bit() {
+        // Subset widths 1..=9 cover every tail length of `dot`'s four
+        // lanes; the column maps are unsorted and skip source columns.
+        let value = |i: usize, j: usize| ((i * 12 + j) as f64 * 0.37).sin() * (1.0 + j as f64);
+        let rows: Vec<Vec<f64>> = (0..60).map(|i| (0..12).map(|j| value(i, j)).collect()).collect();
+        let src = Matrix::from_rows(&rows);
+        let y: Vec<bool> = (0..60).map(|i| src[(i, 3)] + src[(i, 8)] > 0.0).collect();
+        for width in 1..=9 {
+            let cols: Vec<usize> = (0..width).map(|k| (k * 5 + 3) % 12).collect();
+            let view = ColumnView::new(&src, &cols);
+            let gathered = view.gather();
+            for kind in [
+                ModelKind::LogisticRegression,
+                ModelKind::GaussianNb,
+                ModelKind::DecisionTree,
+                ModelKind::LinearSvm,
+            ] {
+                let model = ModelSpec::default_for(kind).fit(&gathered, &y);
+                for (i, row) in view.rows_iter().enumerate() {
+                    let copy = gathered.row(i);
+                    let (a, b) = match &model {
+                        TrainedModel::Lr(m) => (m.proba_row(row), m.proba_one(copy)),
+                        TrainedModel::Nb(m) => (m.proba_row(row), m.proba_one(copy)),
+                        TrainedModel::Dt(m) => (m.proba_row(row), m.proba_one(copy)),
+                        TrainedModel::Svm(m) => (m.decision_row(row), m.decision_one(copy)),
+                    };
+                    assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} width {width} row {i}");
+                }
+                let by_rows: Vec<bool> =
+                    gathered.rows_iter().map(|r| model.predict_one(r)).collect();
+                assert_eq!(model.predict_view(&view), by_rows, "{kind:?} width {width}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Training uses gradient descent with a bold-driver step-size adaptation,
 //! which converges reliably on the workspace's min–max-scaled features.
 
-use dfs_linalg::{axpy, dot, log1p_exp, sigmoid, Matrix};
+use dfs_linalg::{axpy, dot, log1p_exp, sigmoid, FeatureRow, Matrix};
 
 /// A trained logistic-regression model.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,12 +107,23 @@ impl LogisticRegression {
 
     /// `P(y = 1 | x)`.
     pub fn proba_one(&self, x: &[f64]) -> f64 {
-        sigmoid(dot(x, &self.weights) + self.bias)
+        self.proba_row(x)
+    }
+
+    /// [`Self::proba_one`] for any [`FeatureRow`] (a slice, or a source
+    /// row read through a column map — same values, same bits).
+    pub fn proba_row(&self, x: impl FeatureRow) -> f64 {
+        sigmoid(x.dot(&self.weights) + self.bias)
     }
 
     /// Predicted label at the 0.5 threshold.
     pub fn predict_one(&self, x: &[f64]) -> bool {
-        self.proba_one(x) > 0.5
+        self.predict_row(x)
+    }
+
+    /// [`Self::predict_one`] for any [`FeatureRow`].
+    pub fn predict_row(&self, x: impl FeatureRow) -> bool {
+        self.proba_row(x) > 0.5
     }
 }
 

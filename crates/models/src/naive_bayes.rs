@@ -5,7 +5,7 @@
 //! is `var_smoothing * max_j Var(x_j)`, floored to an absolute minimum so
 //! one-hot columns with zero variance stay well-defined).
 
-use dfs_linalg::Matrix;
+use dfs_linalg::{FeatureRow, Matrix};
 
 /// Per-class sufficient statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,22 +101,33 @@ impl GaussianNb {
         -0.5 * (log_norm[j] + diff * diff / var)
     }
 
-    fn log_likelihood(&self, positive: bool, x: &[f64]) -> f64 {
+    /// The left fold of the feature terms, in feature order, over the
+    /// first `min(d, x.width())` features.
+    fn log_likelihood(&self, positive: bool, x: impl FeatureRow) -> f64 {
         let log_prior = self.class(positive).0.log_prior;
-        x.iter()
-            .take(self.n_features())
-            .enumerate()
-            .fold(log_prior, |ll, (j, &v)| ll + self.log_term(positive, j, v))
+        (0..self.n_features().min(x.width()))
+            .fold(log_prior, |ll, j| ll + self.log_term(positive, j, x.at(j)))
     }
 
     /// `P(y = 1 | x)` via the normalized class posteriors.
     pub fn proba_one(&self, x: &[f64]) -> f64 {
+        self.proba_row(x)
+    }
+
+    /// [`Self::proba_one`] for any [`FeatureRow`] (a slice, or a source
+    /// row read through a column map — same values, same bits).
+    pub fn proba_row(&self, x: impl FeatureRow) -> f64 {
         posterior_one(self.log_likelihood(true, x), self.log_likelihood(false, x))
     }
 
     /// Predicted label.
     pub fn predict_one(&self, x: &[f64]) -> bool {
-        self.proba_one(x) > 0.5
+        self.predict_row(x)
+    }
+
+    /// [`Self::predict_one`] for any [`FeatureRow`].
+    pub fn predict_row(&self, x: impl FeatureRow) -> bool {
+        self.proba_row(x) > 0.5
     }
 }
 

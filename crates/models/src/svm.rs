@@ -5,7 +5,7 @@
 //! with LR are re-validated under an SVM. Objective (scikit-learn
 //! `LinearSVC` semantics): `Σ_i max(0, 1 − ỹ_i (w·x_i + b)) + ||w||² / (2C)`.
 
-use dfs_linalg::{axpy, dot, sigmoid, Matrix};
+use dfs_linalg::{axpy, dot, sigmoid, FeatureRow, Matrix};
 
 /// A trained linear SVM.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +81,13 @@ impl LinearSvm {
 
     /// Signed decision value `w·x + b`.
     pub fn decision_one(&self, x: &[f64]) -> f64 {
-        dot(x, &self.weights) + self.bias
+        self.decision_row(x)
+    }
+
+    /// [`Self::decision_one`] for any [`FeatureRow`] (a slice, or a
+    /// source row read through a column map — same values, same bits).
+    pub fn decision_row(&self, x: impl FeatureRow) -> f64 {
+        x.dot(&self.weights) + self.bias
     }
 
     /// Pseudo-probability via a logistic link on the margin (Platt-style
@@ -92,7 +98,12 @@ impl LinearSvm {
 
     /// Predicted label.
     pub fn predict_one(&self, x: &[f64]) -> bool {
-        self.decision_one(x) > 0.0
+        self.predict_row(x)
+    }
+
+    /// [`Self::predict_one`] for any [`FeatureRow`].
+    pub fn predict_row(&self, x: impl FeatureRow) -> bool {
+        self.decision_row(x) > 0.0
     }
 }
 

@@ -83,7 +83,7 @@
 
 use dfs_linalg::rng::derive_seed;
 use dfs_linalg::sort::{stable_partition_in_place, stable_sort_indices_by_key};
-use dfs_linalg::Matrix;
+use dfs_linalg::{Cells, FeatureRow, Matrix};
 use std::sync::Arc;
 
 /// Nodes stop splitting below this many instances.
@@ -765,8 +765,13 @@ impl DecisionTree {
     /// [`DecisionTree::fit_weighted`] through a caller-owned workspace:
     /// repeated fits (forest trees, wrapper evaluations) reuse every
     /// buffer and perform no steady-state allocation beyond the arena.
-    pub fn fit_in(
-        x: &Matrix,
+    ///
+    /// `x` is any [`Cells`] source: a gathered matrix, or — for a binned
+    /// fit whose workspace has bins bound — the source split read in place
+    /// through a [`dfs_linalg::ColumnView`]. The binned kernel reads raw
+    /// values only on its `x <= t` fallback, so both give the same tree.
+    pub fn fit_in<X: Cells>(
+        x: &X,
         y: &[bool],
         max_depth: usize,
         weights: Option<&[f64]>,
@@ -780,8 +785,8 @@ impl DecisionTree {
 
     /// Fits the full-depth tree once, annotated for O(nodes) derivation of
     /// every shallower tree via [`DeepTree::truncate`].
-    pub fn fit_deep_in(
-        x: &Matrix,
+    pub fn fit_deep_in<X: Cells>(
+        x: &X,
         y: &[bool],
         max_depth: usize,
         weights: Option<&[f64]>,
@@ -813,12 +818,18 @@ impl DecisionTree {
 
     /// `P(y = 1 | x)` from the reached leaf.
     pub fn proba_one(&self, x: &[f64]) -> f64 {
+        self.proba_row(x)
+    }
+
+    /// [`Self::proba_one`] for any [`FeatureRow`]: the walk compares the
+    /// same doubles whether `x` is a slice or a mapped source row.
+    pub fn proba_row(&self, x: impl FeatureRow) -> f64 {
         let mut i = 0usize;
         loop {
             match &self.nodes[i] {
                 Node::Leaf { proba } => return *proba,
                 Node::Split { feature, threshold, left, right } => {
-                    i = if x[*feature] <= *threshold { *left } else { *right };
+                    i = if x.at(*feature) <= *threshold { *left } else { *right };
                 }
             }
         }
@@ -826,7 +837,12 @@ impl DecisionTree {
 
     /// Predicted label at the 0.5 threshold.
     pub fn predict_one(&self, x: &[f64]) -> bool {
-        self.proba_one(x) > 0.5
+        self.predict_row(x)
+    }
+
+    /// [`Self::predict_one`] for any [`FeatureRow`].
+    pub fn predict_row(&self, x: impl FeatureRow) -> bool {
+        self.proba_row(x) > 0.5
     }
 }
 
@@ -934,7 +950,7 @@ impl DeepTree {
     ///
     /// # Panics
     /// Panics when `out` is shorter than the fitted depth.
-    pub fn predict_by_depth(&self, x: &[f64], out: &mut [bool]) {
+    pub fn predict_by_depth(&self, x: impl FeatureRow, out: &mut [bool]) {
         let out = &mut out[..self.max_depth];
         let mut c = 1; // smallest cutoff not yet resolved
         let mut i = 0;
@@ -951,7 +967,7 @@ impl DeepTree {
                         out[c - 1..depth].fill(self.proba[i] > 0.5);
                         c = depth + 1;
                     }
-                    i = if x[*feature] <= *threshold { *left } else { *right };
+                    i = if x.at(*feature) <= *threshold { *left } else { *right };
                 }
             }
         }
@@ -984,8 +1000,8 @@ impl DeepTree {
 /// Runs the workspace's configured kernel at `max_depth` (already clamped
 /// ≥ 1) and returns the annotated full arena. Scratch comes from — and
 /// returns to — `ws`; `ws.last_stats` is refreshed.
-fn run_kernel(
-    x: &Matrix,
+fn run_kernel<X: Cells>(
+    x: &X,
     y: &[bool],
     max_depth: usize,
     weights: Option<&[f64]>,
@@ -1000,8 +1016,8 @@ fn run_kernel(
 }
 
 /// The presorted-kernel driver behind [`run_kernel`].
-fn run_presorted_kernel(
-    x: &Matrix,
+fn run_presorted_kernel<X: Cells>(
+    x: &X,
     y: &[bool],
     max_depth: usize,
     weights: Option<&[f64]>,
@@ -1037,7 +1053,7 @@ fn run_presorted_kernel(
         let start = order.len();
         order.extend(0..n as u32);
         col.clear();
-        col.extend((0..n).map(|i| x[(i, f)]));
+        col.extend((0..n).map(|i| x.cell(i, f)));
         stable_sort_indices_by_key(&mut order[start..], &col);
     }
     let mut rows = std::mem::take(&mut ws.rows);
@@ -1088,8 +1104,8 @@ fn run_presorted_kernel(
 /// shared `rows` array (row-ascending) and of each feature's `order` array
 /// (value-sorted), and hands disjoint subsegments to its children by
 /// stable partition.
-struct Kernel<'a> {
-    x: &'a Matrix,
+struct Kernel<'a, X> {
+    x: &'a X,
     y: &'a [bool],
     w: &'a [f64],
     n: usize,
@@ -1105,7 +1121,7 @@ struct Kernel<'a> {
     stats: FitStats,
 }
 
-impl Kernel<'_> {
+impl<X: Cells> Kernel<'_, X> {
     /// Builds the subtree over segment `[lo, hi)`, returning its arena
     /// index. `w_pos` / `w_total` are this node's class counts, accumulated
     /// by the parent's partition in this node's row-ascending order (so
@@ -1164,8 +1180,8 @@ impl Kernel<'_> {
         for feature in 0..self.d {
             self.stats.split_scans += 1;
             let seg = &self.order[feature * self.n + lo..feature * self.n + hi];
-            let mut prev = self.x[(seg[0] as usize, feature)];
-            if prev == self.x[(seg[len - 1] as usize, feature)] {
+            let mut prev = self.x.cell(seg[0] as usize, feature);
+            if prev == self.x.cell(seg[len - 1] as usize, feature) {
                 continue; // constant feature on this node
             }
             // Running prefix sums over the sorted order: after step k they
@@ -1180,7 +1196,7 @@ impl Kernel<'_> {
                     left_pos += wr;
                 }
                 // Candidate boundary: every position where the value changes.
-                let v = self.x[(seg[k] as usize, feature)];
+                let v = self.x.cell(seg[k] as usize, feature);
                 if v > prev {
                     let threshold = 0.5 * (prev + v);
                     let right_total = w_total - left_total;
@@ -1231,7 +1247,7 @@ impl Kernel<'_> {
             let r = seg[read];
             let ri = r as usize;
             let wr = self.w[ri];
-            if x[(ri, feature)] <= threshold {
+            if x.cell(ri, feature) <= threshold {
                 seg[write] = r;
                 write += 1;
                 left_total += wr;
@@ -1251,7 +1267,7 @@ impl Kernel<'_> {
         for f in 0..self.d {
             let seg = &mut self.order[f * self.n + lo..f * self.n + hi];
             stable_partition_in_place(seg, &mut self.scratch, |&r| {
-                x[(r as usize, feature)] <= threshold
+                x.cell(r as usize, feature) <= threshold
             });
         }
         (write, (left_pos, left_total), (right_pos, right_total))
@@ -1279,7 +1295,7 @@ const NO_SLOT: usize = usize::MAX;
 /// Debug builds check that every cell lies within its bin,
 /// `lo[code] <= x <= hi[code]`: the code-space partition relies on it, and
 /// it catches a stale same-shape binding.
-fn prepare_binned_inputs(x: &Matrix, ws: &mut TreeWorkspace) {
+fn prepare_binned_inputs<X: Cells>(x: &X, ws: &mut TreeWorkspace) {
     let (n, d) = x.shape();
     let width = ws.exactness.code_width().unwrap_or_default();
     ws.bin_lo.clear();
@@ -1319,7 +1335,8 @@ fn prepare_binned_inputs(x: &Matrix, ws: &mut TreeWorkspace) {
             let max_bins = width.max_bins();
             let mut col = std::mem::take(&mut ws.col);
             for f in 0..d {
-                x.col_into(f, &mut col);
+                col.clear();
+                col.extend((0..n).map(|i| x.cell(i, f)));
                 col.sort_unstable_by(|a, b| match a.partial_cmp(b) {
                     Some(ord) => ord,
                     None => panic!("DecisionTree: finite features required"),
@@ -1328,8 +1345,8 @@ fn prepare_binned_inputs(x: &Matrix, ws: &mut TreeWorkspace) {
                 ws.bin_lo.extend_from_slice(&fb.lo);
                 ws.bin_hi.extend_from_slice(&fb.hi);
                 ws.bin_off.push(ws.bin_lo.len() as u32);
-                for (c, v) in ws.codes[f * n..(f + 1) * n].iter_mut().zip(x.col_iter(f)) {
-                    *c = fb.code_of(v);
+                for (i, c) in ws.codes[f * n..(f + 1) * n].iter_mut().enumerate() {
+                    *c = fb.code_of(x.cell(i, f));
                 }
             }
             ws.col = col;
@@ -1339,7 +1356,8 @@ fn prepare_binned_inputs(x: &Matrix, ws: &mut TreeWorkspace) {
         for f in 0..d {
             let base = ws.bin_off[f] as usize;
             let codes = &ws.codes[f * n..(f + 1) * n];
-            for (i, (&c, v)) in codes.iter().zip(x.col_iter(f)).enumerate() {
+            for (i, &c) in codes.iter().enumerate() {
+                let v = x.cell(i, f);
                 let (lo, hi) = (ws.bin_lo[base + c as usize], ws.bin_hi[base + c as usize]);
                 assert!(
                     lo <= v && v <= hi,
@@ -1355,8 +1373,8 @@ fn prepare_binned_inputs(x: &Matrix, ws: &mut TreeWorkspace) {
 /// without active GOSS count in integers ([`UnitBin`]); caller weights or
 /// GOSS amplification take the float accumulator ([`WeightedBin`]). Both
 /// build bit-identical trees where both apply.
-fn run_binned_kernel(
-    x: &Matrix,
+fn run_binned_kernel<X: Cells>(
+    x: &X,
     y: &[bool],
     max_depth: usize,
     weights: Option<&[f64]>,
@@ -1385,9 +1403,9 @@ fn run_binned_kernel(
     // unsampled code path (the `goss(1.0, 1.0) ≡ off` bit-identity).
     let goss = ws.goss.filter(GossConfig::active);
     if weights.is_none() && goss.is_none() {
-        BinnedKernel::<UnitBin>::run(x, y, max_depth, None, None, ws)
+        BinnedKernel::<UnitBin, X>::run(x, y, max_depth, None, None, ws)
     } else {
-        BinnedKernel::<WeightedBin>::run(x, y, max_depth, weights, goss, ws)
+        BinnedKernel::<WeightedBin, X>::run(x, y, max_depth, weights, goss, ws)
     }
 }
 
@@ -1460,8 +1478,8 @@ fn route<B: Bin>(
 /// shared `rows` array (row-ascending) plus, when it can split, one pooled
 /// histogram buffer; children reuse the parent's buffer via in-place
 /// parent-minus-sibling subtraction.
-struct BinnedKernel<'a, B> {
-    x: &'a Matrix,
+struct BinnedKernel<'a, B, X> {
+    x: &'a X,
     y: &'a [bool],
     /// Caller weights; `None` means every row weighs 1.
     w: Option<&'a [f64]>,
@@ -1496,11 +1514,11 @@ struct BinnedKernel<'a, B> {
     stats: FitStats,
 }
 
-impl<'a, B: Bin> BinnedKernel<'a, B> {
+impl<'a, B: Bin, X: Cells> BinnedKernel<'a, B, X> {
     /// Fits through `ws` (inputs already prepared by
     /// [`prepare_binned_inputs`]) and hands every buffer back to it.
     fn run(
-        x: &'a Matrix,
+        x: &'a X,
         y: &'a [bool],
         max_depth: usize,
         w: Option<&'a [f64]>,
@@ -1992,7 +2010,7 @@ impl<'a, B: Bin> BinnedKernel<'a, B> {
             }
             None => {
                 let (x, t) = (self.x, split.threshold);
-                route(seg, &mut self.scratch, |r| x[(r, f)] <= t, acc)
+                route(seg, &mut self.scratch, |r| x.cell(r, f) <= t, acc)
             }
         }
     }
@@ -2010,6 +2028,7 @@ fn gini(pos: f64, total: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfs_linalg::ColumnView;
 
     /// The pre-kernel naive splitter, kept verbatim as the bit-identity
     /// reference: per-node gather + stable sort + prefix arrays. The only
@@ -2936,5 +2955,80 @@ mod tests {
         assert_eq!(GossConfig::new(0.2, 0.1, 0).kept_frac(), 0.30000000000000004);
         assert_eq!(GossConfig::new(1.0, 1.0, 0).kept_frac(), 1.0);
         assert_eq!(GossConfig::new(0.2, 0.1, 0).min_rows, GOSS_MIN_ROWS);
+    }
+
+    /// A source split for the in-place oracle: a quantized column, the
+    /// adjacent doubles `1 + 2⁻⁵²` / `1 + 2⁻⁵¹` (whose midpoint rounds onto
+    /// the upper one, so the kernel must route by raw value), a column
+    /// with more distinct values than 256 bins, and an unused column.
+    fn adjacent_doubles_source(n: usize) -> (Matrix, Vec<bool>, Vec<f64>, f64) {
+        let (a, b) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let wide = ((i * 7919) % 1009) as f64 / 1009.0;
+                vec![(i % 5) as f64 / 5.0, if i % 3 == 0 { b } else { a }, -1.0, wide]
+            })
+            .collect();
+        let y = (0..n).map(|i| i % 3 == 0 || (i % 5 == 4 && i % 2 == 0)).collect();
+        let w = (0..n).map(|i| if i % 4 == 0 { 2.5 } else { 1.0 }).collect();
+        (Matrix::from_rows(&rows), y, w, b)
+    }
+
+    #[test]
+    fn in_place_view_fits_match_gathered_fits_bit_for_bit() {
+        // Binned fits read the train split in place: codes come from the
+        // bound bin set, and the `x <= t` fallback reads the same doubles
+        // through the column map. Unsorted, non-contiguous column maps and
+        // a row cap below the source height, as wrapper evaluation uses.
+        let (awk_x, awk_y, awk_w) = awkward_problem(29, 360, 7);
+        let (adj_x, adj_y, adj_w, upper) = adjacent_doubles_source(360);
+        let problems = [
+            (&awk_x, &awk_y, &awk_w, vec![5usize, 0, 3, 1, 6]),
+            (&adj_x, &adj_y, &adj_w, vec![3usize, 1, 0]),
+        ];
+        let goss = GossConfig { top_frac: 0.3, rest_frac: 0.2, seed: 7, min_rows: 16 };
+        let mut fallback_seen = false;
+        for (x, y, w, cols) in problems {
+            let cap = 300;
+            let rows: Vec<usize> = (0..cap).collect();
+            let view = ColumnView::head(x, cap, &cols);
+            let gathered = view.gather();
+            let (y, w) = (&y[..cap], &w[..cap]);
+            for mode in [SplitExactness::Binned256, SplitExactness::Binned4096] {
+                let bins = Arc::new(BinSet::derive_with(x, mode.code_width().unwrap_or_default()));
+                let mut in_place = TreeWorkspace::with_exactness(mode);
+                let mut copied = TreeWorkspace::with_exactness(mode);
+                in_place.bind_bins(&bins, &cols, &rows);
+                copied.bind_bins(&bins, &cols, &rows);
+                for g in [None, Some(goss)] {
+                    in_place.set_goss(g);
+                    copied.set_goss(g);
+                    for weights in [None, Some(w)] {
+                        let a = DecisionTree::fit_deep_in(&view, y, 7, weights, &mut in_place);
+                        let b = DecisionTree::fit_deep_in(&gathered, y, 7, weights, &mut copied);
+                        assert_eq!(a.nodes, b.nodes, "{mode:?} goss {g:?}: nodes differ");
+                        assert_eq!(a.depth, b.depth);
+                        let floats = |t: &DeepTree| [t.proba.clone(), t.gain_w.clone()].concat();
+                        for (p, q) in floats(&a).iter().zip(&floats(&b)) {
+                            assert_eq!(p.to_bits(), q.to_bits());
+                        }
+                        for depth in [1, 4] {
+                            let a = DecisionTree::fit_in(&view, y, depth, weights, &mut in_place);
+                            let b = DecisionTree::fit_in(&gathered, y, depth, weights, &mut copied);
+                            assert_bit_identical(&a, &b);
+                        }
+                        // View column 1 is the adjacent-doubles column.
+                        let at_upper = |n: &Node| match n {
+                            Node::Split { feature, threshold, .. } => {
+                                *feature == 1 && *threshold == upper
+                            }
+                            Node::Leaf { .. } => false,
+                        };
+                        fallback_seen |= cols[1] == 1 && a.nodes.iter().any(at_upper);
+                    }
+                }
+            }
+        }
+        assert!(fallback_seen, "no split at the adjacent doubles: the fallback went unexercised");
     }
 }
