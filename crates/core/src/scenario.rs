@@ -103,14 +103,7 @@ impl ScenarioSettings {
     pub fn fast() -> Self {
         Self {
             max_evals: 60,
-            attack: AttackConfig {
-                max_points: 6,
-                init_trials: 8,
-                boundary_steps: 6,
-                iterations: 2,
-                grad_queries: 6,
-                seed: 0,
-            },
+            attack: AttackConfig { max_points: 6, init_trials: 8, seed: 0 },
             max_train_rows: 200,
             bound_pruning: true,
             warm_start: false,
@@ -154,9 +147,6 @@ pub fn settings_fingerprint(
     let a = &settings.attack;
     mix(a.max_points as u64);
     mix(a.init_trials as u64);
-    mix(a.boundary_steps as u64);
-    mix(a.iterations as u64);
-    mix(a.grad_queries as u64);
     mix(a.seed);
     mix(train_cap as u64);
     // Inexact warm-started fits produce different bits; quarantine them
@@ -529,11 +519,12 @@ fn measure_subset_bounded(
     let part = if eval_on_test { &split.test } else { &split.val };
     let x_eval = ColumnView::new(&part.x, subset);
     let y_eval = &part.y;
-    let (f1, eo) = {
+    let (preds, f1, eo) = {
         let _predict_span = obs::span("predict");
         let preds = model.predict_view(&x_eval);
         let f1 = f1_score(&preds, y_eval);
-        (f1, constraints.needs_eo().then(|| equal_opportunity(&preds, y_eval, &part.protected)))
+        let eo = constraints.needs_eo().then(|| equal_opportunity(&preds, y_eval, &part.protected));
+        (preds, f1, eo)
     };
 
     // Stage 1 (cheap): accuracy and fairness are measured; the attack is
@@ -561,12 +552,10 @@ fn measure_subset_bounded(
         let attack_start = Instant::now();
         let mut cfg = env.settings.attack.clone();
         cfg.seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
-        // The attack reads only the first `max_points` evaluation rows (and
-        // truncates `y` to match), as contiguous rows: gather just those.
-        let rows = cfg.max_points.min(part.x.nrows());
-        let probe = ColumnView::head(&part.x, rows, subset).gather();
+        // The attack reads the model's labels of the evaluation rows, not
+        // the rows: it starts from the predictions made above.
         let predict = |row: &[f64]| model.predict_one(row);
-        let safety = empirical_safety_with(&predict, &probe, y_eval, &cfg, env.exec);
+        let safety = empirical_safety_with(&predict, &preds, y_eval, subset.len(), &cfg, env.exec);
         perf.attack_ns += attack_start.elapsed().as_nanos() as u64;
         safety
     });
@@ -1332,6 +1321,7 @@ mod tests {
     use super::*;
     use dfs_data::split::stratified_three_way;
     use dfs_data::synthetic::{generate, tiny_spec};
+    use dfs_metrics::empirical_safety;
     use std::time::Duration;
 
     fn setup() -> (dfs_data::Dataset, Split) {
@@ -1910,8 +1900,8 @@ mod tests {
     /// The gather-then-predict oracle: a measurement as the engine made it
     /// before it read splits in place. Every fit trains on a gathered
     /// copy of the train columns, HPO scores a gathered validation matrix,
-    /// and the model predicts (and the attack probes) a gathered
-    /// evaluation matrix.
+    /// and the model predicts a gathered evaluation matrix (Safety
+    /// predicts its own head rows).
     fn measure_gathered(env: &MeasureEnv<'_>, subset: &[usize], on_test: bool) -> Evaluation {
         let (split, c, kind) = (env.split, &env.scenario.constraints, env.scenario.model);
         let x_train = split.train.x.select_rows_cols(env.train_rows, subset);
@@ -1944,7 +1934,7 @@ mod tests {
             let mut cfg = env.settings.attack.clone();
             cfg.seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
             let predict = |row: &[f64]| model.predict_one(row);
-            empirical_safety_with(&predict, &x_eval, &part.y, &cfg, env.exec)
+            empirical_safety(&predict, &x_eval, &part.y, &cfg)
         });
         Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() }
     }

@@ -24,14 +24,7 @@ impl Default for FeaturizerConfig {
         Self {
             landmark_sample: 100,
             folds: 3,
-            attack: AttackConfig {
-                max_points: 4,
-                init_trials: 6,
-                boundary_steps: 5,
-                iterations: 1,
-                grad_queries: 4,
-                seed: 0,
-            },
+            attack: AttackConfig { max_points: 4, init_trials: 6, seed: 0 },
         }
     }
 }
