@@ -190,8 +190,7 @@ fn main() {
     "memo_hits": {memo_hits},
     "memo_misses": {memo_misses},
     "memo_hit_rate": {hit_rate:.3},
-    "bound_skips": {bound_skips},
-    "warm_starts": {warm_starts}
+    "bound_skips": {bound_skips}
   }},
   "model_fit_reduction": {fit_reduction:.2},
   "wall_speedup": {wall_speedup:.2},
@@ -207,7 +206,6 @@ fn main() {
         memo_hits = op.memo_hits,
         memo_misses = op.memo_misses,
         bound_skips = op.bound_skips,
-        warm_starts = op.warm_starts,
     );
 
     print!("{json}");

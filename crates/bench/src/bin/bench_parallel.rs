@@ -137,7 +137,7 @@ fn cells_match(a: &BenchmarkMatrix, b: &BenchmarkMatrix) -> bool {
             && s.val_distance.to_bits() == p.val_distance.to_bits()
             && s.test_distance.to_bits() == p.test_distance.to_bits()
             && s.test_f1.to_bits() == p.test_f1.to_bits()
-            && s.perf.without_timings() == p.perf.without_timings()
+            && s.perf == p.perf
     })
 }
 

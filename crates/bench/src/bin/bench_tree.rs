@@ -1,48 +1,40 @@
-//! Before/after benchmark for the CART tree kernels.
+//! Before/after benchmark for the CART tree kernel.
 //!
-//! Three measurements on a realistic corpus (the synthetic german_credit
-//! dataset, train subsampled to the evaluation engine's row cap):
+//! Measurements on a realistic corpus (the synthetic german_credit
+//! dataset, train subsampled to the evaluation engine's row cap) and on
+//! the streamed scale corpus:
 //!
 //! 1. **Tree fit** at the deepest grid depth — a three-way comparison of
-//!    the historical per-node gather-and-sort builder (carried here
-//!    verbatim as the "naive" baseline), the presorted kernel
-//!    (`SplitExactness::Presorted`), and the histogram-binned kernel
-//!    (`SplitExactness::Binned256`, the default). The presorted tree is
-//!    asserted bit-identical to the naive one on every node count,
+//!    the historical per-node gather-and-sort builder (carried here as the
+//!    "naive" baseline), the presorted reference (`tree::fit_presorted`),
+//!    and the histogram-binned kernel every fit runs. The presorted tree
+//!    is asserted bit-identical to the naive one on every node count,
 //!    importance bit pattern, and per-row probability bit pattern; the
 //!    binned tree — exact only up to 256 distinct values per column — is
 //!    held to validation-F1 parity with the presorted tree within
-//!    [`F1_TOLERANCE`]. In full (non-`--smoke`) runs with both kernels
-//!    selected, the binned fit must beat the presorted fit by at least
-//!    [`MIN_BINNED_SPEEDUP`]x or the process exits nonzero.
+//!    [`F1_TOLERANCE`]. Full (non-`--smoke`) runs also require the binned
+//!    fit to beat the presorted fit by at least [`MIN_BINNED_SPEEDUP`]x.
 //! 2. **DT-HPO grid** — seven independent fits (the pre-truncation
 //!    `grid_search` loop) vs one deep fit scored at every depth by one
 //!    root-to-leaf walk per validation row, plus one truncation, with
 //!    the winning spec, its `val_f1` bits, and its predictions asserted
-//!    equal. Both sides run the workspace-default (binned) kernel, so this
-//!    isolates the deep-fit speedup from the kernel choice.
+//!    equal.
 //! 3. **Forest fit / predict** — the class-balanced 50-tree forest through
-//!    the pooled-workspace fused-gather path in each selected exactness
-//!    mode, plus the per-row cost of the scratch-reusing batch predictor.
+//!    the pooled-workspace fused-gather path, plus the per-row cost of the
+//!    scratch-reusing batch predictor.
+//! 4. **Scale cell** — the streamed synthetic generator (`million_row_spec`
+//!    shape, 10^5 rows full / 10^4 smoke) feeds a block-size-invariance
+//!    gate plus a depth-7 race of the binned kernel against the presorted
+//!    reference, held to holdout-F1 parity within [`F1_TOLERANCE`]. Full
+//!    runs gate the binned kernel at [`MIN_SCALE_SPEEDUP`]x over presorted.
+//! 5. **Million-row cell** (full runs only) — one timed binned fit at 10^6
+//!    streamed rows.
 //!
-//! 4. **Scale cell** — the streamed synthetic generator
-//!    (`million_row_spec` shape, `--rows` rows, default 10^5 full / 10^4
-//!    smoke) feeds a block-size-invariance gate plus a four-way depth-7
-//!    race: presorted vs `Binned256` vs `Binned4096` vs `Binned4096` with
-//!    GOSS per-node subsampling, all held to holdout-F1 parity within
-//!    [`F1_TOLERANCE`] of presorted. Full runs gate the u16 kernel at
-//!    [`MIN_WIDE_SPEEDUP`]x over presorted.
-//! 5. **Million-row cell** (full runs only) — one timed `Binned4096`+GOSS
-//!    fit and one timed `Binned256` fit at 10^6 streamed rows.
-//!
-//! `--exactness binned|binned4096|presorted|both` (default `both`) selects
-//! which kernels are *timed*; the agreement assertions above run in every
-//! mode. `--rows N` overrides the scale-cell row count. Results are
-//! printed as JSON (unmeasured kernels appear as `null`) and, when a path
-//! argument is given, also written there (committed snapshot:
-//! `BENCH_tree.json` in the repo root). `--smoke` shrinks repetition
-//! counts and relaxes the wall-clock speedup gate for CI; the agreement
-//! assertions run in every mode and exit nonzero on violation.
+//! Results are printed as JSON and, when a path argument is given, also
+//! written there (committed snapshot: `BENCH_tree.json` in the repo root).
+//! `--smoke` shrinks repetition counts and row counts and skips the
+//! wall-clock speedup gates for CI; the agreement gates run in every mode
+//! and exit nonzero on violation.
 //!
 //! Run with `cargo run --release -p dfs-bench --bin bench_tree -- BENCH_tree.json`.
 
@@ -52,7 +44,7 @@ use dfs_data::split::stratified_three_way;
 use dfs_data::synthetic::{generate, generate_streamed_collect, million_row_spec, spec_by_name};
 use dfs_linalg::Matrix;
 use dfs_models::forest::{ForestConfig, RandomForest};
-use dfs_models::tree::{BinSet, DecisionTree, GossConfig, Node, SplitExactness, TreeWorkspace};
+use dfs_models::tree::{fit_presorted, BinSet, DecisionTree, Node, TreeWorkspace};
 use dfs_models::{hpo, ModelKind, ModelSpec, TrainedModel};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -74,17 +66,12 @@ const GRID_DEPTH: usize = 7;
 const F1_TOLERANCE: f64 = 0.03;
 /// Full-run wall-clock gate: binned fit must beat presorted by this factor.
 const MIN_BINNED_SPEEDUP: f64 = 2.0;
-/// Full-run gate on the scale cell: the u16 wide-bin kernel (with GOSS)
-/// must beat the presorted kernel by this factor at [`SCALE_ROWS_FULL`]
-/// rows.
-const MIN_WIDE_SPEEDUP: f64 = 2.0;
-/// Scale-cell rows (full runs); `--rows` overrides, `--smoke` defaults to
-/// [`SCALE_ROWS_SMOKE`].
+/// Full-run gate on the scale cell: the binned kernel must beat the
+/// presorted reference by this factor at [`SCALE_ROWS_FULL`] rows.
+const MIN_SCALE_SPEEDUP: f64 = 2.0;
+/// Scale-cell rows of full runs and of `--smoke` runs.
 const SCALE_ROWS_FULL: usize = 100_000;
 const SCALE_ROWS_SMOKE: usize = 10_000;
-/// The scale cell's GOSS shares: keep the top 10% of each node's rows by
-/// gradient proxy and sample 10% of the remainder.
-const GOSS_SHARES: (f64, f64) = (0.1, 0.1);
 
 /// Median wall-clock over `reps` runs of `f`, in nanoseconds.
 fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
@@ -101,8 +88,8 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
 
 // ---------------------------------------------------------------------------
 // The "before" implementation: the per-node gather-and-sort CART builder
-// exactly as it shipped before the presorted kernel, kept here as the
-// benchmark baseline and bit-identity reference.
+// as it shipped before the presorted kernel, kept here as the benchmark
+// baseline and bit-identity reference.
 // ---------------------------------------------------------------------------
 
 const MIN_SAMPLES_SPLIT: usize = 4;
@@ -124,7 +111,6 @@ struct NaiveSplit {
 struct NaiveBuilder<'a> {
     x: &'a Matrix,
     y: &'a [bool],
-    w: &'a [f64],
     nodes: Vec<Node>,
     importances: Vec<f64>,
     max_depth: usize,
@@ -135,15 +121,7 @@ fn naive_fit(x: &Matrix, y: &[bool], max_depth: usize) -> DecisionTree {
     assert_eq!(n, y.len());
     assert!(n > 0);
     let max_depth = max_depth.max(1);
-    let w = vec![1.0; n];
-    let mut b = NaiveBuilder {
-        x,
-        y,
-        w: &w,
-        nodes: Vec::new(),
-        importances: vec![0.0; d],
-        max_depth,
-    };
+    let mut b = NaiveBuilder { x, y, nodes: Vec::new(), importances: vec![0.0; d], max_depth };
     let all: Vec<usize> = (0..n).collect();
     b.build(&all, 0);
     let total: f64 = b.importances.iter().sum();
@@ -157,9 +135,9 @@ fn naive_fit(x: &Matrix, y: &[bool], max_depth: usize) -> DecisionTree {
 
 impl NaiveBuilder<'_> {
     fn build(&mut self, idx: &[usize], depth: usize) -> usize {
-        let (w_pos, w_total) = self.weighted_counts(idx);
-        let proba = if w_total > 0.0 { w_pos / w_total } else { 0.5 };
-        let node_gini = gini(w_pos, w_total);
+        let (pos, total) = self.counts(idx);
+        let proba = if total > 0.0 { pos / total } else { 0.5 };
+        let node_gini = gini(pos, total);
 
         if depth >= self.max_depth
             || idx.len() < MIN_SAMPLES_SPLIT
@@ -168,10 +146,10 @@ impl NaiveBuilder<'_> {
             return self.push(Node::Leaf { proba });
         }
 
-        match self.best_split(idx, node_gini, w_pos, w_total) {
+        match self.best_split(idx, node_gini, pos, total) {
             None => self.push(Node::Leaf { proba }),
             Some(split) => {
-                self.importances[split.feature] += split.gain * w_total;
+                self.importances[split.feature] += split.gain * total;
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
                     idx.iter().partition(|&&i| self.x[(i, split.feature)] <= split.threshold);
                 let me = self.push(Node::Leaf { proba });
@@ -193,31 +171,25 @@ impl NaiveBuilder<'_> {
         self.nodes.len() - 1
     }
 
-    fn weighted_counts(&self, idx: &[usize]) -> (f64, f64) {
+    fn counts(&self, idx: &[usize]) -> (f64, f64) {
         let mut pos = 0.0;
         let mut total = 0.0;
         for &i in idx {
-            total += self.w[i];
+            total += 1.0;
             if self.y[i] {
-                pos += self.w[i];
+                pos += 1.0;
             }
         }
         (pos, total)
     }
 
-    fn best_split(
-        &self,
-        idx: &[usize],
-        node_gini: f64,
-        w_pos: f64,
-        w_total: f64,
-    ) -> Option<NaiveSplit> {
+    fn best_split(&self, idx: &[usize], node_gini: f64, pos: f64, total: f64) -> Option<NaiveSplit> {
         let d = self.x.ncols();
         let mut best: Option<NaiveSplit> = None;
-        let mut values: Vec<(f64, f64, bool)> = Vec::with_capacity(idx.len());
+        let mut values: Vec<(f64, bool)> = Vec::with_capacity(idx.len());
         for feature in 0..d {
             values.clear();
-            values.extend(idx.iter().map(|&i| (self.x[(i, feature)], self.w[i], self.y[i])));
+            values.extend(idx.iter().map(|&i| (self.x[(i, feature)], self.y[i])));
             // Features are finite by construction; equal-order fallback for
             // the impossible NaN keeps the runner path panic-free.
             values.sort_by(|a, b| {
@@ -230,21 +202,21 @@ impl NaiveBuilder<'_> {
             let mut prefix_pos = vec![0.0; len + 1];
             let mut prefix_total = vec![0.0; len + 1];
             for (k, v) in values.iter().enumerate() {
-                prefix_total[k + 1] = prefix_total[k] + v.1;
-                prefix_pos[k + 1] = prefix_pos[k] + if v.2 { v.1 } else { 0.0 };
+                prefix_total[k + 1] = prefix_total[k] + 1.0;
+                prefix_pos[k + 1] = prefix_pos[k] + if v.1 { 1.0 } else { 0.0 };
             }
             for k in (1..len).filter(|&k| values[k].0 > values[k - 1].0) {
                 let threshold = 0.5 * (values[k - 1].0 + values[k].0);
                 let left_total = prefix_total[k];
-                let right_total = w_total - left_total;
+                let right_total = total - left_total;
                 if left_total <= 0.0 || right_total <= 0.0 {
                     continue;
                 }
                 let left_pos = prefix_pos[k];
-                let right_pos = w_pos - left_pos;
+                let right_pos = pos - left_pos;
                 let child = (left_total * gini(left_pos, left_total)
                     + right_total * gini(right_pos, right_total))
-                    / w_total;
+                    / total;
                 let gain = (node_gini - child).max(0.0);
                 if best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
                     best = Some(NaiveSplit { feature, threshold, gain });
@@ -319,77 +291,18 @@ fn tree_val_f1(t: &DecisionTree, x_val: &Matrix, y_val: &[bool]) -> f64 {
     dfs_metrics::f1_score(&preds, y_val)
 }
 
-/// `null`-aware JSON formatting for kernels that were not timed.
-fn ns_json(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
-}
-
-fn ratio_json(num: Option<u64>, den: Option<u64>) -> String {
-    match (num, den) {
-        (Some(a), Some(b)) => format!("{:.2}", a as f64 / b.max(1) as f64),
-        _ => "null".to_string(),
-    }
-}
-
 fn main() {
     let stamp = dfs_bench::stamp::stamp_json_fields();
     let mut smoke = false;
     let mut out_path: Option<String> = None;
-    let mut exactness_arg = String::from("both");
-    let mut rows_arg: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    let parse_rows = |v: &str| -> usize {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("[dfs-bench] fatal: --rows expects a positive integer, got `{v}`");
-                std::process::exit(2);
-            }
-        }
-    };
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         if arg == "--smoke" {
             smoke = true;
-        } else if arg == "--exactness" {
-            match args.next() {
-                Some(v) => exactness_arg = v,
-                None => {
-                    eprintln!("[dfs-bench] fatal: --exactness requires a value");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix("--exactness=") {
-            exactness_arg = v.to_string();
-        } else if arg == "--rows" {
-            match args.next() {
-                Some(v) => rows_arg = Some(parse_rows(&v)),
-                None => {
-                    eprintln!("[dfs-bench] fatal: --rows requires a value");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix("--rows=") {
-            rows_arg = Some(parse_rows(v));
         } else {
             out_path = Some(arg);
         }
     }
-    let (run_binned, run_presorted) = match exactness_arg.as_str() {
-        "both" => (true, true),
-        other => match SplitExactness::parse(other) {
-            Some(SplitExactness::Binned256) | Some(SplitExactness::Binned4096) => (true, false),
-            Some(SplitExactness::Presorted) => (false, true),
-            None => {
-                eprintln!(
-                    "[dfs-bench] fatal: unknown --exactness `{other}` \
-                     (expected binned, binned4096, presorted, or both)"
-                );
-                std::process::exit(2);
-            }
-        },
-    };
-    let scale_rows =
-        rows_arg.unwrap_or(if smoke { SCALE_ROWS_SMOKE } else { SCALE_ROWS_FULL });
+    let scale_rows = if smoke { SCALE_ROWS_SMOKE } else { SCALE_ROWS_FULL };
     let reps = if smoke { 3 } else { 9 };
     let forest_reps = if smoke { 1 } else { 5 };
 
@@ -399,15 +312,11 @@ fn main() {
     let mut gate_ok = true;
 
     // 1. Single deep tree fit: naive per-node sort vs presorted vs binned.
-    //    The agreement checks fit each kernel once regardless of which
-    //    modes are being timed.
     let naive_tree = naive_fit(&x_train, &y_train, GRID_DEPTH);
-    let mut ws_presorted = TreeWorkspace::with_exactness(SplitExactness::Presorted);
-    let presorted_tree =
-        DecisionTree::fit_in(&x_train, &y_train, GRID_DEPTH, None, &mut ws_presorted);
+    let presorted_tree = fit_presorted(&x_train, &y_train, GRID_DEPTH);
     let presorted_exact = assert_trees_identical(&naive_tree, &presorted_tree, &probes);
     if !presorted_exact {
-        eprintln!("[dfs-bench] fatal: presorted kernel diverged from the naive builder");
+        eprintln!("[dfs-bench] fatal: presorted reference diverged from the naive builder");
     }
     // The binned workspace runs with pre-derived bins bound, mirroring the
     // evaluation engine: `BinSet::derive` happens once per (dataset, split)
@@ -416,9 +325,9 @@ fn main() {
     let bins = std::sync::Arc::new(BinSet::derive(&x_train));
     let all_cols: Vec<usize> = (0..d).collect();
     let all_rows: Vec<usize> = (0..n).collect();
-    let mut ws_binned = TreeWorkspace::with_exactness(SplitExactness::Binned256);
+    let mut ws_binned = TreeWorkspace::new();
     ws_binned.bind_bins(&bins, &all_cols, &all_rows);
-    let binned_tree = DecisionTree::fit_in(&x_train, &y_train, GRID_DEPTH, None, &mut ws_binned);
+    let binned_tree = DecisionTree::fit_in(&x_train, &y_train, GRID_DEPTH, &mut ws_binned);
     let f1_presorted = tree_val_f1(&presorted_tree, &x_val, &y_val);
     let f1_binned = tree_val_f1(&binned_tree, &x_val, &y_val);
     let f1_delta = (f1_binned - f1_presorted).abs();
@@ -435,38 +344,24 @@ fn main() {
         let t = naive_fit(&x_train, &y_train, GRID_DEPTH);
         assert!(t.n_nodes() > 0);
     });
-    let fit_presorted_ns = run_presorted.then(|| {
-        median_ns(reps, || {
-            let t =
-                DecisionTree::fit_in(&x_train, &y_train, GRID_DEPTH, None, &mut ws_presorted);
-            assert!(t.n_nodes() > 0);
-        })
+    let fit_presorted_ns = median_ns(reps, || {
+        let t = fit_presorted(&x_train, &y_train, GRID_DEPTH);
+        assert!(t.n_nodes() > 0);
     });
-    let fit_binned_ns = run_binned.then(|| {
-        median_ns(reps, || {
-            let t = DecisionTree::fit_in(&x_train, &y_train, GRID_DEPTH, None, &mut ws_binned);
-            assert!(t.n_nodes() > 0);
-        })
+    let fit_binned_ns = median_ns(reps, || {
+        let t = DecisionTree::fit_in(&x_train, &y_train, GRID_DEPTH, &mut ws_binned);
+        assert!(t.n_nodes() > 0);
     });
-    let binned_vs_presorted = match (fit_presorted_ns, fit_binned_ns) {
-        (Some(p), Some(b)) => Some(p as f64 / b.max(1) as f64),
-        _ => None,
-    };
-    if !smoke {
-        if let Some(speedup) = binned_vs_presorted {
-            if speedup < MIN_BINNED_SPEEDUP {
-                eprintln!(
-                    "[dfs-bench] fatal: binned kernel speedup {speedup:.2}x over presorted \
-                     is below the {MIN_BINNED_SPEEDUP}x gate"
-                );
-                gate_ok = false;
-            }
-        }
+    let binned_vs_presorted = fit_presorted_ns as f64 / fit_binned_ns.max(1) as f64;
+    if !smoke && binned_vs_presorted < MIN_BINNED_SPEEDUP {
+        eprintln!(
+            "[dfs-bench] fatal: binned kernel speedup {binned_vs_presorted:.2}x over presorted \
+             is below the {MIN_BINNED_SPEEDUP}x gate"
+        );
+        gate_ok = false;
     }
 
     // 2. DT-HPO grid: 7 independent fits vs 1 deep fit scored at every depth.
-    //    Both sides use the workspace-default kernel, so this isolates the
-    //    truncation speedup from the kernel choice.
     let (naive_spec, naive_f1, naive_model) = naive_dt_grid(&x_train, &y_train, &x_val, &y_val);
     let fast = hpo::grid_search(ModelKind::DecisionTree, &x_train, &y_train, &x_val, &y_val);
     let grid_identical = fast.spec == naive_spec
@@ -487,18 +382,12 @@ fn main() {
         assert!(r.val_f1.is_finite());
     });
 
-    // 3. Forest fit + batch predict through the pooled-workspace path, once
-    //    per selected exactness mode.
-    let forest_time = |exactness: SplitExactness| {
-        let cfg = ForestConfig { exactness, ..ForestConfig::default() };
-        median_ns(forest_reps, || {
-            let f = RandomForest::fit(&x_train, &y_train, &cfg);
-            assert_eq!(f.n_trees(), cfg.n_trees);
-        })
-    };
-    let forest_binned_ns = run_binned.then(|| forest_time(SplitExactness::Binned256));
-    let forest_presorted_ns = run_presorted.then(|| forest_time(SplitExactness::Presorted));
+    // 3. Forest fit + batch predict through the pooled-workspace path.
     let cfg = ForestConfig::default();
+    let forest_fit_ns = median_ns(forest_reps, || {
+        let f = RandomForest::fit(&x_train, &y_train, &cfg);
+        assert_eq!(f.n_trees(), cfg.n_trees);
+    });
     let forest = RandomForest::fit(&x_train, &y_train, &cfg);
     let predict_rows = x_val.nrows().max(1);
     let forest_predict_ns = median_ns(reps, || {
@@ -507,10 +396,9 @@ fn main() {
     });
 
     // 4. Scale cell: the streamed generator feeds a wide synthetic corpus
-    //    (million_row_spec shape at `--rows`), and the u16 wide-bin kernel
-    //    — with and without GOSS per-node subsampling — is raced against
-    //    the u8 and presorted kernels. 80% of the rows train, the last 20%
-    //    are the F1 holdout (scored row-by-row, never gathered).
+    //    (million_row_spec shape), and the binned kernel is raced against
+    //    the presorted reference. 80% of the rows train, the last 20% are
+    //    the F1 holdout (scored row-by-row, never gathered).
     let mut scale_spec = million_row_spec();
     scale_spec.rows = scale_rows;
     let scale_seed = 77;
@@ -541,78 +429,52 @@ fn main() {
         dfs_metrics::f1_score(&preds, &scale.y[scale_train..])
     };
     let scale_reps = if smoke { 1 } else { 3 };
-    let goss_cfg = GossConfig::new(GOSS_SHARES.0, GOSS_SHARES.1, 42);
-    let scale_fit = |exactness: SplitExactness, goss: Option<GossConfig>| {
-        let mut ws = TreeWorkspace::with_exactness(exactness);
-        if let Some(width) = exactness.code_width() {
-            let bins = std::sync::Arc::new(BinSet::derive_with(&x_scale, width));
-            ws.bind_bins(&bins, &scale_cols, &scale_train_rows);
-        }
-        ws.set_goss(goss);
-        let tree = DecisionTree::fit_in(&x_scale, y_scale, GRID_DEPTH, None, &mut ws);
-        let ns = median_ns(scale_reps, || {
-            let t = DecisionTree::fit_in(&x_scale, y_scale, GRID_DEPTH, None, &mut ws);
-            assert!(t.n_nodes() > 0);
-        });
-        (ns, holdout_f1(&tree))
-    };
-    let (scale_presorted_ns, scale_presorted_f1) = scale_fit(SplitExactness::Presorted, None);
-    let (scale_u8_ns, scale_u8_f1) = scale_fit(SplitExactness::Binned256, None);
-    let (scale_u16_ns, scale_u16_f1) = scale_fit(SplitExactness::Binned4096, None);
-    let (scale_goss_ns, scale_goss_f1) = scale_fit(SplitExactness::Binned4096, Some(goss_cfg));
-    // Quality gate: the exact binned kernels must hold F1 parity with the
-    // presorted reference on the holdout at any row count. The GOSS cell
-    // is stochastic — at smoke-sized corpora a 20% subsample is noise-
-    // dominated — so its parity is only gated at full scale.
-    let mut parity = vec![scale_u8_f1, scale_u16_f1];
-    if !smoke {
-        parity.push(scale_goss_f1);
-    }
-    let scale_f1_ok =
-        parity.iter().all(|f1| (f1 - scale_presorted_f1).abs() <= F1_TOLERANCE);
+    let scale_presorted_f1 = holdout_f1(&fit_presorted(&x_scale, y_scale, GRID_DEPTH));
+    let scale_presorted_ns = median_ns(scale_reps, || {
+        let t = fit_presorted(&x_scale, y_scale, GRID_DEPTH);
+        assert!(t.n_nodes() > 0);
+    });
+    let mut ws = TreeWorkspace::new();
+    let scale_bins = std::sync::Arc::new(BinSet::derive(&x_scale));
+    ws.bind_bins(&scale_bins, &scale_cols, &scale_train_rows);
+    let scale_binned_f1 = holdout_f1(&DecisionTree::fit_in(&x_scale, y_scale, GRID_DEPTH, &mut ws));
+    let scale_binned_ns = median_ns(scale_reps, || {
+        let t = DecisionTree::fit_in(&x_scale, y_scale, GRID_DEPTH, &mut ws);
+        assert!(t.n_nodes() > 0);
+    });
+    // Quality gate: the binned kernel must hold F1 parity with the
+    // presorted reference on the holdout at any row count.
+    let scale_f1_ok = (scale_binned_f1 - scale_presorted_f1).abs() <= F1_TOLERANCE;
     if !scale_f1_ok {
         eprintln!(
             "[dfs-bench] fatal: scale-cell F1 parity broken (presorted {scale_presorted_f1:.4}, \
-             u8 {scale_u8_f1:.4}, u16 {scale_u16_f1:.4}, u16+GOSS {scale_goss_f1:.4})"
+             binned {scale_binned_f1:.4})"
         );
     }
     gate_ok &= scale_f1_ok;
-    let wide_vs_presorted = scale_presorted_ns as f64 / scale_u16_ns.max(1) as f64;
-    let goss_vs_u8 = scale_u8_ns as f64 / scale_goss_ns.max(1) as f64;
-    let goss_vs_u16 = scale_u16_ns as f64 / scale_goss_ns.max(1) as f64;
-    if !smoke && wide_vs_presorted < MIN_WIDE_SPEEDUP {
+    let scale_speedup = scale_presorted_ns as f64 / scale_binned_ns.max(1) as f64;
+    if !smoke && scale_speedup < MIN_SCALE_SPEEDUP {
         eprintln!(
-            "[dfs-bench] fatal: wide-bin kernel speedup {wide_vs_presorted:.2}x over presorted \
-             at {scale_rows} rows is below the {MIN_WIDE_SPEEDUP}x gate"
+            "[dfs-bench] fatal: binned kernel speedup {scale_speedup:.2}x over presorted \
+             at {scale_rows} rows is below the {MIN_SCALE_SPEEDUP}x gate"
         );
         gate_ok = false;
     }
 
-    // 5. Million-row watchdog cell (full runs only): one u16+GOSS fit and
-    //    one Binned256 fit at 10^6 streamed rows, each timed once — proof
-    //    the kernels hold at the paper-motivating scale, not a median.
-    let million_ns: Option<(u64, u64)> = (!smoke).then(|| {
-        let spec = million_row_spec();
-        let m = generate_streamed_collect(&spec, scale_seed, 8192);
-        let d = m.x.ncols();
-        let cols: Vec<usize> = (0..d).collect();
+    // 5. Million-row watchdog cell (full runs only): one binned fit at
+    //    10^6 streamed rows, timed once — proof the kernel holds at the
+    //    paper-motivating scale, not a median.
+    let million_ns: Option<u64> = (!smoke).then(|| {
+        let m = generate_streamed_collect(&million_row_spec(), scale_seed, 8192);
+        let cols: Vec<usize> = (0..m.x.ncols()).collect();
         let rows_all: Vec<usize> = (0..m.x.nrows()).collect();
-        let timed_fit = |exactness: SplitExactness, goss: Option<GossConfig>| {
-            let mut ws = TreeWorkspace::with_exactness(exactness);
-            if let Some(width) = exactness.code_width() {
-                let bins = std::sync::Arc::new(BinSet::derive_with(&m.x, width));
-                ws.bind_bins(&bins, &cols, &rows_all);
-            }
-            ws.set_goss(goss);
-            let t = Instant::now();
-            let tree = DecisionTree::fit_in(&m.x, &m.y, GRID_DEPTH, None, &mut ws);
-            let ns = t.elapsed().as_nanos() as u64;
-            assert!(tree.n_nodes() > 0);
-            ns
-        };
-        let goss_ns = timed_fit(SplitExactness::Binned4096, Some(goss_cfg));
-        let u8_ns = timed_fit(SplitExactness::Binned256, None);
-        (goss_ns, u8_ns)
+        let mut ws = TreeWorkspace::new();
+        ws.bind_bins(&std::sync::Arc::new(BinSet::derive(&m.x)), &cols, &rows_all);
+        let t = Instant::now();
+        let tree = DecisionTree::fit_in(&m.x, &m.y, GRID_DEPTH, &mut ws);
+        let ns = t.elapsed().as_nanos() as u64;
+        assert!(tree.n_nodes() > 0);
+        ns
     });
 
     let mut json = String::new();
@@ -622,16 +484,15 @@ fn main() {
   "bench": "tree_kernel",
   {stamp},
   "smoke": {smoke},
-  "exactness": "{exactness_arg}",
   "corpus": {{ "dataset": "german_credit", "train_rows": {n}, "features": {d} }},
   "tree_fit": {{
     "max_depth": {GRID_DEPTH},
     "naive_ns": {fit_naive_ns},
-    "presorted_ns": {presorted_ns},
-    "binned_ns": {binned_ns},
-    "presorted_speedup_vs_naive": {presorted_vs_naive},
-    "binned_speedup_vs_naive": {binned_vs_naive},
-    "binned_speedup_vs_presorted": {binned_vs_presorted_json}
+    "presorted_ns": {fit_presorted_ns},
+    "binned_ns": {fit_binned_ns},
+    "presorted_speedup_vs_naive": {presorted_vs_naive:.2},
+    "binned_speedup_vs_naive": {binned_vs_naive:.2},
+    "binned_speedup_vs_presorted": {binned_vs_presorted:.2}
   }},
   "kernel_agreement": {{
     "presorted_bit_identical_to_naive": {presorted_exact},
@@ -650,8 +511,7 @@ fn main() {
   "forest_fit": {{
     "n_trees": {n_trees},
     "max_depth": {forest_depth},
-    "binned_ns": {forest_binned},
-    "presorted_ns": {forest_presorted}
+    "fit_ns": {forest_fit_ns}
   }},
   "forest_predict": {{
     "rows": {predict_rows},
@@ -663,46 +523,29 @@ fn main() {
     "train_rows": {scale_train},
     "features": {scale_d},
     "streamed_block_invariant": {streamed_identical},
-    "goss": {{ "top_frac": {goss_top}, "rest_frac": {goss_rest}, "kept_frac": {goss_kept} }},
     "presorted_ns": {scale_presorted_ns},
-    "binned256_ns": {scale_u8_ns},
-    "binned4096_ns": {scale_u16_ns},
-    "binned4096_goss_ns": {scale_goss_ns},
-    "wide_speedup_vs_presorted": {wide_vs_presorted:.2},
-    "goss_speedup_vs_binned256": {goss_vs_u8:.2},
-    "goss_speedup_vs_binned4096": {goss_vs_u16:.2},
+    "binned_ns": {scale_binned_ns},
+    "binned_speedup_vs_presorted": {scale_speedup:.2},
     "holdout_f1": {{
       "presorted": {scale_presorted_f1:.4},
-      "binned256": {scale_u8_f1:.4},
-      "binned4096": {scale_u16_f1:.4},
-      "binned4096_goss": {scale_goss_f1:.4}
+      "binned": {scale_binned_f1:.4}
     }}
   }},
   "million_row": {{
     "rows": 1000000,
-    "binned4096_goss_ns": {million_goss_json},
-    "binned256_ns": {million_u8_json}
+    "binned_ns": {million_json}
   }},
   "gates_passed": {gate_ok}
 }}
 "#,
-        presorted_ns = ns_json(fit_presorted_ns),
-        binned_ns = ns_json(fit_binned_ns),
-        presorted_vs_naive = ratio_json(Some(fit_naive_ns), fit_presorted_ns),
-        binned_vs_naive = ratio_json(Some(fit_naive_ns), fit_binned_ns),
-        binned_vs_presorted_json = ratio_json(fit_presorted_ns, fit_binned_ns),
+        presorted_vs_naive = fit_naive_ns as f64 / fit_presorted_ns.max(1) as f64,
+        binned_vs_naive = fit_naive_ns as f64 / fit_binned_ns.max(1) as f64,
         evals = fast.evaluations,
         grid_speedup = grid_naive_ns as f64 / grid_fast_ns.max(1) as f64,
         n_trees = cfg.n_trees,
         forest_depth = cfg.max_depth,
-        forest_binned = ns_json(forest_binned_ns),
-        forest_presorted = ns_json(forest_presorted_ns),
         per_row = forest_predict_ns / predict_rows as u64,
-        goss_top = GOSS_SHARES.0,
-        goss_rest = GOSS_SHARES.1,
-        goss_kept = goss_cfg.kept_frac(),
-        million_goss_json = ns_json(million_ns.map(|(goss, _)| goss)),
-        million_u8_json = ns_json(million_ns.map(|(_, u8)| u8)),
+        million_json = million_ns.map_or_else(|| "null".to_string(), |ns| ns.to_string()),
     );
 
     print!("{json}");

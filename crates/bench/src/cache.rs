@@ -4,13 +4,11 @@
 //! that needs it first looks here. The format is a line-oriented TSV keyed
 //! by a config fingerprint, written atomically (temp file + rename).
 //!
-//! Codec v7 carries each cell's [`CellStatus`] (so fault-isolated runs
-//! roundtrip losslessly) and its thirteen [`EvalPerf`] work counters,
-//! including the attack/ranking timing and HPO grid-point fields added
-//! with the observability layer and the memo/bound-pruning/warm-start
-//! counters added with the cross-arm evaluation memo. v7 dropped the
-//! validation-gather and chunked-evaluator block counters of v6 along
-//! with the gathers they counted. A file that
+//! Codec v8 carries each cell's [`CellStatus`] (so fault-isolated runs
+//! roundtrip losslessly) and its eight [`EvalPerf`] work counters. v8
+//! dropped v7's four nanosecond timing fields (the observability spans
+//! carry timings) and its warm-start counter along with warm starts. A
+//! file that
 //! fails validation — wrong version, truncated, or garbled — is never
 //! trusted partially: [`load`] quarantines it (renames it aside with a
 //! `.quarantined` suffix) and the caller recomputes. The per-cell line
@@ -54,24 +52,10 @@ pub fn fingerprint(cfg: &CorpusConfig) -> u64 {
     mix(cfg.time_range.0.as_millis() as u64);
     mix(cfg.time_range.1.as_millis() as u64);
     mix(cfg.seed);
-    // DT measurements can differ across split kernels, so each exactness
-    // mode gets its own cache file (and checkpoint sidecar). Active GOSS
-    // subsampling likewise changes binned DT measurements; inactive pairs
-    // run the unsampled kernel bit-for-bit and share its file.
-    mix(cfg.exactness.fingerprint());
-    if cfg.exactness.code_width().is_some() {
-        if let Some((top, rest)) = cfg.goss {
-            if top + rest < 1.0 {
-                mix(0x6055);
-                mix(top.to_bits());
-                mix(rest.to_bits());
-            }
-        }
-    }
     h
 }
 
-/// Serializes a matrix to the TSV codec (v7).
+/// Serializes a matrix to the TSV codec (v8).
 ///
 /// Errors with [`DfsError::CacheEncode`] on a non-canonical arm set — the
 /// compact codec stores no arm column, so only `Arm::all()` matrices are
@@ -88,7 +72,7 @@ pub fn encode(matrix: &BenchmarkMatrix) -> DfsResult<String> {
             ),
         });
     }
-    let _ = writeln!(out, "#dfs-matrix\tv7\t{}\t{}", matrix.scenarios.len(), matrix.arms.len());
+    let _ = writeln!(out, "#dfs-matrix\tv8\t{}\t{}", matrix.scenarios.len(), matrix.arms.len());
     for (s, row) in matrix.scenarios.iter().zip(&matrix.results) {
         let c = &s.constraints;
         let _ = writeln!(
@@ -113,13 +97,13 @@ pub fn encode(matrix: &BenchmarkMatrix) -> DfsResult<String> {
     Ok(out)
 }
 
-/// Writes one `R` result line (v7: leading one-character status code, then
-/// the metrics, then the thirteen [`EvalPerf`] work counters).
+/// Writes one `R` result line (v8: leading one-character status code, then
+/// the metrics, then the eight [`EvalPerf`] work counters).
 pub(crate) fn encode_cell(out: &mut String, cell: &CellResult) {
     let p = &cell.perf;
     let _ = writeln!(
         out,
-        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         cell.status.code(),
         cell.success as u8,
         cell.elapsed.as_secs_f64(),
@@ -132,24 +116,19 @@ pub(crate) fn encode_cell(out: &mut String, cell: &CellResult) {
         p.cache_hits,
         p.ranking_computes,
         p.ranking_hits,
-        p.gather_ns,
-        p.train_ns,
-        p.attack_ns,
-        p.ranking_ns,
         p.hpo_grid_points,
         p.memo_hits,
         p.memo_misses,
         p.bound_skips,
-        p.warm_starts,
     );
 }
 
-/// Parses one tab-split `R` line (`fields[0] == "R"`, 22 fields). Every
+/// Parses one tab-split `R` line (`fields[0] == "R"`, 17 fields). Every
 /// field is validated — a truncated or bit-flipped line is an error, never
 /// a silently wrong cell.
 pub(crate) fn decode_cell(fields: &[&str]) -> Result<CellResult, String> {
-    if fields.len() != 22 {
-        return Err(format!("result line has {} fields, expected 22", fields.len()));
+    if fields.len() != 17 {
+        return Err(format!("result line has {} fields, expected 17", fields.len()));
     }
     let parse = |i: usize| -> Result<f64, String> {
         fields[i].parse().map_err(|e| format!("result field {i}: {e}"))
@@ -186,15 +165,10 @@ pub(crate) fn decode_cell(fields: &[&str]) -> Result<CellResult, String> {
             cache_hits: count(10)?,
             ranking_computes: count(11)?,
             ranking_hits: count(12)?,
-            gather_ns: count(13)?,
-            train_ns: count(14)?,
-            attack_ns: count(15)?,
-            ranking_ns: count(16)?,
-            hpo_grid_points: count(17)?,
-            memo_hits: count(18)?,
-            memo_misses: count(19)?,
-            bound_skips: count(20)?,
-            warm_starts: count(21)?,
+            hpo_grid_points: count(13)?,
+            memo_hits: count(14)?,
+            memo_misses: count(15)?,
+            bound_skips: count(16)?,
         },
     })
 }
@@ -207,8 +181,8 @@ pub fn decode(s: &str) -> Result<BenchmarkMatrix, String> {
     if head.len() != 4 || head[0] != "#dfs-matrix" {
         return Err(format!("bad header '{header}'"));
     }
-    if head[1] != "v7" {
-        return Err(format!("unsupported cache version '{}' (this build reads v7)", head[1]));
+    if head[1] != "v8" {
+        return Err(format!("unsupported cache version '{}' (this build reads v8)", head[1]));
     }
     let n_scenarios: usize = head[2].parse().map_err(|e| format!("bad count: {e}"))?;
     let n_arms: usize = head[3].parse().map_err(|e| format!("bad arm count: {e}"))?;
@@ -369,15 +343,10 @@ mod tests {
                     cache_hits: 2 * i as u64,
                     ranking_computes: (i % 3) as u64,
                     ranking_hits: (i % 5) as u64,
-                    gather_ns: 1_000 + i as u64,
-                    train_ns: 2_000 + i as u64,
-                    attack_ns: 3_000 + i as u64,
-                    ranking_ns: 4_000 + i as u64,
                     hpo_grid_points: (i % 7) as u64,
                     memo_hits: (i % 4) as u64,
                     memo_misses: 5 + i as u64,
                     bound_skips: (i % 6) as u64,
-                    warm_starts: (i % 3) as u64,
                 },
             })
             .collect();
@@ -436,16 +405,16 @@ mod tests {
         assert!(decode("").is_err());
         // Older codecs (v1 pre-status, v2 pre-perf, v3 pre-obs-counters,
         // v4 pre-memo-counters, v5 pre-eval-blocks, v6 with the gather
-        // counters) are a version mismatch, not a panic; so is any future
-        // version.
-        for old in ["v1", "v2", "v3", "v4", "v5", "v6"] {
+        // counters, v7 with the timing and warm-start counters) are a
+        // version mismatch, not a panic; so is any future version.
+        for old in ["v1", "v2", "v3", "v4", "v5", "v6", "v7"] {
             assert!(decode(&format!("#dfs-matrix\t{old}\t0\t17\n"))
                 .is_err_and(|e| e.contains("unsupported cache version")));
         }
-        assert!(decode("#dfs-matrix\tv8\t0\t17\n").is_err());
-        assert!(decode("#dfs-matrix\tv7\t1\t17\nX\tfoo\n").is_err());
+        assert!(decode("#dfs-matrix\tv9\t0\t17\n").is_err());
+        assert!(decode("#dfs-matrix\tv8\t1\t17\nX\tfoo\n").is_err());
         // Wrong arm count.
-        assert!(decode("#dfs-matrix\tv7\t0\t3\n").is_err());
+        assert!(decode("#dfs-matrix\tv8\t0\t3\n").is_err());
     }
 
     #[test]
@@ -474,31 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn exactness_modes_get_separate_cache_files() {
-        use dfs_models::SplitExactness;
-        let binned = CorpusConfig::default();
-        assert_eq!(binned.exactness, SplitExactness::Binned256);
-        let presorted = CorpusConfig { exactness: SplitExactness::Presorted, ..binned.clone() };
-        assert_ne!(fingerprint(&binned), fingerprint(&presorted));
-        assert_ne!(
-            cache_path(&binned, BenchVersion::Hpo),
-            cache_path(&presorted, BenchVersion::Hpo)
-        );
-        // The wide-bin kernel is its own mode, too.
-        let wide = CorpusConfig { exactness: SplitExactness::Binned4096, ..binned.clone() };
-        assert_ne!(fingerprint(&binned), fingerprint(&wide));
-        // Active GOSS changes binned measurements: separate file. Inactive
-        // pairs and presorted fits run the unsampled kernel bit-for-bit
-        // and share the plain file.
-        let goss = CorpusConfig { goss: Some((0.1, 0.1)), ..binned.clone() };
-        assert_ne!(fingerprint(&binned), fingerprint(&goss));
-        let inert = CorpusConfig { goss: Some((0.8, 0.4)), ..binned.clone() };
-        assert_eq!(fingerprint(&binned), fingerprint(&inert));
-        let presorted_goss = CorpusConfig { goss: Some((0.1, 0.1)), ..presorted.clone() };
-        assert_eq!(fingerprint(&presorted), fingerprint(&presorted_goss));
-    }
-
-    #[test]
     fn file_roundtrip_via_save_load() {
         let m = sample_matrix();
         let dir = std::env::temp_dir().join("dfs-cache-test");
@@ -517,9 +461,9 @@ mod tests {
         let path = dir.join("bad.tsv");
         let qpath = PathBuf::from(format!("{}.quarantined", path.display()));
         std::fs::remove_file(&qpath).ok();
-        // A v6 file from the previous build is quarantined like any other
-        // version mismatch — the recompute writes fresh v7 bytes.
-        std::fs::write(&path, "#dfs-matrix\tv6\t0\t17\n").expect("write");
+        // A v7 file from the previous build is quarantined like any other
+        // version mismatch — the recompute writes fresh v8 bytes.
+        std::fs::write(&path, "#dfs-matrix\tv7\t0\t17\n").expect("write");
         dfs_obs::set_trace_enabled(true);
         let (loaded, collected) = dfs_obs::scoped(|| load(&path));
         assert!(loaded.is_none());

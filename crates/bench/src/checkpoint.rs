@@ -23,12 +23,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-// Tracks the cell-line codec version in `cache` (v7 dropped the
-// validation-gather and chunked-evaluator block counters; v5 added the
-// memo/bound-pruning/warm-start perf counters), so a sidecar written by an
-// older build is a header mismatch, never a misparsed row.
+// Tracks the cell-line codec version in `cache` (v8 dropped the timing
+// and warm-start counters; v7 the validation-gather and chunked-evaluator
+// block counters), so a sidecar written by an older build is a header
+// mismatch, never a misparsed row.
 const HEADER_TAG: &str = "#dfs-checkpoint";
-const VERSION: &str = "v7";
+const VERSION: &str = "v8";
 
 /// A partially computed matrix being persisted row by row.
 ///

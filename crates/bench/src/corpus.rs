@@ -46,15 +46,6 @@ pub struct CorpusConfig {
     pub seed: u64,
     /// Worker threads for matrix computation.
     pub threads: usize,
-    /// Decision-tree split kernel for every scenario of the matrix. Part
-    /// of the cache fingerprint: matrices computed under different kernels
-    /// live in different TSV files and never mix.
-    pub exactness: SplitExactness,
-    /// GOSS-style per-node row subsampling `(top_frac, rest_frac)` for
-    /// binned DT fits of every scenario. Active pairs enter the cache
-    /// fingerprint (they change DT measurements); `None` and inactive
-    /// pairs run the exact kernel bit-for-bit.
-    pub goss: Option<(f64, f64)>,
 }
 
 impl Default for CorpusConfig {
@@ -89,8 +80,6 @@ impl Default for CorpusConfig {
             time_range: (Duration::from_millis(80), Duration::from_millis(2000)),
             seed: 2021,
             threads: std::thread::available_parallelism().map(|p| p.get().min(8)).unwrap_or(4),
-            exactness: SplitExactness::default(),
-            goss: None,
         }
     }
 }
@@ -190,9 +179,7 @@ pub fn compute_or_load_matrix(
         arms.len(),
         cfg.threads
     );
-    let mut settings = bench_settings();
-    settings.exactness = cfg.exactness;
-    settings.goss = cfg.goss;
+    let settings = bench_settings();
     let ckpt = Checkpoint::start(ckpt_path, fingerprint, scenarios.len(), arms.len(), &resume);
     let sink = |i: usize, row: &[CellResult]| ckpt.append_row(i, row);
     let observer = dfs_obs::RunObserver::new(format!("matrix-{}", version.tag()));
@@ -253,8 +240,6 @@ mod tests {
             time_range: (Duration::from_millis(20), Duration::from_millis(50)),
             seed: 7,
             threads: 1,
-            exactness: SplitExactness::default(),
-            goss: None,
         }
     }
 

@@ -26,7 +26,7 @@
 use dfs_constraints::Evaluation;
 use dfs_data::split::Split;
 use dfs_linalg::rng::derive_seed;
-use dfs_models::{BinSet, CodeWidth};
+use dfs_models::BinSet;
 use dfs_rankings::{Ranking, RankingKind};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -87,7 +87,7 @@ pub struct ArtifactCache {
     /// minus the kind: bins depend only on the training matrix, so every
     /// arm, wrapper step, and server request on the same split shares one
     /// quantization.
-    bins: OnceCells<(String, u64, CodeWidth), BinSet>,
+    bins: OnceCells<(String, u64), BinSet>,
 }
 
 impl ArtifactCache {
@@ -116,11 +116,9 @@ impl ArtifactCache {
         self.rankings.counts()
     }
 
-    /// Returns the histogram [`BinSet`] for `(dataset, split_key, width)`,
+    /// Returns the histogram [`BinSet`] for `(dataset, split_key)`,
     /// computing it via `compute` on the first request. The second element
-    /// is `true` on a cache hit. The code width is part of the key: a
-    /// `Binned256` and a `Binned4096` scenario on the same split quantize
-    /// at different bin budgets and must never share an arena.
+    /// is `true` on a cache hit.
     ///
     /// Like [`ArtifactCache::ranking`], each key computes exactly once:
     /// quantization sorts every training column once, and concurrent arms
@@ -132,10 +130,9 @@ impl ArtifactCache {
         &self,
         dataset: &str,
         split_key: u64,
-        width: CodeWidth,
         compute: impl FnOnce() -> BinSet,
     ) -> (Arc<BinSet>, bool) {
-        self.bins.get_or_compute((dataset.to_string(), split_key, width), compute)
+        self.bins.get_or_compute((dataset.to_string(), split_key), compute)
     }
 
     /// `(bin computes, bin hits)` so far.
@@ -195,8 +192,8 @@ impl ArtifactCache {
 ///
 /// The `settings_key` folds in everything *besides* the subset that can
 /// change the measured metric values: model kind, HPO flag, scenario seed,
-/// privacy ε, which metrics are measured, the attack configuration, the
-/// effective train-row cap, and whether inexact warm starts were allowed.
+/// privacy ε, which metrics are measured, the attack configuration, and the
+/// effective train-row cap.
 /// Constraint *thresholds* are deliberately absent — the measurement is
 /// threshold-free (thresholds only enter the Eq. 1 distance computed from
 /// it), so portfolio rows that differ only in thresholds share entries.
@@ -390,28 +387,17 @@ mod tests {
         let split = stratified_three_way(&ds, 1);
         let split_key = split_fingerprint(&split);
         let cache = ArtifactCache::new();
-        let (a, hit_a) =
-            cache.bins(&ds.name, split_key, CodeWidth::U8, || BinSet::derive(&split.train.x));
-        let (b, hit_b) = cache
-            .bins(&ds.name, split_key, CodeWidth::U8, || panic!("cached bins must not recompute"));
+        let (a, hit_a) = cache.bins(&ds.name, split_key, || BinSet::derive(&split.train.x));
+        let (b, hit_b) =
+            cache.bins(&ds.name, split_key, || panic!("cached bins must not recompute"));
         assert!(!hit_a && hit_b);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.n_features(), split.n_features());
         assert_eq!(a.n_rows(), split.train.n_rows());
         assert_eq!(cache.bin_counts(), (1, 1));
         // A different split key misses; ranking counters stay untouched.
-        assert!(!cache
-            .bins(&ds.name, split_key ^ 1, CodeWidth::U8, || BinSet::derive(&split.train.x))
-            .1);
+        assert!(!cache.bins(&ds.name, split_key ^ 1, || BinSet::derive(&split.train.x)).1);
         assert_eq!(cache.bin_counts(), (2, 1));
-        // So does the same split at a different code width: a u16 arena is
-        // a different quantization, never a u8 arena served wider.
-        let (w, hit_w) = cache.bins(&ds.name, split_key, CodeWidth::U16, || {
-            BinSet::derive_with(&split.train.x, CodeWidth::U16)
-        });
-        assert!(!hit_w);
-        assert_eq!(w.width(), CodeWidth::U16);
-        assert_eq!(cache.bin_counts(), (3, 1));
         assert_eq!(cache.counts(), (0, 0));
     }
 

@@ -100,5 +100,5 @@ pub mod prelude {
     pub use crate::workflow::{run_dfs, DfsOutcome};
     pub use dfs_constraints::{ConstraintKind, ConstraintSet, Evaluation};
     pub use dfs_fs::{StrategyId, SubsetEvaluator};
-    pub use dfs_models::{ModelKind, SplitExactness};
+    pub use dfs_models::ModelKind;
 }

@@ -14,7 +14,9 @@
 /// regions give each work item its own local `EvalPerf` and fold the
 /// locals back with [`EvalPerf::merge`] *in item order*; `merge` is
 /// associative and `EvalPerf::default()` is its identity, so the totals
-/// are bit-identical to a sequential run at any thread count.
+/// are bit-identical to a sequential run at any thread count. Timings are
+/// not counters: they live in the observability spans (`gather`, `fit`,
+/// `attack`, `ranking.compute.*`) that the benchmark ledger reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalPerf {
     /// Models trained (wrapper evaluations, test confirmations, RFE
@@ -28,16 +30,6 @@ pub struct EvalPerf {
     pub ranking_computes: u64,
     /// Feature rankings served from the shared per-row artifact cache.
     pub ranking_hits: u64,
-    /// Nanoseconds spent gathering (row-subsample + column-project) data
-    /// matrices: the train split for fits that do not read it in place,
-    /// and the validation split for NB permutation importance.
-    pub gather_ns: u64,
-    /// Nanoseconds spent fitting models.
-    pub train_ns: u64,
-    /// Nanoseconds spent running evasion attacks for the Min Safety metric.
-    pub attack_ns: u64,
-    /// Nanoseconds spent computing feature rankings (cache hits cost 0).
-    pub ranking_ns: u64,
     /// Hyperparameter grid points evaluated by HPO searches.
     pub hpo_grid_points: u64,
     /// Subset evaluations served from the shared cross-arm [`EvalMemo`]
@@ -52,9 +44,6 @@ pub struct EvalPerf {
     /// short-circuit — the evasion attack (and its fit, when the cheaper
     /// terms alone already exceeded the incumbent) was skipped.
     pub bound_skips: u64,
-    /// LR/SVM fits seeded from a parent subset's weights (only in the
-    /// opt-in inexact warm-start mode).
-    pub warm_starts: u64,
 }
 
 impl EvalPerf {
@@ -65,25 +54,10 @@ impl EvalPerf {
         self.cache_hits += other.cache_hits;
         self.ranking_computes += other.ranking_computes;
         self.ranking_hits += other.ranking_hits;
-        self.gather_ns += other.gather_ns;
-        self.train_ns += other.train_ns;
-        self.attack_ns += other.attack_ns;
-        self.ranking_ns += other.ranking_ns;
         self.hpo_grid_points += other.hpo_grid_points;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
         self.bound_skips += other.bound_skips;
-        self.warm_starts += other.warm_starts;
-    }
-
-    /// This counter set with the wall-clock-derived fields zeroed.
-    ///
-    /// The `*_ns` fields measure real elapsed time and therefore vary run
-    /// to run; the remaining counters are exact work counts. Bit-identity
-    /// comparisons (e.g. the threads=1 vs threads=4 determinism
-    /// regression) compare `without_timings()` views.
-    pub fn without_timings(&self) -> EvalPerf {
-        EvalPerf { gather_ns: 0, train_ns: 0, attack_ns: 0, ranking_ns: 0, ..*self }
     }
 }
 
@@ -93,19 +67,15 @@ mod tests {
 
     #[test]
     fn merge_is_componentwise_addition() {
-        let mut a = EvalPerf { model_fits: 1, cache_hits: 2, gather_ns: 10, ..EvalPerf::default() };
+        let mut a = EvalPerf { model_fits: 1, cache_hits: 2, ..EvalPerf::default() };
         let b = EvalPerf {
             model_fits: 3,
             ranking_computes: 4,
             ranking_hits: 5,
-            train_ns: 7,
-            attack_ns: 8,
-            ranking_ns: 9,
             hpo_grid_points: 11,
             memo_hits: 12,
             memo_misses: 13,
             bound_skips: 14,
-            warm_starts: 15,
             ..EvalPerf::default()
         };
         a.merge(&b);
@@ -116,27 +86,22 @@ mod tests {
                 cache_hits: 2,
                 ranking_computes: 4,
                 ranking_hits: 5,
-                    gather_ns: 10,
-                train_ns: 7,
-                attack_ns: 8,
-                ranking_ns: 9,
                 hpo_grid_points: 11,
                 memo_hits: 12,
                 memo_misses: 13,
                 bound_skips: 14,
-                warm_starts: 15,
-                }
+            }
         );
     }
 
     #[test]
     fn merge_is_associative_and_identity_respecting() {
         let samples = [
-            EvalPerf { model_fits: 1, cache_hits: 9, gather_ns: 100, ..EvalPerf::default() },
-            EvalPerf { ranking_computes: 3, train_ns: 7, ..EvalPerf::default() },
-            EvalPerf { model_fits: 5, ranking_hits: 4, attack_ns: 3, ..EvalPerf::default() },
-            EvalPerf { ranking_ns: 6, hpo_grid_points: 2, cache_hits: 1, ..EvalPerf::default() },
-            EvalPerf { memo_hits: 8, memo_misses: 3, bound_skips: 2, warm_starts: 1, ..EvalPerf::default() },
+            EvalPerf { model_fits: 1, cache_hits: 9, ..EvalPerf::default() },
+            EvalPerf { ranking_computes: 3, ..EvalPerf::default() },
+            EvalPerf { model_fits: 5, ranking_hits: 4, ..EvalPerf::default() },
+            EvalPerf { hpo_grid_points: 2, cache_hits: 1, ..EvalPerf::default() },
+            EvalPerf { memo_hits: 8, memo_misses: 3, bound_skips: 2, ..EvalPerf::default() },
         ];
         let [a, b, c, d, e] = samples;
 
@@ -163,32 +128,5 @@ mod tests {
             with_right_id.merge(&EvalPerf::default());
             assert_eq!(with_right_id, s);
         }
-    }
-
-    #[test]
-    fn without_timings_zeroes_only_clock_fields() {
-        let p = EvalPerf {
-            model_fits: 2,
-            cache_hits: 3,
-            ranking_computes: 4,
-            ranking_hits: 5,
-            gather_ns: 1_000,
-            train_ns: 2_000,
-            attack_ns: 3_000,
-            ranking_ns: 4_000,
-            hpo_grid_points: 7,
-            memo_hits: 8,
-            memo_misses: 9,
-            bound_skips: 10,
-            warm_starts: 11,
-        };
-        let t = p.without_timings();
-        assert_eq!(
-            t,
-            EvalPerf { gather_ns: 0, train_ns: 0, attack_ns: 0, ranking_ns: 0, ..p }
-        );
-        assert_eq!(t.hpo_grid_points, 7, "grid points are a work count, not a timing");
-        assert_eq!(t.memo_hits, 8, "memo counters are exact work counts, not timings");
-        assert_eq!(t.bound_skips, 10);
     }
 }

@@ -13,10 +13,8 @@ use dfs_linalg::{ColumnView, Matrix};
 use dfs_metrics::{empirical_safety_with, equal_opportunity, f1_score, AttackConfig};
 use dfs_models::hpo::{dt_grid_search_ws, grid_search_ws};
 use dfs_models::importance::importance_or_permutation;
-use dfs_models::logistic::LogisticRegression;
-use dfs_models::svm::LinearSvm;
 use dfs_models::tree::{DecisionTree, TreeWorkspace};
-use dfs_models::{BinSet, BinView, GossConfig, ModelKind, ModelSpec, SplitExactness, TrainedModel};
+use dfs_models::{BinSet, BinView, ModelKind, ModelSpec, TrainedModel};
 use dfs_obs as obs;
 use dfs_rankings::{Ranking, RankingKind};
 use dfs_search::Budget;
@@ -59,29 +57,6 @@ pub struct ScenarioSettings {
     /// additivity of the distance — see DESIGN.md § 4h. Ignored in
     /// utility mode, where scores can be negative.
     pub bound_pruning: bool,
-    /// Seed LR/SVM fits from an adjacent already-measured subset's weights.
-    pub warm_start: bool,
-    /// With `warm_start`, keep fits bit-comparable to the cold path by
-    /// *not* actually seeding (the warm machinery runs, the optimizer
-    /// starts cold). Defaults on; turning it off trades bit-identity for
-    /// faster convergence, and inexact measurements are fingerprinted
-    /// apart in the shared memo so they never leak into exact runs.
-    pub warm_exact: bool,
-    /// Decision-tree split kernel. [`SplitExactness::Binned256`] (the
-    /// default) quantizes each dataset once and shares the bin set across
-    /// arms via the artifact cache; [`SplitExactness::Presorted`] keeps the
-    /// bit-exact reference kernel. The two modes are fingerprinted apart
-    /// (for DT scenarios) so memo/TSV entries never mix.
-    pub exactness: SplitExactness,
-    /// GOSS-style per-node row subsampling `(top_frac, rest_frac)` for
-    /// binned decision-tree fits: each node keeps its `top_frac` share of
-    /// rows by gradient proxy, samples `rest_frac` of the remainder, and
-    /// reweights. `None` — and any inactive pair with `top + rest >= 1.0`
-    /// — runs the unsampled kernel bit-for-bit. An active pair changes DT
-    /// measurements, so it is fingerprinted apart exactly when the binned
-    /// kernel runs (DT, no DP, binned exactness); presorted and DP fits
-    /// ignore it.
-    pub goss: Option<(f64, f64)>,
 }
 
 impl ScenarioSettings {
@@ -92,10 +67,6 @@ impl ScenarioSettings {
             attack: AttackConfig { max_points: 16, ..AttackConfig::default() },
             max_train_rows: 600,
             bound_pruning: true,
-            warm_start: false,
-            warm_exact: true,
-            exactness: SplitExactness::default(),
-            goss: None,
         }
     }
 
@@ -106,10 +77,6 @@ impl ScenarioSettings {
             attack: AttackConfig { max_points: 6, init_trials: 8, seed: 0 },
             max_train_rows: 200,
             bound_pruning: true,
-            warm_start: false,
-            warm_exact: true,
-            exactness: SplitExactness::default(),
-            goss: None,
         }
     }
 }
@@ -117,63 +84,70 @@ impl ScenarioSettings {
 /// Fingerprint of everything besides the subset that determines a
 /// measured [`Evaluation`]: it keys the shared [`EvalMemo`] so a context
 /// rebuilt with different settings (row cap, attack budget, metric set,
-/// seed, …) can never serve another configuration's entry. Constraint
-/// thresholds are deliberately excluded — they shape the distance, not
-/// the measurement — except through `needs_eo`/`needs_safety`, which
-/// decide *which* metrics are measured at all.
+/// seed, …) can never serve another configuration's entry.
+///
+/// Every field of the scenario and the settings is destructured without
+/// `..`, so a new field fails to compile until it is either mixed in or
+/// given the reason it cannot change a measurement.
 pub fn settings_fingerprint(
     scenario: &MlScenario,
     settings: &ScenarioSettings,
     train_cap: usize,
 ) -> u64 {
+    let MlScenario {
+        // The memo key carries the dataset next to the split fingerprint.
+        dataset: _,
+        model,
+        hpo,
+        constraints,
+        // Scoring only: utility mode ranks the same measurements differently.
+        utility_f1: _,
+        seed,
+    } = scenario;
+    let ConstraintSet {
+        // Thresholds shape the distance, never the measurement.
+        min_f1: _,
+        // The search budget, not a measurement input.
+        max_search_time: _,
+        // A distance term (and the pruning that skips measuring) only.
+        max_feature_frac: _,
+        min_eo,
+        min_safety,
+        privacy_epsilon,
+    } = constraints;
+    let ScenarioSettings {
+        // The evaluation budget, not a measurement input.
+        max_evals: _,
+        attack: AttackConfig { max_points, init_trials, seed: attack_seed },
+        // Enters as `train_cap`, the effective row cap of this split.
+        max_train_rows: _,
+        // Bounded (short-circuited) measurements never enter the memo.
+        bound_pruning: _,
+    } = settings;
+
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
         h = (h ^ v).wrapping_mul(0x100_0000_01b3);
     };
-    for b in scenario.model.short_name().bytes() {
+    for b in model.short_name().bytes() {
         mix(b as u64);
     }
-    mix(scenario.hpo as u64);
-    mix(scenario.seed);
-    match scenario.constraints.privacy_epsilon {
+    mix(*hpo as u64);
+    mix(*seed);
+    match privacy_epsilon {
         Some(eps) => {
             mix(1);
             mix(eps.to_bits());
         }
         None => mix(0),
     }
-    mix(scenario.constraints.needs_eo() as u64);
-    mix(scenario.constraints.needs_safety() as u64);
-    let a = &settings.attack;
-    mix(a.max_points as u64);
-    mix(a.init_trials as u64);
-    mix(a.seed);
+    // Which metrics are measured at all, not their thresholds.
+    mix(min_eo.is_some() as u64);
+    mix(min_safety.is_some() as u64);
+    mix(*max_points as u64);
+    mix(*init_trials as u64);
+    mix(*attack_seed);
     mix(train_cap as u64);
-    // Inexact warm-started fits produce different bits; quarantine them
-    // under their own key so exact runs never observe them.
-    mix((settings.warm_start && !settings.warm_exact) as u64);
-    // The tree-split kernel can change DT measurements (on high-cardinality
-    // columns), so the two exactness modes must never share memo entries.
-    // Only DT scenarios fit through the kernel — and the DP tree variant
-    // bypasses it entirely — so other configurations share entries across
-    // modes, which is exactly right.
-    if scenario.model == ModelKind::DecisionTree
-        && scenario.constraints.privacy_epsilon.is_none()
-    {
-        mix(settings.exactness.fingerprint());
-        // Active GOSS subsampling changes the fitted tree, but only the
-        // binned kernels sample: inactive pairs and presorted fits run
-        // the exact path bit-for-bit and share the unsampled entries.
-        if settings.exactness.code_width().is_some() {
-            if let Some((top, rest)) = settings.goss {
-                if top + rest < 1.0 {
-                    mix(0x6055);
-                    mix(top.to_bits());
-                    mix(rest.to_bits());
-                }
-            }
-        }
-    }
     h
 }
 
@@ -227,9 +201,6 @@ pub struct ScenarioContext<'a> {
     /// every memo key, so a context rebuilt with different settings can
     /// never serve a stale entry.
     settings_key: u64,
-    /// Per-subset LR/SVM solutions for warm-started adjacent fits
-    /// (populated only in the inexact warm-start mode).
-    warm_cache: HashMap<Vec<usize>, (Vec<f64>, f64)>,
     exec: Arc<Executor>,
     /// Dataset-level histogram bins for the binned tree kernel, resolved
     /// lazily on the first DT fit (from the artifact cache when attached,
@@ -262,9 +233,9 @@ struct MeasureEnv<'a> {
     train_rows: &'a [usize],
     y_train: &'a [bool],
     exec: &'a Executor,
-    /// Dataset-level bin set for binned DT fits (`None` for other models
-    /// and presorted mode). DP scenarios reuse the same codes through the
-    /// bit-identical [`BinView`] partition path of the DP random tree.
+    /// Dataset-level bin set for DT fits (`None` for other models). DP
+    /// scenarios reuse the same codes through the bit-identical
+    /// [`BinView`] partition path of the DP random tree.
     bins: Option<&'a Arc<BinSet>>,
 }
 
@@ -277,30 +248,27 @@ enum TrainX<'a> {
 }
 
 impl<'a> TrainX<'a> {
-    /// The gathered copy. Only binned tree fits read in place, so every
-    /// other fit has one.
+    /// The gathered copy. Only tree fits read in place, so every other
+    /// fit has one.
     fn gathered(&self) -> &'a Matrix {
         match self {
             TrainX::Gathered(x) => x,
-            TrainX::InPlace(_) => {
-                unreachable!("only binned tree fits read the train split in place")
-            }
+            TrainX::InPlace(_) => unreachable!("only tree fits read the train split in place"),
         }
     }
 }
 
-/// The training features of a fit on `subset`. With `in_place` (binned DT
-/// fits), the train split is read where it lies: the kernel trains from
-/// the bound bin codes and reads raw values only in its `x <= t` fallback,
-/// which compares the same doubles through the column map. Every other fit
-/// (LR/NB/SVM, DP trees, the presorted kernel) gets a fused row-subsample
-/// and column-projection into `buf`, timed under the `gather` span.
+/// The training features of a fit on `subset`. With `in_place` (DT fits
+/// without DP), the train split is read where it lies: the kernel trains
+/// from the bound bin codes and reads raw values only in its `x <= t`
+/// fallback, which compares the same doubles through the column map.
+/// Every other fit (LR/NB/SVM, DP trees) gets a fused row-subsample and
+/// column-projection into `buf`, under the `gather` span.
 fn train_features<'a>(
     env: &MeasureEnv<'a>,
     subset: &'a [usize],
     in_place: bool,
     buf: &'a mut Matrix,
-    perf: &mut EvalPerf,
 ) -> TrainX<'a> {
     let x = &env.split.train.x;
     if in_place {
@@ -308,33 +276,18 @@ fn train_features<'a>(
     }
     obs::heartbeat("eval.gather");
     let _gather_span = obs::span("gather");
-    let gather_start = Instant::now();
     x.select_rows_cols_into(env.train_rows, subset, buf);
-    perf.gather_ns += gather_start.elapsed().as_nanos() as u64;
     TrainX::Gathered(buf)
 }
 
-/// Arms `ws` for one DT fit on `subset`. The bin binding must be refreshed
-/// per fit: the subset changes every call and the binding is sticky. GOSS
-/// samples per node inside the binned kernel only; its seed derives from
-/// `(scenario seed, subset hash)`, so a fit stays a pure function of its
-/// inputs at any thread count and never inherits the previous fit's
-/// sticky GOSS state.
+/// Binds `ws` to the dataset bins for one DT fit on `subset`. The binding
+/// must be refreshed per fit: the subset changes every call and the
+/// binding is sticky.
 fn arm_tree(env: &MeasureEnv<'_>, subset: &[usize], ws: &mut TreeWorkspace) {
-    ws.set_exactness(env.settings.exactness);
     match env.bins {
         Some(b) => ws.bind_bins(b, subset, env.train_rows),
         None => ws.clear_bins(),
     }
-    let goss = match (env.settings.goss, env.scenario.constraints.privacy_epsilon) {
-        (Some((top, rest)), None) => Some(GossConfig::new(
-            top,
-            rest,
-            derive_seed(env.scenario.seed, 0x6055_5EED ^ hash_subset(subset)),
-        )),
-        _ => None,
-    };
-    ws.set_goss(goss);
 }
 
 /// The default-parameter fit of the scenario's model (no HPO, no DP): the
@@ -348,7 +301,7 @@ fn fit_default(
     let spec = ModelSpec::default_for(kind);
     let model = match (x, &spec) {
         (TrainX::InPlace(view), ModelSpec::Dt { max_depth }) => {
-            TrainedModel::Dt(DecisionTree::fit_in(view, y, *max_depth, None, ws))
+            TrainedModel::Dt(DecisionTree::fit_in(view, y, *max_depth, ws))
         }
         _ => spec.fit_ws(x.gathered(), y, ws),
     };
@@ -361,15 +314,12 @@ fn fit_default(
 /// Trains the scenario's model on a subset (train split only). `hpo_val`
 /// carries the validation split, read through the subset's column map,
 /// when (and only when) the fit grid-searches on it — under HPO without
-/// DP. `warm` carries a parent subset's linear-model solution (remapped to
-/// this subset's column order); it only reaches the optimizer in the
-/// opt-in inexact warm-start mode, for LR/SVM default-parameter fits.
+/// DP.
 fn train_subset(
     env: &MeasureEnv<'_>,
     subset: &[usize],
     x_train: &TrainX<'_>,
     hpo_val: Option<(&ColumnView<'_>, &[bool])>,
-    warm: Option<&(Vec<f64>, f64)>,
     tree_ws: &mut TreeWorkspace,
     perf: &mut EvalPerf,
 ) -> TrainedModel {
@@ -401,25 +351,6 @@ fn train_subset(
         };
         return result.model;
     }
-    if let Some((w0, b0)) = warm {
-        // Non-linear models never receive a warm seed (the caller's
-        // eligibility check prevents it).
-        match ModelSpec::default_for(kind) {
-            ModelSpec::Lr { c } => {
-                perf.warm_starts += 1;
-                obs::counter("eval.warm_start", 1);
-                let x = x_train.gathered();
-                return TrainedModel::Lr(LogisticRegression::fit_from(x, env.y_train, c, w0, *b0));
-            }
-            ModelSpec::Svm { c } => {
-                perf.warm_starts += 1;
-                obs::counter("eval.warm_start", 1);
-                let x = x_train.gathered();
-                return TrainedModel::Svm(LinearSvm::fit_from(x, env.y_train, c, w0, *b0));
-            }
-            _ => {}
-        }
-    }
     fit_default(kind, x_train, env.y_train, tree_ws)
 }
 
@@ -431,17 +362,13 @@ struct Measured {
     /// scores a *proven lower bound* on the true objective, not the true
     /// objective itself.
     exact: bool,
-    /// Trained linear-model solution `(weights, bias)`, captured for the
-    /// warm-start cache when the caller asked for it and the model is
-    /// linear. `None` when the fit was skipped.
-    weights: Option<(Vec<f64>, f64)>,
 }
 
 /// Full (train + measure on a given evaluation split) pass for a subset.
 /// Used for both validation (during search) and test (confirmation), from
 /// the serial path and from batch workers alike.
 ///
-/// Gather-free where it can be: binned tree fits read the train split in
+/// Gather-free where it can be: tree fits read the train split in
 /// place (see [`train_features`]; every other fit gathers it into the
 /// caller's scratch), and every model predicts the evaluation split — and
 /// HPO scores the validation split — through the subset's column map.
@@ -468,8 +395,6 @@ fn measure_subset_bounded(
     scratch: &mut Scratch,
     perf: &mut EvalPerf,
     bound: Option<f64>,
-    warm: Option<&(Vec<f64>, f64)>,
-    want_weights: bool,
 ) -> Measured {
     let split = env.split;
     let constraints = &env.scenario.constraints;
@@ -489,32 +414,20 @@ fn measure_subset_bounded(
         if constraints.distance(&optimistic) > b {
             perf.bound_skips += 1;
             obs::counter("eval.bound_skip", 1);
-            return Measured { eval: optimistic, exact: false, weights: None };
+            return Measured { eval: optimistic, exact: false };
         }
     }
 
     let in_place = env.bins.is_some() && !dp;
-    let x_train = train_features(env, subset, in_place, &mut scratch.train, perf);
+    let x_train = train_features(env, subset, in_place, &mut scratch.train);
     // HPO always scores on validation, never on test.
     let x_val = ColumnView::new(&split.val.x, subset);
     let hpo_val = (env.scenario.hpo && !dp).then_some((&x_val, split.val.y.as_slice()));
 
     obs::heartbeat("eval.fit");
     let fit_span = obs::span("fit");
-    let train_start = Instant::now();
-    let model = train_subset(env, subset, &x_train, hpo_val, warm, &mut scratch.tree, perf);
-    perf.train_ns += train_start.elapsed().as_nanos() as u64;
+    let model = train_subset(env, subset, &x_train, hpo_val, &mut scratch.tree, perf);
     drop(fit_span);
-
-    let weights = if want_weights {
-        match &model {
-            TrainedModel::Lr(m) => Some((m.weights().to_vec(), m.bias())),
-            TrainedModel::Svm(m) => Some((m.weights().to_vec(), m.bias())),
-            _ => None,
-        }
-    } else {
-        None
-    };
 
     let part = if eval_on_test { &split.test } else { &split.val };
     let x_eval = ColumnView::new(&part.x, subset);
@@ -541,7 +454,7 @@ fn measure_subset_bounded(
             if constraints.distance(&partial) > b {
                 perf.bound_skips += 1;
                 obs::counter("eval.bound_skip", 1);
-                return Measured { eval: partial, exact: false, weights };
+                return Measured { eval: partial, exact: false };
             }
         }
     }
@@ -549,24 +462,21 @@ fn measure_subset_bounded(
     let safety = constraints.needs_safety().then(|| {
         obs::heartbeat("eval.attack");
         let _attack_span = obs::span("attack");
-        let attack_start = Instant::now();
         let mut cfg = env.settings.attack.clone();
         cfg.seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
         // The attack reads the model's labels of the evaluation rows, not
         // the rows: it starts from the predictions made above.
         let predict = |row: &[f64]| model.predict_one(row);
-        let safety = empirical_safety_with(&predict, &preds, y_eval, subset.len(), &cfg, env.exec);
-        perf.attack_ns += attack_start.elapsed().as_nanos() as u64;
-        safety
+        empirical_safety_with(&predict, &preds, y_eval, subset.len(), &cfg, env.exec)
     });
     let eval =
         Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() };
-    Measured { eval, exact: true, weights }
+    Measured { eval, exact: true }
 }
 
 /// RFE importances of a default-parameter fit on `subset`: the ranking
 /// step is not HPO'd in the reference implementation either, and never
-/// trains the DP variant. Binned trees fit in place; only NB's permutation
+/// trains the DP variant. Trees fit in place; only NB's permutation
 /// importance reads validation data, so only NB gathers it.
 fn importances_of(
     env: &MeasureEnv<'_>,
@@ -575,28 +485,23 @@ fn importances_of(
     perf: &mut EvalPerf,
 ) -> Vec<f64> {
     let kind = env.scenario.model;
-    let x_train = train_features(env, subset, env.bins.is_some(), &mut scratch.train, perf);
-    let train_start = Instant::now();
+    let x_train = train_features(env, subset, env.bins.is_some(), &mut scratch.train);
     if kind == ModelKind::DecisionTree {
         arm_tree(env, subset, &mut scratch.tree);
     }
     let model = fit_default(kind, &x_train, env.y_train, &mut scratch.tree);
-    perf.train_ns += train_start.elapsed().as_nanos() as u64;
     perf.model_fits += 1;
     if let Some(scores) = model.feature_importance() {
         return scores;
     }
-    let gather_start = Instant::now();
     env.split.val.x.select_cols_into(subset, &mut scratch.train);
-    perf.gather_ns += gather_start.elapsed().as_nanos() as u64;
     let seed = derive_seed(env.scenario.seed, 0x1339 ^ hash_subset(subset));
     importance_or_permutation(&model, &scratch.train, &env.split.val.y, seed)
 }
 
-/// [`measure_subset_bounded`] without bound or warm seed: always exact.
-/// This is the batch-worker entry point — batch measurements never carry
-/// bounds (NSGA-II needs every objective) or warm seeds (call-order
-/// dependent).
+/// [`measure_subset_bounded`] without bound: always exact. This is the
+/// batch-worker entry point — batch measurements never carry bounds
+/// (NSGA-II needs every objective).
 fn measure_subset(
     env: &MeasureEnv<'_>,
     subset: &[usize],
@@ -604,7 +509,7 @@ fn measure_subset(
     scratch: &mut Scratch,
     perf: &mut EvalPerf,
 ) -> Evaluation {
-    measure_subset_bounded(env, subset, eval_on_test, scratch, perf, None, None, false).eval
+    measure_subset_bounded(env, subset, eval_on_test, scratch, perf, None).eval
 }
 
 impl<'a> ScenarioContext<'a> {
@@ -632,7 +537,6 @@ impl<'a> ScenarioContext<'a> {
             memo: None,
             split_key: split_fingerprint(split),
             settings_key: settings_fingerprint(scenario, settings, cap),
-            warm_cache: HashMap::new(),
             exec: Arc::new(Executor::sequential()),
             bins: std::sync::OnceLock::new(),
             eval_lat: obs::Histogram::default(),
@@ -692,30 +596,27 @@ impl<'a> ScenarioContext<'a> {
     }
 
     /// The dataset-level bin set, when this context's fits consult bin
-    /// codes at all (DT model with a binned exactness): the histogram
-    /// kernel for plain fits, and the bit-identical code-driven partition
-    /// for DP random trees. Resolved once per context at the exactness
-    /// mode's code width: through the shared artifact cache when attached
-    /// — every arm, row, and server request on the same split then reuses
-    /// one quantization per width — or derived locally otherwise.
+    /// codes at all (DT model): the histogram kernel for plain fits, and
+    /// the bit-identical code-driven partition for DP random trees.
+    /// Resolved once per context: through the shared artifact cache when
+    /// attached — every arm, row, and server request on the same split
+    /// then reuses one quantization — or derived locally otherwise.
     fn dataset_bins(&self) -> Option<&Arc<BinSet>> {
         if self.scenario.model != ModelKind::DecisionTree {
             return None;
         }
-        let width = self.settings.exactness.code_width()?;
         Some(self.bins.get_or_init(|| match &self.artifacts {
             Some(cache) => {
-                let (bins, hit) =
-                    cache.bins(&self.scenario.dataset, self.split_key, width, || {
-                        let _g = obs::span("bins.derive");
-                        BinSet::derive_with(&self.split.train.x, width)
-                    });
+                let (bins, hit) = cache.bins(&self.scenario.dataset, self.split_key, || {
+                    let _g = obs::span("bins.derive");
+                    BinSet::derive(&self.split.train.x)
+                });
                 obs::counter(if hit { "bins.hit" } else { "bins.derive" }, 1);
                 bins
             }
             None => {
                 obs::counter("bins.derive", 1);
-                Arc::new(BinSet::derive_with(&self.split.train.x, width))
+                Arc::new(BinSet::derive(&self.split.train.x))
             }
         }))
     }
@@ -737,7 +638,7 @@ impl<'a> ScenarioContext<'a> {
     /// Serial measurement via [`measure_subset`], reusing the context's
     /// scratch buffers (no steady-state allocation).
     fn measure(&mut self, subset: &[usize], eval_on_test: bool) -> Evaluation {
-        self.measure_full(subset, eval_on_test, None, None, false).eval
+        self.measure_full(subset, eval_on_test, None).eval
     }
 
     /// Runs `f` on the measurement environment with the context's scratch
@@ -756,18 +657,9 @@ impl<'a> ScenarioContext<'a> {
 
     /// Serial measurement via [`measure_subset_bounded`], reusing the
     /// context's scratch buffers (no steady-state allocation).
-    fn measure_full(
-        &mut self,
-        subset: &[usize],
-        eval_on_test: bool,
-        bound: Option<f64>,
-        warm: Option<(Vec<f64>, f64)>,
-        want_weights: bool,
-    ) -> Measured {
-        let warm = warm.as_ref();
+    fn measure_full(&mut self, subset: &[usize], eval_on_test: bool, bound: Option<f64>) -> Measured {
         self.with_scratch(|env, scratch, perf| {
-            let test = eval_on_test;
-            measure_subset_bounded(env, subset, test, scratch, perf, bound, warm, want_weights)
+            measure_subset_bounded(env, subset, eval_on_test, scratch, perf, bound)
         })
     }
 
@@ -793,52 +685,6 @@ impl<'a> ScenarioContext<'a> {
         if let Some(memo) = &self.memo {
             memo.insert(self.memo_key(subset, eval_on_test), eval);
         }
-    }
-
-    /// Whether fits in this context may be genuinely warm-started: only in
-    /// the opt-in inexact mode, for default-parameter (non-HPO, non-DP)
-    /// fits of the linear models.
-    fn warm_eligible(&self) -> bool {
-        self.settings.warm_start
-            && !self.settings.warm_exact
-            && !self.scenario.hpo
-            && self.scenario.constraints.privacy_epsilon.is_none()
-            && matches!(
-                self.scenario.model,
-                ModelKind::LogisticRegression | ModelKind::LinearSvm
-            )
-    }
-
-    /// Finds an adjacent (one feature removed or added) already-fit subset
-    /// in the warm cache and remaps its solution onto `subset`'s column
-    /// order. Sequential strategies move in single-feature steps, so one of
-    /// these probes almost always hits after the first round.
-    fn warm_parent(&self, subset: &[usize]) -> Option<(Vec<f64>, f64)> {
-        let mut probe: Vec<usize> = Vec::with_capacity(subset.len() + 1);
-        // Drop-one parents (forward steps): subset minus each feature.
-        for skip in 0..subset.len() {
-            probe.clear();
-            probe.extend(subset.iter().take(skip).chain(subset.iter().skip(skip + 1)));
-            if let Some((w, b)) = self.warm_cache.get(&probe) {
-                return Some(remap_weights(subset, &probe, w, *b));
-            }
-        }
-        // Add-one parents (backward steps): subset plus each absent
-        // feature, inserted at its sorted position (strategies propose
-        // sorted subsets; an unsorted proposal just misses).
-        for f in 0..self.split.n_features() {
-            if subset.binary_search(&f).is_ok() {
-                continue;
-            }
-            probe.clear();
-            probe.extend_from_slice(subset);
-            let pos = probe.partition_point(|&g| g < f);
-            probe.insert(pos, f);
-            if let Some((w, b)) = self.warm_cache.get(&probe) {
-                return Some(remap_weights(subset, &probe, w, *b));
-            }
-        }
-        None
     }
 
     /// Scores a subset against the constraint set (Eq. 1 / Eq. 2), without
@@ -920,8 +766,7 @@ impl<'a> ScenarioContext<'a> {
     /// The one serial evaluation flow behind `evaluate`,
     /// `evaluate_no_prune`, their `_bounded` variants and `evaluate_multi`:
     /// budget admission → cache → size pruning (`prune` only) → budget
-    /// consumption → shared-memo probe → (possibly bounded, possibly
-    /// warm-started) measurement.
+    /// consumption → shared-memo probe → (possibly bounded) measurement.
     ///
     /// The wall clock gates *everything*, including cache hits and pruned
     /// evaluations — otherwise a strategy whose proposals are all pruned
@@ -996,15 +841,10 @@ impl<'a> ScenarioContext<'a> {
         } else {
             bound
         };
-        let warm_on = self.warm_eligible();
-        let warm = if warm_on { self.warm_parent(subset) } else { None };
         let t0 = Instant::now();
-        let measured = self.measure_full(subset, false, bound, warm, warm_on);
+        let measured = self.measure_full(subset, false, bound);
         self.eval_lat.record(t0.elapsed().as_nanos() as u64);
         let score = self.objective_of(&measured.eval);
-        if let Some(solution) = measured.weights {
-            self.warm_cache.insert(subset.to_vec(), solution);
-        }
         if measured.exact {
             self.memo_insert(subset, false, measured.eval);
         }
@@ -1014,13 +854,6 @@ impl<'a> ScenarioContext<'a> {
         );
         Some((score, measured.eval))
     }
-}
-
-/// Remaps a parent subset's linear solution onto a child subset's column
-/// order; features absent from the parent start at weight zero.
-fn remap_weights(child: &[usize], parent: &[usize], w: &[f64], b: f64) -> (Vec<f64>, f64) {
-    let by_feature: HashMap<usize, f64> = parent.iter().copied().zip(w.iter().copied()).collect();
-    (child.iter().map(|f| by_feature.get(f).copied().unwrap_or(0.0)).collect(), b)
 }
 
 fn hash_subset(subset: &[usize]) -> u64 {
@@ -1250,21 +1083,16 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         let seed = ranking_seed(&self.scenario.dataset, kind);
         match self.artifacts.clone() {
             Some(cache) => {
-                let computed_ns = std::cell::Cell::new(0u64);
                 let (ranking, hit) =
                     cache.ranking(&self.scenario.dataset, self.split_key, kind, || {
                         let _g = obs::span(format!("ranking.compute.{}", kind.name()));
-                        let t0 = Instant::now();
-                        let r = kind.compute(&self.split.train.x, &self.split.train.y, seed);
-                        computed_ns.set(t0.elapsed().as_nanos() as u64);
-                        r
+                        kind.compute(&self.split.train.x, &self.split.train.y, seed)
                     });
                 if hit {
                     self.perf.ranking_hits += 1;
                     obs::counter("ranking.hit", 1);
                 } else {
                     self.perf.ranking_computes += 1;
-                    self.perf.ranking_ns += computed_ns.get();
                     obs::counter("ranking.compute", 1);
                 }
                 (*ranking).clone()
@@ -1273,10 +1101,7 @@ impl SubsetEvaluator for ScenarioContext<'_> {
                 self.perf.ranking_computes += 1;
                 obs::counter("ranking.compute", 1);
                 let _g = obs::span(format!("ranking.compute.{}", kind.name()));
-                let t0 = Instant::now();
-                let r = kind.compute(&self.split.train.x, &self.split.train.y, seed);
-                self.perf.ranking_ns += t0.elapsed().as_nanos() as u64;
-                r
+                kind.compute(&self.split.train.x, &self.split.train.y, seed)
             }
         }
     }
@@ -1322,6 +1147,7 @@ mod tests {
     use dfs_data::split::stratified_three_way;
     use dfs_data::synthetic::{generate, tiny_spec};
     use dfs_metrics::empirical_safety;
+    use dfs_models::tree::fit_presorted;
     use std::time::Duration;
 
     fn setup() -> (dfs_data::Dataset, Split) {
@@ -1502,9 +1328,10 @@ mod tests {
         ctx.confirm_on_test(&[0, 1]);
         assert_eq!(ctx.perf().model_fits, 3);
 
-        // A binned tree gathers nothing at all, with or without HPO: it
-        // trains from the train split in place, and the HPO grid scores
-        // the validation split through the column map too.
+        // A tree trains from the train split in place, with or without HPO,
+        // and the HPO grid scores the validation split through the column
+        // map too (`tests/obs_determinism.rs` checks that no `gather` span
+        // opens).
         let mut sc_dt = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         sc_dt.model = ModelKind::DecisionTree;
         for hpo in [false, true] {
@@ -1513,11 +1340,9 @@ mod tests {
             ctx.evaluate(&[0, 1]).unwrap();
             ctx.confirm_on_test(&[0, 1]);
             assert_eq!(ctx.perf().model_fits, 2);
-            assert_eq!(ctx.perf().gather_ns, 0, "hpo = {hpo}: binned DT must not gather");
         }
 
-        // DP ignores validation data even under HPO; its tree trains from a
-        // gathered copy.
+        // DP ignores validation data even under HPO.
         let mut c_dp = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
         c_dp.privacy_epsilon = Some(10.0);
         let mut sc_dp = scenario(c_dp);
@@ -1527,11 +1352,10 @@ mod tests {
         ctx.evaluate(&[0, 1]).unwrap();
         ctx.confirm_on_test(&[0, 1]);
         assert_eq!(ctx.perf().hpo_grid_points, 0, "DP fits never grid-search");
-        assert!(ctx.perf().gather_ns > 0);
     }
 
     #[test]
-    fn perf_counts_fits_cache_hits_and_timings() {
+    fn perf_counts_fits_and_cache_hits() {
         let (_, split) = setup();
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
@@ -1542,7 +1366,6 @@ mod tests {
         let perf = ctx.perf();
         assert_eq!(perf.model_fits, 2);
         assert_eq!(perf.cache_hits, 1);
-        assert!(perf.gather_ns > 0 && perf.train_ns > 0);
     }
 
     #[test]
@@ -1690,39 +1513,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_inexact_seeds_adjacent_fits() {
-        let (_, split) = setup();
-        let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        let mut settings = ScenarioSettings::fast();
-        settings.warm_start = true;
-        settings.warm_exact = false;
-        let mut ctx = ScenarioContext::new(&sc, &split, &settings);
-        ctx.evaluate(&[0, 1]).unwrap();
-        assert_eq!(ctx.perf().warm_starts, 0, "no parent available yet");
-        ctx.evaluate(&[0, 1, 2]).unwrap();
-        assert_eq!(ctx.perf().warm_starts, 1, "drop-one parent [0,1] should seed");
-        ctx.evaluate(&[1, 2]).unwrap();
-        assert_eq!(ctx.perf().warm_starts, 2, "add-one parent [0,1,2] should seed");
-    }
-
-    #[test]
-    fn exact_warm_mode_is_bit_identical_to_cold() {
-        let (_, split) = setup();
-        let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        let cold_settings = ScenarioSettings::fast();
-        let mut warm_settings = ScenarioSettings::fast();
-        warm_settings.warm_start = true; // warm_exact stays true (default)
-        let mut a = ScenarioContext::new(&sc, &split, &cold_settings);
-        let mut b = ScenarioContext::new(&sc, &split, &warm_settings);
-        for subset in [vec![0, 1], vec![0, 1, 2], vec![1, 2]] {
-            let x = a.evaluate(&subset).unwrap();
-            let y = b.evaluate(&subset).unwrap();
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(b.perf().warm_starts, 0, "exact mode never seeds");
-    }
-
-    #[test]
     fn settings_fingerprint_tracks_measurement_inputs() {
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let s = ScenarioSettings::fast();
@@ -1734,174 +1524,14 @@ mod tests {
         let mut sc2 = sc.clone();
         sc2.seed = 6;
         assert_ne!(settings_fingerprint(&sc, &s, 100), settings_fingerprint(&sc2, &s, 100));
-        // The inexact warm-start mode is fingerprinted apart; the exact
-        // mode shares the cold fingerprint (its bits are identical).
-        let mut inexact = ScenarioSettings::fast();
-        inexact.warm_start = true;
-        inexact.warm_exact = false;
-        assert_ne!(settings_fingerprint(&sc, &s, 100), settings_fingerprint(&sc, &inexact, 100));
-        let mut exact = ScenarioSettings::fast();
-        exact.warm_start = true;
-        assert_eq!(settings_fingerprint(&sc, &s, 100), settings_fingerprint(&sc, &exact, 100));
-    }
-
-    #[test]
-    fn exactness_is_fingerprinted_apart_exactly_when_the_kernel_runs() {
-        let mut binned = ScenarioSettings::fast();
-        binned.exactness = SplitExactness::Binned256;
-        let mut presorted = ScenarioSettings::fast();
-        presorted.exactness = SplitExactness::Presorted;
-
-        // DT without DP fits through the kernel: modes must never share
-        // memo entries.
-        let mut dt = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        dt.model = ModelKind::DecisionTree;
-        assert_ne!(
-            settings_fingerprint(&dt, &binned, 100),
-            settings_fingerprint(&dt, &presorted, 100)
-        );
-        // The DP tree variant bypasses the kernel; LR never touches it.
-        // Those configurations measure identical bits in both modes and
-        // should share entries.
-        let mut dt_dp = dt.clone();
-        dt_dp.constraints.privacy_epsilon = Some(1.0);
-        assert_eq!(
-            settings_fingerprint(&dt_dp, &binned, 100),
-            settings_fingerprint(&dt_dp, &presorted, 100)
-        );
-        let lr = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        assert_eq!(
-            settings_fingerprint(&lr, &binned, 100),
-            settings_fingerprint(&lr, &presorted, 100)
-        );
-    }
-
-    #[test]
-    fn dt_measurements_agree_across_kernels_on_low_cardinality_data() {
-        // The synthetic tiny dataset has < 256 distinct values per column
-        // at the fast() train cap, so the binned and presorted kernels
-        // must measure identical bits — the modes differ only in their
-        // memo keys (previous test), not their measurements here. Also
-        // exercises the cached-bins path end to end.
-        let (ds, split) = setup();
-        let mut sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        sc.model = ModelKind::DecisionTree;
-        let mut presorted = ScenarioSettings::fast();
-        presorted.exactness = SplitExactness::Presorted;
-
-        for exactness in [SplitExactness::Binned256, SplitExactness::Binned4096] {
-            let mut binned = ScenarioSettings::fast();
-            binned.exactness = exactness;
-            let artifacts = Arc::new(ArtifactCache::new());
-            let mut a =
-                ScenarioContext::new(&sc, &split, &binned).with_artifacts(Arc::clone(&artifacts));
-            let mut b = ScenarioContext::new(&sc, &split, &presorted);
-            for subset in [vec![0, 1], vec![0, 2, 4], (0..ds.n_features()).collect::<Vec<_>>()] {
-                let x = a.evaluate(&subset).unwrap();
-                let y = b.evaluate(&subset).unwrap();
-                assert_eq!(x.to_bits(), y.to_bits(), "{exactness:?} subset {subset:?}");
-            }
-            // One derivation, served from the shared cache thereafter.
-            let (computes, _) = artifacts.bin_counts();
-            assert_eq!(computes, 1);
-            // A second binned context on the same split hits the cached bins.
-            let mut c =
-                ScenarioContext::new(&sc, &split, &binned).with_artifacts(Arc::clone(&artifacts));
-            let _ = c.evaluate(&[0, 1]).unwrap();
-            assert_eq!(artifacts.bin_counts(), (1, 1));
-        }
-    }
-
-    #[test]
-    fn dp_tree_measurements_agree_across_kernels() {
-        // The DP random tree partitions from bin codes when the scenario
-        // runs a binned mode — that path must be bit-identical to the raw
-        // compare at both widths, which is what keeps DP scenarios out of
-        // the exactness fingerprint.
-        let (_, split) = setup();
-        let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
-        c.privacy_epsilon = Some(5.0);
-        let mut sc = scenario(c);
-        sc.model = ModelKind::DecisionTree;
-        let mut presorted = ScenarioSettings::fast();
-        presorted.exactness = SplitExactness::Presorted;
-        for exactness in [SplitExactness::Binned256, SplitExactness::Binned4096] {
-            let mut binned = ScenarioSettings::fast();
-            binned.exactness = exactness;
-            let mut a = ScenarioContext::new(&sc, &split, &binned);
-            let mut b = ScenarioContext::new(&sc, &split, &presorted);
-            for subset in [vec![0, 1, 2], vec![1, 3, 5, 7]] {
-                let x = a.evaluate(&subset).unwrap();
-                let y = b.evaluate(&subset).unwrap();
-                assert_eq!(x.to_bits(), y.to_bits(), "{exactness:?} subset {subset:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn goss_is_fingerprinted_apart_exactly_when_it_can_sample() {
-        let mut dt = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        dt.model = ModelKind::DecisionTree;
-        let base = ScenarioSettings::fast();
-        // An active pair changes binned DT measurements: separate entries.
-        let mut active = ScenarioSettings::fast();
-        active.goss = Some((0.2, 0.1));
-        assert_ne!(
-            settings_fingerprint(&dt, &base, 100),
-            settings_fingerprint(&dt, &active, 100)
-        );
-        // An inactive pair keeps every row of every node: same bits, same
-        // entries.
-        let mut inert = ScenarioSettings::fast();
-        inert.goss = Some((0.7, 0.5));
-        assert_eq!(
-            settings_fingerprint(&dt, &base, 100),
-            settings_fingerprint(&dt, &inert, 100)
-        );
-        // The presorted kernel never samples, LR never runs the kernel,
-        // and DP trees bypass it: all share entries across goss settings.
-        let mut presorted = ScenarioSettings::fast();
-        presorted.exactness = SplitExactness::Presorted;
-        let mut presorted_goss = presorted.clone();
-        presorted_goss.goss = Some((0.2, 0.1));
-        assert_eq!(
-            settings_fingerprint(&dt, &presorted, 100),
-            settings_fingerprint(&dt, &presorted_goss, 100)
-        );
-        let lr = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        assert_eq!(
-            settings_fingerprint(&lr, &base, 100),
-            settings_fingerprint(&lr, &active, 100)
-        );
-        let mut dt_dp = dt.clone();
-        dt_dp.constraints.privacy_epsilon = Some(1.0);
-        assert_eq!(
-            settings_fingerprint(&dt_dp, &base, 100),
-            settings_fingerprint(&dt_dp, &active, 100)
-        );
-    }
-
-    #[test]
-    fn goss_scenarios_measure_deterministically() {
-        let (_, split) = setup();
-        let mut sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
-        sc.model = ModelKind::DecisionTree;
-        let mut s = ScenarioSettings::fast();
-        s.goss = Some((0.3, 0.2));
-        let subset = vec![0, 1, 2, 3];
-        let mut a = ScenarioContext::new(&sc, &split, &s);
-        let mut b = ScenarioContext::new(&sc, &split, &s);
-        let x = a.evaluate(&subset).unwrap();
-        let y = b.evaluate(&subset).unwrap();
-        assert_eq!(x.to_bits(), y.to_bits(), "GOSS measurement must be reproducible");
-        assert!(x.is_finite());
     }
 
     /// The gather-then-predict oracle: a measurement as the engine made it
-    /// before it read splits in place. Every fit trains on a gathered
-    /// copy of the train columns, HPO scores a gathered validation matrix,
-    /// and the model predicts a gathered evaluation matrix (Safety
-    /// predicts its own head rows).
+    /// before it read splits in place and before trees were binned. Every
+    /// fit trains on a gathered copy of the train columns — trees through
+    /// the presorted reference, DP trees from raw values (no [`BinView`])
+    /// — HPO scores a gathered validation matrix, and the model predicts a
+    /// gathered evaluation matrix (Safety predicts its own head rows).
     fn measure_gathered(env: &MeasureEnv<'_>, subset: &[usize], on_test: bool) -> Evaluation {
         let (split, c, kind) = (env.split, &env.scenario.constraints, env.scenario.model);
         let x_train = split.train.x.select_rows_cols(env.train_rows, subset);
@@ -1909,23 +1539,38 @@ mod tests {
         let x_eval = part.x.select_cols(subset);
         let x_val = split.val.x.select_cols(subset);
         let all_cols: Vec<usize> = (0..subset.len()).collect();
-        let mut ws = TreeWorkspace::new();
-        if kind == ModelKind::DecisionTree {
-            arm_tree(env, subset, &mut ws);
-        }
+        let presorted = |spec: &ModelSpec| match spec {
+            ModelSpec::Dt { max_depth } => fit_presorted(&x_train, env.y_train, *max_depth),
+            other => unreachable!("not a tree spec: {other:?}"),
+        };
         let spec = ModelSpec::default_for(kind);
         let model = match c.privacy_epsilon {
             Some(eps) => {
                 let seed = derive_seed(env.scenario.seed, hash_subset(subset));
-                let view = env.bins.map(|b| BinView::new(b, subset, env.train_rows));
-                spec.fit_dp_with(&x_train, env.y_train, eps, seed, view)
+                spec.fit_dp_with(&x_train, env.y_train, eps, seed, None)
+            }
+            None if env.scenario.hpo && kind == ModelKind::DecisionTree => {
+                // The depth grid fitted point by point; ties keep the
+                // shallower tree.
+                let mut best: Option<(f64, DecisionTree)> = None;
+                for spec in dfs_models::hpo::grid(kind) {
+                    let tree = presorted(&spec);
+                    let preds: Vec<bool> = x_val.rows_iter().map(|r| tree.predict_one(r)).collect();
+                    let f1 = f1_score(&preds, &split.val.y);
+                    if best.as_ref().is_none_or(|(b, _)| f1 > *b) {
+                        best = Some((f1, tree));
+                    }
+                }
+                TrainedModel::Dt(best.expect("a non-empty depth grid").1)
             }
             None if env.scenario.hpo => {
                 let x_val = ColumnView::new(&x_val, &all_cols);
+                let mut ws = TreeWorkspace::new();
                 grid_search_ws(kind, &x_train, env.y_train, &x_val, &split.val.y, env.exec, &mut ws)
                     .model
             }
-            None => spec.fit_ws(&x_train, env.y_train, &mut ws),
+            None if kind == ModelKind::DecisionTree => TrainedModel::Dt(presorted(&spec)),
+            None => spec.fit(&x_train, env.y_train),
         };
         let preds = model.predict(&x_eval);
         let f1 = f1_score(&preds, &part.y);
@@ -1941,12 +1586,16 @@ mod tests {
 
     #[test]
     fn in_place_measurements_match_the_gathered_oracle() {
+        // Every `tiny` column has far fewer than 256 distinct values at this
+        // row cap, so the binned kernel must measure the presorted tree's
+        // bits, and the DP tree's code-driven partition the raw one's.
         let (ds, split) = setup();
         let d = ds.n_features();
         let mut settings = ScenarioSettings::fast();
         settings.max_train_rows = 100; // a train-row cap below the split height
         assert!(split.train.n_rows() > settings.max_train_rows);
         let subsets = [vec![2], vec![5, 0, 3, 1], (0..d).rev().step_by(2).collect::<Vec<_>>()];
+        let artifacts = Arc::new(ArtifactCache::new());
         for model in [
             ModelKind::LogisticRegression,
             ModelKind::GaussianNb,
@@ -1966,38 +1615,34 @@ mod tests {
                 let mut sc = scenario(c);
                 sc.model = model;
                 sc.hpo = mode == "hpo";
-                let exactness: &[SplitExactness] = if model == ModelKind::DecisionTree {
-                    &[SplitExactness::Binned256, SplitExactness::Presorted]
-                } else {
-                    &[SplitExactness::Binned256]
-                };
-                for &exactness in exactness {
-                    settings.exactness = exactness;
-                    let ctx = ScenarioContext::new(&sc, &split, &settings);
-                    let env = ctx.env();
-                    for subset in &subsets {
-                        for eval_on_test in [false, true] {
-                            let got = measure_subset(
-                                &env,
-                                subset,
-                                eval_on_test,
-                                &mut Scratch::default(),
-                                &mut EvalPerf::default(),
-                            );
-                            let want = measure_gathered(&env, subset, eval_on_test);
-                            let bits = |e: &Evaluation| {
-                                (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits))
-                            };
-                            assert_eq!(
-                                bits(&got),
-                                bits(&want),
-                                "{model:?} {mode} {exactness:?} {subset:?} test={eval_on_test}"
-                            );
-                        }
+                let ctx = ScenarioContext::new(&sc, &split, &settings)
+                    .with_artifacts(Arc::clone(&artifacts));
+                let env = ctx.env();
+                for subset in &subsets {
+                    for eval_on_test in [false, true] {
+                        let got = measure_subset(
+                            &env,
+                            subset,
+                            eval_on_test,
+                            &mut Scratch::default(),
+                            &mut EvalPerf::default(),
+                        );
+                        let want = measure_gathered(&env, subset, eval_on_test);
+                        let bits = |e: &Evaluation| {
+                            (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits))
+                        };
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{model:?} {mode} {subset:?} test={eval_on_test}"
+                        );
                     }
                 }
             }
         }
+        // Only the four DT contexts resolve bins: one derivation on the
+        // shared split, served from the artifact cache thereafter.
+        assert_eq!(artifacts.bin_counts(), (1, 3));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! multi-arm matrix fully sequentially and with a 4-thread budget on both
 //! loops (outer rows and inner hot loops) and asserts every cell is
 //! bit-identical — selections, metrics, statuses and work counters; only
-//! the clock-derived fields (`elapsed`, `gather_ns`, `train_ns`) may
-//! differ.
+//! the clock-derived `elapsed` may differ.
 //!
 //! Budgets are deliberately eval-capped with a generous wall clock:
 //! wall-clock expiry depends on scheduling and would be a legitimate
@@ -21,9 +20,8 @@ use dfs_core::{MlScenario, ScenarioSettings};
 use dfs_data::split::stratified_three_way;
 use dfs_data::synthetic::{generate, tiny_spec};
 use dfs_data::Split;
-use dfs_core::settings_fingerprint;
 use dfs_fs::StrategyId;
-use dfs_models::{ModelKind, SplitExactness};
+use dfs_models::ModelKind;
 use dfs_rankings::RankingKind;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -81,21 +79,16 @@ fn arms() -> Vec<Arm> {
 }
 
 fn run(threads: usize) -> BenchmarkMatrix {
-    run_configured(threads, true, true, false)
+    run_configured(threads, true, true)
 }
 
 /// One matrix run with the evaluation-sharing machinery dialed as given:
 /// `memo` shares an [`dfs_core::EvalMemo`] across cells, `pruning` enables
-/// the cheap-first lower-bound short-circuit, `warm` enables warm starts
-/// in the bit-exact mode (`warm_exact` stays on — the inexact mode trades
-/// bit-identity away and is fingerprinted apart, so it has no place in
-/// this suite).
-fn run_configured(threads: usize, memo: bool, pruning: bool, warm: bool) -> BenchmarkMatrix {
+/// the cheap-first lower-bound short-circuit.
+fn run_configured(threads: usize, memo: bool, pruning: bool) -> BenchmarkMatrix {
     let mut settings = ScenarioSettings::fast();
     settings.max_evals = 16; // the eval cap binds, never the wall clock
     settings.bound_pruning = pruning;
-    settings.warm_start = warm;
-    settings.warm_exact = true;
     let opts = RunnerOptions {
         threads,
         inner_threads: threads,
@@ -151,13 +144,8 @@ fn four_thread_matrix_is_bit_identical_to_sequential() {
                 "{at}: test distance"
             );
             assert_eq!(s.test_f1.to_bits(), p.test_f1.to_bits(), "{at}: test F1");
-            // Work counters must match exactly once the clock-derived
-            // nanosecond timers are zeroed out.
-            assert_eq!(
-                s.perf.without_timings(),
-                p.perf.without_timings(),
-                "{at}: perf counters"
-            );
+            // Work counters are exact counts: they must match too.
+            assert_eq!(s.perf, p.perf, "{at}: perf counters");
         }
     }
     // Sanity: the matrix did real work (otherwise the comparison is vacuous).
@@ -167,26 +155,21 @@ fn four_thread_matrix_is_bit_identical_to_sequential() {
 }
 
 /// The memoization/pruning soundness contract of DESIGN.md § 4h: turning
-/// on the shared evaluation memo, the cheap-first bound short-circuit, or
-/// bit-exact warm starts — in any combination, at any thread count — must
-/// leave every observable of the matrix bit-identical to the naive run
-/// that measures everything exactly, every time.
+/// on the shared evaluation memo or the cheap-first bound short-circuit —
+/// in any combination, at any thread count — must leave every observable
+/// of the matrix bit-identical to the naive run that measures everything
+/// exactly, every time.
 #[test]
-fn memoized_pruned_and_warm_runs_match_the_naive_matrix() {
-    let naive = run_configured(1, false, false, false);
+fn memoized_and_pruned_runs_match_the_naive_matrix() {
+    let naive = run_configured(1, false, false);
     assert!(
         naive.results.iter().flatten().any(|c| c.evaluations > 1),
         "naive reference did no work"
     );
-    let configs = [
-        (true, false, false, "memo"),
-        (false, true, false, "pruning"),
-        (true, true, false, "memo+pruning"),
-        (true, true, true, "memo+pruning+warm-exact"),
-    ];
+    let configs = [(true, false, "memo"), (false, true, "pruning"), (true, true, "memo+pruning")];
     for threads in [1, 4] {
-        for (memo, pruning, warm, name) in configs {
-            let m = run_configured(threads, memo, pruning, warm);
+        for (memo, pruning, name) in configs {
+            let m = run_configured(threads, memo, pruning);
             assert_observably_identical(&naive, &m, &format!("{name} @{threads}t"));
             let perf = m.total_perf();
             if memo {
@@ -201,75 +184,5 @@ fn memoized_pruned_and_warm_runs_match_the_naive_matrix() {
     }
     // The naive run itself reports no sharing, by construction.
     let np = naive.total_perf();
-    assert_eq!((np.memo_hits, np.bound_skips, np.warm_starts), (0, 0, 0));
-}
-
-/// One matrix run with the tree kernel pinned to the given exactness mode
-/// (memo and pruning on — the production configuration).
-fn run_with_exactness(threads: usize, exactness: SplitExactness) -> BenchmarkMatrix {
-    let mut settings = ScenarioSettings::fast();
-    settings.max_evals = 16;
-    settings.exactness = exactness;
-    let opts = RunnerOptions {
-        threads,
-        inner_threads: threads,
-        share_eval_memo: true,
-        ..RunnerOptions::default()
-    };
-    run_benchmark_opts(&splits(), scenarios(), &arms(), &settings, &opts)
-}
-
-/// Thread-count invariance of the presorted (bit-exact reference) kernel.
-/// The histogram-binned default is covered by the main 1-vs-4-thread test
-/// above; this pins the opt-in mode to the same contract.
-#[test]
-fn presorted_mode_is_thread_count_invariant() {
-    let seq = run_with_exactness(1, SplitExactness::Presorted);
-    let par = run_with_exactness(4, SplitExactness::Presorted);
-    assert_observably_identical(&seq, &par, "presorted 1t vs 4t");
-    assert!(
-        seq.results.iter().flatten().any(|c| c.evaluations > 1),
-        "presorted matrix did no work"
-    );
-}
-
-/// Cross-kernel agreement on a low-cardinality corpus, plus cache-key
-/// separation. Every `tiny` column has far fewer than 256 distinct values
-/// and scenario fits are unweighted, so the binned kernel is bit-exact
-/// there: the whole matrix must agree with the presorted run even though
-/// the two modes carry different settings fingerprints and therefore never
-/// share evaluation-memo or result-cache entries.
-#[test]
-fn exactness_modes_agree_on_tiny_but_never_share_cache_keys() {
-    let binned = run_with_exactness(1, SplitExactness::Binned256);
-    let presorted = run_with_exactness(1, SplitExactness::Presorted);
-    assert_observably_identical(&binned, &presorted, "binned vs presorted on tiny");
-    assert!(
-        binned.results.iter().flatten().any(|c| c.evaluations > 1),
-        "binned matrix did no work"
-    );
-
-    // The DT scenario runs the kernel, so its settings fingerprint must
-    // split the modes apart; the LR scenario never touches the tree
-    // kernel, so its fingerprint must not.
-    let mut s_binned = ScenarioSettings::fast();
-    s_binned.max_evals = 16;
-    let mut s_presorted = s_binned.clone();
-    s_binned.exactness = SplitExactness::Binned256;
-    s_presorted.exactness = SplitExactness::Presorted;
-    let scenarios = scenarios();
-    let dt = &scenarios[0];
-    let lr = &scenarios[1];
-    let cap = s_binned.max_train_rows;
-    assert_eq!(dt.model, ModelKind::DecisionTree);
-    assert_ne!(
-        settings_fingerprint(dt, &s_binned, cap),
-        settings_fingerprint(dt, &s_presorted, cap),
-        "DT cache keys must separate exactness modes"
-    );
-    assert_eq!(
-        settings_fingerprint(lr, &s_binned, cap),
-        settings_fingerprint(lr, &s_presorted, cap),
-        "non-tree models share cache entries across modes"
-    );
+    assert_eq!((np.memo_hits, np.bound_skips), (0, 0));
 }

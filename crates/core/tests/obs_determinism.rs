@@ -230,6 +230,48 @@ fn batch_worker_spans_nest_inside_eval_measure() {
     assert!(absorbed[0] > 0 && absorbed[1] > 0, "no absorbed gather/fit spans: {absorbed:?}");
 }
 
+#[test]
+fn trees_gather_nothing_and_dp_trees_gather_their_train_columns() {
+    // A tree trains from the train split in place, with or without HPO,
+    // and every prediction (the HPO grid's included) reads its split
+    // through the column map, so a DT matrix opens no `gather` span. The
+    // DP tree trains on a gathered copy of its train columns.
+    let gathers = |constraints: ConstraintSet, hpo: bool| {
+        obs::set_trace_enabled(true);
+        let observer = obs::RunObserver::new("obs-gather");
+        let scenario = MlScenario {
+            dataset: "tiny".into(),
+            model: ModelKind::DecisionTree,
+            hpo,
+            constraints,
+            utility_f1: false,
+            seed: 44,
+        };
+        let mut settings = ScenarioSettings::fast();
+        settings.max_evals = 8;
+        let opts = RunnerOptions { observer: Some(&observer), ..RunnerOptions::default() };
+        let arms = vec![Arm::Original, Arm::Strategy(StrategyId::Sfs)];
+        let m = run_benchmark_opts(&splits(), vec![scenario], &arms, &settings, &opts);
+        assert!(m.total_perf().model_fits > 0, "hpo = {hpo}: the matrix fit nothing");
+        let journal = observer.journal(true);
+        let enters = |name: &str| {
+            journal
+                .lines()
+                .filter(|l| field(l, "e") == Some("enter") && field(l, "n") == Some(name))
+                .count()
+        };
+        assert!(enters("fit") > 0, "hpo = {hpo}: no fit spans traced");
+        enters("gather")
+    };
+    let plain = ConstraintSet::accuracy_only(0.55, Duration::from_secs(120));
+    for hpo in [false, true] {
+        assert_eq!(gathers(plain.clone(), hpo), 0, "hpo = {hpo}: a tree fit gathered");
+    }
+    let mut dp = plain;
+    dp.privacy_epsilon = Some(10.0);
+    assert!(gathers(dp, true) > 0, "the DP tree must gather its train columns");
+}
+
 /// The string value of `"key":"…"` in one journal line.
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let start = line.find(&format!("\"{key}\":\""))? + key.len() + 4;

@@ -318,10 +318,6 @@ struct BatchRun {
     cpu_util: f64,
     /// Dataset rows the child run saw (scale provenance).
     rows: u64,
-    /// Tree-kernel histogram code width in bits (8/16; 0 = presorted).
-    code_width: u64,
-    /// GOSS kept fraction (1.0 = no subsampling).
-    goss_kept_frac: f64,
 }
 
 /// Runs the whole harness: batch matrix sweep, server storms, summary
@@ -340,7 +336,7 @@ pub fn run_harness(cfg: &mut HarnessConfig) -> Result<HarnessReport, HarnessErro
             let mut eval_lat = Histogram::default();
             let mut peak_rss = 0u64;
             let mut cpu_utils: Vec<f64> = Vec::new();
-            let mut cell_meta: Option<(bool, u64, u64, u64, u64, f64)> = None;
+            let mut cell_meta: Option<(bool, u64, u64, u64)> = None;
             for rep in 0..cfg.repeats {
                 let run = run_batch_cell(cfg, cell, threads, rep)?;
                 let tag = format!("{} threads={threads} rep={rep}", cell.label());
@@ -359,17 +355,9 @@ pub fn run_harness(cfg: &mut HarnessConfig) -> Result<HarnessReport, HarnessErro
                 eval_lat.merge(&run.eval_lat);
                 peak_rss = peak_rss.max(run.peak_rss_bytes);
                 cpu_utils.push(run.cpu_util);
-                cell_meta = Some((
-                    run.success,
-                    run.evaluations,
-                    run.subset_len,
-                    run.rows,
-                    run.code_width,
-                    run.goss_kept_frac,
-                ));
+                cell_meta = Some((run.success, run.evaluations, run.subset_len, run.rows));
             }
-            let (success, evaluations, subset_len, rows, code_width, goss_kept_frac) =
-                cell_meta.unwrap_or((false, 0, 0, 0, 0, 1.0));
+            let (success, evaluations, subset_len, rows) = cell_meta.unwrap_or((false, 0, 0, 0));
             let cpu_util = if cpu_utils.is_empty() {
                 0.0
             } else {
@@ -387,8 +375,6 @@ pub fn run_harness(cfg: &mut HarnessConfig) -> Result<HarnessReport, HarnessErro
                 ("evaluations".into(), Json::Num(evaluations as f64)),
                 ("subset_len".into(), Json::Num(subset_len as f64)),
                 ("rows".into(), Json::Num(rows as f64)),
-                ("code_width".into(), Json::Num(code_width as f64)),
-                ("goss_kept_frac".into(), Json::Num(goss_kept_frac)),
             ]));
         }
     }
@@ -529,11 +515,9 @@ fn reduce_batch_run(
     let evaluations = field_u64("evaluations")?;
     let subset_len = field_u64("subset_len")?;
     let wall_ms = summary.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-    // Scale/kernel provenance fields, lenient for summaries from older
-    // child binaries: rows/code_width default to 0, kept fraction to 1.
+    // Scale provenance, lenient for summaries from older child binaries:
+    // rows default to 0.
     let rows = summary.get("rows").and_then(Json::as_u64).unwrap_or(0);
-    let code_width = summary.get("code_width").and_then(Json::as_u64).unwrap_or(0);
-    let goss_kept_frac = summary.get("goss_kept_frac").and_then(Json::as_f64).unwrap_or(1.0);
     let strategy =
         summary.get("strategy").and_then(Json::as_str).unwrap_or_default().to_string();
     let eval_lat_sparse =
@@ -577,8 +561,6 @@ fn reduce_batch_run(
         peak_rss_bytes: report.resources.peak_rss_bytes,
         cpu_util: report.resources.cpu_util(report.wall),
         rows,
-        code_width,
-        goss_kept_frac,
     })
 }
 
@@ -651,7 +633,7 @@ mod tests {
             let summary = Json::parse(&format!(
                 "{{\"success\":true,\"evaluations\":40,\"subset_len\":2,\"strategy\":\"sfs\",\
                  \"wall_ms\":{wall_ms},\"eval_lat_hist\":\"{hist}\",\
-                 \"rows\":200,\"code_width\":8,\"goss_kept_frac\":0.2}}"
+                 \"rows\":200}}"
             ))
             .expect("parses");
             reduce_batch_run("unit", &report, &summary, Default::default()).expect("reduces")
@@ -663,10 +645,8 @@ mod tests {
         // Different eval count → different fingerprint.
         let c = mk(100, "3;3000000;21:3");
         assert_ne!(a.fingerprint, c.fingerprint);
-        // Scale/kernel provenance rides along verbatim.
+        // Scale provenance rides along verbatim.
         assert_eq!(a.rows, 200);
-        assert_eq!(a.code_width, 8);
-        assert!((a.goss_kept_frac - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -686,8 +666,6 @@ mod tests {
         let run =
             reduce_batch_run("unit", &report, &summary, Default::default()).expect("reduces");
         assert_eq!(run.rows, 0);
-        assert_eq!(run.code_width, 0);
-        assert!((run.goss_kept_frac - 1.0).abs() < 1e-12);
     }
 
     #[test]

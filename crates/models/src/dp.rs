@@ -189,10 +189,10 @@ impl<'a> BinView<'a> {
 }
 
 /// [`dp_decision_tree`] driven by pre-derived bin codes: per drawn threshold,
-/// bins wholly below/above the threshold are classified from their u8/u16
+/// bins wholly below/above the threshold are classified from their `u8`
 /// code alone and only the (at most one) straddling bin consults the raw
 /// feature value. The partition — and therefore the tree — is bit-identical
-/// to the raw path, so DP scenarios stay out of the exactness fingerprint.
+/// to the raw path.
 pub fn dp_decision_tree_binned(
     x: &Matrix,
     y: &[bool],
@@ -221,7 +221,7 @@ fn dp_tree_impl(
     let mut rng = Rng::seed_from_u64(seed);
     let mut nodes: Vec<Node> = Vec::new();
     // Segment-based recursion over one shared row array (stably partitioned
-    // in place, like the presorted CART kernel) — no per-node index Vecs.
+    // in place, like the CART builders) — no per-node index Vecs.
     let mut rows: Vec<usize> = (0..n).collect();
     let mut scratch: Vec<usize> = Vec::new();
     build_random(
@@ -288,7 +288,7 @@ fn build_random(
             let bl = fb.hi().partition_point(|&h| h <= threshold) as u16;
             let br = fb.lo().partition_point(|&l| l <= threshold) as u16;
             dfs_linalg::sort::stable_partition_in_place(&mut rows[lo..hi], scratch, |&i| {
-                let c = v.bins.code_at(src_col, v.rows[i]);
+                let c = v.bins.code_at(src_col, v.rows[i]) as u16;
                 c < bl || (c < br && x[(i, feature)] <= threshold)
             })
         }
@@ -438,7 +438,6 @@ mod tests {
 
     #[test]
     fn binned_dp_tree_is_bit_identical_to_the_raw_path() {
-        use crate::tree::CodeWidth;
         // Source matrix wider and taller than the fit view, with ~997
         // distinct values per column so u8 codes must quantize (straddling
         // bins exercise the raw-value fallback of the binned predicate).
@@ -453,14 +452,12 @@ mod tests {
         let cols = vec![4usize, 0, 2];
         let x = src.select_rows(&fit_rows).select_cols(&cols);
         let y: Vec<bool> = fit_rows.iter().map(|&i| y_src[i]).collect();
-        for width in [CodeWidth::U8, CodeWidth::U16] {
-            let bins = BinSet::derive_with(&src, width);
-            let view = BinView::new(&bins, &cols, &fit_rows);
-            for seed in [0u64, 3, 11, 42] {
-                let raw = dp_decision_tree(&x, &y, 6, 50.0, seed);
-                let binned = dp_decision_tree_binned(&x, &y, 6, 50.0, seed, view);
-                assert_eq!(raw, binned, "width {width:?} seed {seed}");
-            }
+        let bins = BinSet::derive(&src);
+        let view = BinView::new(&bins, &cols, &fit_rows);
+        for seed in [0u64, 3, 11, 42] {
+            let raw = dp_decision_tree(&x, &y, 6, 50.0, seed);
+            let binned = dp_decision_tree_binned(&x, &y, 6, 50.0, seed, view);
+            assert_eq!(raw, binned, "seed {seed}");
         }
     }
 

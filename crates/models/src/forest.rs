@@ -7,7 +7,7 @@
 //! with-replacement samples from each class) with per-tree random feature
 //! subspaces (√d features, the usual default).
 
-use crate::tree::{BinSet, DecisionTree, FitStats, SplitExactness, TreeWorkspace};
+use crate::tree::{BinSet, DecisionTree, FitStats, TreeWorkspace};
 use dfs_exec::Executor;
 use dfs_linalg::rng::{derive_seed, sample_without_replacement, Rng};
 use dfs_linalg::Matrix;
@@ -24,11 +24,6 @@ pub struct ForestConfig {
     pub balanced: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Split kernel of the member trees. Under the binned kernels
-    /// (`Binned256`/`Binned4096`) the forest quantizes the dataset **once**
-    /// at the kernel's code width and every tree fits from bound bin codes,
-    /// skipping per-tree threshold re-derivation.
-    pub exactness: SplitExactness,
 }
 
 impl Default for ForestConfig {
@@ -38,7 +33,6 @@ impl Default for ForestConfig {
             max_depth: 8,
             balanced: true,
             seed: 0,
-            exactness: SplitExactness::default(),
         }
     }
 }
@@ -51,7 +45,7 @@ pub struct RandomForest {
 }
 
 /// Per-tree fit scratch: the fused-gather output, the gathered labels, and
-/// the presorted kernel's workspace. Pooled across trees (and threads) so
+/// the tree kernel's workspace. Pooled across trees (and threads) so
 /// a 50-tree fit performs a handful of buffer allocations instead of 50.
 #[derive(Default)]
 struct TreeScratch {
@@ -88,10 +82,7 @@ impl RandomForest {
         // One quantization for the whole forest: every tree's bootstrap is a
         // row/column selection of the same matrix, so trees gather codes
         // from the shared BinSet instead of re-deriving thresholds.
-        let bins = cfg
-            .exactness
-            .code_width()
-            .map(|width| Arc::new(BinSet::derive_with(x, width)));
+        let bins = Arc::new(BinSet::derive(x));
 
         let tree_ids: Vec<usize> = (0..cfg.n_trees).collect();
         // Scratch pool shared across tree slots: a worker pops a buffer set
@@ -117,13 +108,8 @@ impl RandomForest {
             x.select_rows_cols_into(&sample, &features, &mut scratch.xs);
             scratch.ys.clear();
             scratch.ys.extend(sample.iter().map(|&i| y[i]));
-            scratch.ws.set_exactness(cfg.exactness);
-            match &bins {
-                Some(b) => scratch.ws.bind_bins(b, &features, &sample),
-                None => scratch.ws.clear_bins(),
-            }
-            let tree =
-                DecisionTree::fit_in(&scratch.xs, &scratch.ys, cfg.max_depth, None, &mut scratch.ws);
+            scratch.ws.bind_bins(&bins, &features, &sample);
+            let tree = DecisionTree::fit_in(&scratch.xs, &scratch.ys, cfg.max_depth, &mut scratch.ws);
             let stats = scratch.ws.last_stats();
             if let Ok(mut p) = pool.lock() {
                 p.push(scratch);
@@ -288,32 +274,6 @@ mod tests {
         for (i, row) in x.rows_iter().enumerate() {
             assert_eq!(batch[i].to_bits(), f.proba_one(row).to_bits());
             assert_eq!(preds[i], f.predict_one(row));
-        }
-    }
-
-    #[test]
-    fn binned_forest_matches_presorted_on_low_cardinality_data() {
-        // ring_problem columns have 200 distinct values (< 256) and trees
-        // fit with unit weights, so the shared-BinSet path must reproduce
-        // the presorted forest bit for bit — at either code width.
-        let (x, y) = ring_problem();
-        let presorted = ForestConfig {
-            n_trees: 10,
-            seed: 7,
-            exactness: SplitExactness::Presorted,
-            ..Default::default()
-        };
-        let fp = RandomForest::fit(&x, &y, &presorted);
-        for mode in [SplitExactness::Binned256, SplitExactness::Binned4096] {
-            let binned = ForestConfig { exactness: mode, ..presorted.clone() };
-            let fb = RandomForest::fit(&x, &y, &binned);
-            for row in x.rows_iter() {
-                assert_eq!(
-                    fb.proba_one(row).to_bits(),
-                    fp.proba_one(row).to_bits(),
-                    "mode {mode:?}"
-                );
-            }
         }
     }
 

@@ -158,7 +158,7 @@ pub fn dt_grid_search_ws<X: Cells>(
         })
         .collect();
     let deepest = depths.iter().copied().max().unwrap_or(1);
-    let deep = DecisionTree::fit_deep_in(x_train, y_train, deepest, None, ws);
+    let deep = DecisionTree::fit_deep_in(x_train, y_train, deepest, ws);
     deep.stats().record();
     // labels[c - 1] holds the depth-c tree's predictions.
     let mut labels = vec![Vec::with_capacity(x_val.nrows()); deepest];

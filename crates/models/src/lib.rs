@@ -44,7 +44,7 @@ pub mod tree;
 use dfs_linalg::{ColumnView, FeatureRow, Matrix};
 
 pub use dp::BinView;
-pub use tree::{BinSet, CodeWidth, GossConfig, SplitExactness, MAX_BINS, MAX_BINS_WIDE};
+pub use tree::{BinSet, MAX_BINS};
 
 /// The model families of the study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,14 +145,14 @@ impl ModelSpec {
 
     /// [`ModelSpec::fit`] with decision-tree fits routed through a
     /// caller-owned [`tree::TreeWorkspace`] (repeated fits reuse the
-    /// presorted kernel's scratch). Other model families ignore the
+    /// binned kernel's scratch). Other model families ignore the
     /// workspace.
     pub fn fit_ws(&self, x: &Matrix, y: &[bool], ws: &mut tree::TreeWorkspace) -> TrainedModel {
         match self {
             ModelSpec::Dt { max_depth } => {
                 assert_eq!(x.nrows(), y.len(), "fit: row/label mismatch");
                 assert!(!y.is_empty(), "fit: empty training set");
-                TrainedModel::Dt(tree::DecisionTree::fit_in(x, y, *max_depth, None, ws))
+                TrainedModel::Dt(tree::DecisionTree::fit_in(x, y, *max_depth, ws))
             }
             other => other.fit(x, y),
         }

@@ -24,22 +24,12 @@ impl LogisticRegression {
     /// Fits the model with inverse regularization strength `c`, starting
     /// from the zero solution.
     pub fn fit(x: &Matrix, y: &[bool], c: f64) -> Self {
-        let d = x.ncols();
-        Self::fit_from(x, y, c, &vec![0.0; d], 0.0)
-    }
-
-    /// Fits from an explicit initial solution (warm start): the descent
-    /// begins at `(init_w, init_b)` instead of zeros. With the zero
-    /// initializer this is exactly [`LogisticRegression::fit`] — same
-    /// epochs, same step-size schedule, bit-identical result.
-    pub fn fit_from(x: &Matrix, y: &[bool], c: f64, init_w: &[f64], init_b: f64) -> Self {
         assert!(c > 0.0, "LogisticRegression: C must be positive");
         let (n, d) = x.shape();
         assert_eq!(n, y.len(), "LogisticRegression: row/label mismatch");
-        assert_eq!(d, init_w.len(), "LogisticRegression: init weight width mismatch");
         let lambda = 1.0 / (c * n.max(1) as f64); // per-instance penalty
-        let mut w = init_w.to_vec();
-        let mut b = init_b;
+        let mut w = vec![0.0; d];
+        let mut b = 0.0;
         let mut lr = INIT_LR;
         let mut prev_loss = f64::INFINITY;
 
@@ -188,24 +178,5 @@ mod tests {
         let a = LogisticRegression::fit(&x, &y, 1.0);
         let b = LogisticRegression::fit(&x, &y, 1.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fit_from_zero_matches_cold_fit_bit_for_bit() {
-        let (x, y) = linear_problem(120);
-        let cold = LogisticRegression::fit(&x, &y, 1.0);
-        let warm_zero = LogisticRegression::fit_from(&x, &y, 1.0, &[0.0, 0.0], 0.0);
-        assert_eq!(cold, warm_zero);
-    }
-
-    #[test]
-    fn warm_start_from_a_solution_still_classifies_well() {
-        let (x, y) = linear_problem(200);
-        let parent = LogisticRegression::fit(&x, &y, 1.0);
-        let warm =
-            LogisticRegression::fit_from(&x, &y, 1.0, parent.weights(), parent.bias());
-        let preds: Vec<bool> = x.rows_iter().map(|r| warm.predict_one(r)).collect();
-        let acc = preds.iter().zip(&y).filter(|(p, a)| p == a).count() as f64 / y.len() as f64;
-        assert!(acc > 0.9, "warm-started accuracy {acc}");
     }
 }

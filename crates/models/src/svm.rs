@@ -20,25 +20,15 @@ impl LinearSvm {
     /// Fits with inverse regularization strength `c`, starting from the
     /// zero solution.
     pub fn fit(x: &Matrix, y: &[bool], c: f64) -> Self {
-        let d = x.ncols();
-        Self::fit_from(x, y, c, &vec![0.0; d], 0.0)
-    }
-
-    /// Fits from an explicit initial solution (warm start): the Pegasos
-    /// passes begin at `(init_w, init_b)` instead of zeros. With the zero
-    /// initializer this is exactly [`LinearSvm::fit`] — same epochs, same
-    /// step schedule, bit-identical result.
-    pub fn fit_from(x: &Matrix, y: &[bool], c: f64, init_w: &[f64], init_b: f64) -> Self {
         assert!(c > 0.0, "LinearSvm: C must be positive");
         let (n, d) = x.shape();
         assert_eq!(n, y.len(), "LinearSvm: row/label mismatch");
         assert!(n > 0, "LinearSvm: empty training set");
-        assert_eq!(d, init_w.len(), "LinearSvm: init weight width mismatch");
         let lambda = 1.0 / (c * n as f64);
         let targets: Vec<f64> = y.iter().map(|&t| if t { 1.0 } else { -1.0 }).collect();
 
-        let mut w = init_w.to_vec();
-        let mut b = init_b;
+        let mut w = vec![0.0; d];
+        let mut b = 0.0;
         let mut t = 1usize;
         // Deterministic cyclic pass order (Pegasos uses random sampling; the
         // cyclic variant converges equivalently for our scale and keeps the
@@ -165,26 +155,5 @@ mod tests {
     fn deterministic_fit() {
         let (x, y) = margin_problem();
         assert_eq!(LinearSvm::fit(&x, &y, 1.0), LinearSvm::fit(&x, &y, 1.0));
-    }
-
-    #[test]
-    fn fit_from_zero_matches_cold_fit_bit_for_bit() {
-        let (x, y) = margin_problem();
-        let cold = LinearSvm::fit(&x, &y, 1.0);
-        let warm_zero = LinearSvm::fit_from(&x, &y, 1.0, &[0.0, 0.0], 0.0);
-        assert_eq!(cold, warm_zero);
-    }
-
-    #[test]
-    fn warm_start_from_a_solution_still_classifies_well() {
-        let (x, y) = margin_problem();
-        let parent = LinearSvm::fit(&x, &y, 10.0);
-        let warm = LinearSvm::fit_from(&x, &y, 10.0, parent.weights(), parent.bias());
-        let correct = x
-            .rows_iter()
-            .zip(&y)
-            .filter(|(row, &label)| warm.predict_one(row) == label)
-            .count();
-        assert!(correct >= 90, "warm-started correct = {correct}");
     }
 }

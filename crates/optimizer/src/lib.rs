@@ -42,13 +42,7 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         Self {
-            forest: ForestConfig {
-                n_trees: 40,
-                max_depth: 6,
-                balanced: true,
-                seed: 17,
-                ..ForestConfig::default()
-            },
+            forest: ForestConfig { n_trees: 40, max_depth: 6, balanced: true, seed: 17 },
             featurizer: FeaturizerConfig::default(),
         }
     }

@@ -46,8 +46,6 @@ struct CliArgs {
     hpo: bool,
     seed: u64,
     summary_json: bool,
-    exactness: SplitExactness,
-    goss: Option<(f64, f64)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,8 +73,6 @@ impl Default for CliArgs {
             hpo: true,
             seed: 42,
             summary_json: false,
-            exactness: SplitExactness::default(),
-            goss: None,
         }
     }
 }
@@ -112,13 +108,6 @@ OPTIONS:
     --max-evals <n>          cap wrapper evaluations (deterministic runs for
                              thread sweeps; default: settings default)
     --rows <n>               cap synthetic dataset rows (faster runs)
-    --exactness <mode>       decision-tree split kernel: binned256 (default,
-                             exact u8 histograms), binned4096 (u16 wide bins
-                             for large corpora), presorted (exact reference)
-    --goss <top,rest>        GOSS per-node subsampling for the binned tree
-                             kernels: keep the top fraction by gradient proxy,
-                             sample the rest fraction (e.g. 0.1,0.1); inert
-                             unless top+rest < 1 and the kernel is binned
     --no-hpo                 skip per-evaluation hyperparameter search
     --seed <n>               RNG seed                   [default: 42]
     --summary-json           print a final single-line JSON run summary
@@ -265,23 +254,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 out.seed =
                     value(&mut it, "--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
             }
-            "--exactness" => {
-                let v = value(&mut it, "--exactness")?;
-                out.exactness = SplitExactness::parse(&v).ok_or_else(|| {
-                    format!("--exactness: unknown mode '{v}' (binned256|binned4096|presorted)")
-                })?
-            }
-            "--goss" => {
-                let v = value(&mut it, "--goss")?;
-                let (top, rest) = v
-                    .split_once(',')
-                    .ok_or_else(|| format!("--goss: expected '<top>,<rest>', got '{v}'"))?;
-                let pair = (parse_num(top.trim())?, parse_num(rest.trim())?);
-                if !(pair.0 >= 0.0 && pair.1 >= 0.0) {
-                    return Err(format!("--goss: fractions must be non-negative, got '{v}'"));
-                }
-                out.goss = Some(pair);
-            }
             "--no-hpo" => out.hpo = false,
             "--summary-json" => out.summary_json = true,
             other => return Err(format!("unknown flag '{other}' (try --help)")),
@@ -382,8 +354,6 @@ fn main() -> ExitCode {
         // assert bit-identity across thread sweeps.
         settings.max_evals = cap;
     }
-    settings.exactness = args.exactness;
-    settings.goss = args.goss;
 
     eprintln!(
         "dataset '{}': {} rows, {} features; model {}; budget {} ms",
@@ -461,36 +431,19 @@ fn main() -> ExitCode {
     if args.summary_json {
         // WIND-style run summary: the final stdout line, one JSON object,
         // so process-based harnesses can `tail -1 | parse`.
-        let shape = SummaryShape {
-            rows: dataset.n_rows(),
-            code_width: args.exactness.code_width().map_or(0, |w| w.bits()),
-            goss_kept_frac: match args.goss {
-                Some((top, rest)) if top + rest < 1.0 => top + rest,
-                _ => 1.0,
-            },
-        };
+        let rows = dataset.n_rows();
         println!(
             "{}",
             run_summary(
-                1, 0, success, &label, evaluations, subset_len, wall, &perf, &eval_lat, &shape
+                1, 0, success, &label, evaluations, subset_len, wall, &perf, &eval_lat, rows
             )
         );
     }
     code
 }
 
-/// Scale/kernel provenance carried into the run summary: how much data the
-/// run saw and which tree-kernel variant processed it.
-struct SummaryShape {
-    rows: usize,
-    /// Histogram code size in bits (8/16); 0 for the presorted kernel.
-    code_width: u32,
-    /// Fraction of each node's rows the GOSS subsampler keeps; 1.0 when
-    /// subsampling is off or inert.
-    goss_kept_frac: f64,
-}
-
-/// Single-line JSON run summary (the `--summary-json` contract).
+/// Single-line JSON run summary (the `--summary-json` contract); `rows` is
+/// how much data the run saw.
 #[allow(clippy::too_many_arguments)]
 fn run_summary(
     cells: usize,
@@ -502,7 +455,7 @@ fn run_summary(
     wall: Duration,
     perf: &EvalPerf,
     eval_lat: &dfs_repro::obs::Histogram,
-    shape: &SummaryShape,
+    rows: usize,
 ) -> Json {
     let secs = wall.as_secs_f64().max(1e-9);
     let probes = perf.memo_hits + perf.memo_misses;
@@ -526,12 +479,7 @@ fn run_summary(
         ("eval_lat_p95_ms".into(), Json::Num(lat_ms(0.95))),
         ("eval_lat_p99_ms".into(), Json::Num(lat_ms(0.99))),
         ("eval_lat_hist".into(), Json::Str(eval_lat.encode_sparse())),
-        ("rows".into(), Json::Num(shape.rows as f64)),
-        ("code_width".into(), Json::Num(f64::from(shape.code_width))),
-        (
-            "goss_kept_frac".into(),
-            Json::Num((shape.goss_kept_frac * 1000.0).round() / 1000.0),
-        ),
+        ("rows".into(), Json::Num(rows as f64)),
     ])
 }
 
@@ -889,9 +837,8 @@ mod tests {
         for v in [1_000_000u64, 2_000_000, 4_000_000] {
             lat.record(v);
         }
-        let shape = SummaryShape { rows: 5000, code_width: 16, goss_kept_frac: 0.2 };
         let line = run_summary(
-            1, 0, true, "sffs", 120, 4, Duration::from_millis(500), &perf, &lat, &shape,
+            1, 0, true, "sffs", 120, 4, Duration::from_millis(500), &perf, &lat, 5000,
         )
         .to_string();
         assert!(line.starts_with('{') && line.ends_with('}'));
@@ -907,13 +854,9 @@ mod tests {
         assert!(line.contains("\"eval_lat_count\":3"));
         assert!(line.contains("\"eval_lat_hist\":\""));
         assert!(line.contains("\"rows\":5000"));
-        assert!(line.contains("\"code_width\":16"));
-        assert!(line.contains("\"goss_kept_frac\":0.2"));
 
-        // No memo probes at all must not divide by zero; a presorted run
-        // reports code_width 0 and a unit kept fraction.
+        // No memo probes at all must not divide by zero.
         let empty = dfs_repro::obs::Histogram::default();
-        let presorted = SummaryShape { rows: 100, code_width: 0, goss_kept_frac: 1.0 };
         let cold = run_summary(
             1,
             0,
@@ -924,13 +867,11 @@ mod tests {
             Duration::from_millis(1),
             &EvalPerf::default(),
             &empty,
-            &presorted,
+            100,
         )
         .to_string();
         assert!(cold.contains("\"memo_hit_rate\":0"));
         assert!(cold.contains("\"eval_lat_p50_ms\":0"));
-        assert!(cold.contains("\"code_width\":0"));
-        assert!(cold.contains("\"goss_kept_frac\":1"));
 
         // Sub-millisecond resolution: a 1.5 ms wall reads as 1.5, not 0 or 1.
         let fast = run_summary(
@@ -943,26 +884,10 @@ mod tests {
             Duration::from_micros(1500),
             &EvalPerf::default(),
             &empty,
-            &presorted,
+            100,
         )
         .to_string();
         assert!(fast.contains("\"wall_ms\":1.5,"), "{fast}");
-    }
-
-    #[test]
-    fn exactness_and_goss_flags_parse() {
-        let args = parse_args(&argv(
-            "--dataset compas --exactness binned4096 --goss 0.1,0.1",
-        ))
-        .unwrap();
-        assert_eq!(args.exactness, SplitExactness::Binned4096);
-        assert_eq!(args.goss, Some((0.1, 0.1)));
-        let defaults = parse_args(&argv("--dataset compas")).unwrap();
-        assert_eq!(defaults.exactness, SplitExactness::Binned256);
-        assert_eq!(defaults.goss, None);
-        assert!(parse_args(&argv("--dataset compas --exactness wat")).is_err());
-        assert!(parse_args(&argv("--dataset compas --goss 0.1")).is_err());
-        assert!(parse_args(&argv("--dataset compas --goss -0.1,0.2")).is_err());
     }
 
     #[test]

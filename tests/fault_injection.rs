@@ -24,8 +24,6 @@ fn tiny_cfg() -> CorpusConfig {
         time_range: (Duration::from_millis(20), Duration::from_millis(50)),
         seed: 7,
         threads: 1,
-        exactness: SplitExactness::default(),
-        goss: None,
     }
 }
 
