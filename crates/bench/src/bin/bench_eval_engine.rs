@@ -19,7 +19,8 @@
 //! in the repo root). Timings are medians over several repetitions so a
 //! noisy neighbor cannot flip the comparison.
 //!
-//! Run with `cargo run --release -p dfs-bench --bin bench_eval_engine -- BENCH_eval_engine.json`.
+//! Run with `scripts/bench-snapshots.sh` (all four snapshots at one commit),
+//! or alone with `cargo run --release -p dfs-bench --bin bench_eval_engine -- BENCH_eval_engine.json`.
 
 // The panic-free contract covers the runner/cache/checkpoint paths; a
 // standalone benchmark aborting on a broken setup is the right behavior.

@@ -26,7 +26,8 @@
 //! Results are printed as JSON and, when a path argument is given, also
 //! written there (committed snapshot: `BENCH_memo.json` in the repo root).
 //!
-//! Run with `cargo run --release -p dfs-bench --bin bench_memo -- BENCH_memo.json`.
+//! Run with `scripts/bench-snapshots.sh` (all four snapshots at one commit),
+//! or alone with `cargo run --release -p dfs-bench --bin bench_memo -- BENCH_memo.json`.
 
 use dfs_bench::ok_or_exit;
 use dfs_constraints::ConstraintSet;

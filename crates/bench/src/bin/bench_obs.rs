@@ -21,7 +21,8 @@
 //! `BENCH_obs.json`). The traced run's Chrome trace / metrics / journal are
 //! exported under `DFS_TRACE_DIR` for artifact upload.
 //!
-//! Run with `cargo run --release -p dfs-bench --bin bench_obs -- BENCH_obs.json`.
+//! Run with `scripts/bench-snapshots.sh` (all four snapshots at one commit),
+//! or alone with `cargo run --release -p dfs-bench --bin bench_obs -- BENCH_obs.json`.
 
 use dfs_bench::ok_or_exit;
 use dfs_constraints::ConstraintSet;

@@ -36,7 +36,8 @@
 //! wall-clock speedup gates for CI; the agreement gates run in every mode
 //! and exit nonzero on violation.
 //!
-//! Run with `cargo run --release -p dfs-bench --bin bench_tree -- BENCH_tree.json`.
+//! Run with `scripts/bench-snapshots.sh` (all four snapshots at one commit),
+//! or alone with `cargo run --release -p dfs-bench --bin bench_tree -- BENCH_tree.json`.
 
 use dfs_bench::ok_or_exit;
 use dfs_core::DfsError;

@@ -4,9 +4,8 @@
 //! a number without its context (which commit, how many cores, what
 //! `DFS_THREADS` pin) is noise. Every bench binary splices
 //! [`stamp_json_fields`] into its JSON header so all artifacts carry the
-//! same schema-versioned provenance block, and the process harness
-//! (`dfs bench-harness`) stamps the equivalent fields in its
-//! `summary.json`.
+//! same schema-versioned provenance block. `scripts/bench-snapshots.sh`
+//! regenerates every snapshot at one commit, so their stamps agree.
 
 /// Version of the shared `BENCH_*.json` header. Bump when the stamp
 /// fields change shape; consumers diffing artifacts across commits key

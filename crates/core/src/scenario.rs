@@ -20,7 +20,6 @@ use dfs_rankings::{Ranking, RankingKind};
 use dfs_search::Budget;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A fully specified ML scenario `Z = (φ, D, D_train, D_val, D_test, C)`.
 #[derive(Debug, Clone)]
@@ -206,11 +205,6 @@ pub struct ScenarioContext<'a> {
     /// lazily on the first DT fit (from the artifact cache when attached,
     /// derived locally otherwise) and shared by every fit of this context.
     bins: std::sync::OnceLock<Arc<BinSet>>,
-    /// Wall-clock of every *fresh* subset measurement (ns), log-bucketed.
-    /// Lives outside the obs collector discipline on purpose: the values
-    /// are clock-derived, so they must never feed the deterministic
-    /// exports — only the count is thread-count-invariant.
-    eval_lat: obs::Histogram,
 }
 
 /// Per-measurement scratch. The context keeps one set for the serial
@@ -539,7 +533,6 @@ impl<'a> ScenarioContext<'a> {
             settings_key: settings_fingerprint(scenario, settings, cap),
             exec: Arc::new(Executor::sequential()),
             bins: std::sync::OnceLock::new(),
-            eval_lat: obs::Histogram::default(),
         }
     }
 
@@ -586,13 +579,6 @@ impl<'a> ScenarioContext<'a> {
     /// Work counters accumulated so far.
     pub fn perf(&self) -> EvalPerf {
         self.perf
-    }
-
-    /// Wall-clock histogram (ns) of every fresh subset measurement this
-    /// context performed. The *count* is deterministic (cache/memo hits
-    /// and prunes never record); the bucket values are clock-derived.
-    pub fn eval_latency(&self) -> &obs::Histogram {
-        &self.eval_lat
     }
 
     /// The dataset-level bin set, when this context's fits consult bin
@@ -841,9 +827,7 @@ impl<'a> ScenarioContext<'a> {
         } else {
             bound
         };
-        let t0 = Instant::now();
         let measured = self.measure_full(subset, false, bound);
-        self.eval_lat.record(t0.elapsed().as_nanos() as u64);
         let score = self.objective_of(&measured.eval);
         if measured.exact {
             self.memo_insert(subset, false, measured.eval);
@@ -1013,17 +997,16 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         obs::heartbeat("eval.measure");
         let measure_span = obs::span("eval.measure");
         obs::observe("eval.batch_fresh", fresh.len() as u64);
-        let measured: Vec<(Evaluation, EvalPerf, u64)> = {
+        let measured: Vec<(Evaluation, EvalPerf)> = {
             let env = self.env();
             let traced = env.exec.par_map_indexed(&fresh, |_, subset| {
-                let t0 = Instant::now();
                 let ((eval, perf), trace) = obs::scoped(|| {
                     let mut scratch = Scratch::default();
                     let mut perf = EvalPerf::default();
                     let eval = measure_subset(&env, subset, false, &mut scratch, &mut perf);
                     (eval, perf)
                 });
-                (eval, perf, trace, t0.elapsed().as_nanos() as u64)
+                (eval, perf, trace)
             });
             // Absorb the workers' traces in submission order while
             // `eval.measure` is still open: their spans are its children,
@@ -1031,11 +1014,11 @@ impl SubsetEvaluator for ScenarioContext<'_> {
             // counting the whole fan-out again as the span's self time.
             traced
                 .into_iter()
-                .map(|(eval, perf, trace, dur_ns)| {
+                .map(|(eval, perf, trace)| {
                     if let Some(child) = trace {
                         obs::absorb(child);
                     }
-                    (eval, perf, dur_ns)
+                    (eval, perf)
                 })
                 .collect()
         };
@@ -1045,9 +1028,8 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         // merges land in the serial order.
         let commit_span = obs::span("eval.commit");
         let mut measured_evals: Vec<Evaluation> = Vec::with_capacity(measured.len());
-        for (subset, (eval, perf, dur_ns)) in fresh.iter().zip(measured) {
+        for (subset, (eval, perf)) in fresh.iter().zip(measured) {
             self.perf.merge(&perf);
-            self.eval_lat.record(dur_ns);
             let score = self.objective_of(&eval);
             self.memo_insert(subset, false, eval);
             self.cache

@@ -44,12 +44,8 @@ pub struct DfsOutcome {
     pub evaluations: usize,
     /// Wall-clock search time.
     pub elapsed: Duration,
-    /// Work counters of the evaluation engine (fits, cache hits, timings).
+    /// Work counters of the evaluation engine (fits, cache hits).
     pub perf: EvalPerf,
-    /// Wall-clock histogram (ns) over every fresh subset measurement; the
-    /// count is deterministic, the bucket placement is clock-derived (see
-    /// `ScenarioContext::eval_latency`).
-    pub eval_latency: dfs_obs::Histogram,
 }
 
 /// Runs the full DFS workflow for one strategy.
@@ -129,7 +125,6 @@ pub fn run_dfs_with_exec(
             evaluations,
             elapsed,
             perf: ctx.perf(),
-            eval_latency: ctx.eval_latency().clone(),
         };
     };
 
@@ -160,7 +155,6 @@ pub fn run_dfs_with_exec(
         evaluations,
         elapsed,
         perf: ctx.perf(),
-        eval_latency: ctx.eval_latency().clone(),
     }
 }
 
@@ -231,7 +225,6 @@ pub fn run_original_features_with_exec(
         evaluations,
         elapsed,
         perf: ctx.perf(),
-        eval_latency: ctx.eval_latency().clone(),
     }
 }
 

@@ -5,8 +5,8 @@ use dfs_proto::ServerStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters bumped from accept, handler, and worker threads,
-/// plus log-bucketed latency histograms so `dfs stats` and the bench
-/// harness see tails, not just totals.
+/// plus log-bucketed latency histograms so `dfs stats` and the
+/// end-to-end benchmark's storm ledger see tails, not just totals.
 #[derive(Debug, Default)]
 pub struct Stats {
     pub connections: AtomicU64,

@@ -10,7 +10,6 @@ pub use dfs_core as core;
 pub use dfs_data as data;
 pub use dfs_exec as exec;
 pub use dfs_fs as fs;
-pub use dfs_harness as harness;
 pub use dfs_linalg as linalg;
 pub use dfs_metrics as metrics;
 pub use dfs_models as models;

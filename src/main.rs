@@ -84,7 +84,6 @@ USAGE:
     dfs [--data <csv> | --dataset <name>] [OPTIONS]
     dfs server [SERVER OPTIONS]     run the constraint-query daemon
     dfs query  [QUERY OPTIONS]      send a query to a running daemon
-    dfs bench-harness [OPTIONS]     process-based benchmark orchestrator
 
 (`dfs server --help` and `dfs query --help` document the subcommands.)
 
@@ -111,7 +110,8 @@ OPTIONS:
     --no-hpo                 skip per-evaluation hyperparameter search
     --seed <n>               RNG seed                   [default: 42]
     --summary-json           print a final single-line JSON run summary
-                             (cells, faults, evaluations, evals/s, wall-clock)
+                             (success, evaluations, evals/s, wall-clock,
+                             memo counters, rows)
     --list-datasets          print the built-in dataset names and exit
     --help                   print this help
 ";
@@ -297,7 +297,6 @@ fn main() -> ExitCode {
     match raw.first().map(String::as_str) {
         Some("server") => return server_main(&raw[1..]),
         Some("query") => return query_main(&raw[1..]),
-        Some("bench-harness") => return dfs_repro::harness::cli_main(&raw[1..]),
         _ => {}
     }
     if raw.iter().any(|a| a == "--help" || a == "-h") {
@@ -350,8 +349,8 @@ fn main() -> ExitCode {
     let mut settings = ScenarioSettings::default_bench();
     if let Some(cap) = args.max_evals {
         // A binding eval cap (with a generous --time-ms) makes the run's
-        // trajectory budget-independent, so process-based harnesses can
-        // assert bit-identity across thread sweeps.
+        // trajectory budget-independent, so its output is bit-identical
+        // across thread counts (CI diffs it at DFS_THREADS=1 and 4).
         settings.max_evals = cap;
     }
 
@@ -365,18 +364,17 @@ fn main() -> ExitCode {
     );
 
     // DFS_TRACE=1 exports the run's obs collectors to DFS_TRACE_DIR,
-    // exactly like the benchmark runner — the bench harness reads them
-    // back to merge histograms across processes.
+    // exactly like the benchmark runner.
     let tracing = dfs_repro::obs::env_flag("DFS_TRACE");
     dfs_repro::obs::set_trace_enabled(tracing);
     let trace_depth = tracing.then(dfs_repro::obs::push_collector);
 
     let run_started = Instant::now();
-    let (success, subset, evaluations, label, perf, eval_lat) = match args.strategy {
+    let (success, subset, evaluations, label, perf) = match args.strategy {
         StrategySpec::Fixed(strategy) => {
             eprintln!("strategy: {}", strategy.name());
             let out = run_dfs(&scenario, &split, &settings, strategy);
-            (out.success, out.subset, out.evaluations, strategy.name(), out.perf, out.eval_latency)
+            (out.success, out.subset, out.evaluations, strategy.name(), out.perf)
         }
         StrategySpec::Auto => {
             let cfg = SwitchConfig::default();
@@ -391,8 +389,7 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| "auto".into());
             // The switching workflow does not surface per-attempt perf
             // counters; the summary reports zeros for the sharing fields.
-            let out_lat = dfs_repro::obs::Histogram::default();
-            (out.success, out.subset, out.evaluations, label, EvalPerf::default(), out_lat)
+            (out.success, out.subset, out.evaluations, label, EvalPerf::default())
         }
     };
 
@@ -430,40 +427,28 @@ fn main() -> ExitCode {
     };
     if args.summary_json {
         // WIND-style run summary: the final stdout line, one JSON object,
-        // so process-based harnesses can `tail -1 | parse`.
+        // so scripts can `tail -1 | parse`.
         let rows = dataset.n_rows();
-        println!(
-            "{}",
-            run_summary(
-                1, 0, success, &label, evaluations, subset_len, wall, &perf, &eval_lat, rows
-            )
-        );
+        println!("{}", run_summary(success, &label, evaluations, subset_len, wall, &perf, rows));
     }
     code
 }
 
 /// Single-line JSON run summary (the `--summary-json` contract); `rows` is
 /// how much data the run saw.
-#[allow(clippy::too_many_arguments)]
 fn run_summary(
-    cells: usize,
-    faults: usize,
     success: bool,
     strategy: &str,
     evaluations: usize,
     subset_len: usize,
     wall: Duration,
     perf: &EvalPerf,
-    eval_lat: &dfs_repro::obs::Histogram,
     rows: usize,
 ) -> Json {
     let secs = wall.as_secs_f64().max(1e-9);
     let probes = perf.memo_hits + perf.memo_misses;
     let hit_rate = if probes == 0 { 0.0 } else { perf.memo_hits as f64 / probes as f64 };
-    let lat_ms = |q: f64| (eval_lat.quantile(q) / 1e6 * 1000.0).round() / 1000.0;
     Json::Obj(vec![
-        ("cells".into(), Json::Num(cells as f64)),
-        ("faults".into(), Json::Num(faults as f64)),
         ("success".into(), Json::Bool(success)),
         ("strategy".into(), Json::Str(strategy.into())),
         ("evaluations".into(), Json::Num(evaluations as f64)),
@@ -474,11 +459,6 @@ fn run_summary(
         ("memo_misses".into(), Json::Num(perf.memo_misses as f64)),
         ("memo_hit_rate".into(), Json::Num((hit_rate * 1000.0).round() / 1000.0)),
         ("bound_skips".into(), Json::Num(perf.bound_skips as f64)),
-        ("eval_lat_count".into(), Json::Num(eval_lat.count as f64)),
-        ("eval_lat_p50_ms".into(), Json::Num(lat_ms(0.5))),
-        ("eval_lat_p95_ms".into(), Json::Num(lat_ms(0.95))),
-        ("eval_lat_p99_ms".into(), Json::Num(lat_ms(0.99))),
-        ("eval_lat_hist".into(), Json::Str(eval_lat.encode_sparse())),
         ("rows".into(), Json::Num(rows as f64)),
     ])
 }
@@ -784,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_harness_facing_flags() {
+    fn parses_run_cap_flags() {
         let args = parse_args(&argv("--dataset compas --max-evals 40 --rows 200"))
             .expect("valid args");
         assert_eq!(args.max_evals, Some(40));
@@ -833,60 +813,27 @@ mod tests {
         let args = parse_args(&argv("--dataset compas --summary-json")).unwrap();
         assert!(args.summary_json);
         let perf = EvalPerf { memo_hits: 30, memo_misses: 90, bound_skips: 7, ..EvalPerf::default() };
-        let mut lat = dfs_repro::obs::Histogram::default();
-        for v in [1_000_000u64, 2_000_000, 4_000_000] {
-            lat.record(v);
-        }
-        let line = run_summary(
-            1, 0, true, "sffs", 120, 4, Duration::from_millis(500), &perf, &lat, 5000,
-        )
-        .to_string();
+        let line =
+            run_summary(true, "sffs", 120, 4, Duration::from_millis(500), &perf, 5000).to_string();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(!line.contains('\n'), "summary must be a single line");
-        assert!(line.contains("\"cells\":1"));
-        assert!(line.contains("\"faults\":0"));
         assert!(line.contains("\"evals_per_s\":240"));
         assert!(line.contains("\"wall_ms\":500"));
         assert!(line.contains("\"memo_hits\":30"));
         assert!(line.contains("\"memo_hit_rate\":0.25"));
         assert!(line.contains("\"bound_skips\":7"));
-
-        assert!(line.contains("\"eval_lat_count\":3"));
-        assert!(line.contains("\"eval_lat_hist\":\""));
         assert!(line.contains("\"rows\":5000"));
 
         // No memo probes at all must not divide by zero.
-        let empty = dfs_repro::obs::Histogram::default();
-        let cold = run_summary(
-            1,
-            0,
-            false,
-            "sfs",
-            1,
-            0,
-            Duration::from_millis(1),
-            &EvalPerf::default(),
-            &empty,
-            100,
-        )
-        .to_string();
+        let cold =
+            run_summary(false, "sfs", 1, 0, Duration::from_millis(1), &EvalPerf::default(), 100)
+                .to_string();
         assert!(cold.contains("\"memo_hit_rate\":0"));
-        assert!(cold.contains("\"eval_lat_p50_ms\":0"));
 
         // Sub-millisecond resolution: a 1.5 ms wall reads as 1.5, not 0 or 1.
-        let fast = run_summary(
-            1,
-            0,
-            true,
-            "sfs",
-            1,
-            1,
-            Duration::from_micros(1500),
-            &EvalPerf::default(),
-            &empty,
-            100,
-        )
-        .to_string();
+        let fast =
+            run_summary(true, "sfs", 1, 1, Duration::from_micros(1500), &EvalPerf::default(), 100)
+                .to_string();
         assert!(fast.contains("\"wall_ms\":1.5,"), "{fast}");
     }
 
