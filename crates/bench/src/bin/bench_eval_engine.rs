@@ -1,6 +1,6 @@
-//! Before/after microbenchmark for the fused evaluation engine.
+//! Before/after microbenchmark for the evaluation engine.
 //!
-//! Two measurements, mirroring the layers of the engine rework:
+//! Three measurements, one per layer an evaluation passes through:
 //!
 //! 1. **Gather**: the old composed projection (`select_cols` then
 //!    `select_rows`, materializing a full-height intermediate) against the
@@ -8,11 +8,13 @@
 //! 2. **Ranking cache**: an identical multi-arm benchmark row executed
 //!    with `share_artifacts` off (every TPE(ranking) arm recomputes its
 //!    ranking) and on (each ranking computed once per dataset/split).
-//! 3. **Streamed eval at scale**: a full predict pass over the streamed
-//!    million-row corpus, gathered monolithically (one 10^6-row scratch)
-//!    vs block-wise in `8192`-row chunks mirroring the runner's chunked
-//!    evaluator — bit-identical predictions, ~two orders of magnitude
-//!    less peak gather scratch.
+//! 3. **LR fit**: the gradient-descent loop as it shipped before the epoch
+//!    kernel (per-row `log1p_exp` loss and `sigmoid` gradient) against
+//!    `LogisticRegression::fit` (one `exp` per row, a bounded fast loss,
+//!    exact fallback on near-ties) at the paper corpus's train size. Every
+//!    model must be bit-identical to the reference's, or the binary exits
+//!    nonzero; the snapshot reports fits/s and how many bold-driver
+//!    decisions fell back to the exact loss.
 //!
 //! Results are printed as JSON and, when a path argument is given, also
 //! written there (the committed snapshot lives at `BENCH_eval_engine.json`
@@ -33,7 +35,8 @@ use dfs_data::split::stratified_three_way;
 use dfs_data::synthetic::{generate, spec_by_name};
 use dfs_fs::StrategyId;
 use dfs_linalg::rng::{sample_without_replacement, uniform, Rng};
-use dfs_linalg::Matrix;
+use dfs_linalg::{axpy, dot, log1p_exp, sigmoid, Matrix};
+use dfs_models::logistic::LogisticRegression;
 use dfs_models::ModelKind;
 use dfs_rankings::RankingKind;
 use std::collections::HashMap;
@@ -161,12 +164,151 @@ fn bench_ranking_cache() -> CacheBench {
     }
 }
 
+/// The gradient-descent loop `LogisticRegression::fit` ran before the
+/// epoch kernel, kept here as the benchmark's reference: the loss and the
+/// gradient weight come from `log1p_exp` and `sigmoid` per row. Returns
+/// `(weights, bias)`.
+fn reference_lr_fit(x: &Matrix, y: &[bool], c: f64) -> (Vec<f64>, f64) {
+    const MAX_EPOCHS: usize = 120;
+    const INIT_LR: f64 = 2.0;
+    const TOL: f64 = 1e-7;
+    let (n, d) = x.shape();
+    let lambda = 1.0 / (c * n.max(1) as f64);
+    let mut w = vec![0.0; d];
+    let mut b = 0.0;
+    let mut lr = INIT_LR;
+    let mut prev_loss = f64::INFINITY;
+    let targets: Vec<f64> = y.iter().map(|&t| if t { 1.0 } else { -1.0 }).collect();
+    for _ in 0..MAX_EPOCHS {
+        let mut gw = vec![0.0; d];
+        let mut gb = 0.0;
+        let mut loss = 0.0;
+        for (row, &t) in x.rows_iter().zip(&targets) {
+            let z = dot(row, &w) + b;
+            loss += log1p_exp(-t * z);
+            let g = -t * sigmoid(-t * z);
+            axpy(g, row, &mut gw);
+            gb += g;
+        }
+        let nf = n as f64;
+        loss = loss / nf + 0.5 * lambda * dot(&w, &w) * nf / nf;
+        for (gwj, &wj) in gw.iter_mut().zip(&w) {
+            *gwj = *gwj / nf + lambda * wj;
+        }
+        gb /= nf;
+        if loss > prev_loss + TOL {
+            lr *= 0.5;
+            if lr < 1e-4 {
+                break;
+            }
+        } else {
+            lr *= 1.05;
+        }
+        if (prev_loss - loss).abs() < TOL {
+            break;
+        }
+        prev_loss = loss;
+        for (wj, gwj) in w.iter_mut().zip(&gw) {
+            *wj -= lr * gwj;
+        }
+        b -= lr * gb;
+    }
+    (w, b)
+}
+
+struct LrCell {
+    d: usize,
+    c: f64,
+    reference_ns: u64,
+    kernel_ns: u64,
+    fallbacks: usize,
+}
+
+/// Train rows per fit: the paper corpus's train split size.
+const LR_ROWS: usize = 160;
+/// Fits per timed sample (each sample fits this many distinct problems).
+const LR_FITS: usize = 20;
+
+/// Reference loop vs kernel on `LR_FITS` seeded problems per cell:
+/// features uniform in `[0, 1]` (the corpus is min–max scaled), labels a
+/// random linear rule plus noise.
+fn bench_lr_fit() -> Vec<LrCell> {
+    let mut cells = Vec::new();
+    for d in [2, 8, 19, 40, 160] {
+        let problems: Vec<(Matrix, Vec<bool>)> = (0..LR_FITS)
+            .map(|k| {
+                let mut rng = Rng::seed_from_u64(0x1F17 + (d * LR_FITS + k) as u64);
+                let dir: Vec<f64> = (0..d).map(|_| uniform(-1.0, 1.0, &mut rng)).collect();
+                let data: Vec<f64> = (0..LR_ROWS * d).map(|_| rng.f64()).collect();
+                let y = data
+                    .chunks_exact(d)
+                    .map(|row| {
+                        let score: f64 = row.iter().zip(&dir).map(|(x, w)| (x - 0.5) * w).sum();
+                        score + uniform(-0.3, 0.3, &mut rng) > 0.0
+                    })
+                    .collect();
+                (Matrix::from_vec(LR_ROWS, d, data), y)
+            })
+            .collect();
+        for c in [1.0, 1e3] {
+            let mut fallbacks = 0;
+            for (x, y) in &problems {
+                let (model, count) = LogisticRegression::fit_counting_fallbacks(x, y, c);
+                let (w, b) = reference_lr_fit(x, y, c);
+                let same = model.bias().to_bits() == b.to_bits()
+                    && model
+                        .weights()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .eq(w.iter().map(|v| v.to_bits()));
+                if !same {
+                    eprintln!(
+                        "[dfs-bench] fatal: LR kernel diverged from the reference (d={d}, C={c})"
+                    );
+                    std::process::exit(1);
+                }
+                fallbacks += count;
+            }
+            let mut sink = 0.0f64;
+            let reference_ns = median_ns(5, || {
+                for (x, y) in &problems {
+                    sink += reference_lr_fit(x, y, c).1;
+                }
+            });
+            let kernel_ns = median_ns(5, || {
+                for (x, y) in &problems {
+                    sink += LogisticRegression::fit(x, y, c).bias();
+                }
+            });
+            std::hint::black_box(sink);
+            cells.push(LrCell { d, c, reference_ns, kernel_ns, fallbacks });
+        }
+    }
+    cells
+}
+
 fn main() {
     let stamp = dfs_bench::stamp::stamp_json_fields();
     let gather = bench_gather();
     let cache = bench_ranking_cache();
+    let lr = bench_lr_fit();
 
     let ratio = |old: u64, new: u64| old as f64 / new.max(1) as f64;
+    let fits_per_s = |ns: u64| LR_FITS as f64 * 1e9 / ns.max(1) as f64;
+    let lr_cells: Vec<String> = lr
+        .iter()
+        .map(|cell| {
+            format!(
+                r#"      {{"d": {}, "c": {}, "reference_fits_per_s": {:.0}, "kernel_fits_per_s": {:.0}, "speedup": {:.2}, "fallbacks": {}}}"#,
+                cell.d,
+                cell.c,
+                fits_per_s(cell.reference_ns),
+                fits_per_s(cell.kernel_ns),
+                ratio(cell.reference_ns, cell.kernel_ns),
+                cell.fallbacks
+            )
+        })
+        .collect();
     let mut json = String::new();
     let _ = write!(
         json,
@@ -191,6 +333,15 @@ fn main() {
     "cached_ranking_hits": {chits},
     "compute_reduction": {cred:.2},
     "speedup": {cspeed:.2}
+  }},
+  "lr_fit": {{
+    "rows": {lr_rows},
+    "fits_per_sample": {lr_fits},
+    "bit_identical": true,
+    "fallbacks": {lr_fallbacks},
+    "cells": [
+{lr_cells}
+    ]
   }}
 }}
 "#,
@@ -211,6 +362,10 @@ fn main() {
         chits = cache.cached_ranking_hits,
         cred = ratio(cache.uncached_ranking_computes, cache.cached_ranking_computes),
         cspeed = ratio(cache.uncached_ns, cache.cached_ns),
+        lr_rows = LR_ROWS,
+        lr_fits = LR_FITS,
+        lr_fallbacks = lr.iter().map(|cell| cell.fallbacks).sum::<usize>(),
+        lr_cells = lr_cells.join(",\n"),
     );
 
     print!("{json}");

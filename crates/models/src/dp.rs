@@ -70,6 +70,12 @@ fn balanced_indices(y: &[bool]) -> Vec<usize> {
 }
 
 /// DP logistic regression by output perturbation.
+///
+/// The `2/(nλ)` sensitivity behind the noise scale is Chaudhuri et al.'s
+/// bound for the *exact* minimiser of the regularized loss. The base model
+/// here is gradient descent capped at a fixed epoch count (see
+/// [`crate::logistic`]), which need not reach that minimiser, so the
+/// ε guarantee holds only as far as the fit has converged.
 pub fn dp_logistic(x: &Matrix, y: &[bool], c: f64, epsilon: f64, seed: u64) -> LogisticRegression {
     let rows = balanced_indices(y);
     let xb = x.select_rows(&rows);

@@ -142,7 +142,8 @@ struct Shared {
     /// Set by a client `shutdown` request; the host (CLI) polls it and
     /// calls [`ServerHandle::drain`].
     shutdown_requested: AtomicBool,
-    /// Received queries whose response has not been written yet.
+    /// Received queries and shutdown requests whose response has not been
+    /// written yet.
     pending: AtomicUsize,
     /// Live connection handlers.
     active_handlers: AtomicUsize,
@@ -520,6 +521,13 @@ impl Drop for CountGuard<'_> {
     }
 }
 
+/// Counts a received request as pending until the guard drops, after its
+/// response is written, so drain never severs a connection mid-reply.
+fn hold_pending(shared: &Shared) -> CountGuard<'_> {
+    shared.pending.fetch_add(1, Ordering::AcqRel);
+    CountGuard(&shared.pending)
+}
+
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
     shared.active_handlers.fetch_add(1, Ordering::AcqRel);
     let _active = CountGuard(&shared.active_handlers);
@@ -589,15 +597,16 @@ fn serve_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
             Request::Ping => (Response::Pong, None, false, None),
             Request::Stats => (Response::Stats(shared.snapshot()), None, false, None),
             Request::Shutdown => {
+                // Pending before the flag is raised: the host may drain
+                // the moment it sees the flag, and `Bye` must not be
+                // severed on its way out.
+                let pending = hold_pending(shared);
                 shared.shutdown_requested.store(true, Ordering::Release);
                 obs::info!("dfs-server", "shutdown requested by client");
-                (Response::Bye, None, true, None)
+                (Response::Bye, None, true, Some(pending))
             }
             Request::Query(spec) => {
-                // Pending until the response below is written, so drain
-                // never severs a connection mid-reply.
-                shared.pending.fetch_add(1, Ordering::AcqRel);
-                let pending = CountGuard(&shared.pending);
+                let pending = hold_pending(shared);
                 let fault = shared.chaos_lock().take(spec.req_id);
                 (serve_query(shared, spec, fault), fault, false, Some(pending))
             }

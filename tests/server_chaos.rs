@@ -9,7 +9,7 @@
 use dfs_repro::client::{Client, ClientConfig, ClientError};
 use dfs_repro::core::prelude::{ServerFaultKind, ServerFaultPlan};
 use dfs_repro::proto::frame::{encode_frame, MAX_FRAME, PROTO_VERSION};
-use dfs_repro::proto::{ErrorCode, QuerySpec, Request};
+use dfs_repro::proto::{ErrorCode, QuerySpec, Request, Response};
 use dfs_repro::server::{read_sidecar, Server, ServerConfig, ServerHandle};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -402,4 +402,38 @@ fn warm_eval_memo_is_reused_across_requests() {
         first.model_fits
     );
     handle.drain();
+}
+
+#[test]
+fn shutdown_requester_gets_bye_when_the_host_drains_at_once() {
+    // The CLI host drains as soon as `shutdown_requested()` turns true.
+    // Drain severs every connection with no response pending, so the
+    // requester's `Bye` must count as pending until it is written. Hosts
+    // run in parallel so handler threads get preempted between the flag
+    // and the write.
+    let hosts: Vec<_> = (0..4)
+        .map(|host| {
+            std::thread::spawn(move || {
+                for round in 0..250 {
+                    let mut handle = test_server(ServerFaultPlan::new(), 1);
+                    let addr = handle.addr();
+                    let requester = std::thread::spawn(move || {
+                        test_client(addr).request_raw(&Request::Shutdown)
+                    });
+                    while !handle.shutdown_requested() {
+                        std::thread::yield_now();
+                    }
+                    handle.drain();
+                    let reply = requester.join().expect("requester thread");
+                    assert!(
+                        matches!(reply, Ok(Response::Bye)),
+                        "host {host} round {round}: {reply:?}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for host in hosts {
+        host.join().expect("host thread");
+    }
 }
