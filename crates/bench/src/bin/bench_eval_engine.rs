@@ -5,9 +5,10 @@
 //! 1. **Gather**: the old composed projection (`select_cols` then
 //!    `select_rows`, materializing a full-height intermediate) against the
 //!    fused `select_rows_cols_into` writing into a reused scratch buffer.
-//! 2. **Ranking cache**: an identical multi-arm benchmark row executed
-//!    with `share_artifacts` off (every TPE(ranking) arm recomputes its
-//!    ranking) and on (each ranking computed once per dataset/split).
+//! 2. **Ranking cache**: identical multi-arm benchmark rows executed with
+//!    every cell alone (every TPE(ranking) arm recomputes its ranking in
+//!    its private cache) and through the runner (each ranking computed
+//!    once per dataset/split in the run's shared cache).
 //! 3. **LR fit**: the gradient-descent loop as it shipped before the epoch
 //!    kernel (per-row `log1p_exp` loss and `sigmoid` gradient) against
 //!    `LogisticRegression::fit` (one `exp` per row, a bounded fast loss,
@@ -117,9 +118,9 @@ struct CacheBench {
     cached_ranking_hits: u64,
 }
 
-/// One benchmark row of TPE(ranking) arms, with and without the shared
-/// artifact cache. Outcomes are bit-identical (asserted by the regression
-/// suite); this measures the work saved.
+/// Benchmark rows of TPE(ranking) arms, each cell alone and through the
+/// runner's shared artifact cache. Outcomes are bit-identical (asserted by
+/// the regression suite); this measures the work saved.
 fn bench_ranking_cache() -> CacheBench {
     let ds = generate(&spec_by_name("german_credit").expect("known paper-suite spec"), 23);
     let split = stratified_three_way(&ds, 23);
@@ -142,10 +143,14 @@ fn bench_ranking_cache() -> CacheBench {
     let mut settings = ScenarioSettings::fast();
     settings.max_evals = 15;
 
-    let run = |share_artifacts: bool| {
-        let opts = RunnerOptions { share_artifacts, ..RunnerOptions::default() };
+    let run = |shared: bool| {
         let t = Instant::now();
-        let m = run_benchmark_opts(&splits, scenarios.clone(), &arms, &settings, &opts);
+        let m = if shared {
+            let opts = RunnerOptions::default();
+            run_benchmark_opts(&splits, scenarios.clone(), &arms, &settings, &opts)
+        } else {
+            dfs_bench::naive_matrix(&splits, scenarios.clone(), &arms, &settings)
+        };
         (t.elapsed().as_nanos() as u64, m.total_perf())
     };
     // Warm-up evens out first-touch effects (page faults, lazy init).

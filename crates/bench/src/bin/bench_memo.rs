@@ -1,14 +1,14 @@
 //! Before/after benchmark for the cross-arm subset-evaluation memo and the
 //! cheap-first bound pruning (DESIGN.md § 4h).
 //!
-//! Runs the same multi-arm benchmark matrix twice at a fixed thread budget:
+//! Runs the same multi-arm benchmark matrix twice on one thread:
 //!
-//! - **naive** — no shared memo, bound pruning off: every arm re-measures
-//!   every subset it proposes, exactly as the engine worked before the
-//!   memo landed;
-//! - **optimized** — the production configuration: one [`EvalMemo`] shared
-//!   across all cells, plus the lower-bound short-circuit inside the
-//!   sequential strategies.
+//! - **naive** — every cell alone through the public workflow (its own
+//!   private cache), bound pruning off: every arm re-measures every subset
+//!   it proposes;
+//! - **optimized** — the production configuration: the runner's one
+//!   `ArtifactCache` shared across all cells, plus the lower-bound
+//!   short-circuit inside the sequential strategies.
 //!
 //! The arm set leans on the heavy overlap the memo exploits: SFS and SFFS
 //! walk identical prefixes, SBS/SBFS walk identical drop paths from the
@@ -120,14 +120,13 @@ fn run(max_evals: usize, optimized: bool) -> (BenchmarkMatrix, u64) {
     let mut settings = ScenarioSettings::fast();
     settings.max_evals = max_evals; // the eval cap binds, never the wall clock
     settings.bound_pruning = optimized;
-    let opts = RunnerOptions {
-        threads: 1,
-        inner_threads: 1,
-        share_eval_memo: optimized,
-        ..RunnerOptions::default()
-    };
     let started = Instant::now();
-    let matrix = run_benchmark_opts(&splits(), scenarios(), &arms(), &settings, &opts);
+    let matrix = if optimized {
+        let opts = RunnerOptions { threads: 1, inner_threads: 1, ..RunnerOptions::default() };
+        run_benchmark_opts(&splits(), scenarios(), &arms(), &settings, &opts)
+    } else {
+        dfs_bench::naive_matrix(&splits(), scenarios(), &arms(), &settings)
+    };
     (matrix, started.elapsed().as_millis() as u64)
 }
 

@@ -9,8 +9,9 @@
 //!    flag-gated — it must stay live for the watchdog — so it is billed
 //!    separately).
 //! 2. **Sites per evaluation**: one traced run of a small benchmark matrix
-//!    through a [`RunObserver`]; the journal's enter/count/log events per
-//!    recorded evaluation give the real site density.
+//!    through a [`RunObserver`](dfs_obs::RunObserver); the journal's
+//!    enter/count/log events per recorded evaluation give the real site
+//!    density.
 //! 3. **Evaluation cost, disabled**: median wall time of the same matrix
 //!    with tracing off, divided by the evaluations performed.
 //!

@@ -1,27 +1,31 @@
-//! Shared per-scenario artifact cache.
+//! The shared evaluation cache.
 //!
 //! A benchmark row runs all strategy arms on the *same* scenario: same
 //! dataset, same split. Seven of those arms are TPE(ranking) strategies,
 //! and each used to recompute its feature ranking from the identical
 //! training matrix — the heavyweight rankings (ReliefF, MCFS) dominating
-//! the row's wall-clock. [`ArtifactCache`] computes each ranking once per
-//! `(dataset, split, kind)` and shares the result across every arm (and
-//! across scenarios that reuse the same dataset split).
+//! the row's wall-clock — and every arm re-measures subsets another arm
+//! already measured. [`ArtifactCache`] holds the three layers that outlive
+//! one strategy run: rankings per `(dataset, split, kind)`, histogram bins
+//! per `(dataset, split)`, and exact subset measurements per memo key.
+//! Every `ScenarioContext` holds one: a private cache by default, or the
+//! run's (or the daemon's) shared one.
 //!
-//! **One cell per key.** Each key owns a compute-once cell; the map lock is
-//! held only to find or create that cell, never during a compute. Requests
-//! for one key wait for its single compute, while requests for different
-//! keys — another dataset's MCFS, another kind on the same split — compute
-//! side by side.
+//! **One cell per key.** Rankings and bins own a compute-once cell per key;
+//! the map lock is held only to find or create that cell, never during a
+//! compute. Requests for one key wait for its single compute, while
+//! requests for different keys — another dataset's MCFS, another kind on
+//! the same split — compute side by side. Memo entries are not
+//! compute-once: two workers may race to measure one subset, and both
+//! produce the same bits.
 //!
-//! **Bit-identity.** Sharing is only sound if the cached and uncached
-//! paths produce the same ranking. The stochastic rankings take a seed, so
-//! the seed must not depend on *which arm* asks first — [`ranking_seed`]
+//! **Bit-identity.** Sharing is only sound if a shared and a private cache
+//! produce the same values. The stochastic rankings take a seed, so the
+//! seed must not depend on *which arm* asks first — [`ranking_seed`]
 //! therefore derives it from the dataset name and the ranking kind alone.
-//! The warm-up, the cache-miss closure and the cacheless fallback in
-//! `ScenarioContext::ranking` all use this same seed, so enabling the cache
-//! or the warm-up can never change a strategy's outcome, only how often
-//! and when the ranking is computed.
+//! The warm-up and the on-demand compute in `ScenarioContext::ranking` use
+//! this same seed, so sharing the cache or warming it can never change a
+//! strategy's outcome, only how often and when the ranking is computed.
 
 use dfs_constraints::Evaluation;
 use dfs_data::split::Split;
@@ -88,6 +92,11 @@ pub struct ArtifactCache {
     /// arm, wrapper step, and server request on the same split shares one
     /// quantization.
     bins: OnceCells<(String, u64), BinSet>,
+    /// The subset-evaluation memo: exact measurements by [`EvalKey`].
+    memo: Mutex<HashMap<EvalKey, Evaluation>>,
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
+    memo_inserts: AtomicU64,
 }
 
 impl ArtifactCache {
@@ -140,6 +149,62 @@ impl ArtifactCache {
         self.bins.counts()
     }
 
+    /// Looks up a subset measurement, counting the probe as a hit or miss.
+    ///
+    /// Every strategy arm of a benchmark row — and, via the server's warm
+    /// engine, every request on the same dataset — measures many of the
+    /// same subsets: SFS and SFFS walk identical prefixes, SBS starts from
+    /// the full set the Original arm also measures, NSGA-II re-proposes
+    /// duplicate genomes, and every arm's winner is confirmed on the test
+    /// split. Because a measurement is a pure function of `(scenario
+    /// settings, split, subset)` — all stochastic seeds derive from the
+    /// key, never from call order — the resulting [`Evaluation`] can be
+    /// shared wholesale.
+    ///
+    /// Unlike [`ArtifactCache::ranking`], a key is **not** computed exactly
+    /// once: measurements are orders of magnitude cheaper than ReliefF/
+    /// MCFS rankings and often run inside parallel batch regions, where
+    /// blocking every worker on one in-flight measurement would serialize
+    /// the batch. Two workers may therefore race to measure the same
+    /// subset; both produce bit-identical values, so the duplicate work is
+    /// bounded and harmless.
+    pub(crate) fn memo_lookup(&self, key: &EvalKey) -> Option<Evaluation> {
+        let found = lock(&self.memo).get(key).copied();
+        match found {
+            Some(_) => {
+                self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                dfs_obs::counter("memo.hit", 1);
+            }
+            None => {
+                self.memo_misses.fetch_add(1, Ordering::Relaxed);
+                dfs_obs::counter("memo.miss", 1);
+            }
+        }
+        found
+    }
+
+    /// Inserts a freshly measured evaluation. Only exact measurements are
+    /// admitted — never lower-bounded partial ones (see `ScenarioContext`).
+    /// Idempotent: a concurrent duplicate measurement produced identical
+    /// bits, so first-write-wins changes nothing.
+    pub(crate) fn memo_insert(&self, key: EvalKey, eval: Evaluation) {
+        let mut memo = lock(&self.memo);
+        if let std::collections::hash_map::Entry::Vacant(slot) = memo.entry(key) {
+            slot.insert(eval);
+            self.memo_inserts.fetch_add(1, Ordering::Relaxed);
+            dfs_obs::counter("memo.insert", 1);
+        }
+    }
+
+    /// `(memo hits, misses, inserts)` so far.
+    pub fn memo_counts(&self) -> (u64, u64, u64) {
+        (
+            self.memo_hits.load(Ordering::Relaxed),
+            self.memo_misses.load(Ordering::Relaxed),
+            self.memo_inserts.load(Ordering::Relaxed),
+        )
+    }
+
     /// Precomputes the rankings of `kinds` for every `(dataset, split)` in
     /// `splits` through a shared [`Executor`], so the benchmark's ranking
     /// arms all hit the cache instead of serializing on the first request.
@@ -188,7 +253,7 @@ impl ArtifactCache {
     }
 }
 
-/// Memo key for one subset measurement (see [`EvalMemo`]).
+/// Memo key for one subset measurement (see [`ArtifactCache::memo_lookup`]).
 ///
 /// The `settings_key` folds in everything *besides* the subset that can
 /// change the measured metric values: model kind, HPO flag, scenario seed,
@@ -198,7 +263,7 @@ impl ArtifactCache {
 /// threshold-free (thresholds only enter the Eq. 1 distance computed from
 /// it), so portfolio rows that differ only in thresholds share entries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct EvalKey {
+pub(crate) struct EvalKey {
     /// Dataset name.
     pub dataset: String,
     /// [`split_fingerprint`] of the split measured on.
@@ -212,7 +277,7 @@ pub struct EvalKey {
 }
 
 /// Packs a sorted-or-not index subset into the bitset an [`EvalKey`] uses.
-pub fn subset_bits(subset: &[usize], n_features: usize) -> Box<[u64]> {
+pub(crate) fn subset_bits(subset: &[usize], n_features: usize) -> Box<[u64]> {
     let mut bits = vec![0u64; n_features.div_ceil(64)];
     for &f in subset {
         if f < n_features {
@@ -222,92 +287,12 @@ pub fn subset_bits(subset: &[usize], n_features: usize) -> Box<[u64]> {
     bits.into_boxed_slice()
 }
 
-/// Cross-arm subset-evaluation memo.
-///
-/// Every strategy arm of a benchmark row — and, via the server's warm
-/// engine, every request on the same dataset — measures many of the same
-/// subsets: SFS and SFFS walk identical prefixes, SBS starts from the full
-/// set the Original arm also measures, NSGA-II re-proposes duplicate
-/// genomes, and every arm's winner is confirmed on the test split. Because
-/// a measurement is a pure function of `(scenario settings, split, subset)`
-/// — all stochastic seeds derive from the key, never from call order — the
-/// resulting [`Evaluation`] can be shared wholesale.
-///
-/// Unlike [`ArtifactCache::ranking`], a key is **not** computed exactly
-/// once: measurements are orders of magnitude cheaper than ReliefF/
-/// MCFS rankings and often run inside parallel batch regions, where
-/// blocking every worker on one in-flight measurement would serialize the
-/// batch. Two workers may therefore race to measure the same subset; both
-/// produce bit-identical values, so the duplicate work is bounded and
-/// harmless. Only exact measurements are admitted — never lower-bounded
-/// partial ones (see `ScenarioContext`).
-#[derive(Default)]
-pub struct EvalMemo {
-    map: Mutex<HashMap<EvalKey, Evaluation>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-}
-
-impl EvalMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up a measurement, counting the probe as a hit or miss.
-    pub fn lookup(&self, key: &EvalKey) -> Option<Evaluation> {
-        let found = lock(&self.map).get(key).copied();
-        match found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                dfs_obs::counter("memo.hit", 1);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                dfs_obs::counter("memo.miss", 1);
-            }
-        }
-        found
-    }
-
-    /// Inserts a freshly measured evaluation. Idempotent: a concurrent
-    /// duplicate measurement produced identical bits, so first-write-wins
-    /// changes nothing.
-    pub fn insert(&self, key: EvalKey, eval: Evaluation) {
-        let mut map = lock(&self.map);
-        if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(key) {
-            slot.insert(eval);
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            dfs_obs::counter("memo.insert", 1);
-        }
-    }
-
-    /// `(hits, misses, inserts)` so far.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.inserts.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Number of distinct memoized measurements.
-    pub fn len(&self) -> usize {
-        lock(&self.map).len()
-    }
-
-    /// `true` when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        lock(&self.map).is_empty()
-    }
-}
-
 /// The deterministic seed for a ranking computation.
 ///
 /// Scoped to `(dataset, kind)` only — independent of the scenario seed and
-/// of cache presence — so every arm of a row, cached or not, derives the
-/// identical ranking (see the module docs on bit-identity).
+/// of which cache computes it — so every arm of a row, shared cache or
+/// private, derives the identical ranking (see the module docs on
+/// bit-identity).
 pub fn ranking_seed(dataset: &str, kind: RankingKind) -> u64 {
     let stream = RankingKind::ALL.iter().position(|k| *k == kind).unwrap_or(0) as u64;
     derive_seed(fnv(dataset.as_bytes()), 0x7A4C ^ stream)
@@ -549,33 +534,34 @@ mod tests {
 
     #[test]
     fn memo_round_trips_and_counts_hits_misses_inserts() {
-        let memo = EvalMemo::new();
+        let cache = ArtifactCache::new();
         let k = key(1, false, &[0, 2, 5]);
-        assert!(memo.lookup(&k).is_none());
-        memo.insert(k.clone(), sample_eval(0.7));
-        let hit = memo.lookup(&k).expect("inserted entry");
+        assert!(cache.memo_lookup(&k).is_none());
+        cache.memo_insert(k.clone(), sample_eval(0.7));
+        let hit = cache.memo_lookup(&k).expect("inserted entry");
         assert_eq!(hit.f1, 0.7);
         assert_eq!(hit.n_selected, 3);
         // Duplicate insert (a concurrent racer) keeps the first entry and
         // does not double-count.
-        memo.insert(k.clone(), sample_eval(0.9));
-        assert_eq!(memo.lookup(&k).map(|e| e.f1), Some(0.7));
-        assert_eq!(memo.counts(), (2, 1, 1));
-        assert_eq!(memo.len(), 1);
+        cache.memo_insert(k.clone(), sample_eval(0.9));
+        assert_eq!(cache.memo_lookup(&k).map(|e| e.f1), Some(0.7));
+        assert_eq!(cache.memo_counts(), (2, 1, 1));
+        // The memo leaves the ranking and bin counters alone.
+        assert_eq!((cache.counts(), cache.bin_counts()), ((0, 0), (0, 0)));
     }
 
     #[test]
     fn memo_keys_separate_settings_split_leg_and_subset() {
-        let memo = EvalMemo::new();
-        memo.insert(key(1, false, &[0, 1]), sample_eval(0.5));
+        let cache = ArtifactCache::new();
+        cache.memo_insert(key(1, false, &[0, 1]), sample_eval(0.5));
         // A different settings fingerprint (e.g. a context rebuilt with a
         // different train-row cap) can never serve the old entry.
-        assert!(memo.lookup(&key(2, false, &[0, 1])).is_none());
+        assert!(cache.memo_lookup(&key(2, false, &[0, 1])).is_none());
         // Validation and test legs are distinct measurements.
-        assert!(memo.lookup(&key(1, true, &[0, 1])).is_none());
+        assert!(cache.memo_lookup(&key(1, true, &[0, 1])).is_none());
         // And of course a different subset misses.
-        assert!(memo.lookup(&key(1, false, &[0, 3])).is_none());
-        assert!(memo.lookup(&key(1, false, &[0, 1])).is_some());
+        assert!(cache.memo_lookup(&key(1, false, &[0, 3])).is_none());
+        assert!(cache.memo_lookup(&key(1, false, &[0, 1])).is_some());
     }
 
     #[test]

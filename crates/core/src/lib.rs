@@ -20,9 +20,10 @@
 //! - [`runner`] — fault-isolated corpus execution producing the outcome
 //!   matrix behind Tables 3–8, plus coverage/fastest aggregation and greedy
 //!   portfolios;
-//! - [`artifacts`] — shared per-scenario artifact cache: each feature
-//!   ranking is computed once per (dataset, split) and reused by every
-//!   strategy arm; [`perf`] — exact work counters ([`EvalPerf`]) carried
+//! - [`artifacts`] — the one evaluation cache every scenario context holds:
+//!   feature rankings and tree bins computed once per (dataset, split) and
+//!   exact subset measurements, reused by every strategy arm that shares
+//!   it; [`perf`] — exact work counters ([`EvalPerf`]) carried
 //!   from the evaluator into every benchmark cell;
 //! - [`error`] — the workspace-wide [`DfsError`] taxonomy; cell-level
 //!   faults are recorded in the matrix ([`runner::CellStatus`]) rather than
@@ -74,7 +75,7 @@ pub mod workflow;
 /// the `dfs-obs` crate re-exported under its conventional alias.
 pub use dfs_obs as obs;
 
-pub use artifacts::{ArtifactCache, EvalKey, EvalMemo};
+pub use artifacts::ArtifactCache;
 pub use error::{DfsError, DfsResult};
 pub use exec::Executor;
 pub use fault::{FaultKind, FaultPlan, ServerFaultKind, ServerFaultPlan, ServerHold};
@@ -85,7 +86,7 @@ pub use workflow::{run_dfs, DfsOutcome};
 
 /// Convenient glob-import surface for examples and benches.
 pub mod prelude {
-    pub use crate::artifacts::{subset_bits, ArtifactCache, EvalKey, EvalMemo};
+    pub use crate::artifacts::ArtifactCache;
     pub use crate::error::{DfsError, DfsResult};
     pub use crate::exec::{env_threads, Executor};
     pub use crate::fault::{FaultKind, FaultPlan, ServerFaultKind, ServerFaultPlan, ServerHold};

@@ -32,12 +32,12 @@ pub struct EvalPerf {
     pub ranking_hits: u64,
     /// Hyperparameter grid points evaluated by HPO searches.
     pub hpo_grid_points: u64,
-    /// Subset evaluations served from the shared cross-arm [`EvalMemo`]
-    /// (budget consumed, but no training).
+    /// Subset evaluations served from the evaluation memo of the
+    /// [`ArtifactCache`] (budget consumed, but no training).
     ///
-    /// [`EvalMemo`]: crate::artifacts::EvalMemo
+    /// [`ArtifactCache`]: crate::artifacts::ArtifactCache
     pub memo_hits: u64,
-    /// Subset evaluations that probed the shared memo and missed (the
+    /// Subset evaluations that probed the memo and missed (the
     /// measurement then ran and was inserted).
     pub memo_misses: u64,
     /// Candidate measurements cut short by the cheap-first lower-bound

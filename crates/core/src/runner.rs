@@ -14,7 +14,7 @@
 //!   **per-model** (Table 6) breakdowns, **normalized F1** for the utility
 //!   benchmark, and the **greedy portfolios** of Table 8.
 
-use crate::artifacts::{ArtifactCache, EvalMemo};
+use crate::artifacts::ArtifactCache;
 use crate::error::{panic_payload_to_string, DfsError};
 use crate::exec::{env_threads, Executor};
 use crate::fault::{FaultKind, FaultPlan};
@@ -189,8 +189,7 @@ pub struct RunnerOptions<'a> {
     /// Hard-deadline multiple of each scenario's `max_search_time`. Search
     /// budgets are soft — checked between evaluations — so one stuck model
     /// fit could hold a cell forever; the watchdog bounds every cell at
-    /// `factor * max_search_time + grace` wall-clock. Values `<= 0.0`
-    /// disable the watchdog (cells run inline, still panic-isolated).
+    /// `factor * max_search_time + grace` wall-clock.
     pub deadline_factor: f64,
     /// Constant slack added to the watchdog deadline so tiny search budgets
     /// do not time out on scheduler noise.
@@ -203,20 +202,6 @@ pub struct RunnerOptions<'a> {
     /// Called with each freshly computed row (the checkpoint sink). Not
     /// called for resumed rows. May run on any worker thread.
     pub on_row: Option<&'a (dyn Fn(usize, &[CellResult]) + Sync)>,
-    /// Share a per-run [`ArtifactCache`] across cells, so each feature
-    /// ranking is computed once per (dataset, split) instead of once per
-    /// TPE(ranking) arm. The rankings every `TPE(ranking)` arm needs are
-    /// then precomputed before the cells run, as one queue over the whole
-    /// run. Bit-identical results either way (the ranking seed is
-    /// dataset-scoped); disable only to measure the difference.
-    pub share_artifacts: bool,
-    /// Share a per-run [`EvalMemo`] across cells, so a subset measured by
-    /// one arm is served for free to every other arm (and row) with the
-    /// same measurement-relevant settings and split. Bit-identical results
-    /// either way — every stochastic seed of a measurement derives from
-    /// the memo key, never from call order (DESIGN.md § 4h); disable only
-    /// to measure the difference.
-    pub share_eval_memo: bool,
     /// Emit a throttled live progress line on stderr (cells done/total,
     /// faults, evals/s, ETA). Defaults to the `DFS_PROGRESS` or
     /// `DFS_TRACE` environment flags. The line is written directly to
@@ -240,8 +225,6 @@ impl Default for RunnerOptions<'_> {
             fault_plan: None,
             resume: HashMap::new(),
             on_row: None,
-            share_artifacts: true,
-            share_eval_memo: true,
             progress: obs::env_flag("DFS_PROGRESS") || obs::env_flag("DFS_TRACE"),
             observer: None,
         }
@@ -388,8 +371,12 @@ pub fn run_benchmark_opts(
     let shared_splits: HashMap<&str, Arc<Split>> =
         splits.iter().map(|(k, v)| (k.as_str(), Arc::new(v.clone()))).collect();
     let shared_settings = Arc::new(settings.clone());
-    let artifacts = opts.share_artifacts.then(|| Arc::new(ArtifactCache::new()));
-    let memo = opts.share_eval_memo.then(|| Arc::new(EvalMemo::new()));
+    // One cache for the whole run: each feature ranking is computed once
+    // per (dataset, split) instead of once per TPE(ranking) arm, and a
+    // subset measured by one arm is served to every other arm (and row)
+    // with the same measurement-relevant settings and split. Bit-identical
+    // to running each cell alone (DESIGN.md § 4h).
+    let artifacts = Arc::new(ArtifactCache::new());
 
     // One permit pool for the whole run: the outer row loop and every inner
     // hot loop draw from it, so the total number of computing threads never
@@ -411,36 +398,34 @@ pub fn run_benchmark_opts(
     // heavyweight rankings; warming computes them all up front, as one
     // queue over every dataset the run still needs.
     let observing = opts.observer.is_some() && obs::trace_enabled();
-    if let Some(cache) = &artifacts {
-        let warm_depth = observing.then(obs::push_collector);
-        {
-            let _g = obs::span("warm_rankings");
-            let mut kinds: Vec<RankingKind> = Vec::new();
-            for arm in arms {
-                if let Arm::Strategy(StrategyId::TpeRanking(k)) = arm {
-                    if !kinds.contains(k) {
-                        kinds.push(*k);
-                    }
+    let warm_depth = observing.then(obs::push_collector);
+    {
+        let _g = obs::span("warm_rankings");
+        let mut kinds: Vec<RankingKind> = Vec::new();
+        for arm in arms {
+            if let Arm::Strategy(StrategyId::TpeRanking(k)) = arm {
+                if !kinds.contains(k) {
+                    kinds.push(*k);
                 }
-            }
-            let mut datasets: Vec<(&str, &Split)> = Vec::new();
-            for (i, s) in scenarios.iter().enumerate() {
-                let name = s.dataset.as_str();
-                if resumed.contains_key(&i) || datasets.iter().any(|(d, _)| *d == name) {
-                    continue;
-                }
-                if let Some(split) = shared_splits.get(name) {
-                    datasets.push((name, split.as_ref()));
-                }
-            }
-            if !kinds.is_empty() {
-                cache.warm_rankings(&datasets, &kinds, &exec);
             }
         }
-        if let (Some(observer), Some(depth)) = (opts.observer, warm_depth) {
-            if let Some(c) = obs::take_collector(depth) {
-                observer.absorb_run(c);
+        let mut datasets: Vec<(&str, &Split)> = Vec::new();
+        for (i, s) in scenarios.iter().enumerate() {
+            let name = s.dataset.as_str();
+            if resumed.contains_key(&i) || datasets.iter().any(|(d, _)| *d == name) {
+                continue;
             }
+            if let Some(split) = shared_splits.get(name) {
+                datasets.push((name, split.as_ref()));
+            }
+        }
+        if !kinds.is_empty() {
+            artifacts.warm_rankings(&datasets, &kinds, &exec);
+        }
+    }
+    if let (Some(observer), Some(depth)) = (opts.observer, warm_depth) {
+        if let Some(c) = obs::take_collector(depth) {
+            observer.absorb_run(c);
         }
     }
 
@@ -481,8 +466,7 @@ pub fn run_benchmark_opts(
                                 &shared_settings,
                                 arm,
                                 fault,
-                                artifacts.as_ref(),
-                                memo.as_ref(),
+                                &artifacts,
                                 &exec,
                                 opts,
                             );
@@ -540,10 +524,10 @@ pub fn run_benchmark_opts(
     matrix
 }
 
-/// One cell with panic isolation and (unless disabled) a watchdog thread
-/// enforcing a hard wall-clock deadline. Always returns a cell, plus the
-/// cell's trace collector when one was recorded (a timed-out cell's
-/// collector is stranded on the abandoned thread and therefore absent).
+/// One cell with panic isolation and a watchdog thread enforcing a hard
+/// wall-clock deadline. Always returns a cell, plus the cell's trace
+/// collector when one was recorded (a timed-out cell's collector is
+/// stranded on the abandoned thread and therefore absent).
 #[allow(clippy::too_many_arguments)]
 fn run_cell_guarded(
     scenario: &MlScenario,
@@ -553,18 +537,12 @@ fn run_cell_guarded(
     settings: &Arc<ScenarioSettings>,
     arm: Arm,
     fault: Option<FaultKind>,
-    artifacts: Option<&Arc<ArtifactCache>>,
-    memo: Option<&Arc<EvalMemo>>,
+    artifacts: &Arc<ArtifactCache>,
     exec: &Arc<Executor>,
     opts: &RunnerOptions<'_>,
 ) -> (CellResult, Option<obs::Collector>) {
     let label = format!("{}#{scenario_idx}", scenario.dataset);
     let observe = opts.observer.is_some();
-    if opts.deadline_factor <= 0.0 {
-        return run_cell_isolated(
-            scenario, split, settings, arm, fault, artifacts, memo, exec, &label, None, observe,
-        );
-    }
     let deadline =
         scenario.constraints.max_search_time.mul_f64(opts.deadline_factor) + opts.deadline_grace;
     let heartbeat = Arc::new(obs::Heartbeat::new());
@@ -573,8 +551,7 @@ fn run_cell_guarded(
         let scenario = scenario.clone();
         let split = Arc::clone(split);
         let settings = Arc::clone(settings);
-        let artifacts = artifacts.map(Arc::clone);
-        let memo = memo.map(Arc::clone);
+        let artifacts = Arc::clone(artifacts);
         let exec = Arc::clone(exec);
         let label = label.clone();
         let heartbeat = Arc::clone(&heartbeat);
@@ -587,8 +564,7 @@ fn run_cell_guarded(
                 &settings,
                 arm,
                 fault,
-                artifacts.as_ref(),
-                memo.as_ref(),
+                &artifacts,
                 &exec,
                 &label,
                 Some(&heartbeat),
@@ -600,7 +576,7 @@ fn run_cell_guarded(
         // Thread exhaustion: degrade to inline panic isolation (no
         // deadline) rather than losing the cell.
         return run_cell_isolated(
-            scenario, split, settings, arm, fault, artifacts, memo, exec, &label, None, observe,
+            scenario, split, settings, arm, fault, artifacts, exec, &label, None, observe,
         );
     }
     match rx.recv_timeout(deadline) {
@@ -651,8 +627,7 @@ fn run_cell_isolated(
     settings: &ScenarioSettings,
     arm: Arm,
     fault: Option<FaultKind>,
-    artifacts: Option<&Arc<ArtifactCache>>,
-    memo: Option<&Arc<EvalMemo>>,
+    artifacts: &Arc<ArtifactCache>,
     exec: &Arc<Executor>,
     label: &str,
     hb: Option<&Arc<obs::Heartbeat>>,
@@ -666,7 +641,7 @@ fn run_cell_isolated(
     let depth = (observe && obs::trace_enabled()).then(obs::push_collector);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let _g = obs::span("cell");
-        run_cell(scenario, split, settings, arm, fault, artifacts, memo, exec)
+        run_cell(scenario, split, settings, arm, fault, artifacts, exec)
     }));
     let cell = match outcome {
         Ok(cell) => sanitize_cell(cell),
@@ -698,8 +673,7 @@ fn run_cell(
     settings: &ScenarioSettings,
     arm: Arm,
     fault: Option<FaultKind>,
-    artifacts: Option<&Arc<ArtifactCache>>,
-    memo: Option<&Arc<EvalMemo>>,
+    artifacts: &Arc<ArtifactCache>,
     exec: &Arc<Executor>,
 ) -> CellResult {
     match fault {
@@ -727,22 +701,11 @@ fn run_cell(
     }
     match arm {
         Arm::Original => CellResult::from(&run_original_features_with_exec(
-            scenario,
-            split,
-            settings,
-            artifacts,
-            Some(exec),
-            memo,
+            scenario, split, settings, artifacts, exec,
         )),
-        Arm::Strategy(id) => CellResult::from(&run_dfs_with_exec(
-            scenario,
-            split,
-            settings,
-            id,
-            artifacts,
-            Some(exec),
-            memo,
-        )),
+        Arm::Strategy(id) => {
+            CellResult::from(&run_dfs_with_exec(scenario, split, settings, id, artifacts, exec))
+        }
     }
 }
 

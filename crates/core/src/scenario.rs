@@ -1,8 +1,6 @@
 //! ML scenarios and the subset evaluator that powers every strategy.
 
-use crate::artifacts::{
-    ranking_seed, split_fingerprint, subset_bits, ArtifactCache, EvalKey, EvalMemo,
-};
+use crate::artifacts::{ranking_seed, split_fingerprint, subset_bits, ArtifactCache, EvalKey};
 use crate::exec::Executor;
 use crate::perf::EvalPerf;
 use dfs_constraints::{ConstraintSet, Evaluation};
@@ -81,9 +79,10 @@ impl ScenarioSettings {
 }
 
 /// Fingerprint of everything besides the subset that determines a
-/// measured [`Evaluation`]: it keys the shared [`EvalMemo`] so a context
-/// rebuilt with different settings (row cap, attack budget, metric set,
-/// seed, …) can never serve another configuration's entry.
+/// measured [`Evaluation`]: it keys the evaluation memo of the
+/// [`ArtifactCache`] so a context rebuilt with different settings (row
+/// cap, attack budget, metric set, seed, …) can never serve another
+/// configuration's entry.
 ///
 /// Every field of the scenario and the settings is destructured without
 /// `..`, so a new field fails to compile until it is either mixed in or
@@ -192,9 +191,9 @@ pub struct ScenarioContext<'a> {
     /// (O(1) steady-state allocation).
     scratch: Scratch,
     perf: EvalPerf,
-    artifacts: Option<Arc<ArtifactCache>>,
-    /// Cross-arm subset-evaluation memo (shared like `artifacts`).
-    memo: Option<Arc<EvalMemo>>,
+    /// Rankings, bins and the subset-evaluation memo: private to this
+    /// context unless [`ScenarioContext::with_artifacts`] shares one.
+    artifacts: Arc<ArtifactCache>,
     split_key: u64,
     /// [`settings_fingerprint`] of this context's configuration — part of
     /// every memo key, so a context rebuilt with different settings can
@@ -202,8 +201,8 @@ pub struct ScenarioContext<'a> {
     settings_key: u64,
     exec: Arc<Executor>,
     /// Dataset-level histogram bins for the binned tree kernel, resolved
-    /// lazily on the first DT fit (from the artifact cache when attached,
-    /// derived locally otherwise) and shared by every fit of this context.
+    /// lazily on the first DT fit through the artifact cache and shared by
+    /// every fit of this context.
     bins: std::sync::OnceLock<Arc<BinSet>>,
 }
 
@@ -527,8 +526,7 @@ impl<'a> ScenarioContext<'a> {
             y_train,
             scratch: Scratch::default(),
             perf: EvalPerf::default(),
-            artifacts: None,
-            memo: None,
+            artifacts: Arc::new(ArtifactCache::new()),
             split_key: split_fingerprint(split),
             settings_key: settings_fingerprint(scenario, settings, cap),
             exec: Arc::new(Executor::sequential()),
@@ -536,20 +534,15 @@ impl<'a> ScenarioContext<'a> {
         }
     }
 
-    /// Attaches a shared artifact cache (rankings computed once per
-    /// benchmark row instead of once per arm).
+    /// Swaps the private cache for a shared one: rankings and bins are
+    /// computed once per benchmark run instead of once per arm, and
+    /// measurements become visible to (and reusable by) every other arm,
+    /// row, and server request holding the same cache. Sound because a
+    /// measurement is a pure function of `(settings fingerprint, split,
+    /// subset)` — all stochastic seeds derive from that key, never from
+    /// call order.
     pub fn with_artifacts(mut self, artifacts: Arc<ArtifactCache>) -> Self {
-        self.artifacts = Some(artifacts);
-        self
-    }
-
-    /// Attaches a shared subset-evaluation memo: measurements become
-    /// visible to (and reusable by) every other arm, row, and server
-    /// request holding the same memo. Sound because a measurement is a
-    /// pure function of `(settings fingerprint, split, subset)` — all
-    /// stochastic seeds derive from that key, never from call order.
-    pub fn with_memo(mut self, memo: Arc<EvalMemo>) -> Self {
-        self.memo = Some(memo);
+        self.artifacts = artifacts;
         self
     }
 
@@ -584,26 +577,20 @@ impl<'a> ScenarioContext<'a> {
     /// The dataset-level bin set, when this context's fits consult bin
     /// codes at all (DT model): the histogram kernel for plain fits, and
     /// the bit-identical code-driven partition for DP random trees.
-    /// Resolved once per context: through the shared artifact cache when
-    /// attached — every arm, row, and server request on the same split
-    /// then reuses one quantization — or derived locally otherwise.
+    /// Resolved once per context through the artifact cache: when it is
+    /// shared, every arm, row, and server request on the same split reuses
+    /// one quantization.
     fn dataset_bins(&self) -> Option<&Arc<BinSet>> {
         if self.scenario.model != ModelKind::DecisionTree {
             return None;
         }
-        Some(self.bins.get_or_init(|| match &self.artifacts {
-            Some(cache) => {
-                let (bins, hit) = cache.bins(&self.scenario.dataset, self.split_key, || {
-                    let _g = obs::span("bins.derive");
-                    BinSet::derive(&self.split.train.x)
-                });
-                obs::counter(if hit { "bins.hit" } else { "bins.derive" }, 1);
-                bins
-            }
-            None => {
-                obs::counter("bins.derive", 1);
-                Arc::new(BinSet::derive(&self.split.train.x))
-            }
+        Some(self.bins.get_or_init(|| {
+            let (bins, hit) = self.artifacts.bins(&self.scenario.dataset, self.split_key, || {
+                let _g = obs::span("bins.derive");
+                BinSet::derive(&self.split.train.x)
+            });
+            obs::counter(if hit { "bins.hit" } else { "bins.derive" }, 1);
+            bins
         }))
     }
 
@@ -649,7 +636,7 @@ impl<'a> ScenarioContext<'a> {
         })
     }
 
-    /// The shared-memo key of a subset measurement in this context.
+    /// The memo key of a subset measurement in this context.
     fn memo_key(&self, subset: &[usize], eval_on_test: bool) -> EvalKey {
         EvalKey {
             dataset: self.scenario.dataset.clone(),
@@ -660,17 +647,20 @@ impl<'a> ScenarioContext<'a> {
         }
     }
 
-    /// Probes the shared memo (when attached) for an exact measurement.
-    fn memo_lookup(&self, subset: &[usize], eval_on_test: bool) -> Option<Evaluation> {
-        let memo = self.memo.as_ref()?;
-        memo.lookup(&self.memo_key(subset, eval_on_test))
+    /// Probes the memo for an exact measurement, counting the hit or miss
+    /// in this context's work counters.
+    fn memo_lookup(&mut self, subset: &[usize], eval_on_test: bool) -> Option<Evaluation> {
+        let found = self.artifacts.memo_lookup(&self.memo_key(subset, eval_on_test));
+        match found {
+            Some(_) => self.perf.memo_hits += 1,
+            None => self.perf.memo_misses += 1,
+        }
+        found
     }
 
-    /// Publishes an exact measurement to the shared memo (when attached).
+    /// Publishes an exact measurement to the memo.
     fn memo_insert(&self, subset: &[usize], eval_on_test: bool, eval: Evaluation) {
-        if let Some(memo) = &self.memo {
-            memo.insert(self.memo_key(subset, eval_on_test), eval);
-        }
+        self.artifacts.memo_insert(self.memo_key(subset, eval_on_test), eval);
     }
 
     /// Scores a subset against the constraint set (Eq. 1 / Eq. 2), without
@@ -693,18 +683,12 @@ impl<'a> ScenarioContext<'a> {
 
     /// Confirms a subset on the **test** split (the final workflow step).
     /// Does not consume search budget — the search is already over. With a
-    /// shared memo attached, a confirmation already performed by another
-    /// arm or request is served without retraining.
+    /// shared cache, a confirmation already performed by another arm or
+    /// request is served without retraining.
     pub fn confirm_on_test(&mut self, subset: &[usize]) -> (Evaluation, f64) {
         let eval = match self.memo_lookup(subset, true) {
-            Some(eval) => {
-                self.perf.memo_hits += 1;
-                eval
-            }
+            Some(eval) => eval,
             None => {
-                if self.memo.is_some() {
-                    self.perf.memo_misses += 1;
-                }
                 let eval = self.measure(subset, true);
                 self.memo_insert(subset, true, eval);
                 eval
@@ -752,7 +736,7 @@ impl<'a> ScenarioContext<'a> {
     /// The one serial evaluation flow behind `evaluate`,
     /// `evaluate_no_prune`, their `_bounded` variants and `evaluate_multi`:
     /// budget admission → cache → size pruning (`prune` only) → budget
-    /// consumption → shared-memo probe → (possibly bounded) measurement.
+    /// consumption → memo probe → (possibly bounded) measurement.
     ///
     /// The wall clock gates *everything*, including cache hits and pruned
     /// evaluations — otherwise a strategy whose proposals are all pruned
@@ -809,14 +793,10 @@ impl<'a> ScenarioContext<'a> {
                 return None;
             }
             if let Some(eval) = self.memo_lookup(subset, false) {
-                self.perf.memo_hits += 1;
                 let score = self.objective_of(&eval);
                 self.cache
                     .insert(subset.to_vec(), CachedEval { score, eval, pruned: false, bounded: false });
                 return Some((score, eval));
-            }
-            if self.memo.is_some() {
-                self.perf.memo_misses += 1;
             }
         }
         // The short-circuit is only sound for the non-negative Eq. 1
@@ -968,11 +948,10 @@ impl SubsetEvaluator for ScenarioContext<'_> {
                     plan.push(Slot::Deny);
                     continue;
                 }
-                // Shared-memo probe, after budget consumption — a memo hit
+                // Memo probe, after budget consumption — a memo hit
                 // costs exactly what the measurement it replaces would
                 // have, keeping search trajectories bit-identical.
                 if let Some(eval) = self.memo_lookup(subset, false) {
-                    self.perf.memo_hits += 1;
                     let score = self.objective_of(&eval);
                     self.cache.insert(
                         subset.clone(),
@@ -980,9 +959,6 @@ impl SubsetEvaluator for ScenarioContext<'_> {
                     );
                     plan.push(Slot::Known(eval));
                     continue;
-                }
-                if self.memo.is_some() {
-                    self.perf.memo_misses += 1;
                 }
             }
             pending.insert(subset.as_slice(), fresh.len());
@@ -1061,31 +1037,21 @@ impl SubsetEvaluator for ScenarioContext<'_> {
     fn ranking(&mut self, kind: RankingKind) -> Ranking {
         // Dataset-scoped seed: independent of the scenario seed and of the
         // cache, so every arm of a benchmark row derives the identical
-        // ranking whether or not a shared cache is attached.
+        // ranking whether its cache is shared or private.
         let seed = ranking_seed(&self.scenario.dataset, kind);
-        match self.artifacts.clone() {
-            Some(cache) => {
-                let (ranking, hit) =
-                    cache.ranking(&self.scenario.dataset, self.split_key, kind, || {
-                        let _g = obs::span(format!("ranking.compute.{}", kind.name()));
-                        kind.compute(&self.split.train.x, &self.split.train.y, seed)
-                    });
-                if hit {
-                    self.perf.ranking_hits += 1;
-                    obs::counter("ranking.hit", 1);
-                } else {
-                    self.perf.ranking_computes += 1;
-                    obs::counter("ranking.compute", 1);
-                }
-                (*ranking).clone()
-            }
-            None => {
-                self.perf.ranking_computes += 1;
-                obs::counter("ranking.compute", 1);
+        let (ranking, hit) =
+            self.artifacts.ranking(&self.scenario.dataset, self.split_key, kind, || {
                 let _g = obs::span(format!("ranking.compute.{}", kind.name()));
                 kind.compute(&self.split.train.x, &self.split.train.y, seed)
-            }
+            });
+        if hit {
+            self.perf.ranking_hits += 1;
+            obs::counter("ranking.hit", 1);
+        } else {
+            self.perf.ranking_computes += 1;
+            obs::counter("ranking.compute", 1);
         }
+        (*ranking).clone()
     }
 
     fn importances(&mut self, subset: &[usize]) -> Option<Vec<f64>> {
@@ -1378,8 +1344,8 @@ mod tests {
         let (_, split) = setup();
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
-        let memo = Arc::new(crate::artifacts::EvalMemo::new());
-        let mut a = ScenarioContext::new(&sc, &split, &settings).with_memo(Arc::clone(&memo));
+        let cache = Arc::new(ArtifactCache::new());
+        let mut a = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
         let s1 = a.evaluate(&[0, 1, 2]).unwrap();
         assert_eq!(a.perf().memo_misses, 1);
         assert_eq!(a.perf().memo_hits, 0);
@@ -1387,14 +1353,15 @@ mod tests {
         // A second context (another arm, row, or server request) reuses
         // the measurement: no training, but the budget is still consumed,
         // so search trajectories stay identical to the naive engine.
-        let mut b = ScenarioContext::new(&sc, &split, &settings).with_memo(Arc::clone(&memo));
+        let mut b = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
         let s2 = b.evaluate(&[0, 1, 2]).unwrap();
         assert_eq!(s1.to_bits(), s2.to_bits());
         assert_eq!(b.perf().memo_hits, 1);
         assert_eq!(b.perf().model_fits, 0, "memo hit must not retrain");
         assert_eq!(b.evals_used(), 1, "memo hit still consumes budget");
 
-        // And the memoized value is bit-identical to a memo-free run.
+        // And the memoized value is bit-identical to a context measuring
+        // into its own private cache.
         let mut naive = ScenarioContext::new(&sc, &split, &settings);
         let s3 = naive.evaluate(&[0, 1, 2]).unwrap();
         assert_eq!(s1.to_bits(), s3.to_bits());
@@ -1405,15 +1372,15 @@ mod tests {
         let (_, split) = setup();
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
-        let memo = Arc::new(crate::artifacts::EvalMemo::new());
-        let mut a = ScenarioContext::new(&sc, &split, &settings).with_memo(Arc::clone(&memo));
+        let cache = Arc::new(ArtifactCache::new());
+        let mut a = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
         a.evaluate(&[0, 1]).unwrap();
 
         // Same scenario, different measurement configuration: the entry
         // must not be served.
         let mut other = ScenarioSettings::fast();
         other.attack.seed = 99;
-        let mut b = ScenarioContext::new(&sc, &split, &other).with_memo(Arc::clone(&memo));
+        let mut b = ScenarioContext::new(&sc, &split, &other).with_artifacts(Arc::clone(&cache));
         b.evaluate(&[0, 1]).unwrap();
         assert_eq!(b.perf().memo_hits, 0, "different settings must miss");
         assert_eq!(b.perf().memo_misses, 1);
@@ -1425,10 +1392,10 @@ mod tests {
         let (_, split) = setup();
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
-        let memo = Arc::new(crate::artifacts::EvalMemo::new());
-        let mut a = ScenarioContext::new(&sc, &split, &settings).with_memo(Arc::clone(&memo));
+        let cache = Arc::new(ArtifactCache::new());
+        let mut a = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
         let (eval_a, dist_a) = a.confirm_on_test(&[0, 1, 2]);
-        let mut b = ScenarioContext::new(&sc, &split, &settings).with_memo(Arc::clone(&memo));
+        let mut b = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
         let (eval_b, dist_b) = b.confirm_on_test(&[0, 1, 2]);
         assert_eq!(eval_a.f1.to_bits(), eval_b.f1.to_bits());
         assert_eq!(dist_a.to_bits(), dist_b.to_bits());
@@ -1506,6 +1473,169 @@ mod tests {
         let mut sc2 = sc.clone();
         sc2.seed = 6;
         assert_ne!(settings_fingerprint(&sc, &s, 100), settings_fingerprint(&sc2, &s, 100));
+    }
+
+    /// Every one-field variation of `(sc, st)`: each bool toggled, each
+    /// number changed, each `Option` switched between `Some` and `None` and,
+    /// when `Some`, its number changed. The structs are destructured without
+    /// `..`, so a new field fails to compile here until it gets its flips.
+    fn one_field_flips(
+        sc: &MlScenario,
+        st: &ScenarioSettings,
+    ) -> Vec<(&'static str, MlScenario, ScenarioSettings)> {
+        let MlScenario {
+            // Not a flip: the memo key carries the dataset next to the
+            // split fingerprint, outside `settings_fingerprint`.
+            dataset: _,
+            model,
+            hpo,
+            constraints,
+            utility_f1,
+            seed,
+        } = sc;
+        let ConstraintSet {
+            min_f1,
+            max_search_time,
+            max_feature_frac,
+            min_eo,
+            min_safety,
+            privacy_epsilon,
+        } = constraints;
+        let ScenarioSettings { max_evals, attack, max_train_rows, bound_pruning } = st;
+        let AttackConfig { max_points, init_trials, seed: attack_seed } = attack;
+
+        let toggle = |o: &Option<f64>| if o.is_some() { None } else { Some(0.5) };
+        let halve = |o: &Option<f64>| o.map(|v| v / 2.0);
+        let kinds = [
+            ModelKind::LogisticRegression,
+            ModelKind::GaussianNb,
+            ModelKind::DecisionTree,
+            ModelKind::LinearSvm,
+        ];
+        let next_kind = kinds[(kinds.iter().position(|k| k == model).unwrap_or(0) + 1) % 4];
+        let scenario = |label, s: MlScenario| (label, s, st.clone());
+        let constraint = |label, c: ConstraintSet| {
+            (label, MlScenario { constraints: c, ..sc.clone() }, st.clone())
+        };
+        let setting = |label, t: ScenarioSettings| (label, sc.clone(), t);
+        let attack_setting = |label, a: AttackConfig| {
+            (label, sc.clone(), ScenarioSettings { attack: a, ..st.clone() })
+        };
+        let c = || constraints.clone();
+        let a = || attack.clone();
+        vec![
+            scenario("model", MlScenario { model: next_kind, ..sc.clone() }),
+            scenario("hpo", MlScenario { hpo: !hpo, ..sc.clone() }),
+            scenario("utility_f1", MlScenario { utility_f1: !utility_f1, ..sc.clone() }),
+            scenario("seed", MlScenario { seed: seed + 1, ..sc.clone() }),
+            constraint("min_f1", ConstraintSet { min_f1: min_f1 - 0.1, ..c() }),
+            constraint(
+                "max_search_time",
+                ConstraintSet { max_search_time: *max_search_time * 2, ..c() },
+            ),
+            constraint(
+                "max_feature_frac toggled",
+                ConstraintSet { max_feature_frac: toggle(max_feature_frac), ..c() },
+            ),
+            constraint(
+                "max_feature_frac changed",
+                ConstraintSet { max_feature_frac: halve(max_feature_frac), ..c() },
+            ),
+            constraint("min_eo toggled", ConstraintSet { min_eo: toggle(min_eo), ..c() }),
+            constraint("min_eo changed", ConstraintSet { min_eo: halve(min_eo), ..c() }),
+            constraint(
+                "min_safety toggled",
+                ConstraintSet { min_safety: toggle(min_safety), ..c() },
+            ),
+            constraint(
+                "min_safety changed",
+                ConstraintSet { min_safety: halve(min_safety), ..c() },
+            ),
+            constraint(
+                "privacy_epsilon toggled",
+                ConstraintSet { privacy_epsilon: toggle(privacy_epsilon), ..c() },
+            ),
+            constraint(
+                "privacy_epsilon changed",
+                ConstraintSet { privacy_epsilon: halve(privacy_epsilon), ..c() },
+            ),
+            setting("max_evals", ScenarioSettings { max_evals: max_evals + 1, ..st.clone() }),
+            setting(
+                "max_train_rows",
+                ScenarioSettings { max_train_rows: max_train_rows + 1, ..st.clone() },
+            ),
+            setting(
+                "bound_pruning",
+                ScenarioSettings { bound_pruning: !bound_pruning, ..st.clone() },
+            ),
+            attack_setting("attack.max_points", AttackConfig { max_points: max_points + 1, ..a() }),
+            // One trial, not one more: a ninth trial changes no safety on
+            // this split, so a dropped `init_trials` mix would go unseen.
+            attack_setting(
+                "attack.init_trials",
+                AttackConfig { init_trials: if *init_trials == 1 { 8 } else { 1 }, ..a() },
+            ),
+            attack_setting("attack.seed", AttackConfig { seed: attack_seed + 1, ..a() }),
+        ]
+    }
+
+    /// The memo key is sound by test: flipping any one field of the
+    /// scenario or the settings either changes the settings fingerprint or
+    /// leaves the measured `Evaluation` of a fixed subset bit-identical on
+    /// validation and on test. Covers every model kind, with Min EO and Min
+    /// Safety declared, with and without a DP ε, on a row cap below the
+    /// split height.
+    #[test]
+    fn every_field_flip_changes_the_fingerprint_or_no_measurement() {
+        let (ds, split) = setup();
+        let mut settings = ScenarioSettings::fast();
+        settings.max_train_rows = 100;
+        assert!(split.train.n_rows() > settings.max_train_rows + 1);
+        let subset: Vec<usize> = (0..ds.n_features()).step_by(2).collect();
+        let key_and_bits = |sc: &MlScenario, st: &ScenarioSettings| {
+            let ctx = ScenarioContext::new(sc, &split, st);
+            let env = ctx.env();
+            let bits = [false, true].map(|on_test| {
+                let mut perf = EvalPerf::default();
+                let e = measure_subset(&env, &subset, on_test, &mut Scratch::default(), &mut perf);
+                (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits), e.n_selected)
+            });
+            (ctx.settings_key, bits)
+        };
+        let (mut rekeyed, mut remeasured) = (0, 0);
+        for model in [
+            ModelKind::LogisticRegression,
+            ModelKind::GaussianNb,
+            ModelKind::DecisionTree,
+            ModelKind::LinearSvm,
+        ] {
+            for dp in [None, Some(5.0)] {
+                let mut c = ConstraintSet::accuracy_only(0.6, Duration::from_secs(10));
+                c.max_feature_frac = Some(0.8);
+                c.min_eo = Some(0.8);
+                c.min_safety = Some(0.8);
+                c.privacy_epsilon = dp;
+                let mut sc = scenario(c);
+                sc.model = model;
+                let (key, bits) = key_and_bits(&sc, &settings);
+                for (label, flipped_sc, flipped_st) in one_field_flips(&sc, &settings) {
+                    let flipped = ScenarioContext::new(&flipped_sc, &split, &flipped_st);
+                    if flipped.settings_key != key {
+                        rekeyed += 1;
+                        continue;
+                    }
+                    remeasured += 1;
+                    assert_eq!(
+                        key_and_bits(&flipped_sc, &flipped_st).1,
+                        bits,
+                        "{model:?} dp={dp:?}: flipping {label} keeps the fingerprint but changes \
+                         the measurement"
+                    );
+                }
+            }
+        }
+        // Both outcomes occur, so neither branch is vacuous.
+        assert!(rekeyed > 0 && remeasured > 0, "rekeyed {rekeyed}, remeasured {remeasured}");
     }
 
     /// The gather-then-predict oracle: a measurement as the engine made it

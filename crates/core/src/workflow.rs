@@ -8,7 +8,7 @@
 //! 3. On failure, the best subset's distances on validation and test are
 //!    recorded (the paper's Table 4 failure analysis).
 
-use crate::artifacts::{ArtifactCache, EvalMemo};
+use crate::artifacts::ArtifactCache;
 use crate::exec::Executor;
 use crate::perf::EvalPerf;
 use crate::scenario::{MlScenario, ScenarioContext, ScenarioSettings};
@@ -48,56 +48,37 @@ pub struct DfsOutcome {
     pub perf: EvalPerf,
 }
 
-/// Runs the full DFS workflow for one strategy.
+/// Runs the full DFS workflow for one strategy, alone: a private
+/// [`ArtifactCache`] and every inner loop sequential.
 pub fn run_dfs(
     scenario: &MlScenario,
     split: &Split,
     settings: &ScenarioSettings,
     strategy: StrategyId,
 ) -> DfsOutcome {
-    run_dfs_with(scenario, split, settings, strategy, None)
+    let (artifacts, exec) = (Arc::new(ArtifactCache::new()), Arc::new(Executor::sequential()));
+    run_dfs_with_exec(scenario, split, settings, strategy, &artifacts, &exec)
 }
 
-/// [`run_dfs`] with an optional shared artifact cache (the benchmark
-/// runner passes one so the arms of a row share ranking computations).
-pub fn run_dfs_with(
-    scenario: &MlScenario,
-    split: &Split,
-    settings: &ScenarioSettings,
-    strategy: StrategyId,
-    artifacts: Option<&Arc<ArtifactCache>>,
-) -> DfsOutcome {
-    run_dfs_with_exec(scenario, split, settings, strategy, artifacts, None, None)
-}
-
-/// [`run_dfs_with`] plus an optional shared [`Executor`] and an optional
-/// shared [`EvalMemo`]. The executor lets the cell's inner hot loops
-/// (batched NSGA-II evaluation, HPO grids, attack rows) draw helper
-/// threads from the shared permit pool; `None` runs every inner loop
-/// sequentially inline, which is bit-identical (see `DESIGN.md` § 4d).
-/// The memo shares exact subset measurements across the arms of a row
-/// (and across rows/requests on the same split) — also bit-identical,
-/// see `DESIGN.md` § 4h.
+/// [`run_dfs`] on a shared [`ArtifactCache`] and a shared [`Executor`].
+/// The cache shares rankings, bins and exact subset measurements across
+/// the arms of a row (and across rows/requests on the same split); the
+/// executor lets the cell's inner hot loops (batched NSGA-II evaluation,
+/// HPO grids, attack rows) draw helper threads from the shared permit
+/// pool. Both are bit-identical to running alone (see `DESIGN.md` § 4d
+/// and § 4h).
 pub fn run_dfs_with_exec(
     scenario: &MlScenario,
     split: &Split,
     settings: &ScenarioSettings,
     strategy: StrategyId,
-    artifacts: Option<&Arc<ArtifactCache>>,
-    exec: Option<&Arc<Executor>>,
-    memo: Option<&Arc<EvalMemo>>,
+    artifacts: &Arc<ArtifactCache>,
+    exec: &Arc<Executor>,
 ) -> DfsOutcome {
     debug_assert!(scenario.constraints.validate().is_ok(), "invalid constraint set");
-    let mut ctx = ScenarioContext::new(scenario, split, settings);
-    if let Some(cache) = artifacts {
-        ctx = ctx.with_artifacts(Arc::clone(cache));
-    }
-    if let Some(exec) = exec {
-        ctx = ctx.with_executor(Arc::clone(exec));
-    }
-    if let Some(memo) = memo {
-        ctx = ctx.with_memo(Arc::clone(memo));
-    }
+    let mut ctx = ScenarioContext::new(scenario, split, settings)
+        .with_artifacts(Arc::clone(artifacts))
+        .with_executor(Arc::clone(exec));
     dfs_obs::heartbeat("search");
     let outcome = {
         let _g = dfs_obs::span("search");
@@ -159,45 +140,29 @@ pub fn run_dfs_with_exec(
 }
 
 /// The "Original Features" baseline of Table 3: no selection, just the full
-/// feature set through the same train/validate/confirm pipeline.
+/// feature set through the same train/validate/confirm pipeline, alone
+/// (see [`run_dfs`]).
 pub fn run_original_features(
     scenario: &MlScenario,
     split: &Split,
     settings: &ScenarioSettings,
 ) -> DfsOutcome {
-    run_original_features_with(scenario, split, settings, None)
+    let (artifacts, exec) = (Arc::new(ArtifactCache::new()), Arc::new(Executor::sequential()));
+    run_original_features_with_exec(scenario, split, settings, &artifacts, &exec)
 }
 
-/// [`run_original_features`] with an optional shared artifact cache.
-pub fn run_original_features_with(
-    scenario: &MlScenario,
-    split: &Split,
-    settings: &ScenarioSettings,
-    artifacts: Option<&Arc<ArtifactCache>>,
-) -> DfsOutcome {
-    run_original_features_with_exec(scenario, split, settings, artifacts, None, None)
-}
-
-/// [`run_original_features_with`] plus an optional shared [`Executor`]
-/// and [`EvalMemo`] (see [`run_dfs_with_exec`]).
+/// [`run_original_features`] on a shared [`ArtifactCache`] and a shared
+/// [`Executor`] (see [`run_dfs_with_exec`]).
 pub fn run_original_features_with_exec(
     scenario: &MlScenario,
     split: &Split,
     settings: &ScenarioSettings,
-    artifacts: Option<&Arc<ArtifactCache>>,
-    exec: Option<&Arc<Executor>>,
-    memo: Option<&Arc<EvalMemo>>,
+    artifacts: &Arc<ArtifactCache>,
+    exec: &Arc<Executor>,
 ) -> DfsOutcome {
-    let mut ctx = ScenarioContext::new(scenario, split, settings);
-    if let Some(cache) = artifacts {
-        ctx = ctx.with_artifacts(Arc::clone(cache));
-    }
-    if let Some(exec) = exec {
-        ctx = ctx.with_executor(Arc::clone(exec));
-    }
-    if let Some(memo) = memo {
-        ctx = ctx.with_memo(Arc::clone(memo));
-    }
+    let mut ctx = ScenarioContext::new(scenario, split, settings)
+        .with_artifacts(Arc::clone(artifacts))
+        .with_executor(Arc::clone(exec));
     let all: Vec<usize> = (0..split.n_features()).collect();
     let val_score = ctx.evaluate(&all);
     let elapsed = ctx.elapsed();

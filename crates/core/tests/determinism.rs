@@ -26,6 +26,8 @@ use dfs_rankings::RankingKind;
 use std::collections::HashMap;
 use std::time::Duration;
 
+mod common;
+
 fn splits() -> HashMap<String, Split> {
     let ds = generate(&tiny_spec(), 23);
     let mut splits = HashMap::new();
@@ -78,30 +80,29 @@ fn arms() -> Vec<Arm> {
     ]
 }
 
-fn run(threads: usize) -> BenchmarkMatrix {
-    run_configured(threads, true, true)
-}
-
-/// One matrix run with the evaluation-sharing machinery dialed as given:
-/// `memo` shares an [`dfs_core::EvalMemo`] across cells, `pruning` enables
-/// the cheap-first lower-bound short-circuit.
-fn run_configured(threads: usize, memo: bool, pruning: bool) -> BenchmarkMatrix {
+fn settings(pruning: bool) -> ScenarioSettings {
     let mut settings = ScenarioSettings::fast();
     settings.max_evals = 16; // the eval cap binds, never the wall clock
     settings.bound_pruning = pruning;
-    let opts = RunnerOptions {
-        threads,
-        inner_threads: threads,
-        share_eval_memo: memo,
-        ..RunnerOptions::default()
-    };
-    run_benchmark_opts(&splits(), scenarios(), &arms(), &settings, &opts)
+    settings
+}
+
+fn run(threads: usize) -> BenchmarkMatrix {
+    run_configured(threads, true)
+}
+
+/// One runner matrix, every cell on the run's shared cache; `pruning`
+/// enables the cheap-first lower-bound short-circuit.
+fn run_configured(threads: usize, pruning: bool) -> BenchmarkMatrix {
+    let opts = RunnerOptions { threads, inner_threads: threads, ..RunnerOptions::default() };
+    run_benchmark_opts(&splits(), scenarios(), &arms(), &settings(pruning), &opts)
 }
 
 /// Asserts every observable of two matrices is bit-identical: statuses,
 /// outcomes, budget trajectories, and metric bit patterns. Work counters
-/// are deliberately *not* compared — the memo and the bound short-circuit
-/// change how often models are fit; that is their whole point.
+/// are deliberately *not* compared — the shared memo and the bound
+/// short-circuit change how often models are fit; that is their whole
+/// point.
 fn assert_observably_identical(reference: &BenchmarkMatrix, other: &BenchmarkMatrix, label: &str) {
     assert_eq!(reference.arms, other.arms, "{label}: arms");
     assert_eq!(reference.results.len(), other.results.len(), "{label}: rows");
@@ -154,35 +155,32 @@ fn four_thread_matrix_is_bit_identical_to_sequential() {
     assert!(perf.model_fits > 0, "no model fits recorded");
 }
 
-/// The memoization/pruning soundness contract of DESIGN.md § 4h: turning
-/// on the shared evaluation memo or the cheap-first bound short-circuit —
-/// in any combination, at any thread count — must leave every observable
-/// of the matrix bit-identical to the naive run that measures everything
-/// exactly, every time.
+/// The memoization/pruning soundness contract of DESIGN.md § 4h: the
+/// runner's shared evaluation memo, with or without the cheap-first bound
+/// short-circuit, at any thread count, must leave every observable of the
+/// matrix bit-identical to the naive matrix that runs every cell alone and
+/// measures everything exactly, every time.
 #[test]
 fn memoized_and_pruned_runs_match_the_naive_matrix() {
-    let naive = run_configured(1, false, false);
+    let naive = common::naive_matrix(&splits(), scenarios(), &arms(), &settings(false));
     assert!(
         naive.results.iter().flatten().any(|c| c.evaluations > 1),
         "naive reference did no work"
     );
-    let configs = [(true, false, "memo"), (false, true, "pruning"), (true, true, "memo+pruning")];
     for threads in [1, 4] {
-        for (memo, pruning, name) in configs {
-            let m = run_configured(threads, memo, pruning);
+        for pruning in [false, true] {
+            let name = if pruning { "memo+pruning" } else { "memo" };
+            let m = run_configured(threads, pruning);
             assert_observably_identical(&naive, &m, &format!("{name} @{threads}t"));
             let perf = m.total_perf();
-            if memo {
-                assert!(perf.memo_hits > 0, "{name} @{threads}t: memo never hit");
-            } else {
-                assert_eq!(perf.memo_hits, 0, "{name} @{threads}t: phantom memo hits");
-            }
+            assert!(perf.memo_hits > 0, "{name} @{threads}t: memo never hit");
             if !pruning {
                 assert_eq!(perf.bound_skips, 0, "{name} @{threads}t: phantom bound skips");
             }
         }
     }
-    // The naive run itself reports no sharing, by construction.
+    // The naive matrix shares nothing and never short-circuits: a private
+    // memo cannot hit inside one cell.
     let np = naive.total_perf();
     assert_eq!((np.memo_hits, np.bound_skips), (0, 0));
 }

@@ -1,12 +1,13 @@
 //! Regression tests for the shared per-scenario ranking cache.
 //!
-//! The cache must be a pure execution optimization: enabling
-//! `share_artifacts` may only change *how often* rankings are computed,
-//! never any strategy outcome. Ranking seeds are derived from
-//! (dataset, ranking kind) alone, so the cached and uncached paths are
-//! bit-identical by construction — these tests pin that down end to end
-//! and assert the headline perf claim: with the cache, the runner's warm-up
-//! computes each ranking once and no cell computes one at all.
+//! The cache must be a pure execution optimization: sharing it across the
+//! cells of a run may only change *how often* rankings are computed, never
+//! any strategy outcome. Ranking seeds are derived from (dataset, ranking
+//! kind) alone, so the shared and private caches are bit-identical by
+//! construction — these tests pin that down end to end against every cell
+//! run alone, and assert the headline perf claim: with the shared cache,
+//! the runner's warm-up computes each ranking once and no cell computes one
+//! at all.
 
 use dfs_constraints::ConstraintSet;
 use dfs_core::runner::{run_benchmark_opts, Arm, BenchmarkMatrix, RunnerOptions};
@@ -19,6 +20,8 @@ use dfs_models::ModelKind;
 use dfs_rankings::RankingKind;
 use std::collections::HashMap;
 use std::time::Duration;
+
+mod common;
 
 fn splits() -> HashMap<String, Split> {
     let ds = generate(&tiny_spec(), 17);
@@ -48,11 +51,10 @@ fn ranking_arms() -> Vec<Arm> {
         .collect()
 }
 
-fn run(share_artifacts: bool) -> BenchmarkMatrix {
+fn settings() -> ScenarioSettings {
     let mut settings = ScenarioSettings::fast();
     settings.max_evals = 12;
-    let opts = RunnerOptions { share_artifacts, ..RunnerOptions::default() };
-    run_benchmark_opts(&splits(), scenarios(), &ranking_arms(), &settings, &opts)
+    settings
 }
 
 fn assert_bit_identical(a: &BenchmarkMatrix, b: &BenchmarkMatrix) {
@@ -71,17 +73,18 @@ fn assert_bit_identical(a: &BenchmarkMatrix, b: &BenchmarkMatrix) {
 
 #[test]
 fn shared_ranking_cache_halves_computes_with_bit_identical_results() {
-    let uncached = run(false);
-    let cached = run(true);
+    let alone = common::naive_matrix(&splits(), scenarios(), &ranking_arms(), &settings());
+    let opts = RunnerOptions::default();
+    let shared = run_benchmark_opts(&splits(), scenarios(), &ranking_arms(), &settings(), &opts);
 
-    assert_bit_identical(&uncached, &cached);
+    assert_bit_identical(&alone, &shared);
 
-    let (pu, pc) = (uncached.total_perf(), cached.total_perf());
-    // Uncached: every TPE(ranking) cell computes its own ranking.
-    assert_eq!(pu.ranking_computes, 21, "3 scenarios x 7 ranking arms");
-    assert_eq!(pu.ranking_hits, 0);
-    // Cached: the runner precomputes all 7 kinds once before any cell
+    let (pa, ps) = (alone.total_perf(), shared.total_perf());
+    // Alone: every TPE(ranking) cell computes its own ranking.
+    assert_eq!(pa.ranking_computes, 21, "3 scenarios x 7 ranking arms");
+    assert_eq!(pa.ranking_hits, 0);
+    // Shared: the runner precomputes all 7 kinds once before any cell
     // runs, so no cell ever computes a ranking — all 21 requests are hits.
-    assert_eq!(pc.ranking_computes, 0);
-    assert_eq!(pc.ranking_hits, 21);
+    assert_eq!(ps.ranking_computes, 0);
+    assert_eq!(ps.ranking_hits, 21);
 }

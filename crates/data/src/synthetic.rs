@@ -413,7 +413,7 @@ pub fn streamed_feature_names(spec: &SyntheticSpec) -> Vec<String> {
 ///
 /// Every row draws from its own RNG seeded `derive_seed(row_root, row)` in
 /// a fixed order (group, informative, label noise, redundant, proxy,
-/// noise), and the label threshold is analytic (see [`StreamDesign`]) — so
+/// noise), and the label threshold is analytic (see `StreamDesign`) — so
 /// each row's bits depend only on `(spec, seed, row)`, never on the block
 /// it lands in. Bit-identity across block sizes (and with a one-block
 /// "monolithic" call) is structural, and asserted in the determinism suite.

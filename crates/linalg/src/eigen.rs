@@ -5,7 +5,7 @@
 //! out of `m` (a few hundred subsampled instances), so the solver iterates on
 //! a [`CsrMatrix`]: each step costs one sparse product, whose lane-order
 //! accumulation returns the dense product's bits (see
-//! [`crate::sparse::LaneCsr::matvec_into`]), and the product `M·w` computed
+//! `LaneCsr::matvec_into` in [`crate::sparse`]), and the product `M·w` computed
 //! for the Rayleigh quotient doubles as the next iteration's `M·v`. The
 //! convergence test stops summing `Σ|w − v|` as soon as the running sum
 //! decides it.

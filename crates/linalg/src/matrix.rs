@@ -114,9 +114,13 @@ impl Matrix {
         out.extend(self.col_iter(j));
     }
 
-    /// Iterator over rows as slices.
+    /// Iterator over rows as slices: `rows` of them, empty ones when the
+    /// matrix has no columns.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1)).take(self.rows)
+        // `chunks_exact` needs a nonzero width and a zero-width matrix holds
+        // no data, so its empty rows come from the tail.
+        let empty_rows = if self.cols == 0 { self.rows } else { 0 };
+        self.data.chunks_exact(self.cols.max(1)).chain(std::iter::repeat_n(&[][..], empty_rows))
     }
 
     /// Underlying flat row-major buffer.
@@ -348,6 +352,17 @@ mod tests {
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.col(2), vec![3.0, 6.0]);
+    }
+
+    #[test]
+    fn rows_iter_yields_every_row_even_at_zero_width() {
+        let m = sample();
+        let rows: Vec<&[f64]> = m.rows_iter().collect();
+        assert_eq!(rows, vec![&[1.0, 2.0, 3.0][..], &[4.0, 5.0, 6.0][..]]);
+        let narrow = Matrix::zeros(3, 0);
+        assert_eq!(narrow.rows_iter().count(), 3);
+        assert!(narrow.rows_iter().all(<[f64]>::is_empty));
+        assert_eq!(Matrix::zeros(0, 0).rows_iter().count(), 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ const TARGET_LANES: usize = 4;
 /// [`lasso_coordinate_descent`] for several targets on one design `x`,
 /// bit-identical to fitting each alone.
 ///
-/// Up to [`TARGET_LANES`] targets share each pass over a column: their
+/// Up to `TARGET_LANES` targets share each pass over a column: their
 /// `x_j · r` sums are independent chains where one target's sum is a single
 /// serial chain. Each target keeps its own residual, its own per-row
 /// accumulation order and its own stopping rule (a converged target stops

@@ -2,7 +2,7 @@
 //!
 //! The MCFS spectral embedding iterates on a k-NN graph Laplacian whose rows
 //! hold about `k` nonzeros out of `m`. [`CsrMatrix`] holds the entries in
-//! column order; [`CsrMatrix::lanes`] regroups them for the product, which
+//! column order; `CsrMatrix::lanes` regroups them for the product, which
 //! multiplies over the nonzeros only, yet returns exactly the bits of the
 //! dense [`Matrix::matvec`]: each product goes into the accumulator
 //! [`crate::dot`] would use for its column, and the skipped products are

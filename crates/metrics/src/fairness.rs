@@ -84,7 +84,7 @@ pub fn statistical_parity(predicted: &[bool], group: &[bool]) -> f64 {
 ///
 /// Measures *individual + group* unfairness jointly: 0 means everyone
 /// received the same benefit; larger values mean more unequal treatment.
-/// This is an inequality measure (lower is fairer), not a [0,1] score.
+/// This is an inequality measure (lower is fairer), not a `[0, 1]` score.
 pub fn generalized_entropy_index(predicted: &[bool], actual: &[bool]) -> f64 {
     assert_eq!(predicted.len(), actual.len(), "generalized_entropy_index: length mismatch");
     if predicted.is_empty() {

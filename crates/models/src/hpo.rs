@@ -4,7 +4,7 @@
 //! search. For LR, we optimize the regularization strength
 //! C ∈ {10^n | n ∈ [−2:3]}. For NB, we optimize the smoothing variable
 //! var_smoothing ∈ [1e−12 : 1e−6]. For DT, we optimize the maximum tree
-//! depth td ∈ [1:7]."
+//! depth td ∈ \[1:7\]."
 
 use crate::tree::{DecisionTree, TreeWorkspace};
 use crate::{ModelKind, ModelSpec, TrainedModel};

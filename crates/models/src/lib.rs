@@ -293,6 +293,22 @@ mod tests {
     }
 
     #[test]
+    fn every_model_kind_predicts_every_row_of_a_zero_width_matrix() {
+        let x = Matrix::zeros(12, 0);
+        let y: Vec<bool> = (0..12).map(|i| i % 3 != 0).collect();
+        for kind in [
+            ModelKind::LogisticRegression,
+            ModelKind::GaussianNb,
+            ModelKind::DecisionTree,
+            ModelKind::LinearSvm,
+        ] {
+            let m = ModelSpec::default_for(kind).fit(&x, &y);
+            assert_eq!(m.predict(&x).len(), 12, "{kind:?}");
+            assert_eq!(m.predict_proba(&x).len(), 12, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn every_model_kind_learns_a_separable_problem() {
         let (x, y) = separable();
         for kind in [

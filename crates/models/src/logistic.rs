@@ -188,9 +188,7 @@ fn fit_gd(
     let mut b_prev = 0.0;
     let mut lr = INIT_LR;
     let mut prev = Loss::exact(f64::INFINITY);
-    // A zero-width matrix yields no rows, so neither the loss nor the
-    // gradient sees any.
-    let mut work = vec![0.0; if d == 0 { 0 } else { n }];
+    let mut work = vec![0.0; n];
     let mut gw = vec![0.0; d];
     let mut fallbacks = 0;
 
@@ -469,7 +467,7 @@ mod tests {
             }
             let targets: Vec<f64> = y.iter().map(|&t| if t { 1.0 } else { -1.0 }).collect();
             let lambda = 1.0 / (c * n.max(1) as f64);
-            let mut work = vec![0.0; if d == 0 { 0 } else { n }];
+            let mut work = vec![0.0; n];
             for (w, b, loss) in steps.iter().filter(|s| s.2.is_finite()) {
                 let fast = epoch(&x, &targets, w, *b, penalty(lambda, w, n as f64), &mut work);
                 let ratio = (loss - fast.value).abs() / fast.delta;
@@ -600,6 +598,17 @@ mod tests {
         let (x, _) = linear_problem(50);
         let y = vec![true; 50];
         let m = LogisticRegression::fit(&x, &y, 1.0);
+        assert!(x.rows_iter().all(|r| m.predict_one(r)));
+    }
+
+    #[test]
+    fn zero_width_fit_learns_the_label_prior() {
+        // Only the bias can move: with 70% positive labels it settles at a
+        // positive log-odds, so every row is predicted positive.
+        let x = Matrix::zeros(50, 0);
+        let y: Vec<bool> = (0..50).map(|i| i % 10 < 7).collect();
+        let m = LogisticRegression::fit(&x, &y, 1.0);
+        assert!(m.proba_one(&[]) > 0.5, "bias-only fit ignores the prior");
         assert!(x.rows_iter().all(|r| m.predict_one(r)));
     }
 

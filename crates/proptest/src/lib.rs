@@ -152,7 +152,7 @@ pub fn any<A: Arbitrary>() -> A::Strategy {
 pub mod collection {
     use super::{Rng, Strategy};
 
-    /// Size bound for [`vec`]: exact length or a half-open range of lengths.
+    /// Size bound for [`vec()`]: exact length or a half-open range of lengths.
     pub trait SizeRange {
         fn pick(&self, rng: &mut Rng) -> usize;
     }
@@ -170,7 +170,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,

@@ -61,7 +61,7 @@ pub fn fisher_scores(x: &Matrix, y: &[bool]) -> Vec<f64> {
 ///
 /// Neighbours are the first `k` of each class in a stable sort of the
 /// anchor's distances, and the weights move in that sorted order (the
-/// order is part of the result's bits). A bounded [`NearestK`] per class
+/// order is part of the result's bits). A bounded `NearestK` per class
 /// finds them without sorting all `n` distances; merging the two by
 /// `(distance, index)` restores the sorted order.
 pub fn relieff_scores(x: &Matrix, y: &[bool], k: usize, seed: u64) -> Vec<f64> {

@@ -7,13 +7,11 @@
 //!   stratified three-way split is deterministic in `(name, rows, seed)`,
 //!   so the first request pays and every later request reuses the `Arc`.
 //! - **The shared [`ArtifactCache`]** — rankings are keyed by
-//!   `(dataset, split fingerprint, kind)` with arm-independent seeds
-//!   (PR 2's determinism contract), so requests from different
-//!   connections warm each other without changing any result bit.
-//! - **The shared [`EvalMemo`]** — whole subset measurements keyed by
-//!   `(dataset, split fingerprint, settings fingerprint, eval leg,
-//!   subset)`; a repeated or overlapping query skips the model fits the
-//!   first one already paid, again without changing any result bit
+//!   `(dataset, split fingerprint, kind)` with arm-independent seeds, and
+//!   whole subset measurements by `(dataset, split fingerprint, settings
+//!   fingerprint, eval leg, subset)`. Requests from different connections
+//!   warm each other, and a repeated or overlapping query skips the model
+//!   fits the first one already paid, without changing any result bit
 //!   (DESIGN.md § 4h).
 //!
 //! Every query cell runs on the server's pinned [`Executor`] permit pool:
@@ -88,7 +86,6 @@ type SplitKey = (String, u64, u64);
 pub struct Engine {
     exec: Arc<Executor>,
     artifacts: Arc<ArtifactCache>,
-    memo: Arc<EvalMemo>,
     splits: Mutex<HashMap<SplitKey, Arc<Prepared>>>,
     base_settings: ScenarioSettings,
 }
@@ -100,7 +97,6 @@ impl Engine {
         Self {
             exec: Arc::new(Executor::new(threads)),
             artifacts: Arc::new(ArtifactCache::new()),
-            memo: Arc::new(EvalMemo::new()),
             splits: Mutex::new(HashMap::new()),
             base_settings: ScenarioSettings::default_bench(),
         }
@@ -114,7 +110,7 @@ impl Engine {
     /// (memo hits, misses, inserts) across all requests — the
     /// subset-measurement analogue of [`Engine::ranking_counts`].
     pub fn memo_counts(&self) -> (u64, u64, u64) {
-        self.memo.counts()
+        self.artifacts.memo_counts()
     }
 
     fn splits_lock(&self) -> MutexGuard<'_, HashMap<SplitKey, Arc<Prepared>>> {
@@ -208,9 +204,8 @@ impl Engine {
                     &prepared.split,
                     &settings,
                     id,
-                    Some(&self.artifacts),
-                    Some(&self.exec),
-                    Some(&self.memo),
+                    &self.artifacts,
+                    &self.exec,
                 );
                 QueryResult {
                     req_id: spec.req_id,

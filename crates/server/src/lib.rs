@@ -399,7 +399,7 @@ fn write_sidecar(path: &std::path::Path, stats: &ServerStats) -> io::Result<()> 
     std::fs::rename(&tmp, path)
 }
 
-/// Parses a sidecar written by [`write_sidecar`] back into counters.
+/// Parses a sidecar written by `write_sidecar` back into counters.
 /// Accepts v1 (counters only) and v2 (counters + histograms).
 pub fn read_sidecar(path: &std::path::Path) -> Result<ServerStats, DfsError> {
     let text = std::fs::read_to_string(path)
