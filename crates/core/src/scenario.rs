@@ -1442,6 +1442,80 @@ mod tests {
         assert!(ctx.cached_evaluation(&[0, 1]).is_some());
     }
 
+    /// The batched multi-objective path answers exactly what a serial
+    /// `evaluate_multi` loop latching at the first `None` answers — bits,
+    /// work counters and budget — over every admission outcome: an exact
+    /// cache hit, a bounded entry upgraded for free, an over-cap subset, a
+    /// memo hit, a within-batch duplicate, and a budget that runs out
+    /// mid-batch with a duplicate and a fresh subset behind it.
+    #[test]
+    fn batched_and_serial_multi_objective_evaluation_agree() {
+        let (ds, split) = setup();
+        let mut c = ConstraintSet::accuracy_only(0.99, Duration::from_secs(600));
+        c.min_safety = Some(0.5);
+        c.max_feature_frac = Some(3.0 / ds.n_features() as f64 + 1e-9);
+        let sc = scenario(c);
+        let mut settings = ScenarioSettings::fast();
+        settings.max_evals = 7;
+        let batch: Vec<Vec<usize>> = vec![
+            vec![0, 1],       // exact cache hit
+            vec![2, 3],       // bounded entry: upgraded for free
+            vec![0, 1, 2, 3], // over the cap: pruned
+            vec![4],          // memo hit (spends budget)
+            vec![5],          // fresh
+            vec![5],          // within-batch duplicate: a cache hit
+            vec![6],
+            vec![7],
+            vec![0, 5], // the last evaluation of the budget
+            vec![6],    // exhausted: denied although measured above
+            vec![1, 6],
+        ];
+        let bits = |answers: &[Option<Vec<f64>>]| -> Vec<Option<Vec<u64>>> {
+            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect();
+            answers.iter().map(|a| a.as_ref().map(bits)).collect()
+        };
+        for width in [1, 4] {
+            let exec = Arc::new(Executor::new(width));
+            let prepared = || {
+                let artifacts = Arc::new(ArtifactCache::new());
+                ScenarioContext::new(&sc, &split, &settings)
+                    .with_artifacts(Arc::clone(&artifacts))
+                    .evaluate(&[4])
+                    .expect("warm-up");
+                let mut ctx = ScenarioContext::new(&sc, &split, &settings)
+                    .with_artifacts(artifacts)
+                    .with_executor(Arc::clone(&exec));
+                ctx.evaluate(&[0, 1]).expect("exact entry");
+                ctx.evaluate_bounded(&[2, 3], Some(0.0)).expect("bounded entry");
+                assert_eq!(ctx.perf().bound_skips, 1, "[2, 3] must be left bounded");
+                ctx
+            };
+            let mut batched = prepared();
+            let got = batched.evaluate_multi_batch(&batch);
+            let mut serial = prepared();
+            let mut denied = false;
+            let want: Vec<Option<Vec<f64>>> = batch
+                .iter()
+                .map(|s| {
+                    let answer = if denied { None } else { serial.evaluate_multi(s) };
+                    denied = answer.is_none();
+                    answer
+                })
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "width {width}");
+            assert_eq!(batched.perf(), serial.perf(), "width {width}");
+            assert_eq!(batched.evals_used(), serial.evals_used(), "width {width}");
+            // Every outcome occurred: nine answers, then denials; two cache
+            // hits (the exact entry and the duplicate), one memo hit, and
+            // five fits in the batch on top of the two that set it up.
+            assert!(want[..9].iter().all(Option::is_some));
+            assert!(want[9..].iter().all(Option::is_none));
+            let perf = serial.perf();
+            assert_eq!((perf.cache_hits, perf.memo_hits, perf.model_fits), (2, 1, 7));
+            assert_eq!(serial.evals_used(), settings.max_evals);
+        }
+    }
+
     #[test]
     fn size_shortfall_alone_can_skip_the_fit() {
         let (ds, split) = setup();
