@@ -47,9 +47,9 @@ fn main() {
         let t = std::time::Instant::now();
         for subset in &over_cap {
             if prune {
-                ctx.evaluate(subset);
+                ctx.evaluate(subset, None);
             } else {
-                ctx.evaluate_no_prune(subset);
+                ctx.evaluate_no_prune(subset, None);
             }
         }
         rows.push(vec![

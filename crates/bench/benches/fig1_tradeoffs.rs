@@ -53,7 +53,7 @@ fn main() {
             let k = 1 + rng.below(d);
             let mut subset = sample_without_replacement(d, k, &mut rng);
             subset.sort_unstable();
-            if ctx.evaluate(&subset).is_none() {
+            if ctx.evaluate(&subset, None).is_none() {
                 break;
             }
             let eval = ctx.cached_evaluation(&subset).expect("just evaluated");

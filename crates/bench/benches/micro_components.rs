@@ -74,7 +74,7 @@ fn attack(rows: &mut Vec<Vec<String>>) {
     let cfg = AttackConfig { max_points: 8, ..AttackConfig::default() };
     let predict = |r: &[f64]| model.predict_one(r);
     rows.push(row("attack", "evasion_attack_8pts", || {
-        empirical_safety(&predict, &split.val.x, &split.val.y, &cfg)
+        empirical_safety(&predict, &split.val.x, &split.val.y, &cfg, 0)
     }));
 }
 

@@ -14,8 +14,10 @@
 //!    `LogisticRegression::fit` (one `exp` per row, a bounded fast loss,
 //!    exact fallback on near-ties) at the paper corpus's train size. Every
 //!    model must be bit-identical to the reference's, or the binary exits
-//!    nonzero; the snapshot reports fits/s and how many bold-driver
-//!    decisions fell back to the exact loss.
+//!    nonzero. The two sides are timed in pairs that alternate fit by fit,
+//!    so a noisy neighbour slows both halves of a pair alike; the snapshot
+//!    reports fits/s, the median per-pair speedup with its quartiles, and
+//!    how many bold-driver decisions fell back to the exact loss.
 //!
 //! Results are printed as JSON and, when a path argument is given, also
 //! written there (the committed snapshot lives at `BENCH_eval_engine.json`
@@ -44,17 +46,57 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+/// Wall-clock of one run of `f`, in nanoseconds.
+fn time_ns(f: &mut impl FnMut()) -> u64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_nanos() as u64
+}
+
+/// The `q`-quantile (nearest rank) of `samples`, which it sorts.
+fn quantile<T: Copy + PartialOrd>(samples: &mut [T], q: f64) -> T {
+    samples.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    samples[((samples.len() - 1) as f64 * q).round() as usize]
+}
+
 /// Median wall-clock over `reps` runs of `f`, in nanoseconds.
 fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    let mut samples: Vec<u64> = (0..reps).map(|_| time_ns(&mut f)).collect();
+    quantile(&mut samples, 0.5)
+}
+
+/// `a` against `b` in `pairs` interleaved pairs. A pair runs both on each
+/// of `items` inputs, back to back per input (the order alternating), and
+/// sums each side's time. Returns the median wall-clock of each side and
+/// the quartiles `[q1, median, q3]` of the per-pair ratio `a / b`: a slow
+/// host period stretches both sides of a pair alike, so the ratio holds
+/// still where the medians drift.
+fn paired_ns(
+    pairs: usize,
+    items: usize,
+    mut a: impl FnMut(usize),
+    mut b: impl FnMut(usize),
+) -> (u64, u64, [f64; 3]) {
+    let mut a_ns = Vec::with_capacity(pairs);
+    let mut b_ns = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        let (mut ta, mut tb) = (0, 0);
+        for i in 0..items {
+            if (pair + i) % 2 == 0 {
+                ta += time_ns(&mut || a(i));
+                tb += time_ns(&mut || b(i));
+            } else {
+                tb += time_ns(&mut || b(i));
+                ta += time_ns(&mut || a(i));
+            }
+        }
+        a_ns.push(ta);
+        b_ns.push(tb);
+    }
+    let mut ratios: Vec<f64> =
+        a_ns.iter().zip(&b_ns).map(|(&ta, &tb)| ta as f64 / tb.max(1) as f64).collect();
+    let quartiles = [0.25, 0.5, 0.75].map(|q| quantile(&mut ratios, q));
+    (quantile(&mut a_ns, 0.5), quantile(&mut b_ns, 0.5), quartiles)
 }
 
 struct GatherBench {
@@ -226,6 +268,8 @@ struct LrCell {
     c: f64,
     reference_ns: u64,
     kernel_ns: u64,
+    /// Quartiles of the per-pair reference/kernel time ratio.
+    speedup: [f64; 3],
     fallbacks: usize,
 }
 
@@ -233,6 +277,8 @@ struct LrCell {
 const LR_ROWS: usize = 160;
 /// Fits per timed sample (each sample fits this many distinct problems).
 const LR_FITS: usize = 20;
+/// Interleaved reference/kernel pairs per cell.
+const LR_PAIRS: usize = 15;
 
 /// Reference loop vs kernel on `LR_FITS` seeded problems per cell:
 /// features uniform in `[0, 1]` (the corpus is min–max scaled), labels a
@@ -274,19 +320,19 @@ fn bench_lr_fit() -> Vec<LrCell> {
                 }
                 fallbacks += count;
             }
-            let mut sink = 0.0f64;
-            let reference_ns = median_ns(5, || {
-                for (x, y) in &problems {
-                    sink += reference_lr_fit(x, y, c).1;
-                }
-            });
-            let kernel_ns = median_ns(5, || {
-                for (x, y) in &problems {
-                    sink += LogisticRegression::fit(x, y, c).bias();
-                }
-            });
-            std::hint::black_box(sink);
-            cells.push(LrCell { d, c, reference_ns, kernel_ns, fallbacks });
+            let (reference_ns, kernel_ns, speedup) = paired_ns(
+                LR_PAIRS,
+                problems.len(),
+                |i| {
+                    let (x, y) = &problems[i];
+                    std::hint::black_box(reference_lr_fit(x, y, c));
+                },
+                |i| {
+                    let (x, y) = &problems[i];
+                    std::hint::black_box(LogisticRegression::fit(x, y, c));
+                },
+            );
+            cells.push(LrCell { d, c, reference_ns, kernel_ns, speedup, fallbacks });
         }
     }
     cells
@@ -303,13 +349,16 @@ fn main() {
     let lr_cells: Vec<String> = lr
         .iter()
         .map(|cell| {
+            let [q1, median, q3] = cell.speedup;
             format!(
-                r#"      {{"d": {}, "c": {}, "reference_fits_per_s": {:.0}, "kernel_fits_per_s": {:.0}, "speedup": {:.2}, "fallbacks": {}}}"#,
+                r#"      {{"d": {}, "c": {}, "reference_fits_per_s": {:.0}, "kernel_fits_per_s": {:.0}, "speedup": {:.3}, "speedup_iqr": [{:.3}, {:.3}], "fallbacks": {}}}"#,
                 cell.d,
                 cell.c,
                 fits_per_s(cell.reference_ns),
                 fits_per_s(cell.kernel_ns),
-                ratio(cell.reference_ns, cell.kernel_ns),
+                median,
+                q1,
+                q3,
                 cell.fallbacks
             )
         })
@@ -342,6 +391,7 @@ fn main() {
   "lr_fit": {{
     "rows": {lr_rows},
     "fits_per_sample": {lr_fits},
+    "pairs": {lr_pairs},
     "bit_identical": true,
     "fallbacks": {lr_fallbacks},
     "cells": [
@@ -369,6 +419,7 @@ fn main() {
         cspeed = ratio(cache.uncached_ns, cache.cached_ns),
         lr_rows = LR_ROWS,
         lr_fits = LR_FITS,
+        lr_pairs = LR_PAIRS,
         lr_fallbacks = lr.iter().map(|cell| cell.fallbacks).sum::<usize>(),
         lr_cells = lr_cells.join(",\n"),
     );

@@ -80,7 +80,7 @@ impl CellStatus {
         matches!(self, CellStatus::Ok)
     }
 
-    /// One-character code used by the TSV cache codec (v2).
+    /// One-character code used by the TSV cache codec (v8).
     pub fn code(&self) -> char {
         match self {
             CellStatus::Ok => 'O',
@@ -121,7 +121,8 @@ pub struct CellResult {
     pub test_f1: f64,
     /// Size of the returned subset (0 when none).
     pub subset_size: usize,
-    /// Evaluation-engine work counters (fits, cache hits, timings).
+    /// Evaluation-engine work counters (fits, cache and memo hits, bound
+    /// skips).
     pub perf: EvalPerf,
 }
 

@@ -71,7 +71,7 @@ impl ScenarioSettings {
     pub fn fast() -> Self {
         Self {
             max_evals: 60,
-            attack: AttackConfig { max_points: 6, init_trials: 8, seed: 0 },
+            attack: AttackConfig { max_points: 6, init_trials: 8 },
             max_train_rows: 200,
             bound_pruning: true,
         }
@@ -116,7 +116,7 @@ pub fn settings_fingerprint(
     let ScenarioSettings {
         // The evaluation budget, not a measurement input.
         max_evals: _,
-        attack: AttackConfig { max_points, init_trials, seed: attack_seed },
+        attack: AttackConfig { max_points, init_trials },
         // Enters as `train_cap`, the effective row cap of this split.
         max_train_rows: _,
         // Bounded (short-circuited) measurements never enter the memo.
@@ -144,7 +144,6 @@ pub fn settings_fingerprint(
     mix(min_safety.is_some() as u64);
     mix(*max_points as u64);
     mix(*init_trials as u64);
-    mix(*attack_seed);
     mix(train_cap as u64);
     h
 }
@@ -357,6 +356,18 @@ struct Measured {
     exact: bool,
 }
 
+/// What [`ScenarioContext::admit`] decided for one subset.
+enum Admission {
+    /// The budget is exhausted.
+    Deny,
+    /// Answered without a measurement (cache hit, size pruning or memo
+    /// hit): the score and the evaluation.
+    Known(f64, Evaluation),
+    /// To be measured with `bound` and committed. Budget is already spent,
+    /// unless this upgrades a bounded cache entry for free.
+    Measure { bound: Option<f64> },
+}
+
 /// Full (train + measure on a given evaluation split) pass for a subset.
 /// Used for both validation (during search) and test (confirmation), from
 /// the serial path and from batch workers alike.
@@ -381,7 +392,7 @@ struct Measured {
 /// partial evaluation is returned as a lower bound. Sound because the
 /// distance is an additive sum of non-negative shortfalls (DESIGN.md
 /// § 4h); never used for the signed utility objective.
-fn measure_subset_bounded(
+fn measure_subset(
     env: &MeasureEnv<'_>,
     subset: &[usize],
     eval_on_test: bool,
@@ -455,12 +466,12 @@ fn measure_subset_bounded(
     let safety = constraints.needs_safety().then(|| {
         obs::heartbeat("eval.attack");
         let _attack_span = obs::span("attack");
-        let mut cfg = env.settings.attack.clone();
-        cfg.seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
+        let seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
         // The attack reads the model's labels of the evaluation rows, not
         // the rows: it starts from the predictions made above.
         let predict = |row: &[f64]| model.predict_one(row);
-        empirical_safety_with(&predict, &preds, y_eval, subset.len(), &cfg, env.exec)
+        let cfg = &env.settings.attack;
+        empirical_safety_with(&predict, &preds, y_eval, subset.len(), cfg, seed, env.exec)
     });
     let eval =
         Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() };
@@ -490,19 +501,6 @@ fn importances_of(
     env.split.val.x.select_cols_into(subset, &mut scratch.train);
     let seed = derive_seed(env.scenario.seed, 0x1339 ^ hash_subset(subset));
     importance_or_permutation(&model, &scratch.train, &env.split.val.y, seed)
-}
-
-/// [`measure_subset_bounded`] without bound: always exact. This is the
-/// batch-worker entry point — batch measurements never carry bounds
-/// (NSGA-II needs every objective).
-fn measure_subset(
-    env: &MeasureEnv<'_>,
-    subset: &[usize],
-    eval_on_test: bool,
-    scratch: &mut Scratch,
-    perf: &mut EvalPerf,
-) -> Evaluation {
-    measure_subset_bounded(env, subset, eval_on_test, scratch, perf, None).eval
 }
 
 impl<'a> ScenarioContext<'a> {
@@ -608,12 +606,6 @@ impl<'a> ScenarioContext<'a> {
         }
     }
 
-    /// Serial measurement via [`measure_subset`], reusing the context's
-    /// scratch buffers (no steady-state allocation).
-    fn measure(&mut self, subset: &[usize], eval_on_test: bool) -> Evaluation {
-        self.measure_full(subset, eval_on_test, None).eval
-    }
-
     /// Runs `f` on the measurement environment with the context's scratch
     /// and counters, handing both back afterwards.
     fn with_scratch<R>(
@@ -628,11 +620,11 @@ impl<'a> ScenarioContext<'a> {
         r
     }
 
-    /// Serial measurement via [`measure_subset_bounded`], reusing the
+    /// Serial measurement via [`measure_subset`], reusing the
     /// context's scratch buffers (no steady-state allocation).
     fn measure_full(&mut self, subset: &[usize], eval_on_test: bool, bound: Option<f64>) -> Measured {
         self.with_scratch(|env, scratch, perf| {
-            measure_subset_bounded(env, subset, eval_on_test, scratch, perf, bound)
+            measure_subset(env, subset, eval_on_test, scratch, perf, bound)
         })
     }
 
@@ -689,7 +681,7 @@ impl<'a> ScenarioContext<'a> {
         let eval = match self.memo_lookup(subset, true) {
             Some(eval) => eval,
             None => {
-                let eval = self.measure(subset, true);
+                let eval = self.measure_full(subset, true, None).eval;
                 self.memo_insert(subset, true, eval);
                 eval
             }
@@ -733,10 +725,17 @@ impl<'a> ScenarioContext<'a> {
         (c.distance(&eval), eval)
     }
 
-    /// The one serial evaluation flow behind `evaluate`,
-    /// `evaluate_no_prune`, their `_bounded` variants and `evaluate_multi`:
-    /// budget admission → cache → size pruning (`prune` only) → budget
-    /// consumption → memo probe → (possibly bounded) measurement.
+    /// Counts one answer served from the per-context cache.
+    fn count_cache_hit(&mut self) {
+        self.perf.cache_hits += 1;
+        obs::counter("eval.cache_hit", 1);
+    }
+
+    /// The rule chain every evaluation of a subset on the validation
+    /// split goes through, serial or batched: budget admission → cache →
+    /// size pruning (`prune` only) → budget spend → memo probe. A subset
+    /// it does not answer is measured with the returned bound and handed
+    /// to [`ScenarioContext::commit`].
     ///
     /// The wall clock gates *everything*, including cache hits and pruned
     /// evaluations — otherwise a strategy whose proposals are all pruned
@@ -747,14 +746,9 @@ impl<'a> ScenarioContext<'a> {
     /// engine: memo hits consume budget exactly like the measurement they
     /// replace, and upgrading a bounded cache entry to an exact one is free
     /// exactly like the cache hit the naive engine would have served.
-    fn evaluate_impl(
-        &mut self,
-        subset: &[usize],
-        prune: bool,
-        bound: Option<f64>,
-    ) -> Option<(f64, Evaluation)> {
+    fn admit(&mut self, subset: &[usize], prune: bool, bound: Option<f64>) -> Admission {
         if self.budget.exhausted() {
-            return None;
+            return Admission::Deny;
         }
         // `free` = re-measure without consuming budget: a bounded entry is
         // being upgraded because the caller's incumbent no longer exceeds
@@ -763,20 +757,15 @@ impl<'a> ScenarioContext<'a> {
         if let Some((score, eval, pruned, bounded)) =
             self.cache.get(subset).map(|c| (c.score, c.eval, c.pruned, c.bounded))
         {
-            if bounded {
-                if bound.is_some_and(|b| score > b) {
-                    self.perf.cache_hits += 1;
-                    obs::counter("eval.cache_hit", 1);
-                    return Some((score, eval));
-                }
-                free = true;
-            } else if prune || !pruned {
-                // A full (trained) evaluation may always be reused; a
-                // pruned shortcut only when the caller allows pruning.
-                self.perf.cache_hits += 1;
-                obs::counter("eval.cache_hit", 1);
-                return Some((score, eval));
+            // A bounded entry answers while it still exceeds the caller's
+            // incumbent; a full (trained) evaluation may always be reused;
+            // a pruned shortcut only when the caller allows pruning.
+            let serves = if bounded { bound.is_some_and(|b| score > b) } else { prune || !pruned };
+            if serves {
+                self.count_cache_hit();
+                return Admission::Known(score, eval);
             }
+            free = bounded;
         }
         if !free {
             // Evaluation-independent pruning (no budget *count*, no
@@ -786,37 +775,70 @@ impl<'a> ScenarioContext<'a> {
                 self.cache
                     .insert(subset.to_vec(), CachedEval { score, eval, pruned: true, bounded: false });
                 obs::counter("eval.pruned", 1);
-                return Some((score, eval));
+                return Admission::Known(score, eval);
             }
             if !self.budget.try_consume() {
                 obs::counter("eval.budget_denied", 1);
-                return None;
+                return Admission::Deny;
             }
             if let Some(eval) = self.memo_lookup(subset, false) {
                 let score = self.objective_of(&eval);
                 self.cache
                     .insert(subset.to_vec(), CachedEval { score, eval, pruned: false, bounded: false });
-                return Some((score, eval));
+                return Admission::Known(score, eval);
             }
         }
         // The short-circuit is only sound for the non-negative Eq. 1
         // distance; utility-mode scores can be negative, so the bound is
         // dropped there. A free upgrade must measure exactly by definition.
-        let bound = if free || self.scenario.utility_f1 || !self.settings.bound_pruning {
-            None
-        } else {
-            bound
-        };
-        let measured = self.measure_full(subset, false, bound);
-        let score = self.objective_of(&measured.eval);
-        if measured.exact {
-            self.memo_insert(subset, false, measured.eval);
+        let exact = free || self.scenario.utility_f1 || !self.settings.bound_pruning;
+        Admission::Measure { bound: if exact { None } else { bound } }
+    }
+
+    /// Admission of a subset whose first occurrence in the same batch was
+    /// admitted for measurement but is not committed yet: the serial flow
+    /// would find that occurrence in the cache by now, as an exact entry —
+    /// the budget gate, then a cache hit. `false` when the gate denies it.
+    fn admit_repeat(&mut self) -> bool {
+        if self.budget.exhausted() {
+            return false;
         }
-        self.cache.insert(
-            subset.to_vec(),
-            CachedEval { score, eval: measured.eval, pruned: false, bounded: !measured.exact },
-        );
-        Some((score, measured.eval))
+        self.count_cache_hit();
+        true
+    }
+
+    /// Records the measurement of a subset [`ScenarioContext::admit`] sent
+    /// to be measured: an exact one enters the memo, and either enters the
+    /// cache (a bounded one as a lower bound). Returns its score and
+    /// evaluation.
+    fn commit(&mut self, subset: &[usize], measured: Measured) -> (f64, Evaluation) {
+        let Measured { eval, exact } = measured;
+        let score = self.objective_of(&eval);
+        if exact {
+            self.memo_insert(subset, false, eval);
+        }
+        let entry = CachedEval { score, eval, pruned: false, bounded: !exact };
+        self.cache.insert(subset.to_vec(), entry);
+        (score, eval)
+    }
+
+    /// The serial evaluation flow behind `evaluate`, `evaluate_no_prune`
+    /// and `evaluate_multi`: admit, measure what admission did not answer,
+    /// commit.
+    fn evaluate_impl(
+        &mut self,
+        subset: &[usize],
+        prune: bool,
+        bound: Option<f64>,
+    ) -> Option<(f64, Evaluation)> {
+        match self.admit(subset, prune, bound) {
+            Admission::Deny => None,
+            Admission::Known(score, eval) => Some((score, eval)),
+            Admission::Measure { bound } => {
+                let measured = self.measure_full(subset, false, bound);
+                Some(self.commit(subset, measured))
+            }
+        }
     }
 }
 
@@ -838,23 +860,13 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         self.scenario.constraints.max_features_count(self.split.n_features())
     }
 
-    fn evaluate(&mut self, subset: &[usize]) -> Option<f64> {
+    fn evaluate(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
         assert!(!subset.is_empty(), "evaluate: empty subset");
-        self.evaluate_impl(subset, true, None).map(|(score, _)| score)
-    }
-
-    fn evaluate_bounded(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
-        assert!(!subset.is_empty(), "evaluate_bounded: empty subset");
         self.evaluate_impl(subset, true, bound).map(|(score, _)| score)
     }
 
-    fn evaluate_no_prune(&mut self, subset: &[usize]) -> Option<f64> {
+    fn evaluate_no_prune(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
         assert!(!subset.is_empty(), "evaluate_no_prune: empty subset");
-        self.evaluate_impl(subset, false, None).map(|(score, _)| score)
-    }
-
-    fn evaluate_no_prune_bounded(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
-        assert!(!subset.is_empty(), "evaluate_no_prune_bounded: empty subset");
         self.evaluate_impl(subset, false, bound).map(|(score, _)| score)
     }
 
@@ -863,7 +875,7 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         // [accuracy, EO?, safety?, feature-size?]. Each component is the
         // squared shortfall, zero when satisfied. No bound is ever passed:
         // a multi-objective caller needs every metric measured (a bounded
-        // cache entry found here is upgraded for free inside the impl).
+        // cache entry found here is upgraded for free at admission).
         let (_, eval) = self.evaluate_impl(subset, true, None)?;
         Some(self.objectives_for(&eval))
     }
@@ -873,97 +885,55 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         // that together emulate calling `evaluate_multi` on each subset
         // in order:
         //
-        //   A. *Plan* (sequential): budget admission, cache hits, pruning
-        //      and within-batch duplicate detection happen in submission
-        //      order, exactly as the serial loop would;
-        //   B. *Measure* (parallel): the surviving fresh subsets — pure
-        //      functions of `(scenario, subset)` — fan out over the
-        //      executor, each with its own scratch and local counters;
-        //   C. *Replay* (sequential): cache inserts and counter merges
-        //      land in submission order.
+        //   A. *Plan* (sequential): each subset goes through the serial
+        //      admission in submission order;
+        //   B. *Measure* (parallel): the subsets admission sends to be
+        //      measured — pure functions of `(scenario, subset)` — fan out
+        //      over the executor, each with its own scratch and local
+        //      counters;
+        //   C. *Commit* (sequential): counter merges and commits land in
+        //      submission order.
         //
         // Only phase B runs on helper threads, so the result is
         // bit-identical to the serial path at any thread count.
         enum Slot {
-            /// Budget exhausted before this subset was admitted.
+            /// Denied admission.
             Deny,
-            /// Answered at plan time (cache hit or pruned).
+            /// Answered at admission.
             Known(Evaluation),
             /// `fresh[j]` — measured in phase B.
             Fresh(usize),
         }
 
-        // Phase A: plan.
+        // Phase A: plan. A subset admitted for measurement reaches the
+        // cache only at commit, so a repeat within the batch is matched
+        // here instead. Once admission denies, every later answer is
+        // `None`, as in a serial loop that stops at the first `None`.
         let plan_span = obs::span("eval.plan");
         let mut plan: Vec<Slot> = Vec::with_capacity(subsets.len());
-        let mut fresh: Vec<Vec<usize>> = Vec::new();
+        let mut fresh: Vec<(&[usize], Option<f64>)> = Vec::new();
         let mut pending: HashMap<&[usize], usize> = HashMap::new();
-        let mut denied = false;
         for subset in subsets {
-            // Once exhausted, every later answer is `None` (exhaustion is
-            // checked before the cache in the serial flow too).
-            if denied || self.budget.exhausted() {
-                denied = true;
-                plan.push(Slot::Deny);
-                continue;
-            }
-            // A bounded (attack-short-circuited) entry cannot answer a
-            // multi-objective query — its unmeasured metrics are
-            // placeholders — so it is re-measured exactly, without
-            // consuming budget (the naive engine would serve its exact
-            // entry for free here).
-            let mut upgrade = false;
-            match self.cache.get(subset.as_slice()).map(|c| (c.eval, c.bounded)) {
-                Some((cached, false)) => {
-                    self.perf.cache_hits += 1;
-                    obs::counter("eval.cache_hit", 1);
-                    plan.push(Slot::Known(cached));
-                    continue;
+            let slot = if matches!(plan.last(), Some(Slot::Deny)) {
+                Slot::Deny
+            } else if let Some(&j) = pending.get(subset.as_slice()) {
+                if self.admit_repeat() {
+                    Slot::Fresh(j)
+                } else {
+                    Slot::Deny
                 }
-                Some((_, true)) => upgrade = true,
-                None => {}
-            }
-            if let Some(&j) = pending.get(subset.as_slice()) {
-                // Duplicate within this batch: the serial loop would find
-                // the first occurrence in the cache by now.
-                self.perf.cache_hits += 1;
-                obs::counter("eval.cache_hit", 1);
-                plan.push(Slot::Fresh(j));
-                continue;
-            }
-            if !upgrade {
-                if subset.len() > self.max_features() {
-                    let (score, eval) = self.pruned_score(subset);
-                    self.cache.insert(
-                        subset.clone(),
-                        CachedEval { score, eval, pruned: true, bounded: false },
-                    );
-                    obs::counter("eval.pruned", 1);
-                    plan.push(Slot::Known(eval));
-                    continue;
+            } else {
+                match self.admit(subset, true, None) {
+                    Admission::Deny => Slot::Deny,
+                    Admission::Known(_, eval) => Slot::Known(eval),
+                    Admission::Measure { bound } => {
+                        pending.insert(subset, fresh.len());
+                        fresh.push((subset, bound));
+                        Slot::Fresh(fresh.len() - 1)
+                    }
                 }
-                if !self.budget.try_consume() {
-                    obs::counter("eval.budget_denied", 1);
-                    denied = true;
-                    plan.push(Slot::Deny);
-                    continue;
-                }
-                // Memo probe, after budget consumption — a memo hit
-                // costs exactly what the measurement it replaces would
-                // have, keeping search trajectories bit-identical.
-                if let Some(eval) = self.memo_lookup(subset, false) {
-                    let score = self.objective_of(&eval);
-                    self.cache.insert(
-                        subset.clone(),
-                        CachedEval { score, eval, pruned: false, bounded: false },
-                    );
-                    plan.push(Slot::Known(eval));
-                    continue;
-                }
-            }
-            pending.insert(subset.as_slice(), fresh.len());
-            plan.push(Slot::Fresh(fresh.len()));
-            fresh.push(subset.clone());
+            };
+            plan.push(slot);
         }
         drop(plan_span);
 
@@ -973,16 +943,17 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         obs::heartbeat("eval.measure");
         let measure_span = obs::span("eval.measure");
         obs::observe("eval.batch_fresh", fresh.len() as u64);
-        let measured: Vec<(Evaluation, EvalPerf)> = {
+        let measured: Vec<(Measured, EvalPerf)> = {
             let env = self.env();
-            let traced = env.exec.par_map_indexed(&fresh, |_, subset| {
-                let ((eval, perf), trace) = obs::scoped(|| {
+            let traced = env.exec.par_map_indexed(&fresh, |_, &(subset, bound)| {
+                let ((measured, perf), trace) = obs::scoped(|| {
                     let mut scratch = Scratch::default();
                     let mut perf = EvalPerf::default();
-                    let eval = measure_subset(&env, subset, false, &mut scratch, &mut perf);
-                    (eval, perf)
+                    let measured =
+                        measure_subset(&env, subset, false, &mut scratch, &mut perf, bound);
+                    (measured, perf)
                 });
-                (eval, perf, trace)
+                (measured, perf, trace)
             });
             // Absorb the workers' traces in submission order while
             // `eval.measure` is still open: their spans are its children,
@@ -990,27 +961,22 @@ impl SubsetEvaluator for ScenarioContext<'_> {
             // counting the whole fan-out again as the span's self time.
             traced
                 .into_iter()
-                .map(|(eval, perf, trace)| {
+                .map(|(measured, perf, trace)| {
                     if let Some(child) = trace {
                         obs::absorb(child);
                     }
-                    (eval, perf)
+                    (measured, perf)
                 })
                 .collect()
         };
         drop(measure_span);
 
-        // Phase C: replay in submission order — cache inserts and counter
-        // merges land in the serial order.
+        // Phase C: commit in submission order.
         let commit_span = obs::span("eval.commit");
         let mut measured_evals: Vec<Evaluation> = Vec::with_capacity(measured.len());
-        for (subset, (eval, perf)) in fresh.iter().zip(measured) {
+        for (&(subset, _), (measured, perf)) in fresh.iter().zip(measured) {
             self.perf.merge(&perf);
-            let score = self.objective_of(&eval);
-            self.memo_insert(subset, false, eval);
-            self.cache
-                .insert(subset.clone(), CachedEval { score, eval, pruned: false, bounded: false });
-            measured_evals.push(eval);
+            measured_evals.push(self.commit(subset, measured).1);
         }
         drop(commit_span);
         plan.iter()
@@ -1058,10 +1024,9 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         // Repeated requests for the same subset (RFE re-ranks after every
         // elimination step and restarts re-visit prefixes) are served from
         // the cache without a second training run or budget spend.
-        if let Some(cached) = self.importance_cache.get(subset) {
-            self.perf.cache_hits += 1;
-            obs::counter("eval.cache_hit", 1);
-            return Some(cached.clone());
+        if let Some(cached) = self.importance_cache.get(subset).cloned() {
+            self.count_cache_hit();
+            return Some(cached);
         }
         if !self.budget.try_consume() {
             obs::counter("eval.budget_denied", 1);
@@ -1122,7 +1087,7 @@ mod tests {
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
         let all: Vec<usize> = (0..ds.n_features()).collect();
-        let score = ctx.evaluate(&all).expect("budget available");
+        let score = ctx.evaluate(&all, None).expect("budget available");
         let eval = ctx.cached_evaluation(&all).expect("cached");
         assert!(eval.f1 > 0.6, "full-set F1 {}", eval.f1);
         // min_f1 = 0.99 is out of reach -> positive distance.
@@ -1135,9 +1100,9 @@ mod tests {
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
-        let s1 = ctx.evaluate(&[0, 1, 2]).unwrap();
+        let s1 = ctx.evaluate(&[0, 1, 2], None).unwrap();
         let used = ctx.evals_used();
-        let s2 = ctx.evaluate(&[0, 1, 2]).unwrap();
+        let s2 = ctx.evaluate(&[0, 1, 2], None).unwrap();
         assert_eq!(s1, s2);
         assert_eq!(ctx.evals_used(), used, "cache hit must not consume budget");
     }
@@ -1151,7 +1116,7 @@ mod tests {
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
         let all: Vec<usize> = (0..ds.n_features()).collect();
-        let score = ctx.evaluate(&all).expect("pruning always answers");
+        let score = ctx.evaluate(&all, None).expect("pruning always answers");
         assert!(score > 0.0);
         assert_eq!(ctx.evals_used(), 0, "pruned evaluation must be free");
     }
@@ -1163,9 +1128,9 @@ mod tests {
         let mut settings = ScenarioSettings::fast();
         settings.max_evals = 2;
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
-        assert!(ctx.evaluate(&[0]).is_some());
-        assert!(ctx.evaluate(&[1]).is_some());
-        assert!(ctx.evaluate(&[2]).is_none(), "third evaluation must be denied");
+        assert!(ctx.evaluate(&[0], None).is_some());
+        assert!(ctx.evaluate(&[1], None).is_some());
+        assert!(ctx.evaluate(&[2], None).is_none(), "third evaluation must be denied");
     }
 
     #[test]
@@ -1174,7 +1139,7 @@ mod tests {
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
-        ctx.evaluate(&[0, 1]).unwrap();
+        ctx.evaluate(&[0, 1], None).unwrap();
         let eval = ctx.cached_evaluation(&[0, 1]).unwrap();
         assert!(eval.eo.is_none());
         assert!(eval.safety.is_none());
@@ -1184,7 +1149,7 @@ mod tests {
         c.min_safety = Some(0.8);
         let sc2 = scenario(c);
         let mut ctx2 = ScenarioContext::new(&sc2, &split, &settings);
-        ctx2.evaluate(&[0, 1]).unwrap();
+        ctx2.evaluate(&[0, 1], None).unwrap();
         let eval2 = ctx2.cached_evaluation(&[0, 1]).unwrap();
         assert!(eval2.eo.is_some());
         assert!(eval2.safety.is_some());
@@ -1202,12 +1167,12 @@ mod tests {
         let subset: Vec<usize> = (0..5).collect();
         let sc_g = scenario(generous);
         let mut ctx = ScenarioContext::new(&sc_g, &split, &settings);
-        ctx.evaluate(&subset).unwrap();
+        ctx.evaluate(&subset, None).unwrap();
         let f1_generous = ctx.cached_evaluation(&subset).unwrap().f1;
 
         let sc_s = scenario(strict);
         let mut ctx = ScenarioContext::new(&sc_s, &split, &settings);
-        ctx.evaluate(&subset).unwrap();
+        ctx.evaluate(&subset, None).unwrap();
         let f1_strict = ctx.cached_evaluation(&subset).unwrap().f1;
         assert!(
             f1_generous > f1_strict - 0.05,
@@ -1271,8 +1236,8 @@ mod tests {
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
-        ctx.evaluate(&[0, 1]).unwrap();
-        ctx.evaluate(&[2, 3]).unwrap();
+        ctx.evaluate(&[0, 1], None).unwrap();
+        ctx.evaluate(&[2, 3], None).unwrap();
         ctx.confirm_on_test(&[0, 1]);
         assert_eq!(ctx.perf().model_fits, 3);
 
@@ -1285,7 +1250,7 @@ mod tests {
         for hpo in [false, true] {
             sc_dt.hpo = hpo;
             let mut ctx = ScenarioContext::new(&sc_dt, &split, &settings);
-            ctx.evaluate(&[0, 1]).unwrap();
+            ctx.evaluate(&[0, 1], None).unwrap();
             ctx.confirm_on_test(&[0, 1]);
             assert_eq!(ctx.perf().model_fits, 2);
         }
@@ -1297,7 +1262,7 @@ mod tests {
         sc_dp.model = ModelKind::DecisionTree;
         sc_dp.hpo = true;
         let mut ctx = ScenarioContext::new(&sc_dp, &split, &settings);
-        ctx.evaluate(&[0, 1]).unwrap();
+        ctx.evaluate(&[0, 1], None).unwrap();
         ctx.confirm_on_test(&[0, 1]);
         assert_eq!(ctx.perf().hpo_grid_points, 0, "DP fits never grid-search");
     }
@@ -1308,9 +1273,9 @@ mod tests {
         let sc = scenario(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)));
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
-        ctx.evaluate(&[0, 1]).unwrap();
-        ctx.evaluate(&[0, 1]).unwrap(); // cached
-        ctx.evaluate(&[2]).unwrap();
+        ctx.evaluate(&[0, 1], None).unwrap();
+        ctx.evaluate(&[0, 1], None).unwrap(); // cached
+        ctx.evaluate(&[2], None).unwrap();
         let perf = ctx.perf();
         assert_eq!(perf.model_fits, 2);
         assert_eq!(perf.cache_hits, 1);
@@ -1346,7 +1311,7 @@ mod tests {
         let settings = ScenarioSettings::fast();
         let cache = Arc::new(ArtifactCache::new());
         let mut a = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
-        let s1 = a.evaluate(&[0, 1, 2]).unwrap();
+        let s1 = a.evaluate(&[0, 1, 2], None).unwrap();
         assert_eq!(a.perf().memo_misses, 1);
         assert_eq!(a.perf().memo_hits, 0);
 
@@ -1354,7 +1319,7 @@ mod tests {
         // the measurement: no training, but the budget is still consumed,
         // so search trajectories stay identical to the naive engine.
         let mut b = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
-        let s2 = b.evaluate(&[0, 1, 2]).unwrap();
+        let s2 = b.evaluate(&[0, 1, 2], None).unwrap();
         assert_eq!(s1.to_bits(), s2.to_bits());
         assert_eq!(b.perf().memo_hits, 1);
         assert_eq!(b.perf().model_fits, 0, "memo hit must not retrain");
@@ -1363,7 +1328,7 @@ mod tests {
         // And the memoized value is bit-identical to a context measuring
         // into its own private cache.
         let mut naive = ScenarioContext::new(&sc, &split, &settings);
-        let s3 = naive.evaluate(&[0, 1, 2]).unwrap();
+        let s3 = naive.evaluate(&[0, 1, 2], None).unwrap();
         assert_eq!(s1.to_bits(), s3.to_bits());
     }
 
@@ -1374,14 +1339,14 @@ mod tests {
         let settings = ScenarioSettings::fast();
         let cache = Arc::new(ArtifactCache::new());
         let mut a = ScenarioContext::new(&sc, &split, &settings).with_artifacts(Arc::clone(&cache));
-        a.evaluate(&[0, 1]).unwrap();
+        a.evaluate(&[0, 1], None).unwrap();
 
         // Same scenario, different measurement configuration: the entry
         // must not be served.
         let mut other = ScenarioSettings::fast();
-        other.attack.seed = 99;
+        other.attack.init_trials = 1;
         let mut b = ScenarioContext::new(&sc, &split, &other).with_artifacts(Arc::clone(&cache));
-        b.evaluate(&[0, 1]).unwrap();
+        b.evaluate(&[0, 1], None).unwrap();
         assert_eq!(b.perf().memo_hits, 0, "different settings must miss");
         assert_eq!(b.perf().memo_misses, 1);
         assert_eq!(b.perf().model_fits, 1);
@@ -1402,7 +1367,7 @@ mod tests {
         assert_eq!(b.perf().model_fits, 0, "shared confirmation must not retrain");
         assert_eq!(b.perf().memo_hits, 1);
         // Validation- and test-split measurements never cross-serve.
-        let s = b.evaluate(&[0, 1, 2]).unwrap();
+        let s = b.evaluate(&[0, 1, 2], None).unwrap();
         assert_eq!(b.perf().model_fits, 1, "val-split eval must measure fresh");
         assert!(s.is_finite());
     }
@@ -1417,25 +1382,25 @@ mod tests {
 
         // Naive reference: full measurement (fit + attack).
         let mut naive = ScenarioContext::new(&sc, &split, &settings);
-        let exact = naive.evaluate(&[0, 1]).unwrap();
+        let exact = naive.evaluate(&[0, 1], None).unwrap();
         assert!(exact > 0.0, "min_f1 = 0.99 must be out of reach");
 
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
-        let lb = ctx.evaluate_bounded(&[0, 1], Some(0.0)).unwrap();
+        let lb = ctx.evaluate(&[0, 1], Some(0.0)).unwrap();
         assert_eq!(ctx.perf().bound_skips, 1, "attack should have been skipped");
         assert_eq!(ctx.perf().model_fits, 1);
         assert!(lb > 0.0 && lb <= exact, "lower bound {lb} vs exact {exact}");
         assert!(ctx.cached_evaluation(&[0, 1]).is_none(), "bounded entries are withheld");
 
         // A still-sufficient incumbent re-serves the bound for free.
-        let again = ctx.evaluate_bounded(&[0, 1], Some(0.0)).unwrap();
+        let again = ctx.evaluate(&[0, 1], Some(0.0)).unwrap();
         assert_eq!(again.to_bits(), lb.to_bits());
         assert_eq!(ctx.perf().model_fits, 1);
 
         // An unbounded query upgrades the entry: budget-free (the naive
         // engine would serve its cache here), retrained, bit-exact.
         let used = ctx.evals_used();
-        let full = ctx.evaluate(&[0, 1]).unwrap();
+        let full = ctx.evaluate(&[0, 1], None).unwrap();
         assert_eq!(full.to_bits(), exact.to_bits());
         assert_eq!(ctx.evals_used(), used, "upgrade must be budget-free");
         assert_eq!(ctx.perf().model_fits, 2);
@@ -1480,13 +1445,13 @@ mod tests {
                 let artifacts = Arc::new(ArtifactCache::new());
                 ScenarioContext::new(&sc, &split, &settings)
                     .with_artifacts(Arc::clone(&artifacts))
-                    .evaluate(&[4])
+                    .evaluate(&[4], None)
                     .expect("warm-up");
                 let mut ctx = ScenarioContext::new(&sc, &split, &settings)
                     .with_artifacts(artifacts)
                     .with_executor(Arc::clone(&exec));
-                ctx.evaluate(&[0, 1]).expect("exact entry");
-                ctx.evaluate_bounded(&[2, 3], Some(0.0)).expect("bounded entry");
+                ctx.evaluate(&[0, 1], None).expect("exact entry");
+                ctx.evaluate(&[2, 3], Some(0.0)).expect("bounded entry");
                 assert_eq!(ctx.perf().bound_skips, 1, "[2, 3] must be left bounded");
                 ctx
             };
@@ -1528,7 +1493,7 @@ mod tests {
         // no-prune path: the naive engine would train this over-cap subset
         // (SBS wraps through the over-cap region the slow way), but the
         // free size term already exceeds the incumbent.
-        let lb = ctx.evaluate_no_prune_bounded(&all, Some(0.0)).unwrap();
+        let lb = ctx.evaluate_no_prune(&all, Some(0.0)).unwrap();
         assert!(lb > 0.0);
         assert_eq!(ctx.perf().model_fits, 0, "size term alone exceeds the incumbent");
         assert_eq!(ctx.perf().bound_skips, 1);
@@ -1541,7 +1506,7 @@ mod tests {
         let s = ScenarioSettings::fast();
         assert_eq!(settings_fingerprint(&sc, &s, 100), settings_fingerprint(&sc, &s, 100));
         let mut s2 = ScenarioSettings::fast();
-        s2.attack.seed = 99;
+        s2.attack.init_trials = 1;
         assert_ne!(settings_fingerprint(&sc, &s, 100), settings_fingerprint(&sc, &s2, 100));
         assert_ne!(settings_fingerprint(&sc, &s, 100), settings_fingerprint(&sc, &s, 200));
         let mut sc2 = sc.clone();
@@ -1576,7 +1541,7 @@ mod tests {
             privacy_epsilon,
         } = constraints;
         let ScenarioSettings { max_evals, attack, max_train_rows, bound_pruning } = st;
-        let AttackConfig { max_points, init_trials, seed: attack_seed } = attack;
+        let AttackConfig { max_points, init_trials } = attack;
 
         let toggle = |o: &Option<f64>| if o.is_some() { None } else { Some(0.5) };
         let halve = |o: &Option<f64>| o.map(|v| v / 2.0);
@@ -1649,7 +1614,6 @@ mod tests {
                 "attack.init_trials",
                 AttackConfig { init_trials: if *init_trials == 1 { 8 } else { 1 }, ..a() },
             ),
-            attack_setting("attack.seed", AttackConfig { seed: attack_seed + 1, ..a() }),
         ]
     }
 
@@ -1671,7 +1635,8 @@ mod tests {
             let env = ctx.env();
             let bits = [false, true].map(|on_test| {
                 let mut perf = EvalPerf::default();
-                let e = measure_subset(&env, &subset, on_test, &mut Scratch::default(), &mut perf);
+                let mut scratch = Scratch::default();
+                let e = measure_subset(&env, &subset, on_test, &mut scratch, &mut perf, None).eval;
                 (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits), e.n_selected)
             });
             (ctx.settings_key, bits)
@@ -1762,10 +1727,9 @@ mod tests {
         let f1 = f1_score(&preds, &part.y);
         let eo = c.needs_eo().then(|| equal_opportunity(&preds, &part.y, &part.protected));
         let safety = c.needs_safety().then(|| {
-            let mut cfg = env.settings.attack.clone();
-            cfg.seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
+            let seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
             let predict = |row: &[f64]| model.predict_one(row);
-            empirical_safety(&predict, &x_eval, &part.y, &cfg)
+            empirical_safety(&predict, &x_eval, &part.y, &env.settings.attack, seed)
         });
         Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() }
     }
@@ -1812,7 +1776,9 @@ mod tests {
                             eval_on_test,
                             &mut Scratch::default(),
                             &mut EvalPerf::default(),
-                        );
+                            None,
+                        )
+                        .eval;
                         let want = measure_gathered(&env, subset, eval_on_test);
                         let bits = |e: &Evaluation| {
                             (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits))
@@ -1839,7 +1805,7 @@ mod tests {
         let settings = ScenarioSettings::fast();
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
         let subset: Vec<usize> = (0..6).collect();
-        let score = ctx.evaluate(&subset).unwrap();
+        let score = ctx.evaluate(&subset, None).unwrap();
         let eval = ctx.cached_evaluation(&subset).unwrap();
         if eval.f1 >= 0.3 {
             assert!(score < 0.0, "satisfied utility objective must be negative");

@@ -191,14 +191,7 @@ impl SubsetEvaluator for SlicedContext<'_, '_> {
     fn max_features(&self) -> usize {
         self.inner.max_features()
     }
-    fn evaluate(&mut self, subset: &[usize]) -> Option<f64> {
-        if self.slice_exhausted() {
-            return None;
-        }
-        let score = self.inner.evaluate(subset);
-        self.note(score)
-    }
-    fn evaluate_bounded(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
+    fn evaluate(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
         // Forward the caller's incumbent so the inner context's cheap-first
         // short-circuit stays in play. A lower-bound answer exceeds the
         // incumbent by contract, so it feeds the stall detector exactly
@@ -206,21 +199,14 @@ impl SubsetEvaluator for SlicedContext<'_, '_> {
         if self.slice_exhausted() {
             return None;
         }
-        let score = self.inner.evaluate_bounded(subset, bound);
+        let score = self.inner.evaluate(subset, bound);
         self.note(score)
     }
-    fn evaluate_no_prune(&mut self, subset: &[usize]) -> Option<f64> {
+    fn evaluate_no_prune(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
         if self.slice_exhausted() {
             return None;
         }
-        let score = self.inner.evaluate_no_prune(subset);
-        self.note(score)
-    }
-    fn evaluate_no_prune_bounded(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
-        if self.slice_exhausted() {
-            return None;
-        }
-        let score = self.inner.evaluate_no_prune_bounded(subset, bound);
+        let score = self.inner.evaluate_no_prune(subset, bound);
         self.note(score)
     }
     fn evaluate_multi(&mut self, subset: &[usize]) -> Option<Vec<f64>> {

@@ -74,10 +74,9 @@ pub fn check_transfer(
     });
 
     let safety_holds = scenario.constraints.min_safety.map(|min_safety| {
-        let mut cfg = settings.attack.clone();
-        cfg.seed = derive_seed(scenario.seed, 0x5AFE);
+        let seed = derive_seed(scenario.seed, 0x5AFE);
         let predict = |row: &[f64]| model.predict_one(row);
-        empirical_safety(&predict, &x_test, &split.test.y, &cfg) >= min_safety
+        empirical_safety(&predict, &x_test, &split.test.y, &settings.attack, seed) >= min_safety
     });
 
     TransferResult { target_model, accuracy_holds, eo_holds, safety_holds, test_f1 }

@@ -164,7 +164,7 @@ pub fn run_original_features_with_exec(
         .with_artifacts(Arc::clone(artifacts))
         .with_executor(Arc::clone(exec));
     let all: Vec<usize> = (0..split.n_features()).collect();
-    let val_score = ctx.evaluate(&all);
+    let val_score = ctx.evaluate(&all, None);
     let elapsed = ctx.elapsed();
     let evaluations = ctx.evals_used();
     let val_eval = ctx.cached_evaluation(&all);

@@ -21,24 +21,20 @@ pub trait SubsetEvaluator {
     /// utility objective of Eq. 2 in utility mode. Lower is better;
     /// `score <= 0.0` means every constraint is satisfied.
     ///
-    /// Returns `None` once the search budget is exhausted.
-    fn evaluate(&mut self, subset: &[usize]) -> Option<f64>;
-
-    /// Like [`SubsetEvaluator::evaluate`], carrying the caller's
-    /// *incumbent*: the best exact score among the already-measured
-    /// candidates the subset competes with. The evaluator may then answer
-    /// with any **proven lower bound** strictly above the incumbent instead
-    /// of the exact score (e.g. skipping the expensive tail of the
-    /// measurement once the cheap constraint terms alone exceed it) —
-    /// such a candidate can be neither the round's argmin nor a new global
-    /// best, so the search trajectory is unchanged. Callers must only pass
-    /// incumbents that are themselves exact scores observed this round, and
-    /// only when scores are non-negative (`stop_at` is `Some`).
+    /// `bound` carries the caller's *incumbent*, when it has one: the best
+    /// exact score among the already-measured candidates the subset
+    /// competes with. The evaluator may then answer with any **proven
+    /// lower bound** strictly above the incumbent instead of the exact
+    /// score (e.g. skipping the expensive tail of the measurement once the
+    /// cheap constraint terms alone exceed it) — such a candidate can be
+    /// neither the round's argmin nor a new global best, so the search
+    /// trajectory is unchanged. Callers must only pass incumbents that are
+    /// themselves exact scores observed this round, and only when scores
+    /// are non-negative (`stop_at` is `Some`). With `None` the score is
+    /// exact.
     ///
-    /// The default ignores the bound and evaluates exactly.
-    fn evaluate_bounded(&mut self, subset: &[usize], _bound: Option<f64>) -> Option<f64> {
-        self.evaluate(subset)
-    }
+    /// Returns `None` once the search budget is exhausted.
+    fn evaluate(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64>;
 
     /// Like [`SubsetEvaluator::evaluate`], but *without* the
     /// evaluation-independent size pruning: the subset is always trained and
@@ -46,14 +42,8 @@ pub trait SubsetEvaluator {
     /// the paper notes that SBS/SBFS "do not benefit from the optimizations
     /// based on the maximum feature set size" and must wrap through the
     /// over-cap region the slow way.
-    fn evaluate_no_prune(&mut self, subset: &[usize]) -> Option<f64> {
-        self.evaluate(subset)
-    }
-
-    /// [`SubsetEvaluator::evaluate_no_prune`] with the caller's incumbent —
-    /// the bound contract of [`SubsetEvaluator::evaluate_bounded`] applies.
-    fn evaluate_no_prune_bounded(&mut self, subset: &[usize], _bound: Option<f64>) -> Option<f64> {
-        self.evaluate_no_prune(subset)
+    fn evaluate_no_prune(&mut self, subset: &[usize], bound: Option<f64>) -> Option<f64> {
+        self.evaluate(subset, bound)
     }
 
     /// Per-constraint shortfall vector for multi-objective search
@@ -98,11 +88,10 @@ pub trait SubsetEvaluator {
 
     /// The feature ranking of `kind` over the training data.
     ///
-    /// The default computes it in place from [`ranking_data`]. Evaluators
-    /// that can share artifacts (`dfs-core`'s `ScenarioContext` with an
-    /// attached artifact cache) override this to serve repeated requests —
-    /// the seven TPE(ranking) arms of one benchmark row — from a single
-    /// computation.
+    /// The default computes it in place from [`ranking_data`]. `dfs-core`'s
+    /// `ScenarioContext` overrides this to serve repeated requests — the
+    /// seven TPE(ranking) arms of one benchmark row — from a single
+    /// computation in its artifact cache.
     ///
     /// [`ranking_data`]: SubsetEvaluator::ranking_data
     fn ranking(&mut self, kind: RankingKind) -> Ranking {

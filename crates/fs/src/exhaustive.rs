@@ -18,7 +18,7 @@ pub fn exhaustive_search(ev: &mut dyn SubsetEvaluator) -> SearchOutcome {
     for size in 1..=cap {
         let mut combo: Vec<usize> = (0..size).collect();
         loop {
-            let Some(score) = ev.evaluate(&combo) else {
+            let Some(score) = ev.evaluate(&combo, None) else {
                 return outcome;
             };
             outcome.observe(&combo, score);

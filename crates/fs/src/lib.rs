@@ -187,7 +187,7 @@ pub(crate) mod testutil {
             self.max_features
         }
 
-        fn evaluate(&mut self, subset: &[usize]) -> Option<f64> {
+        fn evaluate(&mut self, subset: &[usize], _bound: Option<f64>) -> Option<f64> {
             if self.used >= self.max_evals {
                 return None;
             }

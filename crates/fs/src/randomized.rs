@@ -33,7 +33,7 @@ pub fn tpe_ranking(ev: &mut dyn SubsetEvaluator, kind: RankingKind) -> SearchOut
     };
     let mut eval_k = |k: usize| -> Option<f64> {
         let subset = ranking.top_k(k);
-        let score = ev.evaluate(&subset)?;
+        let score = ev.evaluate(&subset, None)?;
         outcome.observe(&subset, score);
         Some(score)
     };
@@ -56,7 +56,7 @@ pub fn tpe_no_ranking(ev: &mut dyn SubsetEvaluator) -> SearchOutcome {
     };
     let mut eval_bits = |bits: &[bool]| -> Option<f64> {
         let subset = bits_to_subset(bits);
-        let score = ev.evaluate(&subset)?;
+        let score = ev.evaluate(&subset, None)?;
         outcome.observe(&subset, score);
         Some(score)
     };
@@ -79,7 +79,7 @@ pub fn sa_no_ranking(ev: &mut dyn SubsetEvaluator) -> SearchOutcome {
     };
     let mut eval_bits = |bits: &[bool]| -> Option<f64> {
         let subset = bits_to_subset(bits);
-        let score = ev.evaluate(&subset)?;
+        let score = ev.evaluate(&subset, None)?;
         outcome.observe(&subset, score);
         Some(score)
     };

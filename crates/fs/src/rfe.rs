@@ -23,7 +23,7 @@ pub fn recursive_feature_elimination(ev: &mut dyn SubsetEvaluator) -> SearchOutc
 
     // Evaluate the starting set when it fits the cap.
     if current.len() <= cap {
-        let Some(score) = ev.evaluate(&current) else {
+        let Some(score) = ev.evaluate(&current, None) else {
             return outcome;
         };
         outcome.observe(&current, score);
@@ -53,7 +53,7 @@ pub fn recursive_feature_elimination(ev: &mut dyn SubsetEvaluator) -> SearchOutc
         if current.len() > cap {
             continue; // evaluation-independent pruning: skip over-cap sizes
         }
-        let Some(score) = ev.evaluate(&current) else {
+        let Some(score) = ev.evaluate(&current, None) else {
             return outcome;
         };
         outcome.observe(&current, score);

@@ -40,7 +40,7 @@ pub fn forward_selection(ev: &mut dyn SubsetEvaluator, floating: bool) -> Search
             candidate.push(f);
             candidate.sort_unstable();
             let bound = if stop_at.is_some() { best_add.map(|(_, s)| s) } else { None };
-            let Some(score) = ev.evaluate_bounded(&candidate, bound) else {
+            let Some(score) = ev.evaluate(&candidate, bound) else {
                 return outcome;
             };
             outcome.observe(&candidate, score);
@@ -79,7 +79,7 @@ pub fn forward_selection(ev: &mut dyn SubsetEvaluator, floating: bool) -> Search
                     let bound = stop_at
                         .is_some()
                         .then(|| best_drop.map_or(current_score, |(_, s)| s.min(current_score)));
-                    let Some(score) = ev.evaluate_bounded(&candidate, bound) else {
+                    let Some(score) = ev.evaluate(&candidate, bound) else {
                         return outcome;
                     };
                     outcome.observe(&candidate, score);
@@ -121,7 +121,7 @@ pub fn backward_selection(ev: &mut dyn SubsetEvaluator, floating: bool) -> Searc
     // constraints. Hence `evaluate_no_prune` throughout.
     let cap = ev.max_features().min(d);
     let mut current_score = {
-        let Some(score) = ev.evaluate_no_prune(&current) else {
+        let Some(score) = ev.evaluate_no_prune(&current, None) else {
             return outcome;
         };
         outcome.observe(&current, score);
@@ -139,7 +139,7 @@ pub fn backward_selection(ev: &mut dyn SubsetEvaluator, floating: bool) -> Searc
             // Same lower-bound hint as forward selection: the round's
             // incumbent rides along (sound only for non-negative scores).
             let bound = if stop_at.is_some() { best_drop.map(|(_, s)| s) } else { None };
-            let Some(score) = ev.evaluate_no_prune_bounded(&candidate, bound) else {
+            let Some(score) = ev.evaluate_no_prune(&candidate, bound) else {
                 return outcome;
             };
             outcome.observe(&candidate, score);
@@ -172,7 +172,7 @@ pub fn backward_selection(ev: &mut dyn SubsetEvaluator, floating: bool) -> Searc
                     let bound = stop_at
                         .is_some()
                         .then(|| best_add.map_or(current_score, |(_, s)| s.min(current_score)));
-                    let Some(score) = ev.evaluate_bounded(&candidate, bound) else {
+                    let Some(score) = ev.evaluate(&candidate, bound) else {
                         return outcome;
                     };
                     outcome.observe(&candidate, score);
@@ -243,7 +243,7 @@ mod tests {
             fn max_features(&self) -> usize {
                 10
             }
-            fn evaluate(&mut self, subset: &[usize]) -> Option<f64> {
+            fn evaluate(&mut self, subset: &[usize], _bound: Option<f64>) -> Option<f64> {
                 self.used += 1;
                 self.log.push(subset.to_vec());
                 let has = |f: usize| subset.contains(&f);
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn lower_bounded_answers_leave_the_search_trajectory_unchanged() {
-        // Exercises the `evaluate_bounded` contract end to end: when the
+        // Exercises the `evaluate` bound contract end to end: when the
         // exact score provably exceeds the caller's incumbent, the
         // evaluator answers with a weaker value strictly between the
         // incumbent and the exact score. The search must pick identical
@@ -322,11 +322,8 @@ mod tests {
             fn max_features(&self) -> usize {
                 self.inner.max_features()
             }
-            fn evaluate(&mut self, s: &[usize]) -> Option<f64> {
-                self.inner.evaluate(s)
-            }
-            fn evaluate_bounded(&mut self, s: &[usize], bound: Option<f64>) -> Option<f64> {
-                let score = self.inner.evaluate(s)?;
+            fn evaluate(&mut self, s: &[usize], bound: Option<f64>) -> Option<f64> {
+                let score = self.inner.evaluate(s, None)?;
                 match bound {
                     Some(b) if score > b => {
                         self.skips += 1;
@@ -334,13 +331,6 @@ mod tests {
                     }
                     _ => Some(score),
                 }
-            }
-            fn evaluate_no_prune_bounded(
-                &mut self,
-                s: &[usize],
-                bound: Option<f64>,
-            ) -> Option<f64> {
-                self.evaluate_bounded(s, bound)
             }
             fn evaluate_multi(&mut self, s: &[usize]) -> Option<Vec<f64>> {
                 self.inner.evaluate_multi(s)

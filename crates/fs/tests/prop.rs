@@ -53,7 +53,7 @@ impl SubsetEvaluator for PropEvaluator {
     fn max_features(&self) -> usize {
         self.cap
     }
-    fn evaluate(&mut self, subset: &[usize]) -> Option<f64> {
+    fn evaluate(&mut self, subset: &[usize], _bound: Option<f64>) -> Option<f64> {
         assert!(!subset.is_empty(), "empty subset proposed");
         assert!(subset.windows(2).all(|w| w[0] < w[1]), "unsorted/duplicated subset {subset:?}");
         assert!(subset.iter().all(|&f| f < self.d), "out-of-range index in {subset:?}");

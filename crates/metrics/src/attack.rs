@@ -41,13 +41,11 @@ pub struct AttackConfig {
     pub max_points: usize,
     /// Random restarts when searching for an initial adversarial point.
     pub init_trials: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for AttackConfig {
     fn default() -> Self {
-        Self { max_points: 24, init_trials: 16, seed: 0 }
+        Self { max_points: 24, init_trials: 16 }
     }
 }
 
@@ -81,10 +79,12 @@ pub fn empirical_safety(
     x_test: &Matrix,
     y_test: &[bool],
     cfg: &AttackConfig,
+    seed: u64,
 ) -> f64 {
     let n = x_test.nrows().min(cfg.max_points);
     let preds: Vec<bool> = (0..n).map(|i| predict(x_test.row(i))).collect();
-    empirical_safety_with(predict, &preds, y_test, x_test.ncols(), cfg, &Executor::sequential())
+    let d = x_test.ncols();
+    empirical_safety_with(predict, &preds, y_test, d, cfg, seed, &Executor::sequential())
 }
 
 /// Empirical safety from the model's predictions on the test rows.
@@ -96,15 +96,16 @@ pub fn empirical_safety(
 /// attack cannot flip keep their label. Returns
 /// `1 − (F1_original − F1_attacked)` clamped to `[0, 1]`.
 ///
-/// Each attacked row `i` gets its own RNG seeded
-/// `derive_seed(cfg.seed, i)` and the attacked labels are reduced in row
-/// order, so the score is bit-identical at any thread count.
+/// Each attacked row `i` gets its own RNG seeded `derive_seed(seed, i)`
+/// and the attacked labels are reduced in row order, so the score is
+/// bit-identical at any thread count.
 pub fn empirical_safety_with(
     predict: &(dyn Fn(&[f64]) -> bool + Sync),
     original_preds: &[bool],
     y: &[bool],
     n_features: usize,
     cfg: &AttackConfig,
+    seed: u64,
     exec: &Executor,
 ) -> f64 {
     let n = original_preds.len().min(cfg.max_points);
@@ -119,7 +120,7 @@ pub fn empirical_safety_with(
     let f1_original = f1_score(original, y_eval);
 
     let attacked: Vec<bool> = exec.par_map_indexed(original, |i, &label| {
-        let mut rng = Rng::seed_from_u64(derive_seed(cfg.seed, i as u64));
+        let mut rng = Rng::seed_from_u64(derive_seed(seed, i as u64));
         label ^ flips(predict, n_features, label, cfg.init_trials, &mut rng)
     });
     let f1_attacked = f1_score(&attacked, y_eval);
@@ -165,9 +166,10 @@ mod oracle {
     }
 
     impl AttackConfig {
-        /// `cfg`'s shared knobs with the given refinement budget.
+        /// `cfg`'s shared knobs with `seed` and the given refinement budget.
         pub fn refining(
             cfg: &super::AttackConfig,
+            seed: u64,
             boundary_steps: usize,
             iterations: usize,
             grad_queries: usize,
@@ -178,7 +180,7 @@ mod oracle {
                 boundary_steps,
                 iterations,
                 grad_queries,
-                seed: cfg.seed,
+                seed,
             }
         }
     }
@@ -397,7 +399,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.2, 0.2], vec![0.8, 0.8], vec![0.5, 0.1]]);
         let y = vec![true, true, false];
         let constant = |_x: &[f64]| true;
-        let s = empirical_safety(&constant, &x, &y, &AttackConfig::default());
+        let s = empirical_safety(&constant, &x, &y, &AttackConfig::default(), 0);
         assert_eq!(s, 1.0);
     }
 
@@ -409,8 +411,7 @@ mod tests {
             .collect();
         let y: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
         let x = Matrix::from_rows(&rows);
-        let cfg = AttackConfig { seed: 3, ..AttackConfig::default() };
-        let s = empirical_safety(&threshold_model, &x, &y, &cfg);
+        let s = empirical_safety(&threshold_model, &x, &y, &AttackConfig::default(), 3);
         assert!(s < 0.7, "safety unexpectedly high: {s}");
     }
 
@@ -418,23 +419,24 @@ mod tests {
     fn safety_is_within_unit_interval() {
         let x = Matrix::from_rows(&[vec![0.9, 0.1], vec![0.1, 0.9]]);
         let y = vec![true, false];
-        let s = empirical_safety(&threshold_model, &x, &y, &AttackConfig::default());
+        let s = empirical_safety(&threshold_model, &x, &y, &AttackConfig::default(), 0);
         assert!((0.0..=1.0).contains(&s));
     }
 
     #[test]
     fn empty_test_set_is_trivially_safe() {
         let x = Matrix::zeros(0, 3);
-        assert_eq!(empirical_safety(&threshold_model, &x, &[], &AttackConfig::default()), 1.0);
+        let cfg = AttackConfig::default();
+        assert_eq!(empirical_safety(&threshold_model, &x, &[], &cfg, 0), 1.0);
     }
 
     #[test]
     fn attack_is_deterministic_per_seed() {
         let x = Matrix::from_rows(&[vec![0.7, 0.2], vec![0.3, 0.8], vec![0.6, 0.6]]);
         let y = vec![true, false, true];
-        let cfg = AttackConfig { seed: 7, ..AttackConfig::default() };
-        let a = empirical_safety(&threshold_model, &x, &y, &cfg);
-        let b = empirical_safety(&threshold_model, &x, &y, &cfg);
+        let cfg = AttackConfig::default();
+        let a = empirical_safety(&threshold_model, &x, &y, &cfg, 7);
+        let b = empirical_safety(&threshold_model, &x, &y, &cfg, 7);
         assert_eq!(a, b);
     }
 
@@ -449,10 +451,10 @@ mod tests {
         ]);
         let y = vec![true, false, true, true, false];
         let preds: Vec<bool> = x.rows_iter().map(threshold_model).collect();
-        let cfg = AttackConfig { seed: 13, ..AttackConfig::default() };
-        let seq = empirical_safety(&threshold_model, &x, &y, &cfg);
+        let cfg = AttackConfig::default();
+        let seq = empirical_safety(&threshold_model, &x, &y, &cfg, 13);
         let exec = Executor::new(4);
-        let par = empirical_safety_with(&threshold_model, &preds, &y, x.ncols(), &cfg, &exec);
+        let par = empirical_safety_with(&threshold_model, &preds, &y, x.ncols(), &cfg, 13, &exec);
         assert_eq!(seq.to_bits(), par.to_bits());
     }
 
@@ -466,11 +468,11 @@ mod tests {
             let rows: Vec<Vec<f64>> = (0..12).map(|_| vec![v; d]).collect();
             (Matrix::from_rows(&rows), vec![v > 0.5; 12])
         };
-        let cfg = AttackConfig { seed: 11, ..AttackConfig::default() };
+        let cfg = AttackConfig::default();
         let (x2, y2) = mk(2, 0.62);
         let (x16, y16) = mk(16, 0.62);
-        let s2 = empirical_safety(&model_wide, &x2, &y2, &cfg);
-        let s16 = empirical_safety(&model_wide, &x16, &y16, &cfg);
+        let s2 = empirical_safety(&model_wide, &x2, &y2, &cfg, 11);
+        let s16 = empirical_safety(&model_wide, &x16, &y16, &cfg, 11);
         assert!(s16 <= s2 + 0.35, "wide model should not be much safer: {s16} vs {s2}");
     }
 
@@ -541,17 +543,14 @@ mod tests {
                 let x = Matrix::from_rows(&rows);
                 let y: Vec<bool> = (0..ROWS).map(|_| rng.bool()).collect();
                 let preds: Vec<bool> = rows.iter().map(|r| predict(r)).collect();
-                let cfg = AttackConfig {
-                    max_points: ROWS,
-                    init_trials: [1, 4, 16][(d + k) % 3],
-                    seed: rng.next_u64(),
-                };
+                let cfg = AttackConfig { max_points: ROWS, init_trials: [1, 4, 16][(d + k) % 3] };
+                let seed = rng.next_u64();
                 let (steps, iterations, queries) = [(10, 3, 12), (6, 2, 6), (5, 1, 4)][d % 3];
-                let full = oracle::AttackConfig::refining(&cfg, steps, iterations, queries);
+                let full = oracle::AttackConfig::refining(&cfg, seed, steps, iterations, queries);
                 for (i, row) in rows.iter().enumerate() {
-                    let mut rng = Rng::seed_from_u64(derive_seed(cfg.seed, i as u64));
+                    let mut rng = Rng::seed_from_u64(derive_seed(seed, i as u64));
                     let got = flips(predict, d, preds[i], cfg.init_trials, &mut rng);
-                    let mut rng = Rng::seed_from_u64(derive_seed(cfg.seed, i as u64));
+                    let mut rng = Rng::seed_from_u64(derive_seed(seed, i as u64));
                     let want = oracle::attack_instance(predict, row, preds[i], &full, &mut rng)
                         .is_some_and(|adv| predict(&adv) != preds[i]);
                     assert_eq!(got, want, "{family} model, d = {d}, row {i}");
@@ -564,7 +563,7 @@ mod tests {
                 let want = oracle::empirical_safety(predict, &x, &y, &full);
                 for threads in [1, 4] {
                     let exec = Executor::new(threads);
-                    let got = empirical_safety_with(predict, &preds, &y, d, &cfg, &exec);
+                    let got = empirical_safety_with(predict, &preds, &y, d, &cfg, seed, &exec);
                     let what = format!("{family} model, d = {d}, {threads} threads");
                     assert_eq!(got.to_bits(), want.to_bits(), "{what}");
                 }

@@ -24,7 +24,7 @@ impl Default for FeaturizerConfig {
         Self {
             landmark_sample: 100,
             folds: 3,
-            attack: AttackConfig { max_points: 4, init_trials: 6, seed: 0 },
+            attack: AttackConfig { max_points: 4, init_trials: 6 },
         }
     }
 }
@@ -78,10 +78,9 @@ pub fn landmark(scenario: &MlScenario, split: &Split, cfg: &FeaturizerConfig) ->
         let preds = model.predict(&te.x);
         f1_acc += f1_score(&preds, &te.y);
         eo_acc += equal_opportunity(&preds, &te.y, &te.protected);
-        let mut attack = cfg.attack.clone();
-        attack.seed = derive_seed(scenario.seed, 0xBEEF ^ k as u64);
+        let seed = derive_seed(scenario.seed, 0xBEEF ^ k as u64);
         let predict = |row: &[f64]| model.predict_one(row);
-        safety_acc += empirical_safety(&predict, &te.x, &te.y, &attack);
+        safety_acc += empirical_safety(&predict, &te.x, &te.y, &cfg.attack, seed);
         used += 1;
     }
     if used == 0 {

@@ -47,7 +47,7 @@ fn main() {
                 let mut ctx = ScenarioContext::new(&scenario, &split, &settings);
                 // The first k features include the informative block.
                 let subset: Vec<usize> = (1..=k.min(d - 1)).collect();
-                ctx.evaluate(&subset).expect("budget");
+                ctx.evaluate(&subset, None).expect("budget");
                 total += ctx.cached_evaluation(&subset).expect("cached").f1;
             }
             row.push_str(&format!(" {:>12.3}", total / draws as f64));
