@@ -278,7 +278,7 @@ const LR_ROWS: usize = 160;
 /// Fits per timed sample (each sample fits this many distinct problems).
 const LR_FITS: usize = 20;
 /// Interleaved reference/kernel pairs per cell.
-const LR_PAIRS: usize = 15;
+const LR_PAIRS: usize = 31;
 
 /// Reference loop vs kernel on `LR_FITS` seeded problems per cell:
 /// features uniform in `[0, 1]` (the corpus is min–max scaled), labels a
