@@ -1334,4 +1334,38 @@ mod tests {
         assert_eq!(m.results[1][0].status, CellStatus::Ok);
         assert_eq!(*reported.lock().unwrap_or_else(PoisonError::into_inner), vec![1]);
     }
+
+    #[test]
+    fn a_panicking_row_sink_loses_that_row_not_the_run() {
+        let mut splits = HashMap::new();
+        splits.insert("tiny".to_string(), tiny_split());
+        let arms = vec![Arm::Original, Arm::Strategy(StrategyId::Sfs)];
+        for threads in [1, 2] {
+            let scenarios: Vec<MlScenario> =
+                (0..3).map(|_| real_scenario("tiny", Duration::from_secs(20))).collect();
+            let reported: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+            let sink = |i: usize, _row: &[CellResult]| {
+                reported.lock().unwrap_or_else(PoisonError::into_inner).push(i);
+                if i == 1 {
+                    panic!("injected fault: checkpoint sink on row {i}");
+                }
+            };
+            let opts = RunnerOptions { on_row: Some(&sink), ..RunnerOptions::with_threads(threads) };
+            let m =
+                run_benchmark_opts(&splits, scenarios, &arms, &ScenarioSettings::fast(), &opts);
+            assert!(
+                m.results[1].iter().all(|c| c.status == CellStatus::Skipped),
+                "threads {threads}: the sink's row must be recorded as skipped"
+            );
+            for i in [0, 2] {
+                assert!(
+                    m.results[i].iter().all(|c| c.status == CellStatus::Ok),
+                    "threads {threads}: row {i} must survive the sink panic"
+                );
+            }
+            let mut seen = reported.lock().unwrap_or_else(PoisonError::into_inner).clone();
+            seen.sort_unstable();
+            assert_eq!(seen, vec![0, 1, 2], "threads {threads}");
+        }
+    }
 }
