@@ -1,7 +1,7 @@
 //! Before/after benchmark for the cross-arm subset-evaluation memo and the
 //! cheap-first bound pruning (DESIGN.md § 4h).
 //!
-//! Runs the same multi-arm benchmark matrix twice on one thread:
+//! Runs the same multi-arm benchmark matrix two ways on one thread:
 //!
 //! - **naive** — every cell alone through the public workflow (its own
 //!   private cache), bound pruning off: every arm re-measures every subset
@@ -23,6 +23,10 @@
 //! acceptance bar is a ≥ 2x reduction in total model fits. The process
 //! exits nonzero when either fails, in `--smoke` mode too.
 //!
+//! The two sides are timed in interleaved pairs; `wall_ms` is each side's
+//! median and `wall_speedup` the median per-pair naive/optimized ratio,
+//! with its quartiles in `wall_speedup_iqr`.
+//!
 //! Results are printed as JSON and, when a path argument is given, also
 //! written there (committed snapshot: `BENCH_memo.json` in the repo root).
 //!
@@ -30,6 +34,7 @@
 //! or alone with `cargo run --release -p dfs-bench --bin bench_memo -- BENCH_memo.json`.
 
 use dfs_bench::ok_or_exit;
+use dfs_bench::timing::paired_ns;
 use dfs_constraints::ConstraintSet;
 use dfs_core::runner::{run_benchmark_opts, Arm, BenchmarkMatrix, RunnerOptions};
 use dfs_core::{DfsError, MlScenario, ScenarioSettings};
@@ -42,7 +47,7 @@ use dfs_rankings::RankingKind;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn splits() -> HashMap<String, Split> {
     let ds = generate(&tiny_spec(), 23);
@@ -116,18 +121,16 @@ fn arms() -> Vec<Arm> {
     ]
 }
 
-fn run(max_evals: usize, optimized: bool) -> (BenchmarkMatrix, u64) {
+fn run(max_evals: usize, optimized: bool) -> BenchmarkMatrix {
     let mut settings = ScenarioSettings::fast();
     settings.max_evals = max_evals; // the eval cap binds, never the wall clock
     settings.bound_pruning = optimized;
-    let started = Instant::now();
-    let matrix = if optimized {
+    if optimized {
         let opts = RunnerOptions { threads: 1, inner_threads: 1, ..RunnerOptions::default() };
         run_benchmark_opts(&splits(), scenarios(), &arms(), &settings, &opts)
     } else {
         dfs_bench::naive_matrix(&splits(), scenarios(), &arms(), &settings)
-    };
-    (matrix, started.elapsed().as_millis() as u64)
+    }
 }
 
 /// Observable-level bit-identity between two matrices: everything except
@@ -162,15 +165,28 @@ fn main() {
         }
     }
     let max_evals = if smoke { 16 } else { 24 };
+    let pairs = if smoke { 3 } else { 9 };
 
-    let (naive, naive_ms) = run(max_evals, false);
-    let (optimized, optimized_ms) = run(max_evals, true);
+    // The two sides run in interleaved pairs (the order alternating), so a
+    // slow host period stretches both halves of a pair alike and the
+    // per-pair ratio holds still where single timings drift.
+    let (mut naive, mut optimized) = (None, None);
+    let (naive_ns, optimized_ns, speedup) = paired_ns(
+        pairs,
+        1,
+        |_| naive = Some(run(max_evals, false)),
+        |_| optimized = Some(run(max_evals, true)),
+    );
+    let (Some(naive), Some(optimized)) = (naive, optimized) else {
+        unreachable!("every pair runs both sides")
+    };
+    let (naive_ms, optimized_ms) = (naive_ns / 1_000_000, optimized_ns / 1_000_000);
+    let [speedup_q1, wall_speedup, speedup_q3] = speedup;
     let bit_identical = matrices_identical(&naive, &optimized);
 
     let np = naive.total_perf();
     let op = optimized.total_perf();
     let fit_reduction = np.model_fits as f64 / op.model_fits.max(1) as f64;
-    let wall_speedup = naive_ms as f64 / optimized_ms.max(1) as f64;
     let cells = naive.results.iter().map(|r| r.len()).sum::<usize>();
     let hit_rate = op.memo_hits as f64 / (op.memo_hits + op.memo_misses).max(1) as f64;
 
@@ -182,6 +198,7 @@ fn main() {
   {stamp},
   "smoke": {smoke},
   "corpus": {{ "dataset": "tiny", "scenarios": {n_scenarios}, "arms": {n_arms}, "cells": {cells}, "max_evals": {max_evals} }},
+  "pairs": {pairs},
   "naive": {{ "model_fits": {naive_fits}, "evaluations": {naive_evals}, "wall_ms": {naive_ms} }},
   "optimized": {{
     "model_fits": {opt_fits},
@@ -194,6 +211,7 @@ fn main() {
   }},
   "model_fit_reduction": {fit_reduction:.2},
   "wall_speedup": {wall_speedup:.2},
+  "wall_speedup_iqr": [{speedup_q1:.2}, {speedup_q3:.2}],
   "bit_identical_to_naive": {bit_identical}
 }}
 "#,

@@ -22,6 +22,7 @@ pub mod checkpoint;
 pub mod corpus;
 pub mod stamp;
 pub mod table;
+pub mod timing;
 
 pub use checkpoint::Checkpoint;
 pub use corpus::{bench_settings, build_scenarios, build_splits, BenchVersion, CorpusConfig};

@@ -28,8 +28,9 @@ use dfs_rankings::RankingKind;
 use std::collections::HashMap;
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One column of the benchmark matrix.
@@ -176,8 +177,9 @@ pub struct BenchmarkMatrix {
 /// Search Time plus 500 ms grace, no fault injection, no resume state, no
 /// checkpoint sink.
 pub struct RunnerOptions<'a> {
-    /// Worker threads for the *outer* loop over scenario rows (`<= 1` runs
-    /// rows sequentially on the caller).
+    /// Row workers: long-lived threads that each claim whole scenario rows
+    /// and run their arms in turn (`<= 1` runs one). The calling thread
+    /// watches them (DESIGN.md § 4b).
     pub threads: usize,
     /// Helper-thread budget for the *inner* hot loops (forest trees,
     /// NSGA-II evaluation chunks, HPO grids, attack rows, ranking
@@ -201,7 +203,8 @@ pub struct RunnerOptions<'a> {
     /// from a checkpoint. Kept verbatim; only missing rows are executed.
     pub resume: HashMap<usize, Vec<CellResult>>,
     /// Called with each freshly computed row (the checkpoint sink). Not
-    /// called for resumed rows. May run on any worker thread.
+    /// called for resumed rows. Always called on the caller's thread; a
+    /// panic in it records that row as skipped.
     pub on_row: Option<&'a (dyn Fn(usize, &[CellResult]) + Sync)>,
     /// Emit a throttled live progress line on stderr (cells done/total,
     /// faults, evals/s, ETA). Defaults to the `DFS_PROGRESS` or
@@ -232,18 +235,18 @@ impl Default for RunnerOptions<'_> {
     }
 }
 
-/// Throttled live progress reporting for a benchmark run. All updates are
-/// relaxed atomics; the stderr write happens at most every ~500 ms (plus a
-/// forced final summary), so progress costs nothing measurable and writes
-/// nothing into the deterministic exporters.
+/// Throttled live progress reporting for a benchmark run, updated by the
+/// run's watchdog thread alone. The stderr write happens at most every
+/// ~500 ms (plus a forced final summary), so progress costs nothing
+/// measurable and writes nothing into the deterministic exporters.
 struct ProgressMeter {
     enabled: bool,
     total: usize,
-    done: AtomicUsize,
-    faulted: AtomicUsize,
-    evals: AtomicU64,
+    done: usize,
+    faulted: usize,
+    evals: u64,
     started: Instant,
-    last_print: Mutex<Instant>,
+    last_print: Instant,
 }
 
 impl ProgressMeter {
@@ -252,49 +255,34 @@ impl ProgressMeter {
         ProgressMeter {
             enabled,
             total,
-            done: AtomicUsize::new(0),
-            faulted: AtomicUsize::new(0),
-            evals: AtomicU64::new(0),
+            done: 0,
+            faulted: 0,
+            evals: 0,
             started: now,
             // Backdate so the first completed cell prints immediately.
-            last_print: Mutex::new(now - Duration::from_secs(60)),
+            last_print: now - Duration::from_secs(60),
         }
     }
 
     /// Records a finished cell and maybe redraws the line.
-    fn cell_done(&self, cell: &CellResult) {
+    fn cell_done(&mut self, cell: &CellResult) {
         if !self.enabled {
             return;
         }
-        self.done.fetch_add(1, Ordering::Relaxed);
-        if !cell.status.is_ok() {
-            self.faulted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.evals.fetch_add(cell.evaluations as u64, Ordering::Relaxed);
+        self.done += 1;
+        self.faulted += usize::from(!cell.status.is_ok());
+        self.evals = self.evals.saturating_add(cell.evaluations as u64);
         self.print(false);
     }
 
-    /// Records a whole row that never ran (missing split).
-    fn row_skipped(&self, arms: usize) {
-        if !self.enabled {
+    fn print(&mut self, force: bool) {
+        if !force && self.last_print.elapsed() < Duration::from_millis(500) {
             return;
         }
-        self.done.fetch_add(arms, Ordering::Relaxed);
-        self.faulted.fetch_add(arms, Ordering::Relaxed);
-        self.print(false);
-    }
-
-    fn print(&self, force: bool) {
-        let mut last = self.last_print.lock().unwrap_or_else(PoisonError::into_inner);
-        if !force && last.elapsed() < Duration::from_millis(500) {
-            return;
-        }
-        *last = Instant::now();
-        let done = self.done.load(Ordering::Relaxed);
-        let faulted = self.faulted.load(Ordering::Relaxed);
-        let evals = self.evals.load(Ordering::Relaxed);
+        self.last_print = Instant::now();
+        let (done, faulted) = (self.done, self.faulted);
         let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
-        let rate = evals as f64 / elapsed;
+        let rate = self.evals as f64 / elapsed;
         let eta = if done > 0 && done < self.total {
             (elapsed / done as f64) * (self.total - done) as f64
         } else {
@@ -314,7 +302,7 @@ impl ProgressMeter {
     }
 
     /// Forces the final summary (and terminates the in-place line).
-    fn finish(&self) {
+    fn finish(&mut self) {
         if !self.enabled {
             return;
         }
@@ -335,9 +323,9 @@ impl RunnerOptions<'_> {
 /// Executes every (scenario × arm) cell.
 ///
 /// `splits` maps dataset names to prepared splits. `threads = 1` runs
-/// sequentially (most precise timings); more threads fan scenarios out
-/// through the shared [`Executor`]. Equivalent to [`run_benchmark_opts`]
-/// with [`RunnerOptions::with_threads`].
+/// rows one after another on one worker (most precise timings); more
+/// threads run that many rows at once. Equivalent to
+/// [`run_benchmark_opts`] with [`RunnerOptions::with_threads`].
 pub fn run_benchmark(
     splits: &HashMap<String, Split>,
     scenarios: Vec<MlScenario>,
@@ -358,6 +346,10 @@ pub fn run_benchmark(
 /// aborting the run. Rows supplied via [`RunnerOptions::resume`] are kept
 /// verbatim, and every freshly computed row is handed to
 /// [`RunnerOptions::on_row`] so callers can checkpoint incrementally.
+///
+/// Cells run inline on `threads` long-lived row workers, each claiming
+/// whole rows; the calling thread is the run's one watchdog (DESIGN.md
+/// § 4b).
 pub fn run_benchmark_opts(
     splits: &HashMap<String, Split>,
     scenarios: Vec<MlScenario>,
@@ -366,12 +358,10 @@ pub fn run_benchmark_opts(
     opts: &RunnerOptions<'_>,
 ) -> BenchmarkMatrix {
     let n = scenarios.len();
-    // Splits and settings are shared with watchdogged cell threads, which
-    // can outlive a timed-out wait; `Arc` keeps the data alive independent
-    // of this stack frame.
+    // Row workers are detached threads, and an abandoned one outlives the
+    // run, so everything they read is shared by `Arc`.
     let shared_splits: HashMap<&str, Arc<Split>> =
         splits.iter().map(|(k, v)| (k.as_str(), Arc::new(v.clone()))).collect();
-    let shared_settings = Arc::new(settings.clone());
     // One cache for the whole run: each feature ranking is computed once
     // per (dataset, split) instead of once per TPE(ranking) arm, and a
     // subset measured by one arm is served to every other arm (and row)
@@ -379,7 +369,7 @@ pub fn run_benchmark_opts(
     // to running each cell alone (DESIGN.md § 4h).
     let artifacts = Arc::new(ArtifactCache::new());
 
-    // One permit pool for the whole run: the outer row loop and every inner
+    // One permit pool for the whole run: the row workers and every inner
     // hot loop draw from it, so the total number of computing threads never
     // exceeds `max(threads, inner_threads)` no matter how the loops nest.
     let inner = if opts.inner_threads == 0 { env_threads() } else { opts.inner_threads };
@@ -430,90 +420,54 @@ pub fn run_benchmark_opts(
         }
     }
 
-    let fresh_rows = n - resumed.len();
-    let progress = ProgressMeter::new(opts.progress, fresh_rows * arms.len());
-    let row_indices: Vec<usize> = (0..n).collect();
-    let computed: Vec<Option<Vec<CellResult>>> =
-        exec.par_map_indexed_limit(&row_indices, outer, |_, &i| {
-            if resumed.contains_key(&i) {
-                return None; // kept verbatim during assembly
-            }
-            // A panic anywhere outside the (already panic-isolated) cells —
-            // e.g. in the checkpoint sink — loses this row, not the run.
-            catch_unwind(AssertUnwindSafe(|| {
-                let row_depth = observing.then(obs::push_collector);
-                let row_span = obs::span("row");
-                let scenario = &scenarios[i];
-                let row: Vec<CellResult> = match shared_splits.get(scenario.dataset.as_str()) {
-                    None => {
-                        let err =
-                            DfsError::UnknownDataset { dataset: scenario.dataset.clone() };
-                        obs::warn!("dfs-core", "{err}; scenario row {i} recorded as skipped");
-                        progress.row_skipped(arms.len());
-                        arms.iter()
-                            .map(|_| CellResult::faulted(CellStatus::Skipped, Duration::ZERO))
-                            .collect()
-                    }
-                    Some(split) => arms
-                        .iter()
-                        .enumerate()
-                        .map(|(a, &arm)| {
-                            let fault = opts.fault_plan.and_then(|p| p.get(i, a));
-                            let (cell, trace) = run_cell_guarded(
-                                scenario,
-                                i,
-                                a,
-                                split,
-                                &shared_settings,
-                                arm,
-                                fault,
-                                &artifacts,
-                                &exec,
-                                opts,
-                            );
-                            if let (Some(observer), Some(c)) = (opts.observer, trace) {
-                                let label =
-                                    format!("{}#{i} {}", scenario.dataset, arm.name());
-                                observer.record_cell(i, a, label, c);
-                            }
-                            progress.cell_done(&cell);
-                            cell
-                        })
-                        .collect(),
-                };
-                if let Some(sink) = opts.on_row {
-                    let _g = obs::span("checkpoint.write");
-                    sink(i, &row);
-                }
-                drop(row_span);
-                if let (Some(observer), Some(depth)) = (opts.observer, row_depth) {
-                    if let Some(c) = obs::take_collector(depth) {
-                        observer.record_row(i, c);
-                    }
-                }
-                row
-            }))
-            .map_err(|_| {
-                obs::warn!(
-                    "dfs-core",
-                    "a benchmark worker died on row {i}; recorded as skipped"
-                );
-            })
-            .ok()
-        });
+    // The rows the workers run; a row whose dataset has no split is
+    // recorded by the watchdog without one.
+    let mut work = Vec::new();
+    let mut missing = Vec::new();
+    for (row, scenario) in scenarios.iter().enumerate() {
+        if resumed.contains_key(&row) {
+            continue;
+        }
+        match shared_splits.get(scenario.dataset.as_str()) {
+            None => missing.push(row),
+            Some(split) => work.push(RowJob {
+                row,
+                scenario: scenario.clone(),
+                split: Arc::clone(split),
+                deadline: scenario.constraints.max_search_time.mul_f64(opts.deadline_factor)
+                    + opts.deadline_grace,
+            }),
+        }
+    }
+    let workers = outer.min(work.len());
+    // The workers' permits, held for the run: a nested loop sees the
+    // budget minus the rows in flight.
+    let _lease = exec.lease(workers.saturating_sub(1));
+    let run = Arc::new(RunShared {
+        arms: arms.to_vec(),
+        work,
+        next: AtomicUsize::new(0),
+        settings: settings.clone(),
+        faults: opts.fault_plan.cloned(),
+        artifacts,
+        exec: Arc::clone(&exec),
+        observe: observing,
+    });
+    let fresh_cells = (n - resumed.len()) * arms.len();
+    let mut watchdog = Watchdog::new(run, opts, n, fresh_cells);
+    for row in missing {
+        watchdog.skip_row(row, &scenarios[row].dataset);
+    }
+    let (computed, spawned) = watchdog.watch(workers);
 
     let results = computed
         .into_iter()
         .enumerate()
         .map(|(i, r)| {
-            r.or_else(|| resumed.get(&i).map(|row| (*row).clone())).unwrap_or_else(|| {
-                arms.iter()
-                    .map(|_| CellResult::faulted(CellStatus::Skipped, Duration::ZERO))
-                    .collect()
-            })
+            r.or_else(|| resumed.get(&i).map(|row| (*row).clone()))
+                .unwrap_or_else(|| skipped_row(arms.len()))
         })
         .collect();
-    progress.finish();
     let matrix = BenchmarkMatrix { arms: arms.to_vec(), scenarios, results };
     if let Some(observer) = opts.observer {
         let (ok, panicked, timed_out, skipped) = matrix.status_counts();
@@ -521,134 +475,408 @@ pub fn run_benchmark_opts(
         observer.run_counter("cells.panicked", panicked as u64);
         observer.run_counter("cells.timed_out", timed_out as u64);
         observer.run_counter("cells.skipped", skipped as u64);
+        observer.run_counter("runner.workers_spawned", spawned);
     }
     matrix
 }
 
-/// One cell with panic isolation and a watchdog thread enforcing a hard
-/// wall-clock deadline. Always returns a cell, plus the cell's trace
-/// collector when one was recorded (a timed-out cell's collector is
-/// stranded on the abandoned thread and therefore absent).
-#[allow(clippy::too_many_arguments)]
-fn run_cell_guarded(
-    scenario: &MlScenario,
-    scenario_idx: usize,
-    arm_idx: usize,
-    split: &Arc<Split>,
-    settings: &Arc<ScenarioSettings>,
-    arm: Arm,
-    fault: Option<FaultKind>,
-    artifacts: &Arc<ArtifactCache>,
-    exec: &Arc<Executor>,
-    opts: &RunnerOptions<'_>,
-) -> (CellResult, Option<obs::Collector>) {
-    let label = format!("{}#{scenario_idx}", scenario.dataset);
-    let observe = opts.observer.is_some();
-    let deadline =
-        scenario.constraints.max_search_time.mul_f64(opts.deadline_factor) + opts.deadline_grace;
-    let heartbeat = Arc::new(obs::Heartbeat::new());
-    let (tx, rx) = mpsc::channel();
-    let spawned = {
-        let scenario = scenario.clone();
-        let split = Arc::clone(split);
-        let settings = Arc::clone(settings);
-        let artifacts = Arc::clone(artifacts);
-        let exec = Arc::clone(exec);
-        let label = label.clone();
-        let heartbeat = Arc::clone(&heartbeat);
-        std::thread::Builder::new().name(format!("dfs-cell-{scenario_idx}")).spawn(move || {
-            // After a timeout the receiver is gone and the send fails
-            // silently; the thread just exits.
-            let _ = tx.send(run_cell_isolated(
-                &scenario,
-                &split,
-                &settings,
-                arm,
-                fault,
-                &artifacts,
-                &exec,
-                &label,
-                Some(&heartbeat),
-                observe,
-            ));
-        })
-    };
-    if spawned.is_err() {
-        // Thread exhaustion: degrade to inline panic isolation (no
-        // deadline) rather than losing the cell.
-        return run_cell_isolated(
-            scenario, split, settings, arm, fault, artifacts, exec, &label, None, observe,
-        );
+/// A row of `arms` cells that never ran.
+fn skipped_row(arms: usize) -> Vec<CellResult> {
+    (0..arms).map(|_| CellResult::faulted(CellStatus::Skipped, Duration::ZERO)).collect()
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One scenario row the workers run.
+struct RowJob {
+    /// Index into the matrix.
+    row: usize,
+    scenario: MlScenario,
+    split: Arc<Split>,
+    /// The watchdog's hard deadline for each of the row's cells.
+    deadline: Duration,
+}
+
+impl RowJob {
+    /// The row's name in warnings and traces: `dataset#row`.
+    fn label(&self) -> String {
+        format!("{}#{}", self.scenario.dataset, self.row)
     }
-    match rx.recv_timeout(deadline) {
-        Ok(cell) => cell,
-        Err(_) => {
-            // The cell thread is abandoned — it may be holding a stuck
-            // model fit — and exits on its own whenever the arm returns.
-            // The heartbeat names the last phase the cell reported, so the
-            // timeout report says *where* the stall was detected.
-            let phase = heartbeat.last();
-            let err = DfsError::CellTimedOut {
-                scenario: label.clone(),
-                arm: arm.name(),
-                deadline,
-                phase,
-            };
-            obs::warn!("dfs-core", "{err}");
-            if let Some(observer) = opts.observer {
-                if obs::trace_enabled() {
-                    let cell_label = format!("{label} {}", arm.name());
-                    observer.log_cell(
-                        scenario_idx,
-                        arm_idx,
-                        cell_label,
-                        obs::Level::Warn,
-                        "dfs-core",
-                        err.to_string(),
-                    );
+}
+
+/// Everything a row worker reads. Shared by `Arc`, because an abandoned
+/// worker outlives the run.
+struct RunShared {
+    arms: Vec<Arm>,
+    /// The rows to run, claimed in order by index.
+    work: Vec<RowJob>,
+    /// The next unclaimed index into `work`.
+    next: AtomicUsize,
+    settings: ScenarioSettings,
+    faults: Option<FaultPlan>,
+    artifacts: Arc<ArtifactCache>,
+    exec: Arc<Executor>,
+    /// Tracing is on and an observer is attached: record cell and row
+    /// traces.
+    observe: bool,
+}
+
+impl RunShared {
+    /// Claims the next unclaimed row, as its index into `work`.
+    fn claim(&self) -> Option<usize> {
+        let k = self.next.fetch_add(1, Ordering::Relaxed);
+        (k < self.work.len()).then_some(k)
+    }
+}
+
+/// A row worker's mailbox, read by the watchdog: the cell in flight as
+/// `(work index, arm, deadline)`, and whether the watchdog gave up on it.
+/// Both sit under one lock, so a cell that finishes at its deadline is
+/// either delivered or dropped, never both.
+struct Mailbox {
+    cell: Option<(usize, usize, Instant)>,
+    abandoned: bool,
+}
+
+/// The state a row worker shares with the watchdog.
+struct Worker {
+    mailbox: Mutex<Mailbox>,
+    /// Installed on the worker for its whole life: the last phase its
+    /// current cell reported, which a timeout report names.
+    heartbeat: Arc<obs::Heartbeat>,
+}
+
+/// What row workers tell the watchdog.
+enum Msg {
+    /// A worker claimed the row at this work index; carries the row's trace
+    /// with its `row` span open (sent only when tracing).
+    Row(usize, obs::Collector),
+    /// A finished cell: work index, arm, result and the cell's trace.
+    Cell(usize, usize, CellResult, Option<obs::Collector>),
+    /// The worker with this id has stopped.
+    Exit(usize),
+}
+
+/// A row's trace: a detached collector whose `row` span the watchdog
+/// closes once the row's checkpoint is written.
+fn open_row_trace() -> obs::Collector {
+    let mut c = obs::Collector::new();
+    c.enter_span("row".into());
+    c
+}
+
+/// Runs `f` recording into the row's trace, when there is one.
+fn in_row<R>(trace: &mut Option<obs::Collector>, f: impl FnOnce() -> R) -> R {
+    match trace {
+        Some(c) => obs::with_collector(c, f),
+        None => f(),
+    }
+}
+
+/// The body of a row worker. It runs the cell its mailbox names, then
+/// under the mailbox lock delivers the result and posts its next cell: the
+/// row's next arm, or the first arm of the next unclaimed row. A worker the
+/// watchdog abandoned drops its result and stops.
+fn run_worker(run: &RunShared, me: &Worker, tx: &Sender<Msg>, id: usize) {
+    /// Tells the watchdog the worker stopped, however it stops.
+    struct Exit<'a>(&'a Sender<Msg>, usize);
+    impl Drop for Exit<'_> {
+        fn drop(&mut self) {
+            let _ = self.0.send(Msg::Exit(self.1));
+        }
+    }
+    let _exit = Exit(tx, id);
+    obs::install_heartbeat(Arc::clone(&me.heartbeat));
+    let mut at = lock(&me.mailbox).cell.map(|(k, arm, _)| (k, arm));
+    while let Some((k, arm)) = at {
+        let job = &run.work[k];
+        let fault = run.faults.as_ref().and_then(|p| p.get(job.row, arm));
+        let (cell, trace) = run_cell_isolated(run, job, run.arms[arm], fault);
+        let mut mailbox = lock(&me.mailbox);
+        if mailbox.abandoned {
+            return;
+        }
+        let _ = tx.send(Msg::Cell(k, arm, cell, trace));
+        at = if arm + 1 < run.arms.len() {
+            Some((k, arm + 1))
+        } else {
+            run.claim().map(|k| {
+                if run.observe {
+                    let _ = tx.send(Msg::Row(k, open_row_trace()));
+                }
+                (k, 0)
+            })
+        };
+        mailbox.cell = at.map(|(k, arm)| (k, arm, Instant::now() + run.work[k].deadline));
+    }
+}
+
+/// The caller's side of a run: the one watchdog over every row worker,
+/// and the only thread that writes the matrix, calls the row sink, records
+/// into the observer and draws the progress line.
+struct Watchdog<'a> {
+    run: Arc<RunShared>,
+    opts: &'a RunnerOptions<'a>,
+    tx: Sender<Msg>,
+    rx: Receiver<Msg>,
+    /// Workers by id; `None` once stopped, abandoned or never started.
+    workers: Vec<Option<Arc<Worker>>>,
+    spawned: u64,
+    /// Cells delivered so far, per work index.
+    cells: Vec<Vec<Option<CellResult>>>,
+    /// Open row traces, per work index.
+    traces: Vec<Option<obs::Collector>>,
+    /// Finished rows, per matrix row.
+    results: Vec<Option<Vec<CellResult>>>,
+    progress: ProgressMeter,
+}
+
+impl<'a> Watchdog<'a> {
+    fn new(run: Arc<RunShared>, opts: &'a RunnerOptions<'a>, rows: usize, cells: usize) -> Self {
+        let (tx, rx) = mpsc::channel();
+        let arms = run.arms.len();
+        let jobs = run.work.len();
+        Watchdog {
+            run,
+            opts,
+            tx,
+            rx,
+            workers: Vec::new(),
+            spawned: 0,
+            cells: (0..jobs).map(|_| vec![None; arms]).collect(),
+            traces: (0..jobs).map(|_| None).collect(),
+            results: vec![None; rows],
+            progress: ProgressMeter::new(opts.progress, cells),
+        }
+    }
+
+    /// Starts `workers` row workers and watches them until every row is
+    /// done. Returns the finished rows and the number of workers started.
+    fn watch(mut self, workers: usize) -> (Vec<Option<Vec<CellResult>>>, u64) {
+        for _ in 0..workers {
+            if let Some(k) = self.claim() {
+                self.spawn(k, 0);
+            }
+        }
+        loop {
+            let mut live = false;
+            let mut due: Option<Instant> = None;
+            for worker in self.workers.iter().flatten() {
+                live = true;
+                if let Some((_, _, d)) = lock(&worker.mailbox).cell {
+                    due = Some(due.map_or(d, |due| due.min(d)));
                 }
             }
-            (CellResult::faulted(CellStatus::TimedOut, deadline), None)
+            if !live {
+                break;
+            }
+            // A live worker's mailbox is empty only while it stops, and
+            // then its `Exit` is on the way.
+            let msg = match due {
+                Some(due) => self.rx.recv_timeout(due.saturating_duration_since(Instant::now())),
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match msg {
+                Ok(Msg::Row(k, trace)) => self.traces[k] = Some(trace),
+                Ok(Msg::Cell(k, arm, cell, trace)) => {
+                    if let (Some(observer), Some(c)) = (self.opts.observer, trace) {
+                        let job = &self.run.work[k];
+                        let label = format!("{} {}", job.label(), self.run.arms[arm].name());
+                        observer.record_cell(job.row, arm, label, c);
+                    }
+                    self.deliver(k, arm, cell);
+                }
+                Ok(Msg::Exit(id)) => self.workers[id] = None,
+                Err(RecvTimeoutError::Timeout) => self.expire(),
+                // Unreachable: the watchdog holds a sender itself.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
         }
+        // A row whose worker could not start (or died outside cell
+        // isolation) is recorded skipped as a whole, like any dead worker's.
+        for job in &self.run.work {
+            if self.results[job.row].is_none() {
+                obs::warn!(
+                    "dfs-core",
+                    "no benchmark worker finished row {}; recorded as skipped",
+                    job.row
+                );
+            }
+        }
+        self.progress.finish();
+        (self.results, self.spawned)
+    }
+
+    /// Claims the next unclaimed row for a new worker, opening its trace.
+    fn claim(&mut self) -> Option<usize> {
+        let k = self.run.claim()?;
+        if self.run.observe {
+            self.traces[k] = Some(open_row_trace());
+        }
+        Some(k)
+    }
+
+    /// Starts a row worker at cell `(k, arm)`. The cell is posted to the
+    /// mailbox before the thread starts, so the watchdog never waits on a
+    /// worker whose deadline it cannot see. A worker that cannot be started
+    /// leaves its cells to be recorded as skipped.
+    fn spawn(&mut self, k: usize, arm: usize) {
+        let id = self.workers.len();
+        let worker = Arc::new(Worker {
+            mailbox: Mutex::new(Mailbox {
+                cell: Some((k, arm, Instant::now() + self.run.work[k].deadline)),
+                abandoned: false,
+            }),
+            heartbeat: Arc::new(obs::Heartbeat::new()),
+        });
+        let (run, me, tx) = (Arc::clone(&self.run), Arc::clone(&worker), self.tx.clone());
+        let started = std::thread::Builder::new()
+            .name(format!("dfs-row-{id}"))
+            .spawn(move || run_worker(&run, &me, &tx, id));
+        match started {
+            Ok(_) => {
+                self.workers.push(Some(worker));
+                self.spawned += 1;
+            }
+            Err(e) => {
+                self.workers.push(None);
+                obs::warn!("dfs-core", "cannot start a benchmark worker: {e}");
+            }
+        }
+    }
+
+    /// Abandons every worker whose cell is past its deadline: the cell is
+    /// recorded `TimedOut`, and a replacement worker resumes the row at
+    /// the next arm (or claims a new row after the last arm).
+    fn expire(&mut self) {
+        let now = Instant::now();
+        for id in 0..self.workers.len() {
+            let Some(worker) = self.workers[id].clone() else { continue };
+            let overdue = {
+                let mut mailbox = lock(&worker.mailbox);
+                match mailbox.cell {
+                    Some((k, arm, due)) if due <= now => {
+                        mailbox.abandoned = true;
+                        Some((k, arm))
+                    }
+                    _ => None,
+                }
+            };
+            let Some((k, arm)) = overdue else { continue };
+            // The abandoned worker may be holding a stuck model fit; it
+            // exits on its own whenever the arm returns.
+            self.workers[id] = None;
+            self.time_out(k, arm, worker.heartbeat.last());
+            if arm + 1 < self.run.arms.len() {
+                self.spawn(k, arm + 1);
+            } else if let Some(k) = self.claim() {
+                self.spawn(k, 0);
+            }
+        }
+    }
+
+    /// Records cell `(k, arm)` as timed out. The heartbeat `phase` names
+    /// where the stall was detected.
+    fn time_out(&mut self, k: usize, arm: usize, phase: String) {
+        let run = Arc::clone(&self.run);
+        let job = &run.work[k];
+        let label = job.label();
+        let name = run.arms[arm].name();
+        let err = DfsError::CellTimedOut {
+            scenario: label.clone(),
+            arm: name.clone(),
+            deadline: job.deadline,
+            phase,
+        };
+        in_row(&mut self.traces[k], || obs::warn!("dfs-core", "{err}"));
+        if let (Some(observer), true) = (self.opts.observer, run.observe) {
+            let cell_label = format!("{label} {name}");
+            let msg = err.to_string();
+            observer.log_cell(job.row, arm, cell_label, obs::Level::Warn, "dfs-core", msg);
+        }
+        self.deliver(k, arm, CellResult::faulted(CellStatus::TimedOut, job.deadline));
+    }
+
+    /// Stores one cell; the row's last cell finishes the row.
+    fn deliver(&mut self, k: usize, arm: usize, cell: CellResult) {
+        self.progress.cell_done(&cell);
+        let cells = &mut self.cells[k];
+        cells[arm] = Some(cell);
+        if cells.iter().all(Option::is_some) {
+            let row: Vec<CellResult> = std::mem::take(cells).into_iter().flatten().collect();
+            let trace = self.traces[k].take();
+            self.finish_row(self.run.work[k].row, row, trace);
+        }
+    }
+
+    /// Records a row whose dataset has no prepared split as skipped.
+    fn skip_row(&mut self, row: usize, dataset: &str) {
+        let mut trace = self.run.observe.then(open_row_trace);
+        let err = DfsError::UnknownDataset { dataset: dataset.to_string() };
+        in_row(&mut trace, || {
+            obs::warn!("dfs-core", "{err}; scenario row {row} recorded as skipped")
+        });
+        let cells = skipped_row(self.run.arms.len());
+        for cell in &cells {
+            self.progress.cell_done(cell);
+        }
+        self.finish_row(row, cells, trace);
+    }
+
+    /// Hands a finished row to the sink and closes its trace. A panic in
+    /// the sink loses this row, not the run.
+    fn finish_row(
+        &mut self,
+        row: usize,
+        mut cells: Vec<CellResult>,
+        mut trace: Option<obs::Collector>,
+    ) {
+        if let Some(sink) = self.opts.on_row {
+            let written = in_row(&mut trace, || {
+                let _g = obs::span("checkpoint.write");
+                let written = catch_unwind(AssertUnwindSafe(|| sink(row, &cells))).is_ok();
+                if !written {
+                    obs::warn!("dfs-core", "the row sink panicked on row {row}; row skipped");
+                }
+                written
+            });
+            if !written {
+                cells = skipped_row(cells.len());
+            }
+        }
+        if let (Some(observer), Some(c)) = (self.opts.observer, trace) {
+            observer.record_row(row, c);
+        }
+        self.results[row] = Some(cells);
     }
 }
 
 /// Runs one cell under `catch_unwind`; a panic becomes a
 /// [`CellStatus::Panicked`] sentinel, a normal return is sanitized.
 ///
-/// When `hb` is given, it is installed as the thread's heartbeat for the
-/// duration (the watchdog's stall-attribution channel); when `observe` is
-/// set and tracing is on, the cell records into a fresh collector that is
-/// returned alongside the result — even when the cell panicked, so partial
-/// traces of failed cells survive.
-#[allow(clippy::too_many_arguments)]
+/// When the run records traces, the cell records into a fresh collector
+/// that is returned alongside the result — even when the cell panicked, so
+/// partial traces of failed cells survive.
 fn run_cell_isolated(
-    scenario: &MlScenario,
-    split: &Split,
-    settings: &ScenarioSettings,
+    run: &RunShared,
+    job: &RowJob,
     arm: Arm,
     fault: Option<FaultKind>,
-    artifacts: &Arc<ArtifactCache>,
-    exec: &Arc<Executor>,
-    label: &str,
-    hb: Option<&Arc<obs::Heartbeat>>,
-    observe: bool,
 ) -> (CellResult, Option<obs::Collector>) {
     let started = Instant::now();
-    if let Some(hb) = hb {
-        obs::install_heartbeat(Arc::clone(hb));
-    }
     obs::heartbeat("cell.start");
-    let depth = (observe && obs::trace_enabled()).then(obs::push_collector);
+    let depth = run.observe.then(obs::push_collector);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let _g = obs::span("cell");
-        run_cell(scenario, split, settings, arm, fault, artifacts, exec)
+        run_cell(&job.scenario, &job.split, &run.settings, arm, fault, &run.artifacts, &run.exec)
     }));
     let cell = match outcome {
         Ok(cell) => sanitize_cell(cell),
         Err(payload) => {
             let err = DfsError::CellPanicked {
-                scenario: label.to_string(),
+                scenario: job.label(),
                 arm: arm.name(),
                 payload: panic_payload_to_string(&*payload),
             };
@@ -658,11 +886,7 @@ fn run_cell_isolated(
             CellResult::faulted(CellStatus::Panicked, started.elapsed())
         }
     };
-    let trace = depth.and_then(obs::take_collector);
-    if hb.is_some() {
-        obs::clear_heartbeat();
-    }
-    (cell, trace)
+    (cell, depth.and_then(obs::take_collector))
 }
 
 /// The unguarded cell body; the only place faults are injected, so injected
@@ -1335,6 +1559,82 @@ mod tests {
         assert_eq!(*reported.lock().unwrap_or_else(PoisonError::into_inner), vec![1]);
     }
 
+    /// Six rows × three arms on two row workers, every cell under a 500 ms
+    /// watchdog deadline (search budgets stay 20 s, so the eval cap binds
+    /// and every cell is deterministic). With `stall`, arm 0 of row 2
+    /// blocks for 60 s. Returns the matrix, the run's wall time and its
+    /// `runner.workers_spawned` counter.
+    fn two_worker_run(stall: bool) -> (BenchmarkMatrix, Duration, u64) {
+        let mut splits = HashMap::new();
+        splits.insert("tiny".to_string(), tiny_split());
+        let arms =
+            vec![Arm::Original, Arm::Strategy(StrategyId::Sfs), Arm::Strategy(StrategyId::Sbs)];
+        let scenarios: Vec<MlScenario> =
+            (0..6).map(|_| real_scenario("tiny", Duration::from_secs(20))).collect();
+        let mut plan = FaultPlan::new();
+        if stall {
+            plan.inject(2, 0, FaultKind::Stall(Duration::from_secs(60)));
+        }
+        let mut settings = ScenarioSettings::fast();
+        settings.max_evals = 8;
+        let observer = obs::RunObserver::new("two-workers");
+        let opts = RunnerOptions {
+            threads: 2,
+            deadline_factor: 0.0,
+            deadline_grace: Duration::from_millis(500),
+            fault_plan: Some(&plan),
+            observer: Some(&observer),
+            ..RunnerOptions::default()
+        };
+        let started = Instant::now();
+        let m = run_benchmark_opts(&splits, scenarios, &arms, &settings, &opts);
+        let wall = started.elapsed();
+        let spawned = observer
+            .metrics_text(false)
+            .lines()
+            .find_map(|l| l.strip_prefix("dfs_counter_total{name=\"runner.workers_spawned\"} "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        (m, wall, spawned)
+    }
+
+    /// The deterministic outputs of two cells are bit-identical.
+    fn same_cell(a: &CellResult, b: &CellResult) -> bool {
+        a.status == b.status
+            && a.success == b.success
+            && a.evaluations == b.evaluations
+            && a.subset_size == b.subset_size
+            && a.val_distance.to_bits() == b.val_distance.to_bits()
+            && a.test_distance.to_bits() == b.test_distance.to_bits()
+            && a.test_f1.to_bits() == b.test_f1.to_bits()
+    }
+
+    #[test]
+    fn a_run_starts_one_worker_per_thread_plus_one_per_timeout() {
+        let (_, _, plain) = two_worker_run(false);
+        assert_eq!(plain, 2, "two threads over six rows start two workers");
+        let (m, _, stalled) = two_worker_run(true);
+        assert_eq!(m.status_counts().2, 1, "exactly the injected stall times out");
+        assert_eq!(stalled, 3, "the timed-out worker is replaced once");
+    }
+
+    #[test]
+    fn a_timed_out_row_resumes_on_the_replacement_worker() {
+        let (clean, _, _) = two_worker_run(false);
+        let (m, wall, _) = two_worker_run(true);
+        assert!(wall < Duration::from_secs(20), "the 60 s stall held the run for {wall:?}");
+        assert_eq!(m.results[2][0].status, CellStatus::TimedOut);
+        for (i, (row, clean_row)) in m.results.iter().zip(&clean.results).enumerate() {
+            for (a, (cell, clean_cell)) in row.iter().zip(clean_row).enumerate() {
+                if (i, a) == (2, 0) {
+                    continue;
+                }
+                assert_eq!(cell.status, CellStatus::Ok, "cell ({i}, {a})");
+                assert!(same_cell(cell, clean_cell), "cell ({i}, {a}) differs from the clean run");
+            }
+        }
+    }
+
     #[test]
     fn a_panicking_row_sink_loses_that_row_not_the_run() {
         let mut splits = HashMap::new();
@@ -1350,7 +1650,8 @@ mod tests {
                     panic!("injected fault: checkpoint sink on row {i}");
                 }
             };
-            let opts = RunnerOptions { on_row: Some(&sink), ..RunnerOptions::with_threads(threads) };
+            let opts =
+                RunnerOptions { on_row: Some(&sink), ..RunnerOptions::with_threads(threads) };
             let m =
                 run_benchmark_opts(&splits, scenarios, &arms, &ScenarioSettings::fast(), &opts);
             assert!(

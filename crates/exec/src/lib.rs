@@ -1,7 +1,7 @@
 //! Deterministic nested-parallel executor with a global thread budget.
 //!
 //! The benchmark is parallel at two levels: the runner fans matrix rows
-//! out over cell workers, and each cell contains hot loops that are
+//! out over row workers, and each cell contains hot loops that are
 //! themselves embarrassingly parallel (per-tree forest fitting, NSGA-II
 //! population evaluation, HPO grid search, per-row evasion attacks,
 //! ranking warm-up). Naively giving every level its own thread pool
@@ -49,9 +49,17 @@ pub struct Executor {
 
 /// RAII lease on helper permits; returns them to the pool on drop, which
 /// also makes the release panic-safe.
-struct PermitLease<'a> {
+#[derive(Debug)]
+pub struct PermitLease<'a> {
     pool: &'a AtomicUsize,
     count: usize,
+}
+
+impl PermitLease<'_> {
+    /// Permits held (possibly fewer than asked for).
+    pub fn count(&self) -> usize {
+        self.count
+    }
 }
 
 impl Drop for PermitLease<'_> {
@@ -93,9 +101,12 @@ impl Executor {
         Arc::clone(Self::global())
     }
 
-    /// Tries to take up to `want` helper permits; returns how many were
-    /// actually acquired (possibly zero). Never blocks.
-    fn try_acquire(&self, want: usize) -> PermitLease<'_> {
+    /// Takes up to `want` helper permits (possibly zero) and holds them
+    /// until the lease drops. Never blocks. `par_map_indexed` leases its
+    /// scoped helpers this way; a caller that runs threads of its own (the
+    /// benchmark runner's row workers) leases their permits for as long as
+    /// they run, so the loops nested inside see only what is left.
+    pub fn lease(&self, want: usize) -> PermitLease<'_> {
         let mut available = self.permits.load(Ordering::Acquire);
         loop {
             let take = want.min(available);
@@ -127,34 +138,15 @@ impl Executor {
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        self.par_map_indexed_limit(items, usize::MAX, f)
-    }
-
-    /// [`Executor::par_map_indexed`] with an explicit cap on the number of
-    /// computing threads used by *this* call (callers use it to honor a
-    /// user-facing knob like `RunnerOptions::threads` that may be smaller
-    /// than the pool budget).
-    pub fn par_map_indexed_limit<I, T, F>(&self, items: &[I], limit: usize, f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
         let n = items.len();
         if n == 0 {
             return Vec::new();
         }
-        // Helpers wanted: one per item beyond the caller's own thread,
-        // capped by the call limit.
-        let want = limit.max(1).min(n) - 1;
-        let lease = if want == 0 {
-            PermitLease { pool: &self.permits, count: 0 }
-        } else {
-            self.try_acquire(want)
-        };
+        // Helpers wanted: one per item beyond the caller's own thread.
+        let lease = self.lease(n - 1);
         if lease.count == 0 {
-            // Sequential fallback: the budget is spent (or the call asked
-            // for one thread). Plain in-order map, no scope overhead.
+            // Sequential fallback: the budget is spent (or there is one
+            // item). Plain in-order map, no scope overhead.
             return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
         }
 
@@ -304,12 +296,34 @@ mod tests {
     }
 
     #[test]
-    fn limit_one_runs_inline_without_consuming_permits() {
+    fn a_held_lease_shrinks_the_budget_of_nested_loops() {
         let exec = Executor::new(4);
+        {
+            let lease = exec.lease(2);
+            assert_eq!(lease.count(), 2);
+            assert_eq!(exec.lease(5).count(), 1, "only the unleased permit is left");
+            let live = AtomicIsize::new(0);
+            let high_water = AtomicIsize::new(0);
+            let items: Vec<usize> = (0..32).collect();
+            exec.par_map_indexed(&items, |_, _| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                live.fetch_sub(1, Ordering::SeqCst);
+            });
+            assert!(high_water.load(Ordering::SeqCst) <= 2);
+        }
+        assert_eq!(exec.permits.load(Ordering::SeqCst), 3, "lease not returned on drop");
+    }
+
+    #[test]
+    fn a_spent_budget_runs_inline_on_the_caller() {
+        let exec = Executor::new(4);
+        let _all = exec.lease(3);
         let tid = std::thread::current().id();
         let seen = Mutex::new(Vec::new());
         let items: Vec<usize> = (0..8).collect();
-        exec.par_map_indexed_limit(&items, 1, |_, &v| {
+        exec.par_map_indexed(&items, |_, &v| {
             assert_eq!(std::thread::current().id(), tid);
             seen.lock().unwrap().push(v);
         });

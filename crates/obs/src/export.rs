@@ -151,8 +151,9 @@ impl RunObserver {
 
     /// Serializes every counter, span tally and histogram in Prometheus
     /// text exposition style. With `strip_timings` the clock-derived
-    /// `dfs_span_duration_ns_total` series is omitted so the dump is
-    /// bit-identical at any thread count.
+    /// `dfs_span_duration_ns_total` series, the timing histograms and the
+    /// scheduling counters are omitted so the dump is bit-identical at any
+    /// thread count.
     pub fn metrics_text(&self, strip_timings: bool) -> String {
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut span_count: BTreeMap<String, u64> = BTreeMap::new();
@@ -195,6 +196,9 @@ impl RunObserver {
         if !counters.is_empty() {
             out.push_str("# TYPE dfs_counter_total counter\n");
             for (k, v) in &counters {
+                if strip_timings && crate::is_schedule_counter(k) {
+                    continue;
+                }
                 let _ = writeln!(out, "dfs_counter_total{{name=\"{}\"}} {v}", esc(k));
             }
         }
@@ -259,8 +263,9 @@ impl RunObserver {
 
     /// Serializes the full event stream as JSONL: a run header, then for
     /// each scope a header record followed by its events in recorded
-    /// order. With `strip_timestamps` the `t` and `dur` fields are
-    /// omitted, leaving only thread-count-invariant content.
+    /// order. With `strip_timestamps` the `t` and `dur` fields and the
+    /// scheduling counters are omitted, leaving only thread-count-invariant
+    /// content.
     pub fn journal(&self, strip_timestamps: bool) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{\"journal\":\"dfs-obs\",\"run\":\"{}\"}}", esc(&self.label));
@@ -359,6 +364,9 @@ fn esc(s: &str) -> String {
 }
 
 fn push_journal_event(out: &mut String, ev: &Event, strip: bool) {
+    if strip && ev.kind == EventKind::Count && crate::is_schedule_counter(&ev.name) {
+        return;
+    }
     let e = match ev.kind {
         EventKind::Enter => "enter",
         EventKind::Exit => "exit",
@@ -605,6 +613,19 @@ mod tests {
         ] {
             assert!(stripped.contains(needle), "missing {needle:?} in:\n{stripped}");
         }
+    }
+
+    #[test]
+    fn strip_drops_scheduling_counters_from_both_exports() {
+        let obs = sample_observer();
+        obs.run_counter("runner.workers_spawned", 2);
+        let series = "dfs_counter_total{name=\"runner.workers_spawned\"} 2";
+        assert!(obs.metrics_text(false).contains(series));
+        assert!(!obs.metrics_text(true).contains("runner."));
+        assert!(obs.journal(false).contains("\"n\":\"runner.workers_spawned\""));
+        let stripped = obs.journal(true);
+        assert!(!stripped.contains("runner."));
+        assert!(stripped.contains("\"n\":\"cells.ok\""), "other counters stay");
     }
 
     #[test]

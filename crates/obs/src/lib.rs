@@ -379,6 +379,17 @@ pub fn is_timing_hist(name: &str) -> bool {
     name.ends_with(TIMING_HIST_SUFFIX)
 }
 
+/// Counters with this prefix describe how a run was scheduled (how many
+/// row workers it spawned), which follows the thread budget and the
+/// watchdog's clock; the stripped exports omit them like durations.
+pub const SCHEDULE_COUNTER_PREFIX: &str = "runner.";
+
+/// `true` when `name` names a scheduling counter (stripped from
+/// determinism-checked exports).
+pub fn is_schedule_counter(name: &str) -> bool {
+    name.starts_with(SCHEDULE_COUNTER_PREFIX)
+}
+
 /// A [`Histogram`] recordable from many threads without locks: one relaxed
 /// atomic add per observation. Used where the collector discipline does
 /// not apply (server-wide request latency, queue wait) — the recorded
@@ -663,6 +674,44 @@ pub fn absorb(child: Collector) {
             top.absorb(child);
         }
     });
+}
+
+/// Runs `f` with `c` attached as this thread's current collector, then
+/// detaches it with its open spans still open (a panic in `f` detaches it
+/// too). This is how one thread records into a collector that another
+/// thread opened: a benchmark row's `row` span is opened by the worker
+/// that claims the row and closed by the run's watchdog thread, which also
+/// writes the row's timeout warnings and checkpoint into it.
+pub fn with_collector<R>(c: &mut Collector, f: impl FnOnce() -> R) -> R {
+    /// Moves the collector back out of the stack, absorbing anything `f`
+    /// stranded above it.
+    struct Detach<'a> {
+        c: &'a mut Collector,
+        depth: usize,
+    }
+    impl Drop for Detach<'_> {
+        fn drop(&mut self) {
+            STACK.with(|s| {
+                let mut s = s.borrow_mut();
+                if self.depth < s.len() {
+                    let stranded: Vec<Collector> = s.drain(self.depth + 1..).collect();
+                    if let Some(top) = s.pop() {
+                        *self.c = top;
+                    }
+                    for child in stranded {
+                        self.c.absorb(child);
+                    }
+                }
+            });
+        }
+    }
+    let depth = STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        s.push(std::mem::take(c));
+        s.len() - 1
+    });
+    let _detach = Detach { c, depth };
+    f()
 }
 
 /// RAII span handle from [`span`]; closes the span on drop (including
@@ -979,6 +1028,40 @@ mod tests {
     }
 
     #[test]
+    fn with_collector_records_into_a_detached_collector_and_leaves_it_open() {
+        with_tracing(|| {
+            let outer = push_collector();
+            let mut row = Collector::new();
+            row.enter_span("row".into());
+            with_collector(&mut row, || counter("warned", 1));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_collector(&mut row, || {
+                    let _g = span("write");
+                    panic!("sink failed");
+                })
+            }));
+            assert!(caught.is_err());
+            // Still open: only the caller closes the row span.
+            assert!(!row.is_balanced());
+            row.finish();
+            let names: Vec<_> = row.events().iter().map(|e| (e.kind, e.name.as_ref())).collect();
+            assert_eq!(
+                names,
+                vec![
+                    (EventKind::Enter, "row"),
+                    (EventKind::Count, "warned"),
+                    (EventKind::Enter, "write"),
+                    (EventKind::Exit, "write"),
+                    (EventKind::Exit, "row"),
+                ]
+            );
+            // The thread's own collector saw none of it.
+            let c = take_collector(outer).expect("outer collector");
+            assert!(c.events().is_empty());
+        });
+    }
+
+    #[test]
     fn absorb_assigns_groups_in_call_order() {
         with_tracing(|| {
             let mut parent = Collector::new();
@@ -1156,6 +1239,8 @@ mod tests {
         assert!(is_timing_hist("server.latency_ns"));
         assert!(!is_timing_hist("eval.subset_size"));
         assert!(!is_timing_hist("ns_counts"));
+        assert!(is_schedule_counter("runner.workers_spawned"));
+        assert!(!is_schedule_counter("cells.ok"));
     }
 
     #[test]

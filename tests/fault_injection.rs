@@ -40,6 +40,14 @@ fn arms() -> Vec<Arm> {
 
 #[test]
 fn matrix_completes_under_panic_stall_garbage_and_missing_split_faults() {
+    // At two threads the stalled row's replacement worker runs next to a
+    // live second worker.
+    for threads in [1, 2] {
+        matrix_completes_under_faults(threads);
+    }
+}
+
+fn matrix_completes_under_faults(threads: usize) {
     let cfg = tiny_cfg();
     let splits = build_splits(&cfg).expect("splits");
     let mut scenarios = build_scenarios(&cfg, BenchVersion::DefaultParams);
@@ -60,7 +68,7 @@ fn matrix_completes_under_panic_stall_garbage_and_missing_split_faults() {
         deadline_factor: 1.0,
         deadline_grace: Duration::from_millis(100),
         fault_plan: Some(&plan),
-        ..RunnerOptions::default()
+        ..RunnerOptions::with_threads(threads)
     };
     let arms = arms();
     let m = run_benchmark_opts(&splits, scenarios, &arms, &quick_settings(), &opts);
