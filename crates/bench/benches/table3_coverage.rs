@@ -95,6 +95,6 @@ fn main() {
         "[shape-check] optimizer coverage {opt_mean:.2}±{opt_std:.2} vs best single {:.2}±{:.2} — paper: optimizer higher mean, lower std: {}",
         best_single.0,
         best_single.1,
-        if opt_mean >= best_single.0 - 0.02 { "REPRODUCED (±2%)" } else { "NOT reproduced" }
+        if opt_mean > best_single.0 && opt_std < best_single.1 { "REPRODUCED" } else { "NOT reproduced" }
     );
 }

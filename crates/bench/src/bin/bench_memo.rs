@@ -30,7 +30,7 @@
 //! Results are printed as JSON and, when a path argument is given, also
 //! written there (committed snapshot: `BENCH_memo.json` in the repo root).
 //!
-//! Run with `scripts/bench-snapshots.sh` (all four snapshots at one commit),
+//! Run with `scripts/bench-snapshots.sh` (both snapshots at one commit),
 //! or alone with `cargo run --release -p dfs-bench --bin bench_memo -- BENCH_memo.json`.
 
 use dfs_bench::ok_or_exit;

@@ -22,10 +22,11 @@
 //! `BENCH_obs.json`). The traced run's Chrome trace / metrics / journal are
 //! exported under `DFS_TRACE_DIR` for artifact upload.
 //!
-//! Run with `scripts/bench-snapshots.sh` (all four snapshots at one commit),
+//! Run with `scripts/bench-snapshots.sh` (both snapshots at one commit),
 //! or alone with `cargo run --release -p dfs-bench --bin bench_obs -- BENCH_obs.json`.
 
 use dfs_bench::ok_or_exit;
+use dfs_bench::timing::median_ns;
 use dfs_constraints::ConstraintSet;
 use dfs_core::runner::{run_benchmark_opts, Arm, BenchmarkMatrix, RunnerOptions};
 use dfs_core::{obs, DfsError, MlScenario, ScenarioSettings};
@@ -39,22 +40,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const MAX_OVERHEAD_PCT: f64 = 2.0;
-
-/// Median wall-clock over `reps` runs of `f`, in nanoseconds.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 /// Per-call cost of `f` in ns, amortized over a tight loop.
 fn per_call_ns(iters: u64, mut f: impl FnMut()) -> f64 {

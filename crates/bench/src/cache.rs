@@ -20,6 +20,7 @@ use dfs_constraints::ConstraintSet;
 use dfs_core::error::{DfsError, DfsResult};
 use dfs_core::runner::{Arm, BenchmarkMatrix, CellResult, CellStatus};
 use dfs_core::{EvalPerf, MlScenario};
+use dfs_linalg::rng::Fnv1a;
 use dfs_models::ModelKind;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -38,21 +39,16 @@ pub fn cache_path(cfg: &CorpusConfig, version: BenchVersion) -> PathBuf {
 /// Also keys the checkpoint sidecar, so stale partial rows from a different
 /// configuration can never leak into a resumed run.
 pub fn fingerprint(cfg: &CorpusConfig) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x100000001b3);
-    };
+    let mut h = Fnv1a::new();
     for (name, cap) in &cfg.datasets {
-        for b in name.bytes() {
-            mix(b as u64);
-        }
-        mix(*cap as u64);
+        h.bytes(name.as_bytes());
+        h.mix(*cap as u64);
     }
-    mix(cfg.scenarios_per_dataset as u64);
-    mix(cfg.time_range.0.as_millis() as u64);
-    mix(cfg.time_range.1.as_millis() as u64);
-    mix(cfg.seed);
-    h
+    h.mix(cfg.scenarios_per_dataset as u64);
+    h.mix(cfg.time_range.0.as_millis() as u64);
+    h.mix(cfg.time_range.1.as_millis() as u64);
+    h.mix(cfg.seed);
+    h.finish()
 }
 
 /// Serializes a matrix to the TSV codec (v8).

@@ -5,7 +5,7 @@ use dfs_core::prelude::*;
 use dfs_core::runner::{run_benchmark_opts, RunnerOptions};
 use dfs_data::split::{stratified_three_way, Split};
 use dfs_data::synthetic::{generate, spec_by_name};
-use dfs_linalg::rng::Rng;
+use dfs_linalg::rng::{Fnv1a, Rng};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -226,7 +226,9 @@ pub fn export_traces(observer: &dfs_obs::RunObserver) {
 }
 
 fn hash_name(name: &str) -> u64 {
-    name.bytes().fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+    let mut h = Fnv1a::new();
+    h.bytes(name.as_bytes());
+    h.finish()
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
-//! Wall-clock timing for the A/B bench binaries.
+//! Wall-clock timing for the bench binaries.
 
 use std::time::Instant;
 
 /// Wall-clock of one run of `f`, in nanoseconds.
-pub fn time_ns(f: &mut impl FnMut()) -> u64 {
+fn time_ns(f: &mut impl FnMut()) -> u64 {
     let t = Instant::now();
     f();
     t.elapsed().as_nanos() as u64
 }
 
 /// The `q`-quantile (nearest rank) of `samples`, which it sorts.
-pub fn quantile<T: Copy + PartialOrd>(samples: &mut [T], q: f64) -> T {
+fn quantile<T: Copy + PartialOrd>(samples: &mut [T], q: f64) -> T {
     samples.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     samples[((samples.len() - 1) as f64 * q).round() as usize]
 }

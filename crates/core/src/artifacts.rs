@@ -29,7 +29,7 @@
 
 use dfs_constraints::Evaluation;
 use dfs_data::split::Split;
-use dfs_linalg::rng::derive_seed;
+use dfs_linalg::rng::{derive_seed, Fnv1a};
 use dfs_models::BinSet;
 use dfs_rankings::{Ranking, RankingKind};
 use std::collections::HashMap;
@@ -295,7 +295,9 @@ pub(crate) fn subset_bits(subset: &[usize], n_features: usize) -> Box<[u64]> {
 /// bit-identity).
 pub fn ranking_seed(dataset: &str, kind: RankingKind) -> u64 {
     let stream = RankingKind::ALL.iter().position(|k| *k == kind).unwrap_or(0) as u64;
-    derive_seed(fnv(dataset.as_bytes()), 0x7A4C ^ stream)
+    let mut h = Fnv1a::new();
+    h.bytes(dataset.as_bytes());
+    derive_seed(h.finish(), 0x7A4C ^ stream)
 }
 
 /// A cheap structural fingerprint of a split, keying cached artifacts so
@@ -303,33 +305,21 @@ pub fn ranking_seed(dataset: &str, kind: RankingKind) -> u64 {
 /// dataset name *and* same split seed produce the same fingerprint; a
 /// different split of the same dataset does not).
 pub fn split_fingerprint(split: &Split) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-    };
-    mix(split.train.n_rows() as u64);
-    mix(split.n_features() as u64);
+    let mut h = Fnv1a::new();
+    h.mix(split.train.n_rows() as u64);
+    h.mix(split.n_features() as u64);
     for &label in &split.train.y {
-        mix(label as u64);
+        h.mix(label as u64);
     }
     // A few raw values guard against two splits with identical label
     // sequences but different feature data.
     let probe = split.train.n_rows().min(4);
     for i in 0..probe {
         for j in 0..split.n_features() {
-            mix(split.train.x[(i, j)].to_bits());
+            h.mix(split.train.x[(i, j)].to_bits());
         }
     }
-    h
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

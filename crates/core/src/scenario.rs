@@ -6,7 +6,7 @@ use crate::perf::EvalPerf;
 use dfs_constraints::{ConstraintSet, Evaluation};
 use dfs_data::split::Split;
 use dfs_fs::SubsetEvaluator;
-use dfs_linalg::rng::derive_seed;
+use dfs_linalg::rng::{derive_seed, Fnv1a};
 use dfs_linalg::{ColumnView, Matrix};
 use dfs_metrics::{empirical_safety_with, equal_opportunity, f1_score, AttackConfig};
 use dfs_models::hpo::{dt_grid_search_ws, grid_search_ws};
@@ -123,29 +123,24 @@ pub fn settings_fingerprint(
         bound_pruning: _,
     } = settings;
 
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x100_0000_01b3);
-    };
-    for b in model.short_name().bytes() {
-        mix(b as u64);
-    }
-    mix(*hpo as u64);
-    mix(*seed);
+    let mut h = Fnv1a::new();
+    h.bytes(model.short_name().as_bytes());
+    h.mix(*hpo as u64);
+    h.mix(*seed);
     match privacy_epsilon {
         Some(eps) => {
-            mix(1);
-            mix(eps.to_bits());
+            h.mix(1);
+            h.mix(eps.to_bits());
         }
-        None => mix(0),
+        None => h.mix(0),
     }
     // Which metrics are measured at all, not their thresholds.
-    mix(min_eo.is_some() as u64);
-    mix(min_safety.is_some() as u64);
-    mix(*max_points as u64);
-    mix(*init_trials as u64);
-    mix(train_cap as u64);
-    h
+    h.mix(min_eo.is_some() as u64);
+    h.mix(min_safety.is_some() as u64);
+    h.mix(*max_points as u64);
+    h.mix(*init_trials as u64);
+    h.mix(train_cap as u64);
+    h.finish()
 }
 
 /// Cached result of one wrapper evaluation.
@@ -843,12 +838,11 @@ impl<'a> ScenarioContext<'a> {
 }
 
 fn hash_subset(subset: &[usize]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for &f in subset {
-        h ^= f as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h.mix(f as u64);
     }
-    h
+    h.finish()
 }
 
 impl SubsetEvaluator for ScenarioContext<'_> {

@@ -4,7 +4,8 @@
 //! data generators, DP noise, the adversarial attack) receives an explicit
 //! seed so experiments reproduce bit-for-bit. [`Rng`] is the workspace's one
 //! generator (SplitMix64); the free functions below are the handful of
-//! sampling helpers built on it.
+//! sampling helpers built on it. [`Fnv1a`] is the one hash that fingerprints
+//! and name-derived seeds fold their inputs with.
 
 /// SplitMix64's increment (the 64-bit golden ratio).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -66,6 +67,47 @@ impl Rng {
 /// one per scenario, one per strategy) without correlated sequences.
 pub fn derive_seed(parent: u64, stream: u64) -> u64 {
     mix64(parent ^ stream.wrapping_mul(GOLDEN))
+}
+
+/// Streaming 64-bit FNV-1a: the workspace's one hash for fingerprints,
+/// memo keys and name-derived seeds. [`Fnv1a::mix`] folds in one word and
+/// [`Fnv1a::bytes`] one word per byte, which is the published byte-wise
+/// hash; a caller that mixes whole words hashes the word sequence.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV-1a-64 offset basis.
+    #[inline]
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds one word in: xor, then multiply by the FNV-64 prime.
+    #[inline]
+    pub fn mix(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
+    }
+
+    /// Folds in each byte as one word.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(b as u64);
+        }
+    }
+
+    /// The hash of everything mixed in so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
 }
 
 /// Fisher–Yates shuffle of indices `0..n`, swapping from the top.
@@ -191,6 +233,25 @@ mod tests {
         assert_eq!(k, [3, 1, 3, 2]);
         let mut r = Rng::seed_from_u64(2021);
         assert_eq!(shuffled_indices(10, &mut r), [0, 3, 6, 4, 9, 1, 8, 7, 2, 5]);
+    }
+
+    /// The published FNV-1a-64 test vectors (byte-wise), and the word-wise
+    /// form equal to the byte-wise one on byte-valued words.
+    #[test]
+    fn fnv1a_matches_published_vectors() {
+        let hash = |s: &str| {
+            let mut h = Fnv1a::new();
+            h.bytes(s.as_bytes());
+            h.finish()
+        };
+        assert_eq!(hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash("foobar"), 0x8594_4171_f739_67e8);
+        let mut words = Fnv1a::default();
+        for b in "foobar".bytes() {
+            words.mix(b as u64);
+        }
+        assert_eq!(words.finish(), hash("foobar"));
     }
 
     #[test]

@@ -273,29 +273,35 @@ mod tests {
     fn truncated_dt_grid_matches_independent_fits() {
         // The production DT grid path fits the deepest tree once and
         // truncates; this replays the pre-truncation loop (one full fit per
-        // grid point, same fold rule) and demands bit-identical results.
+        // grid point, same fold rule) and demands bit-identical results, on
+        // a toy problem and on german_credit at the engine's train cap.
         let (x, y) = xorish();
-        let (x_train, y_train) = (x.select_rows(&(0..120).collect::<Vec<_>>()), y[..120].to_vec());
-        let (x_val, y_val) = (x.select_rows(&(120..160).collect::<Vec<_>>()), y[120..].to_vec());
-
-        let specs = grid(ModelKind::DecisionTree);
-        let mut best: Option<(f64, ModelSpec, TrainedModel)> = None;
-        for spec in &specs {
-            let model = spec.fit(&x_train, &y_train);
-            let f1 = f1_score(&model.predict(&x_val), &y_val);
-            let better = best.as_ref().map(|(b, _, _)| f1 > *b).unwrap_or(true);
-            if better {
-                best = Some((f1, spec.clone(), model));
+        let xor = (
+            x.select_rows(&(0..120).collect::<Vec<_>>()),
+            y[..120].to_vec(),
+            x.select_rows(&(120..160).collect::<Vec<_>>()),
+            y[120..].to_vec(),
+        );
+        for (x_train, y_train, x_val, y_val) in [xor, crate::tests::german_credit()] {
+            let specs = grid(ModelKind::DecisionTree);
+            let mut best: Option<(f64, ModelSpec, TrainedModel)> = None;
+            for spec in &specs {
+                let model = spec.fit(&x_train, &y_train);
+                let f1 = f1_score(&model.predict(&x_val), &y_val);
+                let better = best.as_ref().map(|(b, _, _)| f1 > *b).unwrap_or(true);
+                if better {
+                    best = Some((f1, spec.clone(), model));
+                }
             }
-        }
-        let (naive_f1, naive_spec, naive_model) = best.expect("non-empty grid");
+            let (naive_f1, naive_spec, naive_model) = best.expect("non-empty grid");
 
-        let fast = grid_search(ModelKind::DecisionTree, &x_train, &y_train, &x_val, &y_val);
-        assert_eq!(fast.spec, naive_spec);
-        assert_eq!(fast.val_f1.to_bits(), naive_f1.to_bits());
-        assert_eq!(fast.evaluations, specs.len());
-        assert_eq!(fast.model.predict(&x_val), naive_model.predict(&x_val));
-        assert_eq!(fast.model.predict(&x_train), naive_model.predict(&x_train));
+            let fast = grid_search(ModelKind::DecisionTree, &x_train, &y_train, &x_val, &y_val);
+            assert_eq!(fast.spec, naive_spec);
+            assert_eq!(fast.val_f1.to_bits(), naive_f1.to_bits());
+            assert_eq!(fast.evaluations, specs.len());
+            assert_eq!(fast.model.predict(&x_val), naive_model.predict(&x_val));
+            assert_eq!(fast.model.predict(&x_train), naive_model.predict(&x_train));
+        }
     }
 
     #[test]

@@ -278,8 +278,22 @@ impl TrainedModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// german_credit (seed 41) as a benchmark scenario trains on it: the
+    /// train split capped at `ScenarioSettings::default_bench`'s 600 rows,
+    /// the validation split whole. Its numeric columns hold more distinct
+    /// values than the binned tree kernel has bins.
+    pub(crate) fn german_credit() -> (Matrix, Vec<bool>, Matrix, Vec<bool>) {
+        use dfs_data::split::stratified_three_way;
+        use dfs_data::synthetic::{generate, spec_by_name};
+        let spec = spec_by_name("german_credit").expect("paper-suite dataset");
+        let split = stratified_three_way(&generate(&spec, 41), 41);
+        let rows: Vec<usize> = (0..600.min(split.train.x.nrows())).collect();
+        let y_train = rows.iter().map(|&i| split.train.y[i]).collect();
+        (split.train.x.select_rows(&rows), y_train, split.val.x, split.val.y)
+    }
 
     fn separable() -> (Matrix, Vec<bool>) {
         let rows: Vec<Vec<f64>> = (0..40)

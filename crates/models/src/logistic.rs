@@ -248,13 +248,7 @@ impl LogisticRegression {
     /// Fits the model with inverse regularization strength `c`, starting
     /// from the zero solution.
     pub fn fit(x: &Matrix, y: &[bool], c: f64) -> Self {
-        Self::fit_counting_fallbacks(x, y, c).0
-    }
-
-    /// [`Self::fit`], also returning how many bold-driver decisions the
-    /// fast loss could not settle and left to the exact per-row sum.
-    pub fn fit_counting_fallbacks(x: &Matrix, y: &[bool], c: f64) -> (Self, usize) {
-        fit_gd(x, y, c, |_| false)
+        fit_gd(x, y, c, |_| false).0
     }
 
     /// Builds a model directly from weights (used by the DP mechanism).
