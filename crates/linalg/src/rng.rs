@@ -235,8 +235,8 @@ mod tests {
         assert_eq!(shuffled_indices(10, &mut r), [0, 3, 6, 4, 9, 1, 8, 7, 2, 5]);
     }
 
-    /// The published FNV-1a-64 test vectors (byte-wise), and the word-wise
-    /// form equal to the byte-wise one on byte-valued words.
+    /// The published FNV-1a-64 test vectors. Every fingerprint, memo key
+    /// and cache file name in the workspace is hashed with this function.
     #[test]
     fn fnv1a_matches_published_vectors() {
         let hash = |s: &str| {
@@ -247,11 +247,6 @@ mod tests {
         assert_eq!(hash(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(hash("a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(hash("foobar"), 0x8594_4171_f739_67e8);
-        let mut words = Fnv1a::default();
-        for b in "foobar".bytes() {
-            words.mix(b as u64);
-        }
-        assert_eq!(words.finish(), hash("foobar"));
     }
 
     #[test]

