@@ -4,9 +4,12 @@
 //! hands each completed scenario row to a sink ([`RunnerOptions::on_row`]);
 //! [`Checkpoint`] persists those rows in a sidecar file next to the final
 //! cache file so an interrupted run can resume, recomputing only the rows
-//! that never finished. Every flush rewrites the sidecar atomically (temp
-//! file + rename), so the file on disk is always a consistent snapshot of
-//! the completed work.
+//! that never finished. [`Checkpoint::start`] writes the header and the
+//! rows already known atomically (temp file + rename); each completed row
+//! is then appended as one block with a single write. A run killed
+//! mid-append leaves at most a torn last block, which
+//! [`Checkpoint::load_rows`] drops while keeping every complete block
+//! before it.
 //!
 //! The sidecar is keyed by the corpus fingerprint and the matrix shape; a
 //! mismatched or corrupt sidecar is quarantined (like a corrupt cache) and
@@ -20,6 +23,8 @@ use dfs_core::error::DfsError;
 use dfs_core::runner::CellResult;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
@@ -33,10 +38,12 @@ const VERSION: &str = "v8";
 /// A partially computed matrix being persisted row by row.
 ///
 /// Thread-safe: [`Checkpoint::append_row`] may be called concurrently from
-/// runner workers; flushes are serialized behind a mutex.
+/// runner workers; appends are serialized behind a mutex.
 pub struct Checkpoint {
     path: PathBuf,
-    buf: Mutex<String>,
+    /// The sidecar opened for appending; `None` when it could not be
+    /// written (checkpointing then degrades to a no-op).
+    file: Mutex<Option<File>>,
 }
 
 impl Checkpoint {
@@ -54,17 +61,20 @@ impl Checkpoint {
     /// Missing sidecar → empty map. A sidecar whose header does not match
     /// this exact (fingerprint, shape) — or that is corrupt from the first
     /// line — is quarantined and yields nothing. A malformed *trailing*
-    /// block (e.g. another writer died mid-rename) drops only the blocks
-    /// from the damage onward; every complete leading block is kept.
+    /// block (a writer killed mid-append) drops only the blocks from the
+    /// damage onward; every complete leading block is kept. A last line
+    /// without its newline is torn, however well it parses, and is
+    /// ignored.
     pub fn load_rows(
         path: &Path,
         fingerprint: u64,
         n_scenarios: usize,
         n_arms: usize,
     ) -> HashMap<usize, Vec<CellResult>> {
-        let Ok(s) = std::fs::read_to_string(path) else {
+        let Ok(mut s) = std::fs::read_to_string(path) else {
             return HashMap::new();
         };
+        s.truncate(s.rfind('\n').map_or(0, |i| i + 1));
         let expected = Self::header(fingerprint, n_scenarios, n_arms);
         let mut lines = s.lines();
         if lines.next() != Some(expected.trim_end()) {
@@ -123,8 +133,9 @@ impl Checkpoint {
         rows
     }
 
-    /// Opens a sidecar seeded with the header and any already-known rows
-    /// (the rows just loaded for resume), and flushes that initial state.
+    /// Writes a sidecar seeded with the header and any already-known rows
+    /// (the rows just loaded for resume) atomically, then opens it for
+    /// appending.
     pub fn start(
         path: PathBuf,
         fingerprint: u64,
@@ -144,25 +155,29 @@ impl Checkpoint {
                 cache::encode_cell(&mut buf, cell);
             }
         }
-        let ckpt = Checkpoint { path, buf: Mutex::new(buf) };
-        {
-            let buf = ckpt.lock_buf();
-            ckpt.flush(&buf);
-        }
-        ckpt
+        let tmp = path.with_extension("ckpt.tmp");
+        let file = std::fs::write(&tmp, buf.as_bytes())
+            .and_then(|_| std::fs::rename(&tmp, &path))
+            .and_then(|_| OpenOptions::new().append(true).open(&path));
+        let file = file.map_err(|e| warn_failed(&path, e)).ok();
+        Checkpoint { path, file: Mutex::new(file) }
     }
 
-    /// Records one completed row and flushes the sidecar atomically.
+    /// Appends one completed row to the sidecar as a single block write.
     ///
     /// IO failures degrade to a warning: checkpointing is best-effort and
     /// must never fault the computation it protects.
     pub fn append_row(&self, idx: usize, row: &[CellResult]) {
-        let mut buf = self.lock_buf();
-        let _ = writeln!(buf, "C\t{idx}");
+        let mut block = format!("C\t{idx}\n");
         for cell in row {
-            cache::encode_cell(&mut buf, cell);
+            cache::encode_cell(&mut block, cell);
         }
-        self.flush(&buf);
+        let mut file = self.lock_file();
+        if let Some(f) = file.as_mut() {
+            if let Err(e) = f.write_all(block.as_bytes()) {
+                warn_failed(&self.path, e);
+            }
+        }
     }
 
     /// Removes the sidecar — the final cache write supersedes it.
@@ -170,24 +185,19 @@ impl Checkpoint {
         let _ = std::fs::remove_file(&self.path);
     }
 
-    fn lock_buf(&self) -> MutexGuard<'_, String> {
-        match self.buf.lock() {
+    fn lock_file(&self) -> MutexGuard<'_, Option<File>> {
+        match self.file.lock() {
             Ok(g) => g,
-            // A panic while holding the lock leaves a consistent String
-            // (appends happen before flush); recover and carry on.
+            // The lock guards no invariant of its own: at worst the panic
+            // tore one block, which loading drops. Recover and carry on.
             Err(poisoned) => poisoned.into_inner(),
         }
     }
+}
 
-    fn flush(&self, contents: &str) {
-        let tmp = self.path.with_extension("ckpt.tmp");
-        let write = std::fs::write(&tmp, contents.as_bytes())
-            .and_then(|_| std::fs::rename(&tmp, &self.path));
-        if let Err(e) = write {
-            let err = DfsError::Io { path: self.path.clone(), source: e };
-            dfs_obs::warn!("dfs-bench", "checkpoint flush failed: {err}");
-        }
-    }
+fn warn_failed(path: &Path, source: std::io::Error) {
+    let err = DfsError::Io { path: path.to_path_buf(), source };
+    dfs_obs::warn!("dfs-bench", "checkpoint write failed: {err}");
 }
 
 #[cfg(test)]
@@ -283,6 +293,28 @@ mod tests {
         let rows = Checkpoint::load_rows(&path, FP, 4, 2);
         assert!(rows.contains_key(&0), "complete leading block dropped");
         assert!(!rows.contains_key(&1), "truncated block must not resume");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_torn_last_block_loads_exactly_the_complete_rows() {
+        let path = temp_path("torn.ckpt");
+        let seed: HashMap<usize, Vec<CellResult>> = [(3, row(3, 2))].into();
+        let ckpt = Checkpoint::start(path.clone(), FP, 5, 2, &seed);
+        ckpt.append_row(0, &row(0, 2));
+        let before_last = std::fs::read(&path).expect("read").len();
+        ckpt.append_row(4, &row(4, 2));
+        drop(ckpt);
+        let contents = std::fs::read(&path).expect("read");
+        for cut in before_last..=contents.len() {
+            std::fs::write(&path, &contents[..cut]).expect("write");
+            let rows = Checkpoint::load_rows(&path, FP, 5, 2);
+            let mut got: Vec<usize> = rows.keys().copied().collect();
+            got.sort_unstable();
+            let want = if cut == contents.len() { vec![0, 3, 4] } else { vec![0, 3] };
+            assert_eq!(got, want, "cut at byte {cut} of {}", contents.len());
+            assert_eq!(rows[&0][1].evaluations, 1, "cut at byte {cut}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -156,6 +156,18 @@ struct CachedEval {
     /// may answer a later query whose incumbent it still exceeds; any other
     /// use upgrades it to an exact measurement first.
     bounded: bool,
+    /// The model the measurement behind this entry trained (`None` for
+    /// pruned entries, memo hits and stage-0 bound skips, which fit
+    /// nothing). Test confirmation and RFE importances read it back
+    /// instead of training the same model again.
+    model: Option<Arc<TrainedModel>>,
+}
+
+impl CachedEval {
+    /// An entry answered without a fit: a pruned shortcut or a memo hit.
+    fn answered(score: f64, eval: Evaluation, pruned: bool) -> Self {
+        CachedEval { score, eval, pruned, bounded: false, model: None }
+    }
 }
 
 /// The wrapper evaluator for one scenario: trains the scenario's model on a
@@ -298,24 +310,30 @@ fn fit_default(
     model
 }
 
-/// Trains the scenario's model on a subset (train split only). `hpo_val`
-/// carries the validation split, read through the subset's column map,
-/// when (and only when) the fit grid-searches on it — under HPO without
-/// DP.
-fn train_subset(
+/// The fit step of a measurement: trains the scenario's model on a subset
+/// (train split only). Under HPO without DP the grid scores the
+/// validation split, read through the subset's column map — never the
+/// test split, so the model does not depend on which split the scoring
+/// step reads.
+fn fit_subset(
     env: &MeasureEnv<'_>,
     subset: &[usize],
-    x_train: &TrainX<'_>,
-    hpo_val: Option<(&ColumnView<'_>, &[bool])>,
-    tree_ws: &mut TreeWorkspace,
+    scratch: &mut Scratch,
     perf: &mut EvalPerf,
 ) -> TrainedModel {
-    perf.model_fits += 1;
     let kind = env.scenario.model;
+    let dp = env.scenario.constraints.privacy_epsilon;
+    let in_place = env.bins.is_some() && dp.is_none();
+    let x_train = train_features(env, subset, in_place, &mut scratch.train);
+    let tree_ws = &mut scratch.tree;
+
+    obs::heartbeat("eval.fit");
+    let _fit_span = obs::span("fit");
+    perf.model_fits += 1;
     if kind == ModelKind::DecisionTree {
         arm_tree(env, subset, tree_ws);
     }
-    if let Some(eps) = env.scenario.constraints.privacy_epsilon {
+    if let Some(eps) = dp {
         // DP variant; HPO would multiply the privacy spend, so DP training
         // always uses default hyperparameters (one train run per
         // evaluation — the paper's setting trains the DP alternative of
@@ -328,17 +346,19 @@ fn train_subset(
         let view = env.bins.map(|b| BinView::new(b, subset, env.train_rows));
         return spec.fit_dp_with(x_train.gathered(), env.y_train, eps, dp_seed, view);
     }
-    if let Some((x_val, y_val)) = hpo_val {
+    if env.scenario.hpo {
+        let x_val = ColumnView::new(&env.split.val.x, subset);
+        let y_val = env.split.val.y.as_slice();
         perf.hpo_grid_points += dfs_models::hpo::grid(kind).len() as u64;
         let result = match x_train {
-            TrainX::InPlace(x) => dt_grid_search_ws(x, env.y_train, x_val, y_val, tree_ws),
+            TrainX::InPlace(x) => dt_grid_search_ws(&x, env.y_train, &x_val, y_val, tree_ws),
             TrainX::Gathered(x) => {
-                grid_search_ws(kind, x, env.y_train, x_val, y_val, env.exec, tree_ws)
+                grid_search_ws(kind, x, env.y_train, &x_val, y_val, env.exec, tree_ws)
             }
         };
         return result.model;
     }
-    fit_default(kind, x_train, env.y_train, tree_ws)
+    fit_default(kind, &x_train, env.y_train, tree_ws)
 }
 
 /// Result of one (possibly bound-short-circuited) measurement.
@@ -349,6 +369,9 @@ struct Measured {
     /// scores a *proven lower bound* on the true objective, not the true
     /// objective itself.
     exact: bool,
+    /// The model the fit step trained; `None` only when the stage-0 size
+    /// bound skipped the fit.
+    model: Option<TrainedModel>,
 }
 
 /// What [`ScenarioContext::admit`] decided for one subset.
@@ -363,9 +386,9 @@ enum Admission {
     Measure { bound: Option<f64> },
 }
 
-/// Full (train + measure on a given evaluation split) pass for a subset.
-/// Used for both validation (during search) and test (confirmation), from
-/// the serial path and from batch workers alike.
+/// Full pass for a subset: [`fit_subset`], then [`score_subset`] on the
+/// validation split (during search) or the test split (confirmation),
+/// from the serial path and from batch workers alike.
 ///
 /// Gather-free where it can be: tree fits read the train split in
 /// place (see [`train_features`]; every other fit gathers it into the
@@ -395,9 +418,7 @@ fn measure_subset(
     perf: &mut EvalPerf,
     bound: Option<f64>,
 ) -> Measured {
-    let split = env.split;
     let constraints = &env.scenario.constraints;
-    let dp = constraints.privacy_epsilon.is_some();
     obs::observe("eval.subset_size", subset.len() as u64);
 
     // Stage 0 (free): the feature-size term needs no model. When it alone
@@ -408,26 +429,34 @@ fn measure_subset(
             eo: constraints.needs_eo().then_some(1.0),
             safety: constraints.needs_safety().then_some(1.0),
             n_selected: subset.len(),
-            n_total: split.n_features(),
+            n_total: env.split.n_features(),
         };
         if constraints.distance(&optimistic) > b {
             perf.bound_skips += 1;
             obs::counter("eval.bound_skip", 1);
-            return Measured { eval: optimistic, exact: false };
+            return Measured { eval: optimistic, exact: false, model: None };
         }
     }
 
-    let in_place = env.bins.is_some() && !dp;
-    let x_train = train_features(env, subset, in_place, &mut scratch.train);
-    // HPO always scores on validation, never on test.
-    let x_val = ColumnView::new(&split.val.x, subset);
-    let hpo_val = (env.scenario.hpo && !dp).then_some((&x_val, split.val.y.as_slice()));
+    let model = fit_subset(env, subset, scratch, perf);
+    let (eval, exact) = score_subset(env, subset, &model, eval_on_test, perf, bound);
+    Measured { eval, exact, model: Some(model) }
+}
 
-    obs::heartbeat("eval.fit");
-    let fit_span = obs::span("fit");
-    let model = train_subset(env, subset, &x_train, hpo_val, &mut scratch.tree, perf);
-    drop(fit_span);
-
+/// The scoring step of a measurement: predicts the evaluation split with
+/// a trained model, computes F1 and EO, and runs the evasion attack.
+/// Returns the evaluation and whether it is exact (`false` when the
+/// stage-1 bound short-circuited the attack; see [`measure_subset`]).
+fn score_subset(
+    env: &MeasureEnv<'_>,
+    subset: &[usize],
+    model: &TrainedModel,
+    eval_on_test: bool,
+    perf: &mut EvalPerf,
+    bound: Option<f64>,
+) -> (Evaluation, bool) {
+    let split = env.split;
+    let constraints = &env.scenario.constraints;
     let part = if eval_on_test { &split.test } else { &split.val };
     let x_eval = ColumnView::new(&part.x, subset);
     let y_eval = &part.y;
@@ -453,7 +482,7 @@ fn measure_subset(
             if constraints.distance(&partial) > b {
                 perf.bound_skips += 1;
                 obs::counter("eval.bound_skip", 1);
-                return Measured { eval: partial, exact: false };
+                return (partial, false);
             }
         }
     }
@@ -468,34 +497,44 @@ fn measure_subset(
         let cfg = &env.settings.attack;
         empirical_safety_with(&predict, &preds, y_eval, subset.len(), cfg, seed, env.exec)
     });
-    let eval =
-        Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() };
-    Measured { eval, exact: true }
+    (Evaluation { f1, eo, safety, n_selected: subset.len(), n_total: split.n_features() }, true)
 }
 
 /// RFE importances of a default-parameter fit on `subset`: the ranking
 /// step is not HPO'd in the reference implementation either, and never
-/// trains the DP variant. Trees fit in place; only NB's permutation
-/// importance reads validation data, so only NB gathers it.
+/// trains the DP variant. `fitted` is that fit when the caller already
+/// holds it; otherwise it is trained here. Trees fit in place; only NB's
+/// permutation importance reads validation data, so only NB gathers it.
 fn importances_of(
     env: &MeasureEnv<'_>,
     subset: &[usize],
+    fitted: Option<&TrainedModel>,
     scratch: &mut Scratch,
     perf: &mut EvalPerf,
 ) -> Vec<f64> {
-    let kind = env.scenario.model;
-    let x_train = train_features(env, subset, env.bins.is_some(), &mut scratch.train);
-    if kind == ModelKind::DecisionTree {
-        arm_tree(env, subset, &mut scratch.tree);
-    }
-    let model = fit_default(kind, &x_train, env.y_train, &mut scratch.tree);
-    perf.model_fits += 1;
+    let fresh;
+    let model = match fitted {
+        Some(model) => {
+            obs::counter("fit.reused", 1);
+            model
+        }
+        None => {
+            let kind = env.scenario.model;
+            let x_train = train_features(env, subset, env.bins.is_some(), &mut scratch.train);
+            if kind == ModelKind::DecisionTree {
+                arm_tree(env, subset, &mut scratch.tree);
+            }
+            fresh = fit_default(kind, &x_train, env.y_train, &mut scratch.tree);
+            perf.model_fits += 1;
+            &fresh
+        }
+    };
     if let Some(scores) = model.feature_importance() {
         return scores;
     }
     env.split.val.x.select_cols_into(subset, &mut scratch.train);
     let seed = derive_seed(env.scenario.seed, 0x1339 ^ hash_subset(subset));
-    importance_or_permutation(&model, &scratch.train, &env.split.val.y, seed)
+    importance_or_permutation(model, &scratch.train, &env.split.val.y, seed)
 }
 
 impl<'a> ScenarioContext<'a> {
@@ -668,15 +707,31 @@ impl<'a> ScenarioContext<'a> {
         self.cache.get(subset).filter(|c| !c.bounded).map(|c| c.eval)
     }
 
+    /// The model a measurement of `subset` trained in this context, if
+    /// its cache entry holds one.
+    fn cached_model(&self, subset: &[usize]) -> Option<Arc<TrainedModel>> {
+        self.cache.get(subset).and_then(|c| c.model.clone())
+    }
+
     /// Confirms a subset on the **test** split (the final workflow step).
     /// Does not consume search budget — the search is already over. With a
     /// shared cache, a confirmation already performed by another arm or
-    /// request is served without retraining.
+    /// request is served without retraining; a subset this context
+    /// measured on validation is scored with the model that measurement
+    /// trained (the fit never reads the evaluation split).
     pub fn confirm_on_test(&mut self, subset: &[usize]) -> (Evaluation, f64) {
         let eval = match self.memo_lookup(subset, true) {
             Some(eval) => eval,
             None => {
-                let eval = self.measure_full(subset, true, None).eval;
+                let eval = match self.cached_model(subset) {
+                    Some(model) => {
+                        obs::counter("fit.reused", 1);
+                        self.with_scratch(|env, _, perf| {
+                            score_subset(env, subset, &model, true, perf, None).0
+                        })
+                    }
+                    None => self.measure_full(subset, true, None).eval,
+                };
                 self.memo_insert(subset, true, eval);
                 eval
             }
@@ -768,7 +823,7 @@ impl<'a> ScenarioContext<'a> {
             if prune && subset.len() > self.max_features() {
                 let (score, eval) = self.pruned_score(subset);
                 self.cache
-                    .insert(subset.to_vec(), CachedEval { score, eval, pruned: true, bounded: false });
+                    .insert(subset.to_vec(), CachedEval::answered(score, eval, true));
                 obs::counter("eval.pruned", 1);
                 return Admission::Known(score, eval);
             }
@@ -779,7 +834,7 @@ impl<'a> ScenarioContext<'a> {
             if let Some(eval) = self.memo_lookup(subset, false) {
                 let score = self.objective_of(&eval);
                 self.cache
-                    .insert(subset.to_vec(), CachedEval { score, eval, pruned: false, bounded: false });
+                    .insert(subset.to_vec(), CachedEval::answered(score, eval, false));
                 return Admission::Known(score, eval);
             }
         }
@@ -804,15 +859,16 @@ impl<'a> ScenarioContext<'a> {
 
     /// Records the measurement of a subset [`ScenarioContext::admit`] sent
     /// to be measured: an exact one enters the memo, and either enters the
-    /// cache (a bounded one as a lower bound). Returns its score and
-    /// evaluation.
+    /// cache (a bounded one as a lower bound) together with the model it
+    /// trained. Returns its score and evaluation.
     fn commit(&mut self, subset: &[usize], measured: Measured) -> (f64, Evaluation) {
-        let Measured { eval, exact } = measured;
+        let Measured { eval, exact, model } = measured;
         let score = self.objective_of(&eval);
         if exact {
             self.memo_insert(subset, false, eval);
         }
-        let entry = CachedEval { score, eval, pruned: false, bounded: !exact };
+        let model = model.map(Arc::new);
+        let entry = CachedEval { score, eval, pruned: false, bounded: !exact, model };
         self.cache.insert(subset.to_vec(), entry);
         (score, eval)
     }
@@ -1027,8 +1083,17 @@ impl SubsetEvaluator for ScenarioContext<'_> {
             return None;
         }
         let _g = obs::span("importances");
+        // Without HPO or DP the measurement's fit step is `fit_default` on
+        // the same train view (in place exactly when bins exist, as here),
+        // so a measured subset's cached model is the fit RFE ranks by.
+        // Under HPO that model is the grid winner and under DP the DP
+        // model; RFE ranks by neither, so those scenarios fit the default.
+        let scenario = self.scenario;
+        let fitted = (!scenario.hpo && scenario.constraints.privacy_epsilon.is_none())
+            .then(|| self.cached_model(subset))
+            .flatten();
         let importances = self.with_scratch(|env, scratch, perf| {
-            importances_of(env, subset, scratch, perf)
+            importances_of(env, subset, fitted.as_deref(), scratch, perf)
         });
         self.importance_cache.insert(subset.to_vec(), importances.clone());
         Some(importances)
@@ -1232,8 +1297,9 @@ mod tests {
         let mut ctx = ScenarioContext::new(&sc, &split, &settings);
         ctx.evaluate(&[0, 1], None).unwrap();
         ctx.evaluate(&[2, 3], None).unwrap();
+        // Confirmation scores the model the evaluation of [0, 1] trained.
         ctx.confirm_on_test(&[0, 1]);
-        assert_eq!(ctx.perf().model_fits, 3);
+        assert_eq!(ctx.perf().model_fits, 2);
 
         // A tree trains from the train split in place, with or without HPO,
         // and the HPO grid scores the validation split through the column
@@ -1246,7 +1312,7 @@ mod tests {
             let mut ctx = ScenarioContext::new(&sc_dt, &split, &settings);
             ctx.evaluate(&[0, 1], None).unwrap();
             ctx.confirm_on_test(&[0, 1]);
-            assert_eq!(ctx.perf().model_fits, 2);
+            assert_eq!(ctx.perf().model_fits, 1);
         }
 
         // DP ignores validation data even under HPO.
@@ -1259,6 +1325,90 @@ mod tests {
         ctx.evaluate(&[0, 1], None).unwrap();
         ctx.confirm_on_test(&[0, 1]);
         assert_eq!(ctx.perf().hpo_grid_points, 0, "DP fits never grid-search");
+    }
+
+    /// Reusing a measured subset's model is unobservable: `confirm_on_test`
+    /// and `importances` after an `evaluate` of the subset (which read the
+    /// cached model where that is sound) return the bits of fresh contexts
+    /// that never measured it (which fit). Covers every model kind, with
+    /// and without HPO, a DP ε and Min Safety, plus a stage-1 bounded
+    /// entry (it holds a model) and a stage-0 skip (it holds none).
+    #[test]
+    fn reused_models_confirm_and_rank_like_fresh_fits() {
+        let (ds, split) = setup();
+        let settings = ScenarioSettings::fast();
+        let all: Vec<usize> = (0..ds.n_features()).collect();
+        let subset: Vec<usize> = all.iter().copied().step_by(2).collect();
+        let eval_bits = |(e, d): (Evaluation, f64)| {
+            (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits), d.to_bits())
+        };
+        let imp_bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The confirmation and the importances of fresh contexts.
+        let fresh = |sc: &MlScenario, subset: &[usize]| {
+            let mut confirm = ScenarioContext::new(sc, &split, &settings);
+            let test = eval_bits(confirm.confirm_on_test(subset));
+            assert_eq!(confirm.perf().model_fits, 1);
+            let mut rank = ScenarioContext::new(sc, &split, &settings);
+            let imp = imp_bits(rank.importances(subset).expect("budget available"));
+            assert_eq!(rank.perf().model_fits, 1);
+            (test, imp)
+        };
+        for model in [
+            ModelKind::LogisticRegression,
+            ModelKind::GaussianNb,
+            ModelKind::DecisionTree,
+            ModelKind::LinearSvm,
+        ] {
+            for hpo in [false, true] {
+                for dp in [None, Some(5.0)] {
+                    for safety in [false, true] {
+                        let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
+                        c.privacy_epsilon = dp;
+                        if safety {
+                            c.min_eo = Some(0.8);
+                            c.min_safety = Some(0.8);
+                        }
+                        let mut sc = scenario(c);
+                        sc.model = model;
+                        sc.hpo = hpo;
+                        let label = format!("{model:?} hpo={hpo} dp={dp:?} safety={safety}");
+                        let mut warm = ScenarioContext::new(&sc, &split, &settings);
+                        warm.evaluate(&subset, None).expect("budget available");
+                        let test = eval_bits(warm.confirm_on_test(&subset));
+                        let imp = imp_bits(warm.importances(&subset).expect("budget available"));
+                        assert_eq!((test, imp), fresh(&sc, &subset), "{label}");
+                        // One fit for the evaluation and the confirmation;
+                        // importances refit exactly under HPO or DP.
+                        let refit = (hpo || dp.is_some()) as u64;
+                        assert_eq!(warm.perf().model_fits, 1 + refit, "{label}");
+                    }
+                }
+            }
+        }
+
+        // A stage-1 bounded entry: fitted and scored, attack skipped.
+        let mut c = ConstraintSet::accuracy_only(0.99, Duration::from_secs(10));
+        c.min_safety = Some(0.5);
+        let sc = scenario(c);
+        let mut bounded = ScenarioContext::new(&sc, &split, &settings);
+        bounded.evaluate(&subset, Some(0.0)).expect("budget available");
+        assert_eq!(bounded.perf().bound_skips, 1);
+        let test = eval_bits(bounded.confirm_on_test(&subset));
+        let imp = imp_bits(bounded.importances(&subset).expect("budget available"));
+        assert_eq!((test, imp), fresh(&sc, &subset), "stage-1 bounded entry");
+        assert_eq!(bounded.perf().model_fits, 1, "the bounded entry's model is reused");
+
+        // A stage-0 skip: the size term alone exceeds the bound, no model.
+        let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
+        c.max_feature_frac = Some(1.0 / ds.n_features() as f64 + 1e-9);
+        let sc = scenario(c);
+        let mut skipped = ScenarioContext::new(&sc, &split, &settings);
+        skipped.evaluate_no_prune(&all, Some(0.0)).expect("budget available");
+        assert_eq!((skipped.perf().bound_skips, skipped.perf().model_fits), (1, 0));
+        let test = eval_bits(skipped.confirm_on_test(&all));
+        let imp = imp_bits(skipped.importances(&all).expect("budget available"));
+        assert_eq!((test, imp), fresh(&sc, &all), "stage-0 skip");
+        assert_eq!(skipped.perf().model_fits, 2, "a skipped entry has no model to reuse");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! decides it.
 
 use crate::rng::{standard_normal, Rng};
-use crate::sparse::CsrMatrix;
+use crate::sparse::{CsrMatrix, LaneCsr};
 use crate::{dot, norm2};
 
 /// One eigenpair of a symmetric matrix.
@@ -23,64 +23,97 @@ pub struct EigenPair {
     pub vector: Vec<f64>,
 }
 
-/// Computes the top-`k` eigenpairs (largest |λ|) of a symmetric matrix.
+/// The eigenpairs (largest |λ| first) of a symmetric matrix, computed
+/// lazily: each `next` extracts one more pair.
 ///
 /// Power iteration with Gram–Schmidt deflation against already-extracted
 /// vectors. `iters` bounds the per-vector iteration count; `seed` controls
-/// the random start vectors so results are deterministic.
+/// the random start vectors so results are deterministic. The iterator
+/// ends after `n` pairs, or earlier when a start vector has no component
+/// left outside the extracted ones. A pair's start vector is drawn only
+/// when it is pulled, so taking `k` pairs yields the bits of the first `k`
+/// of any longer run, and a caller that stops early skips the most
+/// expensive (most deflated) extractions.
 ///
 /// # Panics
 /// Panics when `m` is not square.
-pub fn top_eigenpairs(m: &CsrMatrix, k: usize, iters: usize, seed: u64) -> Vec<EigenPair> {
+pub fn top_eigenpairs(m: &CsrMatrix, iters: usize, seed: u64) -> impl Iterator<Item = EigenPair> {
     let n = m.nrows();
     assert_eq!(n, m.ncols(), "top_eigenpairs: matrix must be square");
-    let k = k.min(n);
-    let m = m.lanes();
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut pairs: Vec<EigenPair> = Vec::with_capacity(k);
-    let mut w = Vec::with_capacity(n);
-    let mut mw = Vec::with_capacity(n);
+    PowerIteration {
+        m: m.lanes(),
+        n,
+        iters,
+        rng: Rng::seed_from_u64(seed),
+        pairs: Vec::new(),
+        w: Vec::with_capacity(n),
+        mw: Vec::with_capacity(n),
+        done: false,
+    }
+}
 
-    for _ in 0..k {
-        let mut v: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-        orthogonalize(&mut v, &pairs);
+/// The state of [`top_eigenpairs`] between two extractions.
+struct PowerIteration {
+    m: LaneCsr,
+    n: usize,
+    iters: usize,
+    rng: Rng,
+    /// The pairs extracted so far: the deflation basis.
+    pairs: Vec<EigenPair>,
+    w: Vec<f64>,
+    mw: Vec<f64>,
+    done: bool,
+}
+
+impl Iterator for PowerIteration {
+    type Item = EigenPair;
+
+    fn next(&mut self) -> Option<EigenPair> {
+        if self.done || self.pairs.len() >= self.n {
+            return None;
+        }
+        let (m, w, mw) = (&self.m, &mut self.w, &mut self.mw);
+        let mut v: Vec<f64> = (0..self.n).map(|_| standard_normal(&mut self.rng)).collect();
+        orthogonalize(&mut v, &self.pairs);
         let nv = norm2(&v);
         if nv <= crate::EPS {
-            break;
+            self.done = true;
+            return None;
         }
         for x in &mut v {
             *x /= nv;
         }
 
         let mut lambda = 0.0;
-        m.matvec_into(&v, &mut w);
-        for _ in 0..iters {
+        m.matvec_into(&v, w);
+        for _ in 0..self.iters {
             // `w` holds M·v on entry.
-            orthogonalize(&mut w, &pairs);
-            let nw = norm2(&w);
+            orthogonalize(w, &self.pairs);
+            let nw = norm2(w);
             if nw <= crate::EPS {
                 break;
             }
-            for x in &mut w {
+            for x in w.iter_mut() {
                 *x /= nw;
             }
-            m.matvec_into(&w, &mut mw);
-            lambda = dot(&w, &mw);
-            let converged = delta_below(&w, &v, 1e-10);
+            m.matvec_into(w, mw);
+            lambda = dot(w, mw);
+            let converged = delta_below(w, &v, 1e-10);
             // v ← w, and M·w is the next iteration's M·v.
-            std::mem::swap(&mut v, &mut w);
-            std::mem::swap(&mut w, &mut mw);
+            std::mem::swap(&mut v, w);
+            std::mem::swap(w, mw);
             if converged {
                 break;
             }
         }
-        pairs.push(EigenPair { value: lambda, vector: v });
+        let pair = EigenPair { value: lambda, vector: v };
+        self.pairs.push(pair.clone());
+        Some(pair)
     }
-    pairs
 }
 
-/// Computes the `k` eigenvectors of a symmetric PSD matrix with the
-/// *smallest* eigenvalues, excluding (near-)null directions if requested.
+/// The eigenvectors of a symmetric PSD matrix with the *smallest*
+/// eigenvalues first, computed lazily like [`top_eigenpairs`].
 ///
 /// Spectral embeddings want the bottom of the Laplacian spectrum. We obtain
 /// it by inverting the spectrum: for a PSD matrix `L` with spectral bound
@@ -89,7 +122,11 @@ pub fn top_eigenpairs(m: &CsrMatrix, k: usize, iters: usize, seed: u64) -> Vec<E
 ///
 /// # Panics
 /// Panics when `l` is not square.
-pub fn bottom_eigenpairs(l: &CsrMatrix, k: usize, iters: usize, seed: u64) -> Vec<EigenPair> {
+pub fn bottom_eigenpairs(
+    l: &CsrMatrix,
+    iters: usize,
+    seed: u64,
+) -> impl Iterator<Item = EigenPair> {
     let n = l.nrows();
     assert_eq!(n, l.ncols(), "bottom_eigenpairs: matrix must be square");
     // Gershgorin bound on λ_max. Summing the nonzeros in column order gives
@@ -118,11 +155,10 @@ pub fn bottom_eigenpairs(l: &CsrMatrix, k: usize, iters: usize, seed: u64) -> Ve
             below.chain(std::iter::once((i, diag))).chain(above)
         }),
     );
-    let mut pairs = top_eigenpairs(&shifted, k, iters, seed);
-    for p in &mut pairs {
+    top_eigenpairs(&shifted, iters, seed).map(move |mut p| {
         p.value = s - p.value; // map back to L's spectrum
-    }
-    pairs
+        p
+    })
 }
 
 /// `Σ|w_i − v_i| < bound`, summed in index order. The terms are
@@ -267,7 +303,7 @@ mod tests {
             let l = knn_laplacian(m, clusters, isolated, m as u64);
             for (k, iters) in [(1, 50), (5, 300)] {
                 let seed = 0xA5A5 ^ m as u64;
-                let got = bottom_eigenpairs(&csr(&l), k, iters, seed);
+                let got = bottom_eigenpairs(&csr(&l), iters, seed).take(k).collect::<Vec<_>>();
                 let want = dense_bottom_eigenpairs(&l, k, iters, seed);
                 assert_pairs_bit_identical(&got, &want, &format!("m={m} clusters={clusters}"));
             }
@@ -291,7 +327,7 @@ mod tests {
                     m[(j, i)] = v;
                 }
             }
-            let got = top_eigenpairs(&csr(&m), 3, 400, n as u64);
+            let got = top_eigenpairs(&csr(&m), 400, n as u64).take(3).collect::<Vec<_>>();
             let want = dense_top_eigenpairs(&m, 3, 400, n as u64);
             assert_pairs_bit_identical(&got, &want, &format!("n={n}"));
         }
@@ -309,7 +345,7 @@ mod tests {
     #[test]
     fn recovers_diagonal_spectrum() {
         let m = diag(&[5.0, 2.0, 1.0]);
-        let pairs = top_eigenpairs(&csr(&m), 2, 500, 7);
+        let pairs = top_eigenpairs(&csr(&m), 500, 7).take(2).collect::<Vec<_>>();
         assert_eq!(pairs.len(), 2);
         assert!(approx_eq(pairs[0].value, 5.0, 1e-6), "λ0 = {}", pairs[0].value);
         assert!(approx_eq(pairs[1].value, 2.0, 1e-6), "λ1 = {}", pairs[1].value);
@@ -324,7 +360,7 @@ mod tests {
             vec![1.0, 3.0, 1.0],
             vec![0.0, 1.0, 2.0],
         ]);
-        let pairs = top_eigenpairs(&csr(&m), 3, 1000, 1);
+        let pairs = top_eigenpairs(&csr(&m), 1000, 1).take(3).collect::<Vec<_>>();
         for i in 0..pairs.len() {
             assert!(approx_eq(norm2(&pairs[i].vector), 1.0, 1e-6));
             for j in 0..i {
@@ -340,7 +376,7 @@ mod tests {
     #[test]
     fn eigen_equation_holds() {
         let m = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
-        let pairs = top_eigenpairs(&csr(&m), 2, 1000, 3);
+        let pairs = top_eigenpairs(&csr(&m), 1000, 3).take(2).collect::<Vec<_>>();
         for p in &pairs {
             let mv = m.matvec(&p.vector);
             for (a, b) in mv.iter().zip(&p.vector) {
@@ -352,7 +388,7 @@ mod tests {
     #[test]
     fn bottom_eigenpairs_find_smallest() {
         let m = diag(&[5.0, 2.0, 0.5]);
-        let pairs = bottom_eigenpairs(&csr(&m), 2, 500, 9);
+        let pairs = bottom_eigenpairs(&csr(&m), 500, 9).take(2).collect::<Vec<_>>();
         assert!(approx_eq(pairs[0].value, 0.5, 1e-5), "λ0 = {}", pairs[0].value);
         assert!(approx_eq(pairs[1].value, 2.0, 1e-5), "λ1 = {}", pairs[1].value);
     }
@@ -372,7 +408,7 @@ mod tests {
             let deg: f64 = a.row(i).iter().sum();
             l[(i, i)] += deg;
         }
-        let pairs = bottom_eigenpairs(&csr(&l), 1, 2000, 11);
+        let pairs = bottom_eigenpairs(&csr(&l), 2000, 11).take(1).collect::<Vec<_>>();
         assert!(pairs[0].value.abs() < 1e-5, "λ0 = {}", pairs[0].value);
         let v = &pairs[0].vector;
         for x in v {

@@ -68,8 +68,9 @@ fn scores_with(
     // 2. Laplacian and its bottom non-trivial eigenvectors.
     let laplacian = laplacian_of(&neighbour_lists, sigma2);
     let embed = EMBED_DIMS.min(m.saturating_sub(1)).max(1);
-    // +1 to skip the trivial constant eigenvector.
-    let pairs = bottom_eigenpairs(&laplacian, embed + 1, 300, seed ^ 0xA5A5);
+    // Lazily: pairs past the ones that fill the targets below are never
+    // extracted.
+    let pairs = bottom_eigenpairs(&laplacian, 300, seed ^ 0xA5A5);
 
     // 3. Lasso per non-trivial eigenvector on standardized data (centering
     //    removes the intercept; unit variance makes coefficients comparable
@@ -89,12 +90,11 @@ fn scores_with(
     // graph is disconnected the zero eigenvalue has multiplicity > 1 and the
     // returned null-space basis arbitrarily mixes the constant direction
     // with cluster indicators — centering + norm filtering recovers exactly
-    // the informative directions, regardless of basis rotation.
+    // the informative directions, regardless of basis rotation. At most
+    // `embed + 1` pairs are pulled: one more than the targets, to skip the
+    // trivial constant eigenvector.
     let mut targets: Vec<Vec<f64>> = Vec::with_capacity(embed);
-    for pair in &pairs {
-        if targets.len() >= embed {
-            break;
-        }
+    for pair in pairs.take(embed + 1) {
         let mean_e: f64 = pair.vector.iter().sum::<f64>() / m as f64;
         let mut target: Vec<f64> = pair.vector.iter().map(|v| v - mean_e).collect();
         let norm = dfs_linalg::norm2(&target);
@@ -106,6 +106,9 @@ fn scores_with(
             *t /= norm;
         }
         targets.push(target);
+        if targets.len() >= embed {
+            break;
+        }
     }
     let targets: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
     let mut scores = vec![0.0f64; d];

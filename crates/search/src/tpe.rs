@@ -104,6 +104,32 @@ fn propose_binary(
     seen: &HashSet<Vec<bool>>,
     rng: &mut Rng,
 ) -> Vec<bool> {
+    let (p_good, p_bad) = bernoulli_estimates(d, history, cfg);
+    // The four per-dimension logs of the ratio, `[ln l, ln g]` for a set
+    // bit and for a clear one, taken once per proposal. A candidate adds
+    // them in dimension order, so its ratio has the bits of logs taken per
+    // candidate (the reference in the tests).
+    let ln = |p: f64| p.max(1e-12).ln();
+    let set: Vec<[f64; 2]> = p_good.iter().zip(&p_bad).map(|(&g, &b)| [ln(g), ln(b)]).collect();
+    let clear: Vec<[f64; 2]> =
+        p_good.iter().zip(&p_bad).map(|(&g, &b)| [ln(1.0 - g), ln(1.0 - b)]).collect();
+    best_candidate(&p_good, cfg, seen, rng, |bits| {
+        let mut log_ratio = 0.0;
+        for (j, &b) in bits.iter().enumerate() {
+            let [lg, lb] = if b { set[j] } else { clear[j] };
+            log_ratio += lg - lb;
+        }
+        log_ratio
+    })
+}
+
+/// Per-dimension Bernoulli parameters `(p_good, p_bad)` of the good and
+/// bad γ-quantiles of `history`, with a Beta(1,1) prior.
+fn bernoulli_estimates(
+    d: usize,
+    history: &[(Vec<bool>, f64)],
+    cfg: &TpeConfig,
+) -> (Vec<f64>, Vec<f64>) {
     let mut order: Vec<usize> = (0..history.len()).collect();
     // NaN scores are mapped to +inf at measurement, so Equal is an
     // unreachable fallback, not a behavior change.
@@ -112,7 +138,6 @@ fn propose_binary(
     });
     let n_good = ((cfg.gamma * history.len() as f64).ceil() as usize).clamp(1, history.len() - 1);
 
-    // Per-dimension Bernoulli parameters with a Beta(1,1) prior.
     let mut p_good = vec![0.0f64; d];
     let mut p_bad = vec![0.0f64; d];
     for (rank, &i) in order.iter().enumerate() {
@@ -128,23 +153,32 @@ fn propose_binary(
         p_good[j] = (p_good[j] + 1.0) / (n_good as f64 + 2.0);
         p_bad[j] = (p_bad[j] + 1.0) / (n_bad as f64 + 2.0);
     }
+    (p_good, p_bad)
+}
 
+/// Draws `n_candidates` bit vectors from `l` (`p_good`) and returns the
+/// unseen, non-empty one with the largest `log_ratio` (the first on ties),
+/// or a random non-empty vector when every draw was rejected.
+fn best_candidate(
+    p_good: &[f64],
+    cfg: &TpeConfig,
+    seen: &HashSet<Vec<bool>>,
+    rng: &mut Rng,
+    log_ratio: impl Fn(&[bool]) -> f64,
+) -> Vec<bool> {
+    let d = p_good.len();
     let mut best: Option<(f64, Vec<bool>)> = None;
     for _ in 0..cfg.n_candidates {
-        let bits: Vec<bool> = (0..d).map(|j| rng.f64() < p_good[j]).collect();
+        let bits: Vec<bool> = p_good.iter().map(|&p| rng.f64() < p).collect();
         if !bits.iter().any(|&b| b) {
             continue;
         }
         if seen.contains(&bits) {
             continue;
         }
-        let mut log_ratio = 0.0;
-        for j in 0..d {
-            let (pg, pb) = if bits[j] { (p_good[j], p_bad[j]) } else { (1.0 - p_good[j], 1.0 - p_bad[j]) };
-            log_ratio += pg.max(1e-12).ln() - pb.max(1e-12).ln();
-        }
-        if best.as_ref().map(|(s, _)| log_ratio > *s).unwrap_or(true) {
-            best = Some((log_ratio, bits));
+        let score = log_ratio(&bits);
+        if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
+            best = Some((score, bits));
         }
     }
     best.map(|(_, bits)| bits).unwrap_or_else(|| random_nonempty(d, rng))
@@ -354,6 +388,54 @@ mod tests {
         let r = tpe_integer(1, 10, &mut eval, &cfg);
         assert!(r.reached_target);
         assert_eq!(r.best_value, 5);
+    }
+
+    /// The proposal before the log table: two `ln` per dimension for each
+    /// candidate. The oracle `propose_binary` must match bit for bit.
+    fn propose_binary_reference(
+        d: usize,
+        history: &[(Vec<bool>, f64)],
+        cfg: &TpeConfig,
+        seen: &HashSet<Vec<bool>>,
+        rng: &mut Rng,
+    ) -> Vec<bool> {
+        let (p_good, p_bad) = bernoulli_estimates(d, history, cfg);
+        best_candidate(&p_good, cfg, seen, rng, |bits| {
+            let mut log_ratio = 0.0;
+            for j in 0..d {
+                let (pg, pb) =
+                    if bits[j] { (p_good[j], p_bad[j]) } else { (1.0 - p_good[j], 1.0 - p_bad[j]) };
+                log_ratio += pg.max(1e-12).ln() - pb.max(1e-12).ln();
+            }
+            log_ratio
+        })
+    }
+
+    #[test]
+    fn log_table_proposals_match_the_reference() {
+        let mut gen = Rng::seed_from_u64(77);
+        for case in 0..300u64 {
+            let d = 1 + gen.below(40);
+            let n = 4 + gen.below(40);
+            // Skewed bit rates drive some estimates to the extremes, and
+            // repeated histories make ties between candidates likely.
+            let rate = gen.f64();
+            let history: Vec<(Vec<bool>, f64)> = (0..n)
+                .map(|_| {
+                    let bits: Vec<bool> = (0..d).map(|_| gen.f64() < rate).collect();
+                    (bits, gen.below(5) as f64)
+                })
+                .collect();
+            let seen: HashSet<Vec<bool>> =
+                history.iter().filter(|_| gen.bool()).map(|(b, _)| b.clone()).collect();
+            let gamma = [0.1, 0.25, 0.5][case as usize % 3];
+            let cfg = TpeConfig { gamma, ..Default::default() };
+            let (mut a, mut b) = (Rng::seed_from_u64(case), Rng::seed_from_u64(case));
+            let got = propose_binary(d, &history, &cfg, &seen, &mut a);
+            let want = propose_binary_reference(d, &history, &cfg, &seen, &mut b);
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(a.next_u64(), b.next_u64(), "case {case}: the streams diverged");
+        }
     }
 
     #[test]
