@@ -5,19 +5,25 @@
 //! and each used to recompute its feature ranking from the identical
 //! training matrix — the heavyweight rankings (ReliefF, MCFS) dominating
 //! the row's wall-clock — and every arm re-measures subsets another arm
-//! already measured. [`ArtifactCache`] holds the three layers that outlive
+//! already measured. [`ArtifactCache`] holds the four layers that outlive
 //! one strategy run: rankings per `(dataset, split, kind)`, histogram bins
-//! per `(dataset, split)`, and exact subset measurements per memo key.
-//! Every `ScenarioContext` holds one: a private cache by default, or the
-//! run's (or the daemon's) shared one.
+//! per `(dataset, split)`, exact subset measurements per memo key, and
+//! trained models per `FitKey`. Every `ScenarioContext` holds one: a
+//! private cache by default, or the run's (or the daemon's) shared one.
 //!
 //! **One cell per key.** Rankings and bins own a compute-once cell per key;
 //! the map lock is held only to find or create that cell, never during a
 //! compute. Requests for one key wait for its single compute, while
 //! requests for different keys — another dataset's MCFS, another kind on
-//! the same split — compute side by side. Memo entries are not
-//! compute-once: two workers may race to measure one subset, and both
-//! produce the same bits.
+//! the same split — compute side by side. Memo entries and stored models
+//! are not compute-once: two workers may race to measure (or fit) one
+//! subset, and both produce the same bits.
+//!
+//! **Models live while their split has work.** A model is kept only while
+//! its split is held: `ArtifactCache::hold` returns a `SplitHold`, and
+//! the split's models are evicted when its last hold drops. Every
+//! `ScenarioContext` holds its split; the benchmark runner holds each
+//! dataset's split until it records the dataset's last row.
 //!
 //! **Bit-identity.** Sharing is only sound if a shared and a private cache
 //! produce the same values. The stochastic rankings take a seed, so the
@@ -30,7 +36,7 @@
 use dfs_constraints::Evaluation;
 use dfs_data::split::Split;
 use dfs_linalg::rng::{derive_seed, Fnv1a};
-use dfs_models::BinSet;
+use dfs_models::{BinSet, TrainedModel};
 use dfs_rankings::{Ranking, RankingKind};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -97,6 +103,41 @@ pub struct ArtifactCache {
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     memo_inserts: AtomicU64,
+    /// The fit store: trained models by [`FitKey`], kept while their split
+    /// is held. Shared with every [`SplitHold`], whose drop evicts.
+    fits: Arc<Mutex<FitStore>>,
+    fit_hits: AtomicU64,
+    fit_misses: AtomicU64,
+    fit_inserts: AtomicU64,
+}
+
+/// The models of the held splits.
+#[derive(Default)]
+struct FitStore {
+    /// Live [`SplitHold`]s per `(dataset, split_key)`.
+    holds: HashMap<(String, u64), usize>,
+    models: HashMap<FitKey, Arc<TrainedModel>>,
+}
+
+/// Keeps a split's models in the fit store: they are evicted when the
+/// split's last hold drops (see [`ArtifactCache::hold`]).
+#[must_use = "a split's models are evicted as soon as its last hold drops"]
+pub(crate) struct SplitHold {
+    fits: Arc<Mutex<FitStore>>,
+    split: (String, u64),
+}
+
+impl Drop for SplitHold {
+    fn drop(&mut self) {
+        let mut store = lock(&self.fits);
+        let Some(count) = store.holds.get_mut(&self.split) else { return };
+        *count -= 1;
+        if *count == 0 {
+            store.holds.remove(&self.split);
+            let (dataset, split_key) = (&self.split.0, self.split.1);
+            store.models.retain(|k, _| k.split_key != split_key || k.dataset != *dataset);
+        }
+    }
 }
 
 impl ArtifactCache {
@@ -205,6 +246,67 @@ impl ArtifactCache {
         )
     }
 
+    /// Holds `(dataset, split_key)` in the fit store until the returned
+    /// [`SplitHold`] drops. Models are stored only for held splits, and a
+    /// split's models are evicted when its last hold drops: a store that
+    /// kept every model of a run would grow with the run.
+    pub(crate) fn hold(&self, dataset: &str, split_key: u64) -> SplitHold {
+        let split = (dataset.to_string(), split_key);
+        *lock(&self.fits).holds.entry(split.clone()).or_default() += 1;
+        SplitHold { fits: Arc::clone(&self.fits), split }
+    }
+
+    /// Returns the model stored under `key`, else fits it via `fit` and
+    /// stores it while its split is held (a model of an unheld split is not
+    /// stored, since no hold would ever evict it). Counts a hit or a miss.
+    ///
+    /// A non-DP fit is a pure function of its [`FitKey`]: the split, the
+    /// train-row cap, the model, the HPO flag and the subset. The scenario
+    /// seed, the thresholds, the EO and Safety terms and the attack only
+    /// touch scoring, so every scenario and arm on a split shares one model
+    /// per key. Like the memo, a key is not computed exactly once: the
+    /// store is not locked during `fit`, racing workers fit identical
+    /// bits, and the first insert wins.
+    pub(crate) fn model(
+        &self,
+        key: FitKey,
+        fit: impl FnOnce() -> TrainedModel,
+    ) -> Arc<TrainedModel> {
+        let found = lock(&self.fits).models.get(&key).cloned();
+        if let Some(model) = found {
+            self.fit_hits.fetch_add(1, Ordering::Relaxed);
+            dfs_obs::counter("fit.reused", 1);
+            return model;
+        }
+        self.fit_misses.fetch_add(1, Ordering::Relaxed);
+        let model = Arc::new(fit());
+        let mut store = lock(&self.fits);
+        if store.holds.contains_key(&(key.dataset.clone(), key.split_key)) {
+            if let std::collections::hash_map::Entry::Vacant(slot) = store.models.entry(key) {
+                slot.insert(Arc::clone(&model));
+                self.fit_inserts.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        model
+    }
+
+    /// `(fit store hits, misses, inserts)` so far.
+    #[cfg(test)]
+    pub(crate) fn fit_counts(&self) -> (u64, u64, u64) {
+        (
+            self.fit_hits.load(Ordering::Relaxed),
+            self.fit_misses.load(Ordering::Relaxed),
+            self.fit_inserts.load(Ordering::Relaxed),
+        )
+    }
+
+    /// `(held splits, stored models)` right now.
+    #[cfg(test)]
+    pub(crate) fn fit_store_size(&self) -> (usize, usize) {
+        let store = lock(&self.fits);
+        (store.holds.len(), store.models.len())
+    }
+
     /// Precomputes the rankings of `kinds` for every `(dataset, split)` in
     /// `splits` through a shared [`Executor`], so the benchmark's ranking
     /// arms all hit the cache instead of serializing on the first request.
@@ -272,6 +374,22 @@ pub(crate) struct EvalKey {
     pub settings_key: u64,
     /// `true` for confirm-on-test measurements, `false` for validation.
     pub eval_on_test: bool,
+    /// The feature subset as a fixed-width bitset.
+    pub subset: Box<[u64]>,
+}
+
+/// Key of one trained model in the fit store (see
+/// [`ArtifactCache::model`]). DP fits never enter the store: their
+/// noise seed derives from the scenario seed, and it and ε would have to
+/// enter the key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct FitKey {
+    /// Dataset name.
+    pub dataset: String,
+    /// [`split_fingerprint`] of the split trained on.
+    pub split_key: u64,
+    /// `fit_fingerprint` of the fit: model, HPO flag and train-row cap.
+    pub fit_key: u64,
     /// The feature subset as a fixed-width bitset.
     pub subset: Box<[u64]>,
 }
@@ -552,6 +670,55 @@ mod tests {
         // And of course a different subset misses.
         assert!(cache.memo_lookup(&key(1, false, &[0, 3])).is_none());
         assert!(cache.memo_lookup(&key(1, false, &[0, 1])).is_some());
+    }
+
+    fn fit_key(dataset: &str, split_key: u64, fit_key: u64, subset: &[usize]) -> FitKey {
+        FitKey { dataset: dataset.into(), split_key, fit_key, subset: subset_bits(subset, 8) }
+    }
+
+    /// A split's models stay stored while any hold on it is alive and are
+    /// evicted when its last hold drops; other splits keep theirs, and an
+    /// unheld split stores nothing.
+    #[test]
+    fn a_splits_models_live_until_its_last_hold_drops() {
+        use dfs_models::{ModelKind, ModelSpec};
+        let ds = generate(&tiny_spec(), 5);
+        let split = stratified_three_way(&ds, 1);
+        let spec = ModelSpec::default_for(ModelKind::GaussianNb);
+        let fit = || spec.fit(&split.train.x, &split.train.y);
+        let stored = |cache: &ArtifactCache, key| {
+            cache.model(key, || panic!("a stored model must not refit"))
+        };
+        let cache = ArtifactCache::new();
+        cache.model(fit_key("a", 1, 9, &[0]), fit);
+        assert_eq!(cache.fit_store_size(), (0, 0), "an unheld split stores nothing");
+
+        let (first, second, other) = (cache.hold("a", 1), cache.hold("a", 1), cache.hold("b", 1));
+        let model = cache.model(fit_key("a", 1, 9, &[0]), fit);
+        cache.model(fit_key("a", 1, 9, &[1]), fit);
+        cache.model(fit_key("b", 1, 9, &[0]), fit);
+        assert_eq!(cache.fit_store_size(), (2, 3));
+        // Another split key, fit key or subset misses; the unheld split
+        // key stores nothing.
+        for key in [fit_key("a", 2, 9, &[0]), fit_key("a", 1, 8, &[0]), fit_key("a", 1, 9, &[2])] {
+            assert!(!Arc::ptr_eq(&cache.model(key, fit), &model));
+        }
+        assert_eq!(cache.fit_store_size(), (2, 5));
+
+        drop(first);
+        assert!(Arc::ptr_eq(&stored(&cache, fit_key("a", 1, 9, &[0])), &model), "still held");
+        drop(second);
+        assert_eq!(cache.fit_store_size(), (1, 1), "the last hold on `a` evicts its models");
+        stored(&cache, fit_key("b", 1, 9, &[0]));
+        assert!(!Arc::ptr_eq(&cache.model(fit_key("a", 1, 9, &[0]), fit), &model));
+        assert_eq!(cache.fit_store_size(), (1, 1), "`a` is no longer held");
+        drop(other);
+        assert_eq!(cache.fit_store_size(), (0, 0));
+        // Hits, misses, inserts.
+        assert_eq!(cache.fit_counts(), (2, 8, 5));
+        // The store leaves the other layers' counters alone.
+        assert_eq!((cache.counts(), cache.bin_counts()), ((0, 0), (0, 0)));
+        assert_eq!(cache.memo_counts(), (0, 0, 0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   **per-model** (Table 6) breakdowns, **normalized F1** for the utility
 //!   benchmark, and the **greedy portfolios** of Table 8.
 
-use crate::artifacts::ArtifactCache;
+use crate::artifacts::{split_fingerprint, ArtifactCache, SplitHold};
 use crate::error::{panic_payload_to_string, DfsError};
 use crate::exec::{env_threads, Executor};
 use crate::fault::{FaultKind, FaultPlan};
@@ -357,17 +357,29 @@ pub fn run_benchmark_opts(
     settings: &ScenarioSettings,
     opts: &RunnerOptions<'_>,
 ) -> BenchmarkMatrix {
+    // One cache for the whole run: each feature ranking is computed once
+    // per (dataset, split) instead of once per TPE(ranking) arm, a subset
+    // measured by one arm is served to every other arm (and row) with the
+    // same measurement-relevant settings and split, and a model fitted by
+    // one scenario is reused by every other scenario on the split that
+    // fits it. Bit-identical to running each cell alone (DESIGN.md § 4h).
+    run_on(&Arc::new(ArtifactCache::new()), splits, scenarios, arms, settings, opts)
+}
+
+/// [`run_benchmark_opts`] on the given cache.
+fn run_on(
+    artifacts: &Arc<ArtifactCache>,
+    splits: &HashMap<String, Split>,
+    scenarios: Vec<MlScenario>,
+    arms: &[Arm],
+    settings: &ScenarioSettings,
+    opts: &RunnerOptions<'_>,
+) -> BenchmarkMatrix {
     let n = scenarios.len();
     // Row workers are detached threads, and an abandoned one outlives the
     // run, so everything they read is shared by `Arc`.
     let shared_splits: HashMap<&str, Arc<Split>> =
         splits.iter().map(|(k, v)| (k.as_str(), Arc::new(v.clone()))).collect();
-    // One cache for the whole run: each feature ranking is computed once
-    // per (dataset, split) instead of once per TPE(ranking) arm, and a
-    // subset measured by one arm is served to every other arm (and row)
-    // with the same measurement-relevant settings and split. Bit-identical
-    // to running each cell alone (DESIGN.md § 4h).
-    let artifacts = Arc::new(ArtifactCache::new());
 
     // One permit pool for the whole run: the row workers and every inner
     // hot loop draw from it, so the total number of computing threads never
@@ -439,6 +451,16 @@ pub fn run_benchmark_opts(
             }),
         }
     }
+    // One hold per dataset that still has rows: every scenario on a split
+    // reuses the split's models until the watchdog records its last row.
+    let mut holds: HashMap<String, (usize, SplitHold)> = HashMap::new();
+    for job in &work {
+        let dataset = &job.scenario.dataset;
+        holds
+            .entry(dataset.clone())
+            .or_insert_with(|| (0, artifacts.hold(dataset, split_fingerprint(&job.split))))
+            .0 += 1;
+    }
     let workers = outer.min(work.len());
     // The workers' permits, held for the run: a nested loop sees the
     // budget minus the rows in flight.
@@ -449,12 +471,12 @@ pub fn run_benchmark_opts(
         next: AtomicUsize::new(0),
         settings: settings.clone(),
         faults: opts.fault_plan.cloned(),
-        artifacts,
+        artifacts: Arc::clone(artifacts),
         exec: Arc::clone(&exec),
         observe: observing,
     });
     let fresh_cells = (n - resumed.len()) * arms.len();
-    let mut watchdog = Watchdog::new(run, opts, n, fresh_cells);
+    let mut watchdog = Watchdog::new(run, opts, n, fresh_cells, holds);
     for row in missing {
         watchdog.skip_row(row, &scenarios[row].dataset);
     }
@@ -630,11 +652,20 @@ struct Watchdog<'a> {
     traces: Vec<Option<obs::Collector>>,
     /// Finished rows, per matrix row.
     results: Vec<Option<Vec<CellResult>>>,
+    /// The run's split holds per dataset, with the dataset's rows still
+    /// to be recorded.
+    holds: HashMap<String, (usize, SplitHold)>,
     progress: ProgressMeter,
 }
 
 impl<'a> Watchdog<'a> {
-    fn new(run: Arc<RunShared>, opts: &'a RunnerOptions<'a>, rows: usize, cells: usize) -> Self {
+    fn new(
+        run: Arc<RunShared>,
+        opts: &'a RunnerOptions<'a>,
+        rows: usize,
+        cells: usize,
+        holds: HashMap<String, (usize, SplitHold)>,
+    ) -> Self {
         let (tx, rx) = mpsc::channel();
         let arms = run.arms.len();
         let jobs = run.work.len();
@@ -648,6 +679,7 @@ impl<'a> Watchdog<'a> {
             cells: (0..jobs).map(|_| vec![None; arms]).collect(),
             traces: (0..jobs).map(|_| None).collect(),
             results: vec![None; rows],
+            holds,
             progress: ProgressMeter::new(opts.progress, cells),
         }
     }
@@ -655,10 +687,12 @@ impl<'a> Watchdog<'a> {
     /// Starts `workers` row workers and watches them until every row is
     /// done. Returns the finished rows and the number of workers started.
     fn watch(mut self, workers: usize) -> (Vec<Option<Vec<CellResult>>>, u64) {
-        for _ in 0..workers {
-            if let Some(k) = self.claim() {
-                self.spawn(k, 0);
-            }
+        // Every worker's first row is claimed before any worker starts: a
+        // started worker claims rows itself, and a fast one could otherwise
+        // take them all before the next worker is started.
+        let first: Vec<usize> = (0..workers).map_while(|_| self.claim()).collect();
+        for k in first {
+            self.spawn(k, 0);
         }
         loop {
             let mut live = false;
@@ -799,7 +833,9 @@ impl<'a> Watchdog<'a> {
         self.deliver(k, arm, CellResult::faulted(CellStatus::TimedOut, job.deadline));
     }
 
-    /// Stores one cell; the row's last cell finishes the row.
+    /// Stores one cell; the row's last cell finishes the row, finished or
+    /// timed out. The dataset's last row drops the run's hold on its
+    /// split, evicting the split's models.
     fn deliver(&mut self, k: usize, arm: usize, cell: CellResult) {
         self.progress.cell_done(&cell);
         let cells = &mut self.cells[k];
@@ -808,6 +844,13 @@ impl<'a> Watchdog<'a> {
             let row: Vec<CellResult> = std::mem::take(cells).into_iter().flatten().collect();
             let trace = self.traces[k].take();
             self.finish_row(self.run.work[k].row, row, trace);
+            let dataset = &self.run.work[k].scenario.dataset;
+            if let Some((rows, _)) = self.holds.get_mut(dataset) {
+                *rows -= 1;
+                if *rows == 0 {
+                    self.holds.remove(dataset);
+                }
+            }
         }
     }
 
@@ -1633,6 +1676,53 @@ mod tests {
                 assert!(same_cell(cell, clean_cell), "cell ({i}, {a}) differs from the clean run");
             }
         }
+    }
+
+    /// The run holds each dataset's split until the watchdog records the
+    /// dataset's last row, even when that row's last arm times out: when
+    /// the next dataset's row is recorded, only that dataset is held, and
+    /// after the run nothing is, while the stalled worker still sleeps.
+    #[test]
+    fn a_run_whose_last_arm_times_out_leaves_no_hold_behind() {
+        let mut splits = HashMap::new();
+        splits.insert("tiny".to_string(), tiny_split());
+        splits.insert("other".to_string(), stratified_three_way(&generate(&tiny_spec(), 12), 12));
+        let arms = vec![Arm::Original, Arm::Strategy(StrategyId::Sfs)];
+        let scenarios = vec![
+            real_scenario("tiny", Duration::from_secs(20)),
+            real_scenario("tiny", Duration::from_secs(20)),
+            real_scenario("other", Duration::from_secs(20)),
+        ];
+        let mut plan = FaultPlan::new();
+        plan.inject(1, 1, FaultKind::Stall(Duration::from_secs(60)));
+        let mut settings = ScenarioSettings::fast();
+        settings.max_evals = 8;
+        let cache = Arc::new(ArtifactCache::new());
+        let held: Mutex<Vec<(usize, (usize, usize))>> = Mutex::new(Vec::new());
+        let sink = |i: usize, _row: &[CellResult]| {
+            lock(&held).push((i, cache.fit_store_size()));
+        };
+        let opts = RunnerOptions {
+            deadline_factor: 0.0,
+            deadline_grace: Duration::from_millis(500),
+            fault_plan: Some(&plan),
+            on_row: Some(&sink),
+            ..RunnerOptions::default()
+        };
+        let m = run_on(&cache, &splits, scenarios, &arms, &settings, &opts);
+        assert_eq!(m.results[1][1].status, CellStatus::TimedOut);
+        assert_eq!(m.status_counts(), (5, 0, 1, 0));
+        let held = lock(&held).clone();
+        assert_eq!(held.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![0, 1, 2]);
+        // The run holds both splits from the start; a row is recorded
+        // before its dataset's hold drops, so `tiny` is still held at its
+        // timed-out last row and gone by the time `other`'s row is.
+        assert_eq!(held[0].1 .0, 2, "row 0: both splits are held");
+        assert!(held[0].1 .1 > 0, "row 0: `tiny`'s models are stored");
+        assert_eq!(held[1].1 .0, 2, "row 1: `tiny` is held until its last row is recorded");
+        assert_eq!(held[2].1 .0, 1, "row 2: `tiny`'s hold dropped at its timed-out row");
+        assert_eq!(cache.fit_store_size(), (0, 0));
+        assert!(cache.fit_counts().2 > 0, "the run stored no model");
     }
 
     #[test]

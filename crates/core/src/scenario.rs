@@ -1,6 +1,8 @@
 //! ML scenarios and the subset evaluator that powers every strategy.
 
-use crate::artifacts::{ranking_seed, split_fingerprint, subset_bits, ArtifactCache, EvalKey};
+use crate::artifacts::{
+    ranking_seed, split_fingerprint, subset_bits, ArtifactCache, EvalKey, FitKey, SplitHold,
+};
 use crate::exec::Executor;
 use crate::perf::EvalPerf;
 use dfs_constraints::{ConstraintSet, Evaluation};
@@ -143,6 +145,65 @@ pub fn settings_fingerprint(
     h.finish()
 }
 
+/// Fingerprint of everything besides the split and the subset that
+/// determines a non-DP fit: it keys the fit store of the
+/// [`ArtifactCache`], so every scenario and arm on a split that trains the
+/// same model on the same rows shares one fit. Only the model, the HPO
+/// flag and the train-row cap enter; the scenario seed in particular does
+/// not, because a non-DP fit draws no randomness (DP fits bypass the
+/// store).
+///
+/// Every field is destructured without `..`, like
+/// [`settings_fingerprint`], so a new field fails to compile until it is
+/// either mixed in or given the reason it cannot change a fit.
+pub fn fit_fingerprint(
+    scenario: &MlScenario,
+    settings: &ScenarioSettings,
+    train_cap: usize,
+) -> u64 {
+    let MlScenario {
+        // The fit key carries the dataset next to the split fingerprint.
+        dataset: _,
+        model,
+        hpo,
+        constraints,
+        // Scoring only: utility mode ranks the same measurements differently.
+        utility_f1: _,
+        // Only DP noise and the attack draw from it; DP fits bypass the store.
+        seed: _,
+    } = scenario;
+    let ConstraintSet {
+        // Thresholds shape the distance, never the fit.
+        min_f1: _,
+        // The search budget, not a fit input.
+        max_search_time: _,
+        // A distance term (and the pruning that skips fitting) only.
+        max_feature_frac: _,
+        // EO is scored from the fitted model's predictions.
+        min_eo: _,
+        // The attack runs against the fitted model.
+        min_safety: _,
+        // DP fits bypass the store.
+        privacy_epsilon: _,
+    } = constraints;
+    let ScenarioSettings {
+        // The evaluation budget, not a fit input.
+        max_evals: _,
+        // The attack runs against the fitted model.
+        attack: _,
+        // Enters as `train_cap`, the effective row cap of this split.
+        max_train_rows: _,
+        // Decides whether scoring stops early, never how a model fits.
+        bound_pruning: _,
+    } = settings;
+
+    let mut h = Fnv1a::new();
+    h.bytes(model.short_name().as_bytes());
+    h.mix(*hpo as u64);
+    h.mix(train_cap as u64);
+    h.finish()
+}
+
 /// Cached result of one wrapper evaluation.
 #[derive(Debug, Clone)]
 struct CachedEval {
@@ -156,17 +217,12 @@ struct CachedEval {
     /// may answer a later query whose incumbent it still exceeds; any other
     /// use upgrades it to an exact measurement first.
     bounded: bool,
-    /// The model the measurement behind this entry trained (`None` for
-    /// pruned entries, memo hits and stage-0 bound skips, which fit
-    /// nothing). Test confirmation and RFE importances read it back
-    /// instead of training the same model again.
-    model: Option<Arc<TrainedModel>>,
 }
 
 impl CachedEval {
-    /// An entry answered without a fit: a pruned shortcut or a memo hit.
+    /// An exact entry: a measurement, a pruned shortcut or a memo hit.
     fn answered(score: f64, eval: Evaluation, pruned: bool) -> Self {
-        CachedEval { score, eval, pruned, bounded: false, model: None }
+        CachedEval { score, eval, pruned, bounded: false }
     }
 }
 
@@ -197,14 +253,23 @@ pub struct ScenarioContext<'a> {
     /// (O(1) steady-state allocation).
     scratch: Scratch,
     perf: EvalPerf,
-    /// Rankings, bins and the subset-evaluation memo: private to this
-    /// context unless [`ScenarioContext::with_artifacts`] shares one.
+    /// Rankings, bins, the subset-evaluation memo and the fit store:
+    /// private to this context unless [`ScenarioContext::with_artifacts`]
+    /// shares one.
     artifacts: Arc<ArtifactCache>,
+    /// This context's hold on its split in `artifacts`: the split's models
+    /// stay stored at least as long as the context.
+    _hold: SplitHold,
     split_key: u64,
     /// [`settings_fingerprint`] of this context's configuration — part of
     /// every memo key, so a context rebuilt with different settings can
     /// never serve a stale entry.
     settings_key: u64,
+    /// [`fit_fingerprint`] of this context's fit (the scenario's HPO flag).
+    fit_key: u64,
+    /// [`fit_fingerprint`] of the default-parameter fit RFE ranks by
+    /// (`hpo = false`), whatever the scenario's HPO flag or DP ε.
+    default_fit_key: u64,
     exec: Arc<Executor>,
     /// Dataset-level histogram bins for the binned tree kernel, resolved
     /// lazily on the first DT fit through the artifact cache and shared by
@@ -236,6 +301,23 @@ struct MeasureEnv<'a> {
     /// scenarios reuse the same codes through the bit-identical
     /// [`BinView`] partition path of the DP random tree.
     bins: Option<&'a Arc<BinSet>>,
+    /// The fit store, and this context's keys into it.
+    artifacts: &'a ArtifactCache,
+    split_key: u64,
+    fit_key: u64,
+    default_fit_key: u64,
+}
+
+impl MeasureEnv<'_> {
+    /// The fit-store key of a fit on `subset` with fingerprint `fit_key`.
+    fn store_key(&self, subset: &[usize], fit_key: u64) -> FitKey {
+        FitKey {
+            dataset: self.scenario.dataset.clone(),
+            split_key: self.split_key,
+            fit_key,
+            subset: subset_bits(subset, self.split.n_features()),
+        }
+    }
 }
 
 /// The training features of one fit.
@@ -310,12 +392,29 @@ fn fit_default(
     model
 }
 
-/// The fit step of a measurement: trains the scenario's model on a subset
-/// (train split only). Under HPO without DP the grid scores the
-/// validation split, read through the subset's column map — never the
-/// test split, so the model does not depend on which split the scoring
-/// step reads.
+/// The fit step of a measurement: the scenario's model on a subset,
+/// served from the fit store when any scenario or arm on this split has
+/// trained it already, else trained by [`train_subset`] and stored. DP
+/// fits bypass the store: their noise seed derives from the scenario
+/// seed, and it and ε would have to enter the key.
 fn fit_subset(
+    env: &MeasureEnv<'_>,
+    subset: &[usize],
+    scratch: &mut Scratch,
+    perf: &mut EvalPerf,
+) -> Arc<TrainedModel> {
+    if env.scenario.constraints.privacy_epsilon.is_some() {
+        return Arc::new(train_subset(env, subset, scratch, perf));
+    }
+    let key = env.store_key(subset, env.fit_key);
+    env.artifacts.model(key, || train_subset(env, subset, scratch, perf))
+}
+
+/// Trains the scenario's model on a subset (train split only). Under HPO
+/// without DP the grid scores the validation split, read through the
+/// subset's column map — never the test split, so the model does not
+/// depend on which split the scoring step reads.
+fn train_subset(
     env: &MeasureEnv<'_>,
     subset: &[usize],
     scratch: &mut Scratch,
@@ -369,9 +468,6 @@ struct Measured {
     /// scores a *proven lower bound* on the true objective, not the true
     /// objective itself.
     exact: bool,
-    /// The model the fit step trained; `None` only when the stage-0 size
-    /// bound skipped the fit.
-    model: Option<TrainedModel>,
 }
 
 /// What [`ScenarioContext::admit`] decided for one subset.
@@ -434,13 +530,13 @@ fn measure_subset(
         if constraints.distance(&optimistic) > b {
             perf.bound_skips += 1;
             obs::counter("eval.bound_skip", 1);
-            return Measured { eval: optimistic, exact: false, model: None };
+            return Measured { eval: optimistic, exact: false };
         }
     }
 
     let model = fit_subset(env, subset, scratch, perf);
     let (eval, exact) = score_subset(env, subset, &model, eval_on_test, perf, bound);
-    Measured { eval, exact, model: Some(model) }
+    Measured { eval, exact }
 }
 
 /// The scoring step of a measurement: predicts the evaluation split with
@@ -502,39 +598,34 @@ fn score_subset(
 
 /// RFE importances of a default-parameter fit on `subset`: the ranking
 /// step is not HPO'd in the reference implementation either, and never
-/// trains the DP variant. `fitted` is that fit when the caller already
-/// holds it; otherwise it is trained here. Trees fit in place; only NB's
-/// permutation importance reads validation data, so only NB gathers it.
+/// trains the DP variant. That fit is looked up in the fit store under the
+/// default-fit key (`hpo = false`) whatever the scenario's HPO flag or DP
+/// ε, so neither an HPO grid winner nor a DP model can stand in for it;
+/// a miss trains and stores it. Trees fit in place, exactly like a
+/// measurement's default fit; only NB's permutation importance reads
+/// validation data, so only NB gathers it.
 fn importances_of(
     env: &MeasureEnv<'_>,
     subset: &[usize],
-    fitted: Option<&TrainedModel>,
     scratch: &mut Scratch,
     perf: &mut EvalPerf,
 ) -> Vec<f64> {
-    let fresh;
-    let model = match fitted {
-        Some(model) => {
-            obs::counter("fit.reused", 1);
-            model
+    let key = env.store_key(subset, env.default_fit_key);
+    let model = env.artifacts.model(key, || {
+        let kind = env.scenario.model;
+        let x_train = train_features(env, subset, env.bins.is_some(), &mut scratch.train);
+        if kind == ModelKind::DecisionTree {
+            arm_tree(env, subset, &mut scratch.tree);
         }
-        None => {
-            let kind = env.scenario.model;
-            let x_train = train_features(env, subset, env.bins.is_some(), &mut scratch.train);
-            if kind == ModelKind::DecisionTree {
-                arm_tree(env, subset, &mut scratch.tree);
-            }
-            fresh = fit_default(kind, &x_train, env.y_train, &mut scratch.tree);
-            perf.model_fits += 1;
-            &fresh
-        }
-    };
+        perf.model_fits += 1;
+        fit_default(kind, &x_train, env.y_train, &mut scratch.tree)
+    });
     if let Some(scores) = model.feature_importance() {
         return scores;
     }
     env.split.val.x.select_cols_into(subset, &mut scratch.train);
     let seed = derive_seed(env.scenario.seed, 0x1339 ^ hash_subset(subset));
-    importance_or_permutation(model, &scratch.train, &env.split.val.y, seed)
+    importance_or_permutation(&model, &scratch.train, &env.split.val.y, seed)
 }
 
 impl<'a> ScenarioContext<'a> {
@@ -547,6 +638,9 @@ impl<'a> ScenarioContext<'a> {
         // within strata; take a simple prefix for the train subsample.
         let train_rows: Vec<usize> = (0..cap).collect();
         let y_train: Vec<bool> = train_rows.iter().map(|&i| split.train.y[i]).collect();
+        let artifacts = Arc::new(ArtifactCache::new());
+        let split_key = split_fingerprint(split);
+        let default_fit = MlScenario { hpo: false, ..scenario.clone() };
         Self {
             scenario,
             split,
@@ -558,9 +652,12 @@ impl<'a> ScenarioContext<'a> {
             y_train,
             scratch: Scratch::default(),
             perf: EvalPerf::default(),
-            artifacts: Arc::new(ArtifactCache::new()),
-            split_key: split_fingerprint(split),
+            _hold: artifacts.hold(&scenario.dataset, split_key),
+            artifacts,
+            split_key,
             settings_key: settings_fingerprint(scenario, settings, cap),
+            fit_key: fit_fingerprint(scenario, settings, cap),
+            default_fit_key: fit_fingerprint(&default_fit, settings, cap),
             exec: Arc::new(Executor::sequential()),
             bins: std::sync::OnceLock::new(),
         }
@@ -568,12 +665,14 @@ impl<'a> ScenarioContext<'a> {
 
     /// Swaps the private cache for a shared one: rankings and bins are
     /// computed once per benchmark run instead of once per arm, and
-    /// measurements become visible to (and reusable by) every other arm,
-    /// row, and server request holding the same cache. Sound because a
-    /// measurement is a pure function of `(settings fingerprint, split,
-    /// subset)` — all stochastic seeds derive from that key, never from
-    /// call order.
+    /// measurements and fitted models become visible to (and reusable by)
+    /// every other arm, row, and server request holding the same cache.
+    /// Sound because a measurement is a pure function of `(settings
+    /// fingerprint, split, subset)` and a non-DP fit of `(fit fingerprint,
+    /// split, subset)` — all stochastic seeds derive from those keys, never
+    /// from call order. The context's split hold moves to the new cache.
     pub fn with_artifacts(mut self, artifacts: Arc<ArtifactCache>) -> Self {
+        self._hold = artifacts.hold(&self.scenario.dataset, self.split_key);
         self.artifacts = artifacts;
         self
     }
@@ -637,6 +736,10 @@ impl<'a> ScenarioContext<'a> {
             y_train: &self.y_train,
             exec: &self.exec,
             bins: self.dataset_bins(),
+            artifacts: &self.artifacts,
+            split_key: self.split_key,
+            fit_key: self.fit_key,
+            default_fit_key: self.default_fit_key,
         }
     }
 
@@ -707,31 +810,17 @@ impl<'a> ScenarioContext<'a> {
         self.cache.get(subset).filter(|c| !c.bounded).map(|c| c.eval)
     }
 
-    /// The model a measurement of `subset` trained in this context, if
-    /// its cache entry holds one.
-    fn cached_model(&self, subset: &[usize]) -> Option<Arc<TrainedModel>> {
-        self.cache.get(subset).and_then(|c| c.model.clone())
-    }
-
     /// Confirms a subset on the **test** split (the final workflow step).
     /// Does not consume search budget — the search is already over. With a
     /// shared cache, a confirmation already performed by another arm or
-    /// request is served without retraining; a subset this context
-    /// measured on validation is scored with the model that measurement
-    /// trained (the fit never reads the evaluation split).
+    /// request is served without retraining; a subset any context on this
+    /// split has fitted (without DP) is scored with the stored model (the
+    /// fit never reads the evaluation split).
     pub fn confirm_on_test(&mut self, subset: &[usize]) -> (Evaluation, f64) {
         let eval = match self.memo_lookup(subset, true) {
             Some(eval) => eval,
             None => {
-                let eval = match self.cached_model(subset) {
-                    Some(model) => {
-                        obs::counter("fit.reused", 1);
-                        self.with_scratch(|env, _, perf| {
-                            score_subset(env, subset, &model, true, perf, None).0
-                        })
-                    }
-                    None => self.measure_full(subset, true, None).eval,
-                };
+                let eval = self.measure_full(subset, true, None).eval;
                 self.memo_insert(subset, true, eval);
                 eval
             }
@@ -859,16 +948,15 @@ impl<'a> ScenarioContext<'a> {
 
     /// Records the measurement of a subset [`ScenarioContext::admit`] sent
     /// to be measured: an exact one enters the memo, and either enters the
-    /// cache (a bounded one as a lower bound) together with the model it
-    /// trained. Returns its score and evaluation.
+    /// cache (a bounded one as a lower bound). Returns its score and
+    /// evaluation.
     fn commit(&mut self, subset: &[usize], measured: Measured) -> (f64, Evaluation) {
-        let Measured { eval, exact, model } = measured;
+        let Measured { eval, exact } = measured;
         let score = self.objective_of(&eval);
         if exact {
             self.memo_insert(subset, false, eval);
         }
-        let model = model.map(Arc::new);
-        let entry = CachedEval { score, eval, pruned: false, bounded: !exact, model };
+        let entry = CachedEval { score, eval, pruned: false, bounded: !exact };
         self.cache.insert(subset.to_vec(), entry);
         (score, eval)
     }
@@ -1083,18 +1171,8 @@ impl SubsetEvaluator for ScenarioContext<'_> {
             return None;
         }
         let _g = obs::span("importances");
-        // Without HPO or DP the measurement's fit step is `fit_default` on
-        // the same train view (in place exactly when bins exist, as here),
-        // so a measured subset's cached model is the fit RFE ranks by.
-        // Under HPO that model is the grid winner and under DP the DP
-        // model; RFE ranks by neither, so those scenarios fit the default.
-        let scenario = self.scenario;
-        let fitted = (!scenario.hpo && scenario.constraints.privacy_epsilon.is_none())
-            .then(|| self.cached_model(subset))
-            .flatten();
-        let importances = self.with_scratch(|env, scratch, perf| {
-            importances_of(env, subset, fitted.as_deref(), scratch, perf)
-        });
+        let importances =
+            self.with_scratch(|env, scratch, perf| importances_of(env, subset, scratch, perf));
         self.importance_cache.insert(subset.to_vec(), importances.clone());
         Some(importances)
     }
@@ -1329,10 +1407,10 @@ mod tests {
 
     /// Reusing a measured subset's model is unobservable: `confirm_on_test`
     /// and `importances` after an `evaluate` of the subset (which read the
-    /// cached model where that is sound) return the bits of fresh contexts
+    /// fit store where that is sound) return the bits of fresh contexts
     /// that never measured it (which fit). Covers every model kind, with
     /// and without HPO, a DP ε and Min Safety, plus a stage-1 bounded
-    /// entry (it holds a model) and a stage-0 skip (it holds none).
+    /// entry (its fit is stored) and a stage-0 skip (it fits nothing).
     #[test]
     fn reused_models_confirm_and_rank_like_fresh_fits() {
         let (ds, split) = setup();
@@ -1377,10 +1455,13 @@ mod tests {
                         let test = eval_bits(warm.confirm_on_test(&subset));
                         let imp = imp_bits(warm.importances(&subset).expect("budget available"));
                         assert_eq!((test, imp), fresh(&sc, &subset), "{label}");
-                        // One fit for the evaluation and the confirmation;
-                        // importances refit exactly under HPO or DP.
-                        let refit = (hpo || dp.is_some()) as u64;
-                        assert_eq!(warm.perf().model_fits, 1 + refit, "{label}");
+                        // One fit for the evaluation and the confirmation,
+                        // except that a DP fit bypasses the store and the
+                        // confirmation refits it; importances fit the
+                        // default exactly under HPO or DP.
+                        let dp_refit = dp.is_some() as u64;
+                        let default_fit = (hpo || dp.is_some()) as u64;
+                        assert_eq!(warm.perf().model_fits, 1 + dp_refit + default_fit, "{label}");
                     }
                 }
             }
@@ -1396,7 +1477,7 @@ mod tests {
         let test = eval_bits(bounded.confirm_on_test(&subset));
         let imp = imp_bits(bounded.importances(&subset).expect("budget available"));
         assert_eq!((test, imp), fresh(&sc, &subset), "stage-1 bounded entry");
-        assert_eq!(bounded.perf().model_fits, 1, "the bounded entry's model is reused");
+        assert_eq!(bounded.perf().model_fits, 1, "the bounded entry's fit is reused");
 
         // A stage-0 skip: the size term alone exceeds the bound, no model.
         let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
@@ -1408,7 +1489,104 @@ mod tests {
         let test = eval_bits(skipped.confirm_on_test(&all));
         let imp = imp_bits(skipped.importances(&all).expect("budget available"));
         assert_eq!((test, imp), fresh(&sc, &all), "stage-0 skip");
-        assert_eq!(skipped.perf().model_fits, 2, "a skipped entry has no model to reuse");
+        // The skip fitted nothing: the confirmation fits, and importances
+        // reuse that default fit.
+        assert_eq!(skipped.perf().model_fits, 1, "a skipped entry has no model to reuse");
+    }
+
+    /// One split, one shared cache, as in a benchmark run: an accuracy-only
+    /// scenario (seed 1) fits a set of subsets; a Min-Safety scenario
+    /// (seed 3) then measures, confirms and ranks overlapping subsets
+    /// without fitting the shared ones again; a DP scenario never reads or
+    /// writes the store, except for the default fit its importances rank
+    /// by. Every `evaluate`, `confirm_on_test` and `importances` answer
+    /// equals a fresh cache's bit for bit. Covers every model kind, with
+    /// and without HPO.
+    #[test]
+    fn scenarios_on_one_split_share_fits_and_answer_like_fresh_caches() {
+        let (ds, split) = setup();
+        let settings = ScenarioSettings::fast();
+        let d = ds.n_features();
+        let first = [vec![0, 1], vec![2, 3, 4], (0..d).step_by(2).collect::<Vec<_>>()];
+        // The first two are shared with `first`; the last is new.
+        let second = [vec![2, 3, 4], vec![0, 1], vec![1, 5]];
+        let shared = 2;
+        let eval_bits = |e: Evaluation| {
+            (e.f1.to_bits(), e.eo.map(f64::to_bits), e.safety.map(f64::to_bits), e.n_selected)
+        };
+        type Answer = (u64, (u64, Option<u64>, Option<u64>, usize), u64, Vec<u64>);
+        let bits = |score: f64, (test, distance): (Evaluation, f64), imp: Vec<f64>| -> Answer {
+            let imp = imp.iter().map(|x| x.to_bits()).collect();
+            (score.to_bits(), eval_bits(test), distance.to_bits(), imp)
+        };
+        let answer = |ctx: &mut ScenarioContext<'_>, subset: &[usize]| {
+            let score = ctx.evaluate(subset, None).expect("budget available");
+            let confirmed = ctx.confirm_on_test(subset);
+            bits(score, confirmed, ctx.importances(subset).expect("budget available"))
+        };
+        let fresh = |sc: &MlScenario, subset: &[usize]| {
+            answer(&mut ScenarioContext::new(sc, &split, &settings), subset)
+        };
+        for model in [
+            ModelKind::LogisticRegression,
+            ModelKind::GaussianNb,
+            ModelKind::DecisionTree,
+            ModelKind::LinearSvm,
+        ] {
+            for hpo in [false, true] {
+                let label = format!("{model:?} hpo={hpo}");
+                let with = |c: ConstraintSet, seed: u64| MlScenario {
+                    model,
+                    hpo,
+                    seed,
+                    ..scenario(c)
+                };
+                let accuracy = with(ConstraintSet::accuracy_only(0.5, Duration::from_secs(10)), 1);
+                let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
+                c.min_safety = Some(0.8);
+                let safety = with(c, 3);
+                let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
+                c.privacy_epsilon = Some(5.0);
+                let dp = with(c, 1);
+
+                let cache = Arc::new(ArtifactCache::new());
+                // The run's hold: the split's models outlive each context.
+                let _hold = cache.hold(&accuracy.dataset, split_fingerprint(&split));
+                let shared_ctx = |sc| {
+                    ScenarioContext::new(sc, &split, &settings).with_artifacts(Arc::clone(&cache))
+                };
+                let mut a = shared_ctx(&accuracy);
+                for subset in &first {
+                    assert_eq!(answer(&mut a, subset), fresh(&accuracy, subset), "{label} first");
+                }
+
+                let mut b = shared_ctx(&safety);
+                for (i, subset) in second.iter().enumerate() {
+                    assert_eq!(answer(&mut b, subset), fresh(&safety, subset), "{label} second");
+                    if i + 1 == shared {
+                        assert_eq!(b.perf().model_fits, 0, "{label}: shared subsets refit");
+                    }
+                }
+                assert!(b.perf().model_fits > 0, "{label}: the new subset must fit");
+
+                let mut p = shared_ctx(&dp);
+                let before = cache.fit_counts();
+                for (i, subset) in second.iter().enumerate() {
+                    let score = p.evaluate(subset, None).expect("budget available");
+                    let confirmed = p.confirm_on_test(subset);
+                    // Only the importances of earlier subsets hit it.
+                    let untouched = (before.0 + i as u64, before.1, before.2);
+                    assert_eq!(cache.fit_counts(), untouched, "{label}: DP touched the store");
+                    let got = bits(score, confirmed, p.importances(subset).expect("budget"));
+                    assert_eq!(got, fresh(&dp, subset), "{label} dp");
+                }
+                // Each DP subset fits for its evaluation and again for its
+                // confirmation; its importances rank by the stored default.
+                assert_eq!(p.perf().model_fits, 2 * second.len() as u64, "{label} dp");
+                let (hits, misses, inserts) = cache.fit_counts();
+                assert_eq!((hits - before.0, misses, inserts), (3, before.1, before.2), "{label}");
+            }
+        }
     }
 
     #[test]
@@ -1486,14 +1664,16 @@ mod tests {
         a.evaluate(&[0, 1], None).unwrap();
 
         // Same scenario, different measurement configuration: the entry
-        // must not be served.
+        // must not be served. The attack settings only touch scoring, so
+        // the measurement reuses the stored fit.
         let mut other = ScenarioSettings::fast();
         other.attack.init_trials = 1;
         let mut b = ScenarioContext::new(&sc, &split, &other).with_artifacts(Arc::clone(&cache));
         b.evaluate(&[0, 1], None).unwrap();
         assert_eq!(b.perf().memo_hits, 0, "different settings must miss");
         assert_eq!(b.perf().memo_misses, 1);
-        assert_eq!(b.perf().model_fits, 1);
+        assert_eq!(b.perf().model_fits, 0, "attack settings share the fit");
+        assert_eq!(cache.fit_counts().0, 1);
     }
 
     #[test]
@@ -1510,9 +1690,12 @@ mod tests {
         assert_eq!(dist_a.to_bits(), dist_b.to_bits());
         assert_eq!(b.perf().model_fits, 0, "shared confirmation must not retrain");
         assert_eq!(b.perf().memo_hits, 1);
-        // Validation- and test-split measurements never cross-serve.
+        // Validation- and test-split measurements never cross-serve: the
+        // validation leg misses the memo and is scored afresh, with the
+        // model the confirmation stored (a fit never reads either leg).
         let s = b.evaluate(&[0, 1, 2], None).unwrap();
-        assert_eq!(b.perf().model_fits, 1, "val-split eval must measure fresh");
+        assert_eq!((b.perf().memo_hits, b.perf().memo_misses), (1, 1), "val-split eval must miss");
+        assert_eq!(b.perf().model_fits, 0);
         assert!(s.is_finite());
     }
 
@@ -1542,12 +1725,13 @@ mod tests {
         assert_eq!(ctx.perf().model_fits, 1);
 
         // An unbounded query upgrades the entry: budget-free (the naive
-        // engine would serve its cache here), retrained, bit-exact.
+        // engine would serve its cache here), scored with the stored fit
+        // (only the attack was missing), bit-exact.
         let used = ctx.evals_used();
         let full = ctx.evaluate(&[0, 1], None).unwrap();
         assert_eq!(full.to_bits(), exact.to_bits());
         assert_eq!(ctx.evals_used(), used, "upgrade must be budget-free");
-        assert_eq!(ctx.perf().model_fits, 2);
+        assert_eq!(ctx.perf().model_fits, 1, "the upgrade must not refit");
         assert!(ctx.cached_evaluation(&[0, 1]).is_some());
     }
 
@@ -1616,11 +1800,12 @@ mod tests {
             assert_eq!(batched.evals_used(), serial.evals_used(), "width {width}");
             // Every outcome occurred: nine answers, then denials; two cache
             // hits (the exact entry and the duplicate), one memo hit, and
-            // five fits in the batch on top of the two that set it up.
+            // four fits in the batch on top of the two that set it up (the
+            // bounded entry's upgrade is scored with its stored fit).
             assert!(want[..9].iter().all(Option::is_some));
             assert!(want[9..].iter().all(Option::is_none));
             let perf = serial.perf();
-            assert_eq!((perf.cache_hits, perf.memo_hits, perf.model_fits), (2, 1, 7));
+            assert_eq!((perf.cache_hits, perf.memo_hits, perf.model_fits), (2, 1, 6));
             assert_eq!(serial.evals_used(), settings.max_evals);
         }
     }
@@ -1759,6 +1944,56 @@ mod tests {
                 AttackConfig { init_trials: if *init_trials == 1 { 8 } else { 1 }, ..a() },
             ),
         ]
+    }
+
+    /// Exactly the model, HPO and train-row-cap flips change the fit key,
+    /// only the model and train-cap flips change the default-fit key RFE
+    /// ranks by, and the memo key still changes on the flips it always
+    /// changed on.
+    #[test]
+    fn only_model_hpo_and_train_cap_flips_change_the_fit_key() {
+        let (_, split) = setup();
+        let mut settings = ScenarioSettings::fast();
+        settings.max_train_rows = 100;
+        assert!(split.train.n_rows() > settings.max_train_rows + 1);
+        let mut c = ConstraintSet::accuracy_only(0.6, Duration::from_secs(10));
+        c.max_feature_frac = Some(0.8);
+        c.min_eo = Some(0.8);
+        c.min_safety = Some(0.8);
+        c.privacy_epsilon = Some(5.0);
+        let sc = scenario(c);
+        let base = ScenarioContext::new(&sc, &split, &settings);
+        assert_eq!(base.fit_key, base.default_fit_key, "without HPO the fit is the default");
+        let (mut fit, mut default_fit, mut memo) = (Vec::new(), Vec::new(), Vec::new());
+        for (label, flipped_sc, flipped_st) in one_field_flips(&sc, &settings) {
+            let flipped = ScenarioContext::new(&flipped_sc, &split, &flipped_st);
+            for (changed, keys) in [
+                (flipped.fit_key != base.fit_key, &mut fit),
+                (flipped.default_fit_key != base.default_fit_key, &mut default_fit),
+                (flipped.settings_key != base.settings_key, &mut memo),
+            ] {
+                if changed {
+                    keys.push(label);
+                }
+            }
+        }
+        assert_eq!(fit, ["model", "hpo", "max_train_rows"]);
+        assert_eq!(default_fit, ["model", "max_train_rows"]);
+        assert_eq!(
+            memo,
+            [
+                "model",
+                "hpo",
+                "seed",
+                "min_eo toggled",
+                "min_safety toggled",
+                "privacy_epsilon toggled",
+                "privacy_epsilon changed",
+                "max_train_rows",
+                "attack.max_points",
+                "attack.init_trials",
+            ]
+        );
     }
 
     /// The memo key is sound by test: flipping any one field of the

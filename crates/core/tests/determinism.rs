@@ -184,3 +184,37 @@ fn memoized_and_pruned_runs_match_the_naive_matrix() {
     let np = naive.total_perf();
     assert_eq!((np.memo_hits, np.bound_skips), (0, 0));
 }
+
+/// Two rows on one split — a plain DT row and a Min-Safety DT row with
+/// another seed — share their fits through the run's fit store: at any
+/// thread count the run's cells equal the naive matrix bit for bit, and
+/// the sequential run fits strictly fewer models than the two rows run
+/// alone.
+#[test]
+fn rows_on_one_split_share_fits_and_match_the_naive_matrix() {
+    let generous = Duration::from_secs(120);
+    let mut with_safety = ConstraintSet::accuracy_only(0.55, generous);
+    with_safety.min_safety = Some(0.2);
+    let plain = MlScenario {
+        dataset: "tiny".into(),
+        model: ModelKind::DecisionTree,
+        hpo: false,
+        constraints: ConstraintSet::accuracy_only(0.55, generous),
+        utility_f1: false,
+        seed: 41,
+    };
+    let rows = vec![plain.clone(), MlScenario { constraints: with_safety, seed: 42, ..plain }];
+    let run_rows = |rows: Vec<MlScenario>, threads: usize| {
+        let opts = RunnerOptions { threads, inner_threads: threads, ..RunnerOptions::default() };
+        run_benchmark_opts(&splits(), rows, &arms(), &settings(true), &opts)
+    };
+    let naive = common::naive_matrix(&splits(), rows.clone(), &arms(), &settings(false));
+    for threads in [1, 4] {
+        let together = run_rows(rows.clone(), threads);
+        assert_observably_identical(&naive, &together, &format!("two rows @{threads}t"));
+    }
+    let together = run_rows(rows.clone(), 1).total_perf().model_fits;
+    let alone: u64 =
+        rows.iter().map(|row| run_rows(vec![row.clone()], 1).total_perf().model_fits).sum();
+    assert!(together < alone, "two rows fit {together} models, alone {alone}");
+}
