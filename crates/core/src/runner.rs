@@ -14,7 +14,7 @@
 //!   **per-model** (Table 6) breakdowns, **normalized F1** for the utility
 //!   benchmark, and the **greedy portfolios** of Table 8.
 
-use crate::artifacts::{split_fingerprint, ArtifactCache, SplitHold};
+use crate::artifacts::{split_fingerprint, ArtifactCache, SplitArtifacts};
 use crate::error::{panic_payload_to_string, DfsError};
 use crate::exec::{env_threads, Executor};
 use crate::fault::{FaultKind, FaultPlan};
@@ -453,7 +453,7 @@ fn run_on(
     }
     // One hold per dataset that still has rows: every scenario on a split
     // reuses the split's models until the watchdog records its last row.
-    let mut holds: HashMap<String, (usize, SplitHold)> = HashMap::new();
+    let mut holds: HashMap<String, (usize, SplitArtifacts)> = HashMap::new();
     for job in &work {
         let dataset = &job.scenario.dataset;
         holds
@@ -654,7 +654,7 @@ struct Watchdog<'a> {
     results: Vec<Option<Vec<CellResult>>>,
     /// The run's split holds per dataset, with the dataset's rows still
     /// to be recorded.
-    holds: HashMap<String, (usize, SplitHold)>,
+    holds: HashMap<String, (usize, SplitArtifacts)>,
     progress: ProgressMeter,
 }
 
@@ -664,7 +664,7 @@ impl<'a> Watchdog<'a> {
         opts: &'a RunnerOptions<'a>,
         rows: usize,
         cells: usize,
-        holds: HashMap<String, (usize, SplitHold)>,
+        holds: HashMap<String, (usize, SplitArtifacts)>,
     ) -> Self {
         let (tx, rx) = mpsc::channel();
         let arms = run.arms.len();

@@ -1,7 +1,7 @@
 //! ML scenarios and the subset evaluator that powers every strategy.
 
 use crate::artifacts::{
-    ranking_seed, split_fingerprint, subset_bits, ArtifactCache, EvalKey, FitKey, SplitHold,
+    ranking_seed, split_fingerprint, subset_bits, ArtifactCache, EvalKey, FitKey, SplitArtifacts,
 };
 use crate::exec::Executor;
 use crate::perf::EvalPerf;
@@ -95,7 +95,7 @@ pub fn settings_fingerprint(
     train_cap: usize,
 ) -> u64 {
     let MlScenario {
-        // The memo key carries the dataset next to the split fingerprint.
+        // The memo lives in the cache entry of the dataset's split.
         dataset: _,
         model,
         hpo,
@@ -146,12 +146,12 @@ pub fn settings_fingerprint(
 }
 
 /// Fingerprint of everything besides the split and the subset that
-/// determines a non-DP fit: it keys the fit store of the
-/// [`ArtifactCache`], so every scenario and arm on a split that trains the
-/// same model on the same rows shares one fit. Only the model, the HPO
-/// flag and the train-row cap enter; the scenario seed in particular does
-/// not, because a non-DP fit draws no randomness (DP fits bypass the
-/// store).
+/// determines a fit: it keys the fit store of the [`ArtifactCache`], so
+/// every scenario and arm on a split that trains the same model on the
+/// same rows shares one fit. The model, the HPO flag and the train-row cap
+/// enter; a DP fit also mixes in ε and the scenario seed, because its
+/// noise seed is `derive_seed(seed, hash_subset(subset))`. A non-DP fit
+/// draws no randomness, so the seed stays out of its key.
 ///
 /// Every field is destructured without `..`, like
 /// [`settings_fingerprint`], so a new field fails to compile until it is
@@ -162,15 +162,15 @@ pub fn fit_fingerprint(
     train_cap: usize,
 ) -> u64 {
     let MlScenario {
-        // The fit key carries the dataset next to the split fingerprint.
+        // The fit store lives in the cache entry of the dataset's split.
         dataset: _,
         model,
         hpo,
         constraints,
         // Scoring only: utility mode ranks the same measurements differently.
         utility_f1: _,
-        // Only DP noise and the attack draw from it; DP fits bypass the store.
-        seed: _,
+        // DP noise draws from it (mixed in below); the attack only scores.
+        seed,
     } = scenario;
     let ConstraintSet {
         // Thresholds shape the distance, never the fit.
@@ -183,8 +183,7 @@ pub fn fit_fingerprint(
         min_eo: _,
         // The attack runs against the fitted model.
         min_safety: _,
-        // DP fits bypass the store.
-        privacy_epsilon: _,
+        privacy_epsilon,
     } = constraints;
     let ScenarioSettings {
         // The evaluation budget, not a fit input.
@@ -201,6 +200,10 @@ pub fn fit_fingerprint(
     h.bytes(model.short_name().as_bytes());
     h.mix(*hpo as u64);
     h.mix(train_cap as u64);
+    if let Some(eps) = privacy_epsilon {
+        h.mix(eps.to_bits());
+        h.mix(*seed);
+    }
     h.finish()
 }
 
@@ -253,28 +256,22 @@ pub struct ScenarioContext<'a> {
     /// (O(1) steady-state allocation).
     scratch: Scratch,
     perf: EvalPerf,
-    /// Rankings, bins, the subset-evaluation memo and the fit store:
-    /// private to this context unless [`ScenarioContext::with_artifacts`]
-    /// shares one.
-    artifacts: Arc<ArtifactCache>,
-    /// This context's hold on its split in `artifacts`: the split's models
-    /// stay stored at least as long as the context.
-    _hold: SplitHold,
-    split_key: u64,
+    /// This split's rankings, bins, subset-evaluation memo and fit store,
+    /// in a cache private to this context unless
+    /// [`ScenarioContext::with_artifacts`] shares one. The handle holds the
+    /// split: its models stay stored at least as long as the context.
+    artifacts: SplitArtifacts,
     /// [`settings_fingerprint`] of this context's configuration — part of
     /// every memo key, so a context rebuilt with different settings can
     /// never serve a stale entry.
     settings_key: u64,
-    /// [`fit_fingerprint`] of this context's fit (the scenario's HPO flag).
+    /// [`fit_fingerprint`] of this context's fit (the scenario's HPO flag
+    /// and DP ε).
     fit_key: u64,
     /// [`fit_fingerprint`] of the default-parameter fit RFE ranks by
-    /// (`hpo = false`), whatever the scenario's HPO flag or DP ε.
+    /// (`hpo = false`, no DP ε), whatever the scenario's HPO flag or ε.
     default_fit_key: u64,
     exec: Arc<Executor>,
-    /// Dataset-level histogram bins for the binned tree kernel, resolved
-    /// lazily on the first DT fit through the artifact cache and shared by
-    /// every fit of this context.
-    bins: std::sync::OnceLock<Arc<BinSet>>,
 }
 
 /// Per-measurement scratch. The context keeps one set for the serial
@@ -301,9 +298,8 @@ struct MeasureEnv<'a> {
     /// scenarios reuse the same codes through the bit-identical
     /// [`BinView`] partition path of the DP random tree.
     bins: Option<&'a Arc<BinSet>>,
-    /// The fit store, and this context's keys into it.
-    artifacts: &'a ArtifactCache,
-    split_key: u64,
+    /// The split's fit store, and this context's keys into it.
+    artifacts: &'a SplitArtifacts,
     fit_key: u64,
     default_fit_key: u64,
 }
@@ -311,12 +307,7 @@ struct MeasureEnv<'a> {
 impl MeasureEnv<'_> {
     /// The fit-store key of a fit on `subset` with fingerprint `fit_key`.
     fn store_key(&self, subset: &[usize], fit_key: u64) -> FitKey {
-        FitKey {
-            dataset: self.scenario.dataset.clone(),
-            split_key: self.split_key,
-            fit_key,
-            subset: subset_bits(subset, self.split.n_features()),
-        }
+        FitKey { fit_key, subset: subset_bits(subset, self.split.n_features()) }
     }
 }
 
@@ -394,18 +385,13 @@ fn fit_default(
 
 /// The fit step of a measurement: the scenario's model on a subset,
 /// served from the fit store when any scenario or arm on this split has
-/// trained it already, else trained by [`train_subset`] and stored. DP
-/// fits bypass the store: their noise seed derives from the scenario
-/// seed, and it and ε would have to enter the key.
+/// trained it already, else trained by [`train_subset`] and stored.
 fn fit_subset(
     env: &MeasureEnv<'_>,
     subset: &[usize],
     scratch: &mut Scratch,
     perf: &mut EvalPerf,
 ) -> Arc<TrainedModel> {
-    if env.scenario.constraints.privacy_epsilon.is_some() {
-        return Arc::new(train_subset(env, subset, scratch, perf));
-    }
     let key = env.store_key(subset, env.fit_key);
     env.artifacts.model(key, || train_subset(env, subset, scratch, perf))
 }
@@ -599,8 +585,8 @@ fn score_subset(
 /// RFE importances of a default-parameter fit on `subset`: the ranking
 /// step is not HPO'd in the reference implementation either, and never
 /// trains the DP variant. That fit is looked up in the fit store under the
-/// default-fit key (`hpo = false`) whatever the scenario's HPO flag or DP
-/// ε, so neither an HPO grid winner nor a DP model can stand in for it;
+/// default-fit key (`hpo = false`, no ε) whatever the scenario's HPO flag
+/// or DP ε, so neither an HPO grid winner nor a DP model can stand in for it;
 /// a miss trains and stores it. Trees fit in place, exactly like a
 /// measurement's default fit; only NB's permutation importance reads
 /// validation data, so only NB gathers it.
@@ -638,9 +624,10 @@ impl<'a> ScenarioContext<'a> {
         // within strata; take a simple prefix for the train subsample.
         let train_rows: Vec<usize> = (0..cap).collect();
         let y_train: Vec<bool> = train_rows.iter().map(|&i| split.train.y[i]).collect();
-        let artifacts = Arc::new(ArtifactCache::new());
-        let split_key = split_fingerprint(split);
-        let default_fit = MlScenario { hpo: false, ..scenario.clone() };
+        let artifacts =
+            Arc::new(ArtifactCache::new()).hold(&scenario.dataset, split_fingerprint(split));
+        let constraints = ConstraintSet { privacy_epsilon: None, ..scenario.constraints.clone() };
+        let default_fit = MlScenario { hpo: false, constraints, ..scenario.clone() };
         Self {
             scenario,
             split,
@@ -652,14 +639,11 @@ impl<'a> ScenarioContext<'a> {
             y_train,
             scratch: Scratch::default(),
             perf: EvalPerf::default(),
-            _hold: artifacts.hold(&scenario.dataset, split_key),
             artifacts,
-            split_key,
             settings_key: settings_fingerprint(scenario, settings, cap),
             fit_key: fit_fingerprint(scenario, settings, cap),
             default_fit_key: fit_fingerprint(&default_fit, settings, cap),
             exec: Arc::new(Executor::sequential()),
-            bins: std::sync::OnceLock::new(),
         }
     }
 
@@ -668,12 +652,11 @@ impl<'a> ScenarioContext<'a> {
     /// measurements and fitted models become visible to (and reusable by)
     /// every other arm, row, and server request holding the same cache.
     /// Sound because a measurement is a pure function of `(settings
-    /// fingerprint, split, subset)` and a non-DP fit of `(fit fingerprint,
-    /// split, subset)` — all stochastic seeds derive from those keys, never
+    /// fingerprint, split, subset)` and a fit of `(fit fingerprint, split,
+    /// subset)` — all stochastic seeds derive from those keys, never
     /// from call order. The context's split hold moves to the new cache.
     pub fn with_artifacts(mut self, artifacts: Arc<ArtifactCache>) -> Self {
-        self._hold = artifacts.hold(&self.scenario.dataset, self.split_key);
-        self.artifacts = artifacts;
+        self.artifacts = artifacts.hold(&self.scenario.dataset, split_fingerprint(self.split));
         self
     }
 
@@ -708,20 +691,16 @@ impl<'a> ScenarioContext<'a> {
     /// The dataset-level bin set, when this context's fits consult bin
     /// codes at all (DT model): the histogram kernel for plain fits, and
     /// the bit-identical code-driven partition for DP random trees.
-    /// Resolved once per context through the artifact cache: when it is
+    /// Derived once per split through the artifact cache: when it is
     /// shared, every arm, row, and server request on the same split reuses
     /// one quantization.
     fn dataset_bins(&self) -> Option<&Arc<BinSet>> {
         if self.scenario.model != ModelKind::DecisionTree {
             return None;
         }
-        Some(self.bins.get_or_init(|| {
-            let (bins, hit) = self.artifacts.bins(&self.scenario.dataset, self.split_key, || {
-                let _g = obs::span("bins.derive");
-                BinSet::derive(&self.split.train.x)
-            });
-            obs::counter(if hit { "bins.hit" } else { "bins.derive" }, 1);
-            bins
+        Some(self.artifacts.bins(|| {
+            let _g = obs::span("bins.derive");
+            BinSet::derive(&self.split.train.x)
         }))
     }
 
@@ -737,7 +716,6 @@ impl<'a> ScenarioContext<'a> {
             exec: &self.exec,
             bins: self.dataset_bins(),
             artifacts: &self.artifacts,
-            split_key: self.split_key,
             fit_key: self.fit_key,
             default_fit_key: self.default_fit_key,
         }
@@ -768,8 +746,6 @@ impl<'a> ScenarioContext<'a> {
     /// The memo key of a subset measurement in this context.
     fn memo_key(&self, subset: &[usize], eval_on_test: bool) -> EvalKey {
         EvalKey {
-            dataset: self.scenario.dataset.clone(),
-            split_key: self.split_key,
             settings_key: self.settings_key,
             eval_on_test,
             subset: subset_bits(subset, self.split.n_features()),
@@ -814,8 +790,8 @@ impl<'a> ScenarioContext<'a> {
     /// Does not consume search budget — the search is already over. With a
     /// shared cache, a confirmation already performed by another arm or
     /// request is served without retraining; a subset any context on this
-    /// split has fitted (without DP) is scored with the stored model (the
-    /// fit never reads the evaluation split).
+    /// split has fitted with the same fit key is scored with the stored
+    /// model (the fit never reads the evaluation split).
     pub fn confirm_on_test(&mut self, subset: &[usize]) -> (Evaluation, f64) {
         let eval = match self.memo_lookup(subset, true) {
             Some(eval) => eval,
@@ -1143,11 +1119,10 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         // cache, so every arm of a benchmark row derives the identical
         // ranking whether its cache is shared or private.
         let seed = ranking_seed(&self.scenario.dataset, kind);
-        let (ranking, hit) =
-            self.artifacts.ranking(&self.scenario.dataset, self.split_key, kind, || {
-                let _g = obs::span(format!("ranking.compute.{}", kind.name()));
-                kind.compute(&self.split.train.x, &self.split.train.y, seed)
-            });
+        let (ranking, hit) = self.artifacts.ranking(kind, || {
+            let _g = obs::span(format!("ranking.compute.{}", kind.name()));
+            kind.compute(&self.split.train.x, &self.split.train.y, seed)
+        });
         if hit {
             self.perf.ranking_hits += 1;
             obs::counter("ranking.hit", 1);
@@ -1456,12 +1431,10 @@ mod tests {
                         let imp = imp_bits(warm.importances(&subset).expect("budget available"));
                         assert_eq!((test, imp), fresh(&sc, &subset), "{label}");
                         // One fit for the evaluation and the confirmation,
-                        // except that a DP fit bypasses the store and the
-                        // confirmation refits it; importances fit the
-                        // default exactly under HPO or DP.
-                        let dp_refit = dp.is_some() as u64;
+                        // DP or not; importances fit the default exactly
+                        // under HPO or DP.
                         let default_fit = (hpo || dp.is_some()) as u64;
-                        assert_eq!(warm.perf().model_fits, 1 + dp_refit + default_fit, "{label}");
+                        assert_eq!(warm.perf().model_fits, 1 + default_fit, "{label}");
                     }
                 }
             }
@@ -1497,11 +1470,12 @@ mod tests {
     /// One split, one shared cache, as in a benchmark run: an accuracy-only
     /// scenario (seed 1) fits a set of subsets; a Min-Safety scenario
     /// (seed 3) then measures, confirms and ranks overlapping subsets
-    /// without fitting the shared ones again; a DP scenario never reads or
-    /// writes the store, except for the default fit its importances rank
-    /// by. Every `evaluate`, `confirm_on_test` and `importances` answer
-    /// equals a fresh cache's bit for bit. Covers every model kind, with
-    /// and without HPO.
+    /// without fitting the shared ones again; each of three DP scenarios
+    /// (two seeds, two ε) fits each subset once under its own key, its
+    /// confirmation reuses that fit, and its importances rank by the stored
+    /// default fit. Every `evaluate`, `confirm_on_test` and `importances`
+    /// answer equals a fresh cache's bit for bit. Covers every model kind,
+    /// with and without HPO.
     #[test]
     fn scenarios_on_one_split_share_fits_and_answer_like_fresh_caches() {
         let (ds, split) = setup();
@@ -1545,9 +1519,16 @@ mod tests {
                 let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
                 c.min_safety = Some(0.8);
                 let safety = with(c, 3);
-                let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
-                c.privacy_epsilon = Some(5.0);
-                let dp = with(c, 1);
+                // DP scenarios that differ only in the seed or only in ε
+                // share no DP fit: the noise differs.
+                let dps: Vec<MlScenario> = [(5.0, 1), (5.0, 3), (2.0, 1)]
+                    .into_iter()
+                    .map(|(eps, seed)| {
+                        let mut c = ConstraintSet::accuracy_only(0.5, Duration::from_secs(10));
+                        c.privacy_epsilon = Some(eps);
+                        with(c, seed)
+                    })
+                    .collect();
 
                 let cache = Arc::new(ArtifactCache::new());
                 // The run's hold: the split's models outlive each context.
@@ -1569,22 +1550,27 @@ mod tests {
                 }
                 assert!(b.perf().model_fits > 0, "{label}: the new subset must fit");
 
-                let mut p = shared_ctx(&dp);
-                let before = cache.fit_counts();
-                for (i, subset) in second.iter().enumerate() {
-                    let score = p.evaluate(subset, None).expect("budget available");
-                    let confirmed = p.confirm_on_test(subset);
-                    // Only the importances of earlier subsets hit it.
-                    let untouched = (before.0 + i as u64, before.1, before.2);
-                    assert_eq!(cache.fit_counts(), untouched, "{label}: DP touched the store");
-                    let got = bits(score, confirmed, p.importances(subset).expect("budget"));
-                    assert_eq!(got, fresh(&dp, subset), "{label} dp");
+                for dp in &dps {
+                    let eps = dp.constraints.privacy_epsilon;
+                    let label = format!("{label} dp eps={eps:?} seed={}", dp.seed);
+                    let mut p = shared_ctx(dp);
+                    let before = cache.fit_counts();
+                    for (i, subset) in second.iter().enumerate() {
+                        let score = p.evaluate(subset, None).expect("budget available");
+                        let confirmed = p.confirm_on_test(subset);
+                        // Each subset so far: its DP fit missed and was
+                        // stored, and its confirmation hit it; the
+                        // importances of the earlier ones hit the stored
+                        // default.
+                        let n = i as u64 + 1;
+                        let dp_fits = (before.0 + 2 * n - 1, before.1 + n, before.2 + n);
+                        assert_eq!(cache.fit_counts(), dp_fits, "{label}: fits and confirmations");
+                        let got = bits(score, confirmed, p.importances(subset).expect("budget"));
+                        assert_eq!(got, fresh(dp, subset), "{label}");
+                    }
+                    // Each DP subset fits once, for its evaluation.
+                    assert_eq!(p.perf().model_fits, second.len() as u64, "{label}");
                 }
-                // Each DP subset fits for its evaluation and again for its
-                // confirmation; its importances rank by the stored default.
-                assert_eq!(p.perf().model_fits, 2 * second.len() as u64, "{label} dp");
-                let (hits, misses, inserts) = cache.fit_counts();
-                assert_eq!((hits - before.0, misses, inserts), (3, before.1, before.2), "{label}");
             }
         }
     }
@@ -1852,8 +1838,8 @@ mod tests {
         st: &ScenarioSettings,
     ) -> Vec<(&'static str, MlScenario, ScenarioSettings)> {
         let MlScenario {
-            // Not a flip: the memo key carries the dataset next to the
-            // split fingerprint, outside `settings_fingerprint`.
+            // Not a flip: the dataset keys the split's cache entry next to
+            // the split fingerprint, outside `settings_fingerprint`.
             dataset: _,
             model,
             hpo,
@@ -1946,10 +1932,11 @@ mod tests {
         ]
     }
 
-    /// Exactly the model, HPO and train-row-cap flips change the fit key,
-    /// only the model and train-cap flips change the default-fit key RFE
-    /// ranks by, and the memo key still changes on the flips it always
-    /// changed on.
+    /// Without DP, exactly the model, HPO and train-row-cap flips (and
+    /// declaring an ε) change the fit key; with DP, the seed and ε flips
+    /// change it too, since the DP noise seed derives from them. Only the
+    /// model and train-cap flips change the default-fit key RFE ranks by,
+    /// and the memo key still changes on the flips it always changed on.
     #[test]
     fn only_model_hpo_and_train_cap_flips_change_the_fit_key() {
         let (_, split) = setup();
@@ -1960,24 +1947,43 @@ mod tests {
         c.max_feature_frac = Some(0.8);
         c.min_eo = Some(0.8);
         c.min_safety = Some(0.8);
-        c.privacy_epsilon = Some(5.0);
-        let sc = scenario(c);
-        let base = ScenarioContext::new(&sc, &split, &settings);
-        assert_eq!(base.fit_key, base.default_fit_key, "without HPO the fit is the default");
-        let (mut fit, mut default_fit, mut memo) = (Vec::new(), Vec::new(), Vec::new());
-        for (label, flipped_sc, flipped_st) in one_field_flips(&sc, &settings) {
-            let flipped = ScenarioContext::new(&flipped_sc, &split, &flipped_st);
-            for (changed, keys) in [
-                (flipped.fit_key != base.fit_key, &mut fit),
-                (flipped.default_fit_key != base.default_fit_key, &mut default_fit),
-                (flipped.settings_key != base.settings_key, &mut memo),
-            ] {
-                if changed {
-                    keys.push(label);
+        let flips = |sc: &MlScenario| {
+            let base = ScenarioContext::new(sc, &split, &settings);
+            let (mut fit, mut default_fit, mut memo) = (Vec::new(), Vec::new(), Vec::new());
+            for (label, flipped_sc, flipped_st) in one_field_flips(sc, &settings) {
+                let flipped = ScenarioContext::new(&flipped_sc, &split, &flipped_st);
+                for (changed, keys) in [
+                    (flipped.fit_key != base.fit_key, &mut fit),
+                    (flipped.default_fit_key != base.default_fit_key, &mut default_fit),
+                    (flipped.settings_key != base.settings_key, &mut memo),
+                ] {
+                    if changed {
+                        keys.push(label);
+                    }
                 }
             }
-        }
-        assert_eq!(fit, ["model", "hpo", "max_train_rows"]);
+            (base.fit_key == base.default_fit_key, fit, default_fit, memo)
+        };
+
+        let (fit_is_default, fit, default_fit, _) = flips(&scenario(c.clone()));
+        assert!(fit_is_default, "without HPO or DP the fit is the default");
+        assert_eq!(fit, ["model", "hpo", "privacy_epsilon toggled", "max_train_rows"]);
+        assert_eq!(default_fit, ["model", "max_train_rows"]);
+
+        c.privacy_epsilon = Some(5.0);
+        let (fit_is_default, fit, default_fit, memo) = flips(&scenario(c));
+        assert!(!fit_is_default, "a DP fit is not the default");
+        assert_eq!(
+            fit,
+            [
+                "model",
+                "hpo",
+                "seed",
+                "privacy_epsilon toggled",
+                "privacy_epsilon changed",
+                "max_train_rows"
+            ]
+        );
         assert_eq!(default_fit, ["model", "max_train_rows"]);
         assert_eq!(
             memo,

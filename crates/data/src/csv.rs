@@ -127,7 +127,8 @@ pub fn from_csv_string(s: &str) -> Result<RawDataset, String> {
                 }),
             }
         }
-        target.push(match *cells.last().expect("non-empty cells") {
+        // The row has exactly one cell past the feature columns: the target.
+        target.push(match cells[columns.len()] {
             "1" => true,
             "0" => false,
             other => return Err(format!("row {lineno}: target must be 0/1, got '{other}'")),

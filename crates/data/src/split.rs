@@ -41,13 +41,11 @@ impl Split {
 /// shuffled deterministically (from `seed`) and dealt out in a 3:1:1 pattern,
 /// so every part receives a proportional share of each stratum.
 pub fn stratified_three_way(ds: &Dataset, seed: u64) -> Split {
-    let parts = stratified_split(ds, &[3, 1, 1], seed);
-    let mut it = parts.into_iter();
-    Split {
-        train: it.next().expect("3 parts"),
-        val: it.next().expect("3 parts"),
-        test: it.next().expect("3 parts"),
-    }
+    let Ok([train, val, test]) = <[Dataset; 3]>::try_from(stratified_split(ds, &[3, 1, 1], seed))
+    else {
+        unreachable!("stratified_split returns one part per weight")
+    };
+    Split { train, val, test }
 }
 
 /// Generic stratified split by integer ratio weights.

@@ -23,6 +23,7 @@ use crate::dataset::{Column, Dataset, RawDataset};
 use crate::preprocess::fit_transform;
 use dfs_linalg::rng::{derive_seed, normal, uniform, Rng};
 use dfs_linalg::Matrix;
+use std::cmp::Ordering;
 
 /// Full description of one synthetic dataset.
 #[derive(Debug, Clone)]
@@ -110,7 +111,7 @@ pub fn generate_raw(spec: &SyntheticSpec, seed: u64) -> RawDataset {
         .collect();
     let threshold = {
         let mut sorted = latent.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latent scores are finite"));
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
         let k = ((1.0 - spec.positive_rate) * (n as f64 - 1.0)).round() as usize;
         sorted[k.min(n.saturating_sub(1))]
     };
@@ -157,7 +158,7 @@ pub fn generate_raw(spec: &SyntheticSpec, seed: u64) -> RawDataset {
             // Quantile-bin an informative feature so one-hot keeps the signal.
             let src = &informative[k % spec.informative];
             let mut sorted = src.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
             let cuts: Vec<f64> = (1..card)
                 .map(|c| sorted[(c as usize * n / card as usize).min(n - 1)])
                 .collect();

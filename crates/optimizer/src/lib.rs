@@ -28,6 +28,7 @@ use dfs_data::split::Split;
 use dfs_fs::StrategyId;
 use dfs_linalg::Matrix;
 use dfs_models::forest::{ForestConfig, RandomForest};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Optimizer configuration.
@@ -186,11 +187,11 @@ impl DfsOptimizer {
 
     /// The recommended strategy: `argmax_s P(success | x)`.
     pub fn recommend(&self, scenario: &MlScenario, split: &Split) -> StrategyId {
+        // `fit` rejects an empty strategy list, so `max_by` finds one.
         self.probabilities(scenario, split)
             .into_iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite probabilities"))
-            .map(|(s, _)| s)
-            .expect("at least one strategy")
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+            .map_or(self.strategies[0], |(s, _)| s)
     }
 
     /// Per-strategy success prediction (threshold 0.5) — used by Table 9.

@@ -6,13 +6,12 @@
 //! - **Prepared datasets/splits** — generating a synthetic dataset and its
 //!   stratified three-way split is deterministic in `(name, rows, seed)`,
 //!   so the first request pays and every later request reuses the `Arc`.
-//! - **The shared [`ArtifactCache`]** — rankings are keyed by
-//!   `(dataset, split fingerprint, kind)` with arm-independent seeds, and
-//!   whole subset measurements by `(dataset, split fingerprint, settings
-//!   fingerprint, eval leg, subset)`. Requests from different connections
-//!   warm each other, and a repeated or overlapping query skips the model
-//!   fits the first one already paid, without changing any result bit
-//!   (DESIGN.md § 4h).
+//! - **The shared [`ArtifactCache`]** — one entry per `(dataset, split
+//!   fingerprint)` holds the split's rankings (arm-independent seeds) and
+//!   its whole subset measurements, keyed `(settings fingerprint, eval
+//!   leg, subset)`. Requests from different connections warm each other,
+//!   and a repeated or overlapping query skips the model fits the first
+//!   one already paid, without changing any result bit (DESIGN.md § 4h).
 //!
 //! Every query cell runs on the server's pinned [`Executor`] permit pool:
 //! results are bit-identical for any pool width, so the chaos suite can
@@ -38,7 +37,7 @@ pub enum ResolvedStrategy {
     Auto,
 }
 
-/// Parses the wire strategy name (same vocabulary as the CLI).
+/// Parses a strategy name: one vocabulary for the wire and the CLI.
 pub fn parse_strategy(s: &str) -> Result<ResolvedStrategy, String> {
     let fixed = |id| Ok(ResolvedStrategy::Fixed(id));
     match s {
@@ -63,7 +62,7 @@ pub fn parse_strategy(s: &str) -> Result<ResolvedStrategy, String> {
     }
 }
 
-/// Parses the wire model name.
+/// Parses a model name (wire and CLI).
 pub fn parse_model(s: &str) -> Result<ModelKind, String> {
     match s {
         "lr" => Ok(ModelKind::LogisticRegression),

@@ -22,7 +22,7 @@ use dfs_repro::data::split::stratified_three_way;
 use dfs_repro::data::synthetic::{generate, spec_by_name};
 use dfs_repro::data::Dataset;
 use dfs_repro::proto::{Json, QuerySpec, Request, Response};
-use dfs_repro::rankings::RankingKind;
+use dfs_repro::server::engine::{parse_model, parse_strategy, ResolvedStrategy};
 use dfs_repro::server::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +34,7 @@ struct CliArgs {
     data_path: Option<String>,
     dataset: Option<String>,
     model: ModelKind,
-    strategy: StrategySpec,
+    strategy: ResolvedStrategy,
     min_f1: f64,
     min_eo: Option<f64>,
     min_safety: Option<f64>,
@@ -48,20 +48,13 @@ struct CliArgs {
     summary_json: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StrategySpec {
-    Fixed(StrategyId),
-    /// The dynamic-switching schedule.
-    Auto,
-}
-
 impl Default for CliArgs {
     fn default() -> Self {
         Self {
             data_path: None,
             dataset: None,
             model: ModelKind::LogisticRegression,
-            strategy: StrategySpec::Fixed(StrategyId::Sffs),
+            strategy: ResolvedStrategy::Fixed(StrategyId::Sffs),
             min_f1: 0.6,
             min_eo: None,
             min_safety: None,
@@ -176,40 +169,6 @@ OPTIONS:
 Prints the result (or error) as a single JSON line on stdout. Exit codes:
 0 = response received, 1 = terminal server error, 2 = retries exhausted.
 ";
-
-fn parse_strategy(s: &str) -> Result<StrategySpec, String> {
-    let fixed = |id| Ok(StrategySpec::Fixed(id));
-    match s {
-        "auto" => Ok(StrategySpec::Auto),
-        "sfs" => fixed(StrategyId::Sfs),
-        "sbs" => fixed(StrategyId::Sbs),
-        "sffs" => fixed(StrategyId::Sffs),
-        "sbfs" => fixed(StrategyId::Sbfs),
-        "rfe" => fixed(StrategyId::Rfe),
-        "es" => fixed(StrategyId::Es),
-        "tpe" => fixed(StrategyId::TpeNr),
-        "sa" => fixed(StrategyId::SaNr),
-        "nsga2" => fixed(StrategyId::Nsga2Nr),
-        "chi2" => fixed(StrategyId::TpeRanking(RankingKind::Chi2)),
-        "variance" => fixed(StrategyId::TpeRanking(RankingKind::Variance)),
-        "fisher" => fixed(StrategyId::TpeRanking(RankingKind::Fisher)),
-        "mim" => fixed(StrategyId::TpeRanking(RankingKind::Mim)),
-        "fcbf" => fixed(StrategyId::TpeRanking(RankingKind::Fcbf)),
-        "relieff" => fixed(StrategyId::TpeRanking(RankingKind::ReliefF)),
-        "mcfs" => fixed(StrategyId::TpeRanking(RankingKind::Mcfs)),
-        other => Err(format!("unknown strategy '{other}'")),
-    }
-}
-
-fn parse_model(s: &str) -> Result<ModelKind, String> {
-    match s {
-        "lr" => Ok(ModelKind::LogisticRegression),
-        "nb" => Ok(ModelKind::GaussianNb),
-        "dt" => Ok(ModelKind::DecisionTree),
-        "svm" => Ok(ModelKind::LinearSvm),
-        other => Err(format!("unknown model '{other}'")),
-    }
-}
 
 /// Parses the argument list (without the program name).
 fn parse_args(args: &[String]) -> Result<CliArgs, String> {
@@ -371,12 +330,12 @@ fn main() -> ExitCode {
 
     let run_started = Instant::now();
     let (success, subset, evaluations, label, perf) = match args.strategy {
-        StrategySpec::Fixed(strategy) => {
+        ResolvedStrategy::Fixed(strategy) => {
             eprintln!("strategy: {}", strategy.name());
             let out = run_dfs(&scenario, &split, &settings, strategy);
             (out.success, out.subset, out.evaluations, strategy.name(), out.perf)
         }
-        StrategySpec::Auto => {
+        ResolvedStrategy::Auto => {
             let cfg = SwitchConfig::default();
             eprintln!(
                 "strategy: auto (dynamic switching over {})",
@@ -739,6 +698,7 @@ fn query_main(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfs_repro::rankings::RankingKind;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|t| t.to_string()).collect()
@@ -753,7 +713,8 @@ mod tests {
         .expect("valid args");
         assert_eq!(args.dataset.as_deref(), Some("compas"));
         assert_eq!(args.model, ModelKind::DecisionTree);
-        assert_eq!(args.strategy, StrategySpec::Fixed(StrategyId::TpeRanking(RankingKind::Fcbf)));
+        let fcbf = ResolvedStrategy::Fixed(StrategyId::TpeRanking(RankingKind::Fcbf));
+        assert_eq!(args.strategy, fcbf);
         assert_eq!(args.min_f1, 0.7);
         assert_eq!(args.min_eo, Some(0.9));
         assert_eq!(args.max_feature_frac, Some(0.4));
@@ -805,7 +766,7 @@ mod tests {
     #[test]
     fn auto_strategy_flag() {
         let args = parse_args(&argv("--dataset compas --strategy auto")).unwrap();
-        assert_eq!(args.strategy, StrategySpec::Auto);
+        assert_eq!(args.strategy, ResolvedStrategy::Auto);
     }
 
     #[test]
