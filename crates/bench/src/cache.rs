@@ -1,57 +1,90 @@
-//! On-disk cache for computed outcome matrices (compact TSV codec).
+//! Where the persisted outcome matrix lives, what keys it, and the cell
+//! codec its rows are written in.
 //!
-//! The matrix computation is the expensive part of the harness; every bench
-//! that needs it first looks here. The format is a line-oriented TSV keyed
-//! by a config fingerprint, written atomically (temp file + rename).
+//! The file at [`cache_path`] is the append-only row file of
+//! [`crate::checkpoint`]. Its name and header carry [`fingerprint`], which
+//! mixes every input that shapes the matrix: each [`CorpusConfig`] field
+//! but the thread count, each leaf of [`bench_settings`], and `CODE_ID`, a
+//! hash of the workspace sources from `build.rs`. Changing any of them
+//! misses the cache instead of reloading a matrix the code would not
+//! compute today.
 //!
-//! Codec v8 carries each cell's [`CellStatus`] (so fault-isolated runs
-//! roundtrip losslessly) and its eight [`EvalPerf`] work counters. v8
-//! dropped v7's four nanosecond timing fields (the observability spans
-//! carry timings) and its warm-start counter along with warm starts. A
-//! file that
-//! fails validation — wrong version, truncated, or garbled — is never
-//! trusted partially: [`load`] quarantines it (renames it aside with a
-//! `.quarantined` suffix) and the caller recomputes. The per-cell line
-//! codec is shared with the incremental checkpoint sidecar
-//! ([`crate::checkpoint`]).
+//! Codec v8 writes a cell as one `R` line: its [`CellStatus`] code, the
+//! metrics and the eight [`EvalPerf`] work counters, each validated on the
+//! way back in. [`save`] writes the older single-file layout, which
+//! nothing reads.
 
-use crate::corpus::{BenchVersion, CorpusConfig};
-use dfs_constraints::ConstraintSet;
+use crate::corpus::{bench_settings, BenchVersion, CorpusConfig};
 use dfs_core::error::{DfsError, DfsResult};
 use dfs_core::runner::{Arm, BenchmarkMatrix, CellResult, CellStatus};
-use dfs_core::{EvalPerf, MlScenario};
+use dfs_core::{EvalPerf, ScenarioSettings};
 use dfs_linalg::rng::Fnv1a;
-use dfs_models::ModelKind;
+use dfs_metrics::AttackConfig;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Cache file location for a (config, version) pair.
+// `const CODE_ID: u64`: the hash of the workspace sources, from build.rs.
+include!(concat!(env!("OUT_DIR"), "/code_id.rs"));
+
+/// The matrix file of a (config, version) pair, under `DFS_BENCH_CACHE_DIR`
+/// (default `<tmp>/dfs-bench-cache`).
 pub fn cache_path(cfg: &CorpusConfig, version: BenchVersion) -> PathBuf {
+    keyed_path(version, fingerprint(cfg))
+}
+
+fn keyed_path(version: BenchVersion, key: u64) -> PathBuf {
     let dir = std::env::var("DFS_BENCH_CACHE_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| std::env::temp_dir().join("dfs-bench-cache"));
-    let fingerprint = fingerprint(cfg);
-    dir.join(format!("matrix-{}-{fingerprint:016x}.tsv", version.tag()))
+    dir.join(format!("matrix-{}-{key:016x}.tsv", version.tag()))
 }
 
-/// FNV-1a fingerprint of everything that determines the matrix contents.
-/// Also keys the checkpoint sidecar, so stale partial rows from a different
-/// configuration can never leak into a resumed run.
+/// The key of the matrix `cfg` computes with [`bench_settings`] and the
+/// code of this build. It names the matrix file and heads it, so rows from
+/// any other configuration or build can never load or resume.
 pub fn fingerprint(cfg: &CorpusConfig) -> u64 {
+    key(cfg, &bench_settings(), CODE_ID)
+}
+
+/// [`fingerprint`] for explicit settings and code id. The structs are
+/// destructured without `..`, so a new field fails to compile here until
+/// it is mixed in or its exclusion is explained.
+fn key(cfg: &CorpusConfig, settings: &ScenarioSettings, code_id: u64) -> u64 {
+    let CorpusConfig {
+        datasets,
+        scenarios_per_dataset,
+        time_range,
+        seed,
+        // Left out: the wall clock is the binding budget (see
+        // `bench_settings`), so the matrix already depends on the host and
+        // the thread count. Keying by it would only split the cache.
+        threads: _,
+    } = cfg;
+    let ScenarioSettings {
+        max_evals,
+        attack: AttackConfig { max_points, init_trials },
+        max_train_rows,
+        bound_pruning,
+    } = settings;
     let mut h = Fnv1a::new();
-    for (name, cap) in &cfg.datasets {
+    h.mix(code_id);
+    h.mix(datasets.len() as u64);
+    for (name, cap) in datasets {
         h.bytes(name.as_bytes());
         h.mix(*cap as u64);
     }
-    h.mix(cfg.scenarios_per_dataset as u64);
-    h.mix(cfg.time_range.0.as_millis() as u64);
-    h.mix(cfg.time_range.1.as_millis() as u64);
-    h.mix(cfg.seed);
+    let counts = [*scenarios_per_dataset, *max_evals, *max_points, *init_trials, *max_train_rows];
+    for word in counts.map(|c| c as u64).into_iter().chain([*bound_pruning as u64, *seed]) {
+        h.mix(word);
+    }
+    h.mix(time_range.0.as_nanos() as u64);
+    h.mix(time_range.1.as_nanos() as u64);
     h.finish()
 }
 
-/// Serializes a matrix to the TSV codec (v8).
+/// Serializes a matrix to the single-file layout: a header, then per
+/// scenario one `S` line and its `R` lines.
 ///
 /// Errors with [`DfsError::CacheEncode`] on a non-canonical arm set — the
 /// compact codec stores no arm column, so only `Arm::all()` matrices are
@@ -169,123 +202,9 @@ pub(crate) fn decode_cell(fields: &[&str]) -> Result<CellResult, String> {
     })
 }
 
-/// Parses the TSV codec back into a matrix.
-pub fn decode(s: &str) -> Result<BenchmarkMatrix, String> {
-    let mut lines = s.lines();
-    let header = lines.next().ok_or("empty cache file")?;
-    let head: Vec<&str> = header.split('\t').collect();
-    if head.len() != 4 || head[0] != "#dfs-matrix" {
-        return Err(format!("bad header '{header}'"));
-    }
-    if head[1] != "v8" {
-        return Err(format!("unsupported cache version '{}' (this build reads v8)", head[1]));
-    }
-    let n_scenarios: usize = head[2].parse().map_err(|e| format!("bad count: {e}"))?;
-    let n_arms: usize = head[3].parse().map_err(|e| format!("bad arm count: {e}"))?;
-    let arms = Arm::all();
-    if arms.len() != n_arms {
-        return Err(format!("arm count {n_arms} != canonical {}", arms.len()));
-    }
-
-    let mut scenarios = Vec::with_capacity(n_scenarios);
-    let mut results: Vec<Vec<CellResult>> = Vec::with_capacity(n_scenarios);
-    for line in lines {
-        let cells: Vec<&str> = line.split('\t').collect();
-        match cells.first() {
-            Some(&"S") => {
-                if cells.len() != 12 {
-                    return Err(format!("bad scenario line '{line}'"));
-                }
-                let opt = |v: f64| if v < 0.0 { None } else { Some(v) };
-                let parse =
-                    |i: usize| -> Result<f64, String> { cells[i].parse().map_err(|e| format!("{line}: {e}")) };
-                let model = match cells[2] {
-                    "LR" => ModelKind::LogisticRegression,
-                    "NB" => ModelKind::GaussianNb,
-                    "DT" => ModelKind::DecisionTree,
-                    "SVM" => ModelKind::LinearSvm,
-                    other => return Err(format!("unknown model '{other}'")),
-                };
-                let secs = parse(7)?;
-                if secs.is_nan() {
-                    return Err(format!("{line}: NaN search time"));
-                }
-                scenarios.push(MlScenario {
-                    dataset: cells[1].to_string(),
-                    model,
-                    hpo: cells[3] == "1",
-                    utility_f1: cells[4] == "1",
-                    seed: cells[5].parse().map_err(|e| format!("{line}: {e}"))?,
-                    constraints: ConstraintSet {
-                        min_f1: parse(6)?,
-                        max_search_time: Duration::try_from_secs_f64(secs)
-                            .map_err(|e| format!("{line}: {e}"))?,
-                        max_feature_frac: opt(parse(8)?),
-                        min_eo: opt(parse(9)?),
-                        min_safety: opt(parse(10)?),
-                        privacy_epsilon: opt(parse(11)?),
-                    },
-                });
-                results.push(Vec::with_capacity(n_arms));
-            }
-            Some(&"R") => {
-                let row = results.last_mut().ok_or("result before scenario")?;
-                if row.len() >= n_arms {
-                    return Err("too many result lines for scenario".into());
-                }
-                row.push(decode_cell(&cells).map_err(|e| format!("{line}: {e}"))?);
-            }
-            _ => return Err(format!("unknown line kind '{line}'")),
-        }
-    }
-    if scenarios.len() != n_scenarios {
-        return Err(format!("expected {n_scenarios} scenarios, got {}", scenarios.len()));
-    }
-    if results.iter().any(|r| r.len() != n_arms) {
-        return Err("ragged result rows (truncated file?)".into());
-    }
-    Ok(BenchmarkMatrix { arms, scenarios, results })
-}
-
-/// Moves a corrupt file aside as `<path>.quarantined` so the recompute can
-/// write fresh while the bad bytes stay available for inspection.
-pub fn quarantine(path: &Path) -> Option<PathBuf> {
-    let dest = PathBuf::from(format!("{}.quarantined", path.display()));
-    match std::fs::rename(path, &dest) {
-        Ok(()) => {
-            dfs_obs::counter("cache.quarantined", 1);
-            Some(dest)
-        }
-        Err(e) => {
-            dfs_obs::warn!("dfs-bench", "could not quarantine {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// Loads a cached matrix; `None` when the file is missing. A file that
-/// fails validation (old version, truncation, corruption) is quarantined
-/// and `None` is returned so the caller recomputes.
-pub fn load(path: &Path) -> Option<BenchmarkMatrix> {
-    let s = std::fs::read_to_string(path).ok()?;
-    match decode(&s) {
-        Ok(m) => Some(m),
-        Err(reason) => {
-            let err = DfsError::CacheCorrupt { path: path.to_path_buf(), reason };
-            match quarantine(path) {
-                Some(dest) => dfs_obs::warn!(
-                    "dfs-bench",
-                    "{err}; quarantined to {}",
-                    dest.display()
-                ),
-                None => dfs_obs::warn!("dfs-bench", "{err}"),
-            }
-            None
-        }
-    }
-}
-
-/// Saves a matrix atomically (temp file + rename).
+/// Saves a matrix in the single-file layout, atomically (temp file +
+/// rename). Nothing reads the file back: the tables load the row file at
+/// [`cache_path`].
 pub fn save(path: &Path, matrix: &BenchmarkMatrix) -> DfsResult<()> {
     let encoded = encode(matrix)?;
     if let Some(dir) = path.parent() {
@@ -300,26 +219,17 @@ pub fn save(path: &Path, matrix: &BenchmarkMatrix) -> DfsResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfs_fs::StrategyId;
+    use crate::checkpoint::Checkpoint;
+    use dfs_constraints::ConstraintSet;
+    use dfs_core::MlScenario;
+    use dfs_models::ModelKind;
+    use std::collections::HashMap;
 
-    fn sample_matrix() -> BenchmarkMatrix {
-        let arms = Arm::all();
-        let scenario = MlScenario {
-            dataset: "compas".into(),
-            model: ModelKind::GaussianNb,
-            hpo: true,
-            utility_f1: false,
-            seed: 42,
-            constraints: ConstraintSet {
-                min_f1: 0.6,
-                max_search_time: Duration::from_millis(250),
-                max_feature_frac: Some(0.4),
-                min_eo: None,
-                min_safety: Some(0.85),
-                privacy_epsilon: None,
-            },
-        };
-        let row: Vec<CellResult> = (0..arms.len())
+    const FP: u64 = 0x5eed;
+    const ROWS: usize = 3;
+
+    fn sample_row(tag: usize) -> Vec<CellResult> {
+        (0..Arm::all().len())
             .map(|i| CellResult {
                 status: match i % 4 {
                     0 => CellStatus::Ok,
@@ -328,10 +238,10 @@ mod tests {
                     _ => CellStatus::Skipped,
                 },
                 success: i % 3 == 0,
-                elapsed: Duration::from_micros(100 + i as u64),
-                val_distance: 0.01 * i as f64,
+                elapsed: Duration::from_nanos(123_456_789 * (tag + 1) as u64 + i as u64),
+                val_distance: 0.01 * i as f64 + tag as f64 / 3.0,
                 test_distance: 0.02 * i as f64,
-                evaluations: i,
+                evaluations: i + tag,
                 test_f1: 0.5 + 0.01 * i as f64,
                 subset_size: i + 1,
                 perf: EvalPerf {
@@ -345,42 +255,75 @@ mod tests {
                     bound_skips: (i % 6) as u64,
                 },
             })
-            .collect();
-        BenchmarkMatrix { arms, scenarios: vec![scenario], results: vec![row] }
+            .collect()
+    }
+
+    /// A fresh path in this process's test directory.
+    fn temp_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dfs-cache-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join(name);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(format!("{}.quarantined", path.display())).ok();
+        path
+    }
+
+    /// A matrix file holding `rows`, appended one block each.
+    fn write_file(path: &Path, rows: &[(usize, Vec<CellResult>)]) -> String {
+        let arms = Arm::all().len();
+        let ckpt = Checkpoint::start(path.to_path_buf(), FP, ROWS, arms, &HashMap::new());
+        for (i, row) in rows {
+            ckpt.append_row(*i, row);
+        }
+        std::fs::read_to_string(path).expect("read back")
+    }
+
+    fn load(path: &Path) -> HashMap<usize, Vec<CellResult>> {
+        Checkpoint::load(path, FP, ROWS, Arm::all().len()).0
+    }
+
+    fn line(cell: &CellResult) -> String {
+        let mut out = String::new();
+        encode_cell(&mut out, cell);
+        out
+    }
+
+    fn full_file(name: &str) -> (PathBuf, String) {
+        let path = temp_path(name);
+        let text = write_file(&path, &[(2, sample_row(2)), (0, sample_row(0)), (1, sample_row(1))]);
+        (path, text)
     }
 
     #[test]
     fn roundtrip_preserves_everything_including_statuses() {
-        let m = sample_matrix();
-        let decoded = decode(&encode(&m).expect("encode")).expect("roundtrip");
-        assert_eq!(decoded.scenarios.len(), 1);
-        let s = &decoded.scenarios[0];
-        assert_eq!(s.dataset, "compas");
-        assert_eq!(s.model, ModelKind::GaussianNb);
-        assert!(s.hpo);
-        assert_eq!(s.constraints.min_f1, 0.6);
-        assert_eq!(s.constraints.max_feature_frac, Some(0.4));
-        assert_eq!(s.constraints.min_eo, None);
-        assert_eq!(s.constraints.min_safety, Some(0.85));
-        for (a, b) in m.results[0].iter().zip(&decoded.results[0]) {
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.success, b.success);
-            assert_eq!(a.evaluations, b.evaluations);
-            assert_eq!(a.subset_size, b.subset_size);
-            assert_eq!(a.perf, b.perf, "perf counters must roundtrip exactly");
-            assert!((a.val_distance - b.val_distance).abs() < 1e-12);
+        let (path, _) = full_file("roundtrip.tsv");
+        let rows = load(&path);
+        assert_eq!(rows.len(), ROWS);
+        for (i, row) in &rows {
+            for (a, b) in sample_row(*i).iter().zip(row) {
+                assert_eq!(a.status, b.status);
+                assert_eq!(a.success, b.success);
+                assert_eq!(a.elapsed, b.elapsed, "elapsed must roundtrip to the nanosecond");
+                assert_eq!(a.val_distance.to_bits(), b.val_distance.to_bits());
+                assert_eq!(a.test_distance.to_bits(), b.test_distance.to_bits());
+                assert_eq!(a.test_f1.to_bits(), b.test_f1.to_bits());
+                assert_eq!(a.evaluations, b.evaluations);
+                assert_eq!(a.subset_size, b.subset_size);
+                assert_eq!(a.perf, b.perf, "perf counters must roundtrip exactly");
+            }
         }
-        // The canonical arm set includes Original + 16 strategies.
-        assert_eq!(decoded.arms.len(), 17);
-        assert!(decoded.arms.contains(&Arm::Strategy(StrategyId::Sffs)));
+        // A removed file loads nothing.
+        std::fs::remove_file(&path).expect("remove");
+        assert!(load(&path).is_empty());
     }
 
     #[test]
     fn infinite_distances_of_faulted_cells_roundtrip() {
-        let mut m = sample_matrix();
-        m.results[0][1] = CellResult::faulted(CellStatus::Panicked, Duration::from_millis(7));
-        let decoded = decode(&encode(&m).expect("encode")).expect("roundtrip");
-        let cell = &decoded.results[0][1];
+        let path = temp_path("faulted.tsv");
+        let mut row = sample_row(0);
+        row[1] = CellResult::faulted(CellStatus::Panicked, Duration::from_millis(7));
+        write_file(&path, &[(0, row)]);
+        let cell = &load(&path)[&0][1];
         assert_eq!(cell.status, CellStatus::Panicked);
         assert!(cell.val_distance.is_infinite() && cell.test_distance.is_infinite());
         assert!(!cell.success);
@@ -388,7 +331,17 @@ mod tests {
 
     #[test]
     fn encode_rejects_non_canonical_arm_sets() {
-        let mut m = sample_matrix();
+        let scenario = MlScenario {
+            dataset: "compas".into(),
+            model: ModelKind::GaussianNb,
+            hpo: true,
+            utility_f1: false,
+            seed: 42,
+            constraints: ConstraintSet::accuracy_only(0.6, Duration::from_millis(250)),
+        };
+        let (scenarios, results) = (vec![scenario], vec![sample_row(0)]);
+        let mut m = BenchmarkMatrix { arms: Arm::all(), scenarios, results };
+        assert!(encode(&m).is_ok());
         m.arms.truncate(3);
         match encode(&m) {
             Err(DfsError::CacheEncode { reason }) => assert!(reason.contains("non-canonical")),
@@ -398,71 +351,82 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode("").is_err());
-        // Older codecs (v1 pre-status, v2 pre-perf, v3 pre-obs-counters,
-        // v4 pre-memo-counters, v5 pre-eval-blocks, v6 with the gather
-        // counters, v7 with the timing and warm-start counters) are a
-        // version mismatch, not a panic; so is any future version.
-        for old in ["v1", "v2", "v3", "v4", "v5", "v6", "v7"] {
-            assert!(decode(&format!("#dfs-matrix\t{old}\t0\t17\n"))
-                .is_err_and(|e| e.contains("unsupported cache version")));
+        let (path, text) = full_file("garbage.tsv");
+        let body = &text[text.find('\n').expect("header") + 1..];
+        let arms = Arm::all().len();
+        // Older layouts (the v8 single-file matrix and the v8 checkpoint
+        // sidecar), a future version, another key, another shape, an empty
+        // file and plain garbage all fail the header, whatever follows it.
+        for header in [
+            format!("#dfs-matrix\tv8\t{ROWS}\t{arms}\n"),
+            format!("#dfs-checkpoint\tv8\t{FP:016x}\t{ROWS}\t{arms}\n"),
+            format!("#dfs-matrix\tv10\t{FP:016x}\t{ROWS}\t{arms}\n"),
+            format!("#dfs-matrix\tv9\t{:016x}\t{ROWS}\t{arms}\n", FP + 1),
+            format!("#dfs-matrix\tv9\t{FP:016x}\t{ROWS}\t3\n"),
+            String::new(),
+            "X\tfoo\n".into(),
+        ] {
+            std::fs::write(&path, format!("{header}{body}")).expect("write");
+            assert!(load(&path).is_empty(), "header {header:?} must not load");
+            assert!(!path.exists(), "header {header:?} must be quarantined");
         }
-        assert!(decode("#dfs-matrix\tv9\t0\t17\n").is_err());
-        assert!(decode("#dfs-matrix\tv8\t1\t17\nX\tfoo\n").is_err());
-        // Wrong arm count.
-        assert!(decode("#dfs-matrix\tv8\t0\t3\n").is_err());
+        // A garbage line after a good header keeps nothing after it.
+        let first_block = text.find("\nC\t0").expect("second block") + 1;
+        std::fs::write(&path, format!("{}X\tfoo\n{}", &text[..first_block], &text[first_block..]))
+            .expect("write");
+        assert_eq!(load(&path).keys().copied().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
     fn decode_rejects_truncated_files() {
-        let encoded = encode(&sample_matrix()).expect("encode");
-        // Cut mid-way through the result block: ragged row.
-        let cut = encoded.len() / 2;
-        let truncated = &encoded[..encoded[..cut].rfind('\n').expect("newline") + 1];
-        assert!(decode(truncated).is_err());
-        // Cut mid-line: the partial R line has too few fields.
-        assert!(decode(&encoded[..encoded.len() - 10]).is_err());
+        let (path, text) = full_file("truncated.tsv");
+        // Cut mid-way through the file: only the blocks before the cut load.
+        let cut = text.len() / 2;
+        let at_newline = text[..cut].rfind('\n').expect("newline") + 1;
+        for end in [at_newline, cut] {
+            std::fs::write(&path, &text[..end]).expect("write");
+            let rows = load(&path);
+            assert_eq!(rows.keys().copied().collect::<Vec<_>>(), vec![2], "cut at byte {end}");
+        }
+        // Cut mid-line: a short last line is torn, and so is its block.
+        std::fs::write(&path, &text[..text.len() - 10]).expect("write");
+        assert_eq!(load(&path).len(), ROWS - 1);
+        // A short result line is an error, never a cell with defaults.
+        let encoded = line(&sample_row(0)[0]);
+        let cells: Vec<&str> = encoded.trim_end().split('\t').collect();
+        assert!(decode_cell(&cells[..cells.len() - 1]).is_err());
     }
 
     #[test]
     fn decode_rejects_bitflipped_fields() {
-        let encoded = encode(&sample_matrix()).expect("encode");
+        let (path, text) = full_file("bitflip.tsv");
         // Flip the status code of the first result line to an unknown byte.
-        let pos = encoded.find("\nR\t").expect("result line") + 3;
-        let mut flipped = encoded.clone().into_bytes();
+        let pos = text.find("\nR\t").expect("result line") + 3;
+        let mut flipped = text.clone().into_bytes();
         flipped[pos] ^= 0x10;
-        let flipped = String::from_utf8(flipped).expect("utf8");
-        assert!(decode(&flipped).is_err_and(|e| e.contains("status")));
-        // Garble a numeric field.
-        let garbled = encoded.replacen("0.01", "0.0x1", 1);
-        assert!(decode(&garbled).is_err());
-    }
-
-    #[test]
-    fn file_roundtrip_via_save_load() {
-        let m = sample_matrix();
-        let dir = std::env::temp_dir().join("dfs-cache-test");
-        let path = dir.join("m.tsv");
-        save(&path, &m).expect("save");
-        let loaded = load(&path).expect("load");
-        assert_eq!(loaded.scenarios[0].seed, 42);
-        std::fs::remove_file(&path).ok();
-        assert!(load(&path).is_none());
+        let cells = String::from_utf8(flipped[pos - 2..].to_vec()).expect("utf8");
+        let cells: Vec<&str> = cells.lines().next().expect("line").split('\t').collect();
+        assert!(decode_cell(&cells).is_err_and(|e| e.contains("status")));
+        std::fs::write(&path, &flipped).expect("write");
+        assert!(load(&path).is_empty(), "the flipped first block and all after it are dropped");
+        // Garble a numeric field of the last block.
+        let last = text.rfind("\nC\t").expect("last block");
+        let garbled = format!("{}{}", &text[..last], text[last..].replacen("\t0.", "\t0.x", 1));
+        std::fs::write(&path, garbled).expect("write");
+        assert_eq!(load(&path).len(), ROWS - 1);
     }
 
     #[test]
     fn load_quarantines_corrupt_files() {
-        let dir = std::env::temp_dir().join("dfs-cache-test-quarantine");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("bad.tsv");
+        let path = temp_path("bad.tsv");
         let qpath = PathBuf::from(format!("{}.quarantined", path.display()));
-        std::fs::remove_file(&qpath).ok();
-        // A v7 file from the previous build is quarantined like any other
-        // version mismatch — the recompute writes fresh v8 bytes.
-        std::fs::write(&path, "#dfs-matrix\tv7\t0\t17\n").expect("write");
+        // A matrix in the older single-file layout is quarantined like any
+        // other header mismatch; the recompute writes a fresh file.
+        let m = BenchmarkMatrix { arms: Arm::all(), scenarios: Vec::new(), results: Vec::new() };
+        save(&path, &m).expect("save");
         dfs_obs::set_trace_enabled(true);
         let (loaded, collected) = dfs_obs::scoped(|| load(&path));
-        assert!(loaded.is_none());
+        assert!(loaded.is_empty());
         // The bad file was moved aside, not deleted and not left in place.
         assert!(!path.exists());
         assert!(qpath.exists());
@@ -479,5 +443,107 @@ mod tests {
             "quarantine must leave a journal entry"
         );
         std::fs::remove_file(&qpath).ok();
+    }
+
+    fn tiny_cfg() -> CorpusConfig {
+        CorpusConfig {
+            datasets: vec![("compas", 200), ("indian_liver_patient", 150)],
+            scenarios_per_dataset: 2,
+            time_range: (Duration::from_millis(20), Duration::from_millis(50)),
+            seed: 7,
+            threads: 1,
+        }
+    }
+
+    /// The path a config, settings and code id key, for one version.
+    fn path_of(cfg: &CorpusConfig, settings: &ScenarioSettings, code_id: u64) -> PathBuf {
+        keyed_path(BenchVersion::DefaultParams, key(cfg, settings, code_id))
+    }
+
+    /// Asserts that every variant keys a different path than the base and
+    /// than each other.
+    fn assert_all_distinct(paths: Vec<(&str, PathBuf)>) {
+        for (i, (a, pa)) in paths.iter().enumerate() {
+            for (b, pb) in &paths[i + 1..] {
+                assert_ne!(pa, pb, "{a} and {b} share a cache path");
+            }
+        }
+    }
+
+    #[test]
+    fn the_public_path_is_keyed_by_bench_settings_and_this_build() {
+        let cfg = tiny_cfg();
+        let version = BenchVersion::DefaultParams;
+        assert_eq!(cache_path(&cfg, version), path_of(&cfg, &bench_settings(), CODE_ID));
+        assert_eq!(fingerprint(&cfg), key(&cfg, &bench_settings(), CODE_ID));
+    }
+
+    #[test]
+    fn every_corpus_field_but_threads_changes_the_path() {
+        let base = tiny_cfg();
+        let s = bench_settings();
+        let variant = |f: fn(&mut CorpusConfig)| {
+            let mut cfg = tiny_cfg();
+            f(&mut cfg);
+            path_of(&cfg, &s, CODE_ID)
+        };
+        assert_all_distinct(vec![
+            ("base", path_of(&base, &s, CODE_ID)),
+            ("dataset name", variant(|c| c.datasets[0].0 = "adult")),
+            ("dataset cap", variant(|c| c.datasets[0].1 += 1)),
+            ("dataset count", variant(|c| c.datasets.truncate(1))),
+            ("scenarios per dataset", variant(|c| c.scenarios_per_dataset += 1)),
+            ("shortest budget", variant(|c| c.time_range.0 += Duration::from_micros(1))),
+            ("longest budget", variant(|c| c.time_range.1 += Duration::from_micros(1))),
+            ("seed", variant(|c| c.seed += 1)),
+        ]);
+        assert_eq!(variant(|c| c.threads = 7), path_of(&base, &s, CODE_ID), "threads must not key");
+    }
+
+    #[test]
+    fn every_scenario_settings_leaf_changes_the_path() {
+        let cfg = tiny_cfg();
+        let variant = |f: fn(&mut ScenarioSettings)| {
+            let mut s = bench_settings();
+            f(&mut s);
+            path_of(&cfg, &s, CODE_ID)
+        };
+        assert_all_distinct(vec![
+            ("base", variant(|_| {})),
+            ("max_evals", variant(|s| s.max_evals += 1)),
+            ("max_train_rows", variant(|s| s.max_train_rows = 200)),
+            ("bound_pruning", variant(|s| s.bound_pruning = !s.bound_pruning)),
+        ]);
+    }
+
+    #[test]
+    fn every_attack_config_leaf_changes_the_path() {
+        let cfg = tiny_cfg();
+        let variant = |f: fn(&mut AttackConfig)| {
+            let mut s = bench_settings();
+            f(&mut s.attack);
+            path_of(&cfg, &s, CODE_ID)
+        };
+        assert_all_distinct(vec![
+            ("base", variant(|_| {})),
+            ("max_points", variant(|a| a.max_points += 1)),
+            ("init_trials", variant(|a| a.init_trials += 1)),
+        ]);
+    }
+
+    #[test]
+    fn the_bench_version_changes_the_path() {
+        let cfg = tiny_cfg();
+        assert_all_distinct(vec![
+            ("default", cache_path(&cfg, BenchVersion::DefaultParams)),
+            ("hpo", cache_path(&cfg, BenchVersion::Hpo)),
+            ("utility", cache_path(&cfg, BenchVersion::Utility)),
+        ]);
+    }
+
+    #[test]
+    fn the_code_id_changes_the_path() {
+        let (cfg, s) = (tiny_cfg(), bench_settings());
+        assert_ne!(path_of(&cfg, &s, CODE_ID), path_of(&cfg, &s, CODE_ID ^ 1));
     }
 }

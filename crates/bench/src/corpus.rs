@@ -7,6 +7,7 @@ use dfs_data::split::{stratified_three_way, Split};
 use dfs_data::synthetic::{generate, spec_by_name};
 use dfs_linalg::rng::{Fnv1a, Rng};
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// The three benchmark versions of § 6.1.
@@ -133,17 +134,25 @@ pub fn bench_settings() -> ScenarioSettings {
     s
 }
 
-/// Computes the outcome matrix for a version, or loads it from the disk
-/// cache when the same configuration was computed before.
+/// Computes the outcome matrix for a version, or loads it when the file at
+/// [`cache_path`](crate::cache::cache_path) already holds every row.
 ///
-/// The computation checkpoints every completed scenario row to a sidecar
-/// next to the cache file; if the process dies mid-matrix, the next call
-/// with the same configuration resumes from the sidecar and recomputes only
-/// the missing rows. A corrupt cache or sidecar is quarantined and treated
-/// as absent.
+/// Each completed row is appended to that file, so a process that dies
+/// mid-matrix leaves a partial file that the next call with the same key
+/// resumes. A file whose header does not match is quarantined; a cache
+/// directory that cannot be written fails with [`DfsError::Io`] up front.
 pub fn compute_or_load_matrix(
     cfg: &CorpusConfig,
     version: BenchVersion,
+) -> DfsResult<(BenchmarkMatrix, HashMap<String, Split>)> {
+    matrix_at(cfg, version, crate::cache::cache_path(cfg, version))
+}
+
+/// [`compute_or_load_matrix`] with the matrix file at `path`.
+fn matrix_at(
+    cfg: &CorpusConfig,
+    version: BenchVersion,
+    path: PathBuf,
 ) -> DfsResult<(BenchmarkMatrix, HashMap<String, Split>)> {
     // The harness narration (cache hits, resume, matrix progress) is part
     // of the expected stderr output; keep it visible unless the user set
@@ -151,41 +160,32 @@ pub fn compute_or_load_matrix(
     if std::env::var_os("DFS_LOG").is_none() {
         dfs_obs::set_log_level(dfs_obs::Level::Info);
     }
-    let splits = build_splits(cfg)?;
-    let path = crate::cache::cache_path(cfg, version);
-    if let Some(matrix) = crate::cache::load(&path) {
-        dfs_obs::info!("dfs-bench", "loaded cached matrix from {}", path.display());
-        return Ok((matrix, splits));
-    }
     let scenarios = build_scenarios(cfg, version);
     let arms = Arm::all();
-    let fingerprint = crate::cache::fingerprint(cfg);
-    let ckpt_path = Checkpoint::sidecar_path(&path);
-    let resume = Checkpoint::load_rows(&ckpt_path, fingerprint, scenarios.len(), arms.len());
-    if !resume.is_empty() {
-        dfs_obs::info!(
-            "dfs-bench",
-            "resuming from checkpoint {}: {} of {} rows already computed",
-            ckpt_path.display(),
-            resume.len(),
-            scenarios.len()
-        );
+    let (n, key) = (scenarios.len(), crate::cache::fingerprint(cfg));
+    let (mut rows, len) = Checkpoint::load(&path, key, n, arms.len());
+    if rows.len() == n && len > 0 {
+        dfs_obs::info!("dfs-bench", "loaded cached matrix from {}", path.display());
+        let results = (0..n).filter_map(|i| rows.remove(&i)).collect();
+        return Ok((BenchmarkMatrix { arms, scenarios, results }, build_splits(cfg)?));
     }
+    let ckpt = Checkpoint::resume(path.clone(), key, n, arms.len(), len)?;
+    let splits = build_splits(cfg)?;
+    if !rows.is_empty() {
+        let (done, path) = (rows.len(), path.display());
+        dfs_obs::info!("dfs-bench", "resuming {path}: {done} of {n} rows already computed");
+    }
+    let (tag, n_arms, threads) = (version.tag(), arms.len(), cfg.threads);
     dfs_obs::info!(
         "dfs-bench",
-        "computing {} matrix: {} scenarios x {} arms ({} threads)…",
-        version.tag(),
-        scenarios.len(),
-        arms.len(),
-        cfg.threads
+        "computing {tag} matrix: {n} scenarios x {n_arms} arms ({threads} threads)…"
     );
     let settings = bench_settings();
-    let ckpt = Checkpoint::start(ckpt_path, fingerprint, scenarios.len(), arms.len(), &resume);
     let sink = |i: usize, row: &[CellResult]| ckpt.append_row(i, row);
-    let observer = dfs_obs::RunObserver::new(format!("matrix-{}", version.tag()));
+    let observer = dfs_obs::RunObserver::new(format!("matrix-{tag}"));
     let opts = RunnerOptions {
         threads: cfg.threads,
-        resume,
+        resume: rows,
         on_row: Some(&sink),
         observer: dfs_obs::trace_enabled().then_some(&observer),
         ..RunnerOptions::default()
@@ -199,8 +199,6 @@ pub fn compute_or_load_matrix(
              {timed_out} timed out, {skipped} skipped"
         );
     }
-    crate::cache::save(&path, &matrix)?;
-    ckpt.finish();
     if dfs_obs::trace_enabled() {
         export_traces(&observer);
     }
@@ -277,6 +275,52 @@ mod tests {
             Err(DfsError::UnknownDataset { dataset }) => assert_eq!(dataset, "no_such_dataset"),
             other => panic!("expected UnknownDataset, got {:?}", other.map(|m| m.len())),
         }
+    }
+
+    #[test]
+    fn a_computed_matrix_reloads_cell_for_cell_without_running_a_cell() {
+        let cfg = CorpusConfig { datasets: vec![("indian_liver_patient", 150)], ..tiny_cfg() };
+        let dir = std::env::temp_dir().join(format!("dfs-corpus-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("roundtrip.tsv");
+        std::fs::remove_file(&path).ok();
+        let version = BenchVersion::DefaultParams;
+        let (fresh, _) = matrix_at(&cfg, version, path.clone()).expect("compute");
+        let written = std::fs::read(&path).expect("matrix file");
+        let (loaded, splits) = matrix_at(&cfg, version, path.clone()).expect("load");
+        // Every computed row is appended, so an unchanged file means the
+        // reload ran no cell.
+        assert_eq!(std::fs::read(&path).expect("matrix file"), written);
+        assert!(splits.contains_key("indian_liver_patient"));
+        assert_eq!(loaded.arms, fresh.arms);
+        assert_eq!(loaded.results.len(), 2);
+        let line = |c: &CellResult| {
+            let mut s = String::new();
+            crate::cache::encode_cell(&mut s, c);
+            s
+        };
+        for (a, b) in fresh.scenarios.iter().zip(&loaded.scenarios) {
+            assert_eq!((a.seed, a.constraints.min_f1), (b.seed, b.constraints.min_f1));
+        }
+        for (a, b) in fresh.results.iter().flatten().zip(loaded.results.iter().flatten()) {
+            assert_eq!(a.elapsed, b.elapsed);
+            assert_eq!(line(a), line(b));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_unwritable_cache_dir_fails_before_any_cell_runs() {
+        let blocker = std::env::temp_dir().join(format!("dfs-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, "").expect("write");
+        // No dataset of this config exists: had it reached the splits, let
+        // alone a cell, the error would be UnknownDataset.
+        let cfg = CorpusConfig { datasets: vec![("no_such_dataset", 100)], ..tiny_cfg() };
+        match matrix_at(&cfg, BenchVersion::DefaultParams, blocker.join("m.tsv")) {
+            Err(DfsError::Io { .. }) => {}
+            other => panic!("expected an Io error, got {:?}", other.map(|(m, _)| m.results.len())),
+        }
+        std::fs::remove_file(&blocker).ok();
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! `benches/` that prints the same rows/series the paper reports (see the
 //! per-experiment index in `DESIGN.md` and the measured results in
 //! `EXPERIMENTS.md`). The expensive part — executing the randomized
-//! scenario corpus across all 17 arms — runs once and is cached on disk
-//! ([`cache`]), so `table3` pays the cost and the other tables reuse it.
-//! While it runs, completed rows stream to a checkpoint sidecar
-//! ([`checkpoint`]) so an interrupted computation resumes instead of
-//! restarting; corrupt caches are quarantined, not trusted.
+//! scenario corpus across all 17 arms — runs once and persists on disk, so
+//! `table3` pays the cost and the other tables reuse it. The matrix is one
+//! append-only file ([`checkpoint`]) named and headed by a key of every
+//! input that computed it: the corpus config, the scenario settings and a
+//! hash of the workspace sources ([`cache`]). Each completed row is
+//! appended as it finishes, so an interrupted computation resumes instead
+//! of restarting; a file whose header does not match is quarantined, not
+//! trusted.
 //!
 //! Scale note: the paper burned four weeks of compute on 28-core machines
 //! with 10 s–3 h search budgets. This harness scales the datasets and the

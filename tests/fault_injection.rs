@@ -173,7 +173,7 @@ fn killed_run_resumes_from_checkpoint_and_recomputes_only_missing_rows() {
     // Second run: resumes from the sidecar. The fault plan panics every
     // cell of rows 0 and 2 — if the runner recomputed them, they would come
     // back Panicked.
-    let resume = Checkpoint::load_rows(&ckpt_path, fp, n, arms.len());
+    let (resume, _) = Checkpoint::load(&ckpt_path, fp, n, arms.len());
     assert_eq!(resume.len(), 2, "checkpointed rows must load");
     let mut plan = FaultPlan::new();
     for a in 0..arms.len() {
