@@ -417,6 +417,46 @@ mod tests {
     }
 
     #[test]
+    fn file_roundtrip_via_save_load() {
+        let scenario = MlScenario {
+            dataset: "compas".into(),
+            model: ModelKind::GaussianNb,
+            hpo: true,
+            utility_f1: false,
+            seed: 42,
+            constraints: ConstraintSet::accuracy_only(0.6, Duration::from_millis(250)),
+        };
+        let m = BenchmarkMatrix {
+            arms: Arm::all(),
+            scenarios: vec![scenario],
+            results: vec![sample_row(0)],
+        };
+        // `save` creates the missing parent directory and leaves no temp file.
+        let dir = temp_path("save-dir");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("m.tsv");
+        save(&path, &m).expect("save");
+        assert!(!path.with_extension("tmp").exists());
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(text, encode(&m).expect("encode"));
+        // Load the file back line by line: the scenario keeps its seed and
+        // every result line decodes to the cell that was saved.
+        let mut lines = text.lines().skip(1);
+        let s: Vec<&str> = lines.next().expect("scenario line").split('\t').collect();
+        assert_eq!((s[0], s[5]), ("S", "42"));
+        let loaded: Vec<CellResult> = lines
+            .map(|l| decode_cell(&l.split('\t').collect::<Vec<_>>()).expect("decode"))
+            .collect();
+        assert_eq!(loaded.len(), m.results[0].len());
+        for (a, b) in m.results[0].iter().zip(&loaded) {
+            assert_eq!((a.status, a.elapsed, a.perf), (b.status, b.elapsed, b.perf));
+            assert_eq!(a.val_distance.to_bits(), b.val_distance.to_bits());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(std::fs::read_to_string(&path).is_err());
+    }
+
+    #[test]
     fn load_quarantines_corrupt_files() {
         let path = temp_path("bad.tsv");
         let qpath = PathBuf::from(format!("{}.quarantined", path.display()));
