@@ -30,6 +30,17 @@ impl BenchVersion {
             BenchVersion::Utility => "utility",
         }
     }
+
+    /// Mixed into the scenario sampler's seed, so each version samples its
+    /// own corpus. DefaultParams and Hpo keep the values they were sampled
+    /// with (their tags' lengths), so their corpora stay as they were.
+    fn salt(&self) -> u64 {
+        match self {
+            BenchVersion::DefaultParams => 7,
+            BenchVersion::Hpo => 3,
+            BenchVersion::Utility => 0x7574_696C,
+        }
+    }
 }
 
 /// Corpus configuration.
@@ -111,7 +122,7 @@ pub fn build_scenarios(cfg: &CorpusConfig, version: BenchVersion) -> Vec<MlScena
         hpo: version != BenchVersion::DefaultParams,
         utility_f1: version == BenchVersion::Utility,
     };
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xC0FFEE ^ version.tag().len() as u64);
+    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xC0FFEE ^ version.salt());
     let mut scenarios = Vec::new();
     let mut id = 0u64;
     for &(name, _) in &cfg.datasets {
@@ -265,6 +276,25 @@ mod tests {
         assert!(u.iter().all(|s| s.hpo && s.utility_f1));
         let d = build_scenarios(&cfg, BenchVersion::DefaultParams);
         assert!(d.iter().all(|s| !s.hpo));
+    }
+
+    /// Apart from the HPO and utility flags each version sets, no two
+    /// versions share a corpus.
+    #[test]
+    fn every_version_samples_its_own_corpus() {
+        let cfg = tiny_cfg();
+        let sampled = |version| -> Vec<String> {
+            build_scenarios(&cfg, version)
+                .into_iter()
+                .map(|s| format!("{:?}", MlScenario { hpo: false, utility_f1: false, ..s }))
+                .collect()
+        };
+        let versions = [BenchVersion::DefaultParams, BenchVersion::Hpo, BenchVersion::Utility];
+        for (i, a) in versions.iter().enumerate() {
+            for b in &versions[i + 1..] {
+                assert_ne!(sampled(*a), sampled(*b), "{a:?} and {b:?}");
+            }
+        }
     }
 
     #[test]

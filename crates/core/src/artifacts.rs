@@ -10,7 +10,7 @@
 //! An entry holds the split's four layers: its rankings (one cell per
 //! kind), its histogram bins, its exact subset measurements (the memo) and
 //! its trained models (the fit store). Every `ScenarioContext` resolves its
-//! split once into a `SplitArtifacts` handle on a private cache by
+//! split once into a [`SplitArtifacts`] handle on a private cache by
 //! default, or on the run's (or the daemon's) shared one.
 //!
 //! **Compute-once cells.** Each ranking kind and the bins own a `OnceLock`
@@ -21,11 +21,14 @@
 //! not compute-once: two workers may race to measure (or fit) one subset,
 //! and both produce the same bits.
 //!
-//! **Two lifetimes in one entry.** Rankings, bins and memo entries live as
-//! long as the cache. Models live while their split is held: the handle
-//! *is* the hold, and the split's models are evicted when its last handle
-//! drops. Every `ScenarioContext` holds its split; the benchmark runner
-//! holds each dataset's split until it records the dataset's last row.
+//! **One lifetime: an entry lives while it is held.** The handle *is* the
+//! hold. The cache's map keeps only a `Weak` to each entry, so when a
+//! split's last handle drops, all four layers go, and the entry removes its
+//! key under the map lock; a later hold starts a fresh entry. Every
+//! `ScenarioContext` holds its split, the benchmark runner holds each
+//! dataset's split from before its ranking warm-up until it records the
+//! dataset's last row, and the daemon holds each split it keeps cached
+//! until it evicts it.
 //!
 //! **Bit-identity.** Sharing is only sound if a shared and a private cache
 //! produce the same values. The stochastic rankings take a seed, so the
@@ -43,7 +46,7 @@ use dfs_rankings::{Ranking, RankingKind};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Locks `m`, recovering from poisoning: every critical section here is a
 /// single map operation, which a panic cannot leave half-done.
@@ -99,17 +102,24 @@ fn slot(kind: RankingKind) -> usize {
 /// arms of a benchmark row (and across rows on the same dataset).
 #[derive(Default)]
 pub struct ArtifactCache {
-    /// One entry per `(dataset, split_fingerprint)`, never removed.
-    splits: Mutex<HashMap<(String, u64), Arc<SplitEntry>>>,
+    /// One entry per held `(dataset, split_fingerprint)`. The map does not
+    /// keep an entry alive: its holds do, and its drop removes its key.
+    splits: Mutex<HashMap<SplitKey, Weak<SplitEntry>>>,
     rankings: Tally,
     bins: Tally,
     memo: Tally,
     fits: Tally,
 }
 
-/// Everything cached for one split.
-#[derive(Default)]
+/// `(dataset, split_fingerprint)`.
+type SplitKey = (String, u64);
+
+/// Everything cached for one split, alive while a [`SplitArtifacts`]
+/// handle holds it.
 struct SplitEntry {
+    /// The cache whose map points here, and the key it points from.
+    cache: Arc<ArtifactCache>,
+    key: SplitKey,
     /// One compute-once cell per [`RankingKind`], by [`slot`].
     rankings: [OnceLock<Arc<Ranking>>; RankingKind::ALL.len()],
     /// Histogram bin sets for the binned tree kernel: bins depend only on
@@ -118,39 +128,32 @@ struct SplitEntry {
     bins: OnceLock<Arc<BinSet>>,
     /// The subset-evaluation memo: exact measurements by [`EvalKey`].
     memo: Mutex<HashMap<EvalKey, Evaluation>>,
-    /// The fit store, emptied when the split's last hold drops.
-    models: Mutex<Models>,
+    /// The fit store.
+    models: Mutex<HashMap<FitKey, Arc<TrainedModel>>>,
 }
 
-/// A split's trained models and the holds that keep them.
-#[derive(Default)]
-struct Models {
-    /// Live [`SplitArtifacts`] handles on the split.
-    holds: usize,
-    fits: HashMap<FitKey, Arc<TrainedModel>>,
+impl Drop for SplitEntry {
+    /// Runs when the split's last handle drops. A `hold` that raced it
+    /// either upgraded first (so this drop is not happening) or, finding
+    /// the count at zero, put a fresh entry under the key, which stays.
+    fn drop(&mut self) {
+        let mut splits = lock(&self.cache.splits);
+        if splits.get(&self.key).is_some_and(|entry| entry.strong_count() == 0) {
+            splits.remove(&self.key);
+        }
+    }
 }
 
 /// One split's entry in an [`ArtifactCache`], resolved once: every
 /// ranking, bin, memo and model request of its holder goes through it.
-/// The handle is a hold on the split's models; they are evicted when the
+/// The handle is a hold on the whole entry; the entry goes when the
 /// split's last handle drops (see [`ArtifactCache::hold`]).
-#[must_use = "a split's models are evicted as soon as its last hold drops"]
-pub(crate) struct SplitArtifacts {
-    cache: Arc<ArtifactCache>,
+#[must_use = "a split's artifacts are dropped as soon as its last hold drops"]
+pub struct SplitArtifacts {
     entry: Arc<SplitEntry>,
     /// Whether this handle has counted its bins request: the bin counters
     /// count one compute or hit per holder, not per fit.
     bins_counted: AtomicBool,
-}
-
-impl Drop for SplitArtifacts {
-    fn drop(&mut self) {
-        let mut models = lock(&self.entry.models);
-        models.holds -= 1;
-        if models.holds == 0 {
-            models.fits = HashMap::new();
-        }
-    }
 }
 
 impl ArtifactCache {
@@ -159,20 +162,30 @@ impl ArtifactCache {
         Self::default()
     }
 
-    /// The entry of `(dataset, split_key)`, created empty on first use.
-    fn entry(&self, dataset: &str, split_key: u64) -> Arc<SplitEntry> {
-        Arc::clone(lock(&self.splits).entry((dataset.to_string(), split_key)).or_default())
-    }
-
     /// Holds `(dataset, split_key)` until the returned handle drops, and
-    /// serves the split's artifacts through it. Models are stored only
-    /// through a handle, and a split's models are evicted when its last
-    /// handle drops: a store that kept every model of a run would grow
-    /// with the run.
-    pub(crate) fn hold(self: &Arc<Self>, dataset: &str, split_key: u64) -> SplitArtifacts {
-        let entry = self.entry(dataset, split_key);
-        lock(&entry.models).holds += 1;
-        SplitArtifacts { cache: Arc::clone(self), entry, bins_counted: AtomicBool::new(false) }
+    /// serves the split's artifacts through it: the split's existing entry
+    /// while another handle holds it, else a fresh one. When the last
+    /// handle drops, the entry and everything in it go, so a cache whose
+    /// holders come and go does not grow with them.
+    pub fn hold(self: &Arc<Self>, dataset: &str, split_key: u64) -> SplitArtifacts {
+        let key = (dataset.to_string(), split_key);
+        let mut splits = lock(&self.splits);
+        let entry = match splits.get(&key).and_then(Weak::upgrade) {
+            Some(entry) => entry,
+            None => {
+                let entry = Arc::new(SplitEntry {
+                    cache: Arc::clone(self),
+                    key: key.clone(),
+                    rankings: Default::default(),
+                    bins: OnceLock::new(),
+                    memo: Mutex::default(),
+                    models: Mutex::default(),
+                });
+                splits.insert(key, Arc::downgrade(&entry));
+                entry
+            }
+        };
+        SplitArtifacts { entry, bins_counted: AtomicBool::new(false) }
     }
 
     /// `(computes, hits)` so far.
@@ -201,57 +214,58 @@ impl ArtifactCache {
     /// `(held splits, stored models)` right now.
     #[cfg(test)]
     pub(crate) fn fit_store_size(&self) -> (usize, usize) {
-        lock(&self.splits).values().fold((0, 0), |(held, stored), entry| {
-            let models = lock(&entry.models);
-            (held + usize::from(models.holds > 0), stored + models.fits.len())
-        })
+        // The upgraded entries drop after the map lock is released: if one
+        // is an entry's last reference, its drop takes that lock.
+        let held: Vec<Arc<SplitEntry>> =
+            lock(&self.splits).values().filter_map(Weak::upgrade).collect();
+        let stored = held.iter().map(|entry| lock(&entry.models).len()).sum();
+        (held.len(), stored)
     }
+}
 
-    /// Precomputes the rankings of `kinds` for every `(dataset, split)` in
-    /// `splits` through a shared [`Executor`], so the benchmark's ranking
-    /// arms all hit the cache instead of serializing on the first request.
-    ///
-    /// The work is one flat queue of `(dataset, kind)` jobs, one per cell
-    /// still empty, drawn by every thread of the pool. Jobs are queued
-    /// heaviest kind first ([`RankingKind::BY_COST`]), so the queue ends in
-    /// short jobs and no thread idles behind another's last MCFS. Each job
-    /// fills its cell with the same [`ranking_seed`] as an on-demand
-    /// request, so warming changes only *when* a ranking is computed, never
-    /// its value; it counts one compute per job.
-    ///
-    /// [`Executor`]: dfs_exec::Executor
-    pub fn warm_rankings(
-        &self,
-        splits: &[(&str, &Split)],
-        kinds: &[RankingKind],
-        exec: &dfs_exec::Executor,
-    ) {
-        let entries: Vec<Arc<SplitEntry>> =
-            splits.iter().map(|(dataset, split)| self.entry(dataset, split_fingerprint(split))).collect();
-        let mut jobs: Vec<(usize, RankingKind)> = Vec::new();
-        for kind in RankingKind::BY_COST.into_iter().filter(|k| kinds.contains(k)) {
-            for (d, entry) in entries.iter().enumerate() {
-                if entry.rankings[slot(kind)].get().is_none() {
-                    jobs.push((d, kind));
-                }
+/// Precomputes the rankings of `kinds` for every held split in `splits`
+/// through a shared [`Executor`], so the benchmark's ranking arms all hit
+/// the cache instead of serializing on the first request. The cells are
+/// filled through the holds, so they stay for as long as the caller holds
+/// the splits.
+///
+/// The work is one flat queue of `(split, kind)` jobs, one per cell still
+/// empty, drawn by every thread of the pool. Jobs are queued heaviest kind
+/// first ([`RankingKind::BY_COST`]), so the queue ends in short jobs and no
+/// thread idles behind another's last MCFS. Each job fills its cell with
+/// the same [`ranking_seed`] as an on-demand request, so warming changes
+/// only *when* a ranking is computed, never its value; it counts one
+/// compute per job.
+///
+/// [`Executor`]: dfs_exec::Executor
+pub(crate) fn warm_rankings(
+    splits: &[(&SplitArtifacts, &Split)],
+    kinds: &[RankingKind],
+    exec: &dfs_exec::Executor,
+) {
+    let mut jobs: Vec<(usize, RankingKind)> = Vec::new();
+    for kind in RankingKind::BY_COST.into_iter().filter(|k| kinds.contains(k)) {
+        for (d, (held, _)) in splits.iter().enumerate() {
+            if held.entry.rankings[slot(kind)].get().is_none() {
+                jobs.push((d, kind));
             }
         }
-        let traces = exec.par_map_indexed(&jobs, |_, &(d, kind)| {
-            let (dataset, split) = splits[d];
-            // Each job records into its own scoped collector (a no-op when
-            // tracing is off); absorption below happens in queue order,
-            // keeping the trace deterministic at any thread count.
-            dfs_obs::scoped(|| {
-                compute_once(&entries[d].rankings[slot(kind)], &self.rankings, || {
-                    let _g = dfs_obs::span(format!("ranking.compute.{}", kind.name()));
-                    kind.compute(&split.train.x, &split.train.y, ranking_seed(dataset, kind))
-                });
-            })
-            .1
-        });
-        for trace in traces.into_iter().flatten() {
-            dfs_obs::absorb(trace);
-        }
+    }
+    let traces = exec.par_map_indexed(&jobs, |_, &(d, kind)| {
+        let (held, split) = splits[d];
+        // Each job records into its own scoped collector (a no-op when
+        // tracing is off); absorption below happens in queue order,
+        // keeping the trace deterministic at any thread count.
+        dfs_obs::scoped(|| {
+            held.ranking(kind, || {
+                let _g = dfs_obs::span(format!("ranking.compute.{}", kind.name()));
+                kind.compute(&split.train.x, &split.train.y, ranking_seed(&held.entry.key.0, kind))
+            });
+        })
+        .1
+    });
+    for trace in traces.into_iter().flatten() {
+        dfs_obs::absorb(trace);
     }
 }
 
@@ -266,7 +280,7 @@ impl SplitArtifacts {
         kind: RankingKind,
         compute: impl FnOnce() -> Ranking,
     ) -> (Arc<Ranking>, bool) {
-        compute_once(&self.entry.rankings[slot(kind)], &self.cache.rankings, compute)
+        compute_once(&self.entry.rankings[slot(kind)], &self.entry.cache.rankings, compute)
     }
 
     /// The split's histogram [`BinSet`], derived via `derive` on the first
@@ -287,7 +301,7 @@ impl SplitArtifacts {
             Arc::new(derive())
         });
         if !self.bins_counted.swap(true, Ordering::Relaxed) {
-            self.cache.bins.count(!derived);
+            self.entry.cache.bins.count(!derived);
             dfs_obs::counter(if derived { "bins.derive" } else { "bins.hit" }, 1);
         }
         bins
@@ -314,7 +328,7 @@ impl SplitArtifacts {
     /// work is bounded and harmless.
     pub(crate) fn memo_lookup(&self, key: &EvalKey) -> Option<Evaluation> {
         let found = lock(&self.entry.memo).get(key).copied();
-        self.cache.memo.count(found.is_some());
+        self.entry.cache.memo.count(found.is_some());
         dfs_obs::counter(if found.is_some() { "memo.hit" } else { "memo.miss" }, 1);
         found
     }
@@ -326,13 +340,13 @@ impl SplitArtifacts {
     pub(crate) fn memo_insert(&self, key: EvalKey, eval: Evaluation) {
         if let Entry::Vacant(slot) = lock(&self.entry.memo).entry(key) {
             slot.insert(eval);
-            self.cache.memo.inserts.fetch_add(1, Ordering::Relaxed);
+            self.entry.cache.memo.inserts.fetch_add(1, Ordering::Relaxed);
             dfs_obs::counter("memo.insert", 1);
         }
     }
 
     /// Returns the model stored under `key`, else fits it via `fit` and
-    /// stores it until the split's last hold drops. Counts a hit or a miss.
+    /// stores it in the split's entry. Counts a hit or a miss.
     ///
     /// A fit is a pure function of its split and its [`FitKey`]: the
     /// train-row cap, the model, the HPO flag, the subset and, for a DP
@@ -347,16 +361,16 @@ impl SplitArtifacts {
         key: FitKey,
         fit: impl FnOnce() -> TrainedModel,
     ) -> Arc<TrainedModel> {
-        let found = lock(&self.entry.models).fits.get(&key).cloned();
-        self.cache.fits.count(found.is_some());
+        let found = lock(&self.entry.models).get(&key).cloned();
+        self.entry.cache.fits.count(found.is_some());
         if let Some(model) = found {
             dfs_obs::counter("fit.reused", 1);
             return model;
         }
         let model = Arc::new(fit());
-        if let Entry::Vacant(slot) = lock(&self.entry.models).fits.entry(key) {
+        if let Entry::Vacant(slot) = lock(&self.entry.models).entry(key) {
             slot.insert(Arc::clone(&model));
-            self.cache.fits.inserts.fetch_add(1, Ordering::Relaxed);
+            self.entry.cache.fits.inserts.fetch_add(1, Ordering::Relaxed);
         }
         model
     }
@@ -466,9 +480,10 @@ mod tests {
     fn distinct_keys_do_not_collide() {
         let cache = Arc::new(ArtifactCache::new());
         let mk = || Ranking::from_scores(vec![1.0, 2.0]);
-        assert!(!cache.hold("ds", 1).ranking(RankingKind::Chi2, mk).1);
+        let held = cache.hold("ds", 1);
+        assert!(!held.ranking(RankingKind::Chi2, mk).1);
         // Different kind, split, or dataset each miss.
-        assert!(!cache.hold("ds", 1).ranking(RankingKind::Mim, mk).1);
+        assert!(!held.ranking(RankingKind::Mim, mk).1);
         assert!(!cache.hold("ds", 2).ranking(RankingKind::Chi2, mk).1);
         assert!(!cache.hold("other", 1).ranking(RankingKind::Chi2, mk).1);
         assert_eq!(cache.counts(), (4, 0));
@@ -514,13 +529,16 @@ mod tests {
         for threads in [1, 4] {
             let warmed = Arc::new(ArtifactCache::new());
             let exec = dfs_exec::Executor::new(threads);
-            warmed.warm_rankings(&splits, &kinds, &exec);
+            let holds = splits.map(|(name, split)| warmed.hold(name, split_fingerprint(split)));
+            let held = [(&holds[0], splits[0].1), (&holds[1], splits[1].1)];
+            warm_rankings(&held, &kinds, &exec);
             assert_eq!(warmed.counts(), (8, 0));
             // Re-warming is a no-op.
-            warmed.warm_rankings(&splits, &kinds, &exec);
+            warm_rankings(&held, &kinds, &exec);
             assert_eq!(warmed.counts(), (8, 0));
 
             for (name, split) in splits {
+                // Another hold on a warmed split reads its cells.
                 let held = warmed.hold(name, split_fingerprint(split));
                 for kind in kinds {
                     let on_demand =
@@ -544,7 +562,7 @@ mod tests {
             held.ranking(RankingKind::Chi2, || Ranking::from_scores(vec![0.0; split.n_features()]));
         assert!(!hit);
         let kinds = [RankingKind::Chi2, RankingKind::Fisher];
-        cache.warm_rankings(&[(&ds.name, &split)], &kinds, &dfs_exec::Executor::new(2));
+        warm_rankings(&[(&held, &split)], &kinds, &dfs_exec::Executor::new(2));
         // Chi2 kept its on-demand value; only Fisher was computed.
         assert_eq!(cache.counts(), (2, 0));
         let (chi2, _) = held.ranking(RankingKind::Chi2, || panic!("filled cell must not recompute"));
@@ -565,6 +583,8 @@ mod tests {
         let (release_tx, release_rx) = channel::<()>();
         let (b_done_tx, b_done_rx) = channel();
         let kind = RankingKind::Mcfs;
+        // Keeps A's entry while the requests come and go.
+        let _a = cache.hold("a", 1);
         std::thread::scope(|scope| {
             let first_a = scope.spawn(|| {
                 cache.hold("a", 1).ranking(kind, move || {
@@ -598,6 +618,8 @@ mod tests {
     fn one_key_computes_once_under_contention() {
         let cache = Arc::new(ArtifactCache::new());
         let computes = AtomicU64::new(0);
+        // Keeps the entry while the requests come and go.
+        let _held = cache.hold("ds", 3);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
@@ -721,12 +743,13 @@ mod tests {
         assert_eq!(cache.memo_counts(), (0, 0, 0));
     }
 
-    /// One entry, two lifetimes: when a split's last hold drops, its
-    /// models leave while its rankings, bins and memo entries stay and are
-    /// served as hits to the next holder. A second split of the same
-    /// dataset (another fingerprint) shares none of the four layers.
+    /// One lifetime: while a split is held, every holder is served its
+    /// rankings, bins, memo entries and models as hits; when its last hold
+    /// drops, all four leave with the key, and the next holder starts cold.
+    /// A second split of the same dataset (another fingerprint) shares none
+    /// of the four layers.
     #[test]
-    fn models_leave_with_the_last_hold_while_rankings_bins_and_memo_stay() {
+    fn every_layer_leaves_with_the_last_hold() {
         let ds = generate(&tiny_spec(), 5);
         let (split, other_split) = (stratified_three_way(&ds, 1), stratified_three_way(&ds, 2));
         let (split_key, other_key) = (split_fingerprint(&split), split_fingerprint(&other_split));
@@ -739,24 +762,32 @@ mod tests {
             held.memo_insert(key(1, false, &[0, 1]), sample_eval(0.6));
             held.model(fit_key(9, &[0, 1]), || spec.fit(&split.train.x, &split.train.y))
         };
+        let all_counts = |cache: &ArtifactCache| {
+            (cache.counts(), cache.bin_counts(), cache.memo_counts(), cache.fit_counts())
+        };
         let cache = Arc::new(ArtifactCache::new());
-        let model = fill(&cache.hold(&ds.name, split_key));
-        assert_eq!(cache.fit_store_size(), (0, 0), "the only hold dropped: the model is gone");
-        assert_eq!(
-            (cache.counts(), cache.bin_counts(), cache.memo_counts(), cache.fit_counts()),
-            ((1, 0), (1, 0), (0, 0, 1), (0, 1, 1))
-        );
+        let first = cache.hold(&ds.name, split_key);
+        let model = fill(&first);
+        let second = cache.hold(&ds.name, split_key);
+        drop(first);
+        assert!(second.ranking(RankingKind::Mim, || panic!("still held")).1);
+        second.bins(|| panic!("still held"));
+        assert_eq!(second.memo_lookup(&key(1, false, &[0, 1])).map(|e| e.f1), Some(0.6));
+        let stored = second.model(fit_key(9, &[0, 1]), || panic!("still held"));
+        assert!(Arc::ptr_eq(&stored, &model));
+        assert_eq!(all_counts(&cache), ((1, 1), (1, 1), (1, 0, 1), (1, 1, 1)));
+        assert_eq!(cache.fit_store_size(), (1, 1));
 
+        drop(second);
+        assert_eq!(cache.fit_store_size(), (0, 0), "the last hold took the entry along");
+        assert!(lock(&cache.splits).is_empty(), "and its key");
         let again = cache.hold(&ds.name, split_key);
-        assert!(again.ranking(RankingKind::Mim, || panic!("rankings stay")).1);
-        again.bins(|| panic!("bins stay"));
-        assert_eq!(again.memo_lookup(&key(1, false, &[0, 1])).map(|e| e.f1), Some(0.6));
+        assert!(!again.ranking(RankingKind::Mim, ranking).1);
+        again.bins(|| BinSet::derive(&split.train.x));
+        assert!(again.memo_lookup(&key(1, false, &[0, 1])).is_none());
         let refit = again.model(fit_key(9, &[0, 1]), || spec.fit(&split.train.x, &split.train.y));
         assert!(!Arc::ptr_eq(&refit, &model), "models leave with the last hold");
-        assert_eq!(
-            (cache.counts(), cache.bin_counts(), cache.memo_counts(), cache.fit_counts()),
-            ((1, 1), (1, 1), (1, 0, 1), (0, 2, 2))
-        );
+        assert_eq!(all_counts(&cache), ((2, 1), (2, 1), (1, 1, 1), (1, 2, 2)));
 
         let other = cache.hold(&ds.name, other_key);
         assert!(!other.ranking(RankingKind::Mim, ranking).1);
@@ -764,11 +795,46 @@ mod tests {
         assert!(!Arc::ptr_eq(&other_bins, again.bins(|| panic!("bins stay"))));
         assert!(other.memo_lookup(&key(1, false, &[0, 1])).is_none());
         other.model(fit_key(9, &[0, 1]), || spec.fit(&other_split.train.x, &other_split.train.y));
-        assert_eq!(
-            (cache.counts(), cache.bin_counts(), cache.memo_counts(), cache.fit_counts()),
-            ((2, 1), (2, 1), (1, 1, 1), (0, 3, 3))
-        );
+        assert_eq!(all_counts(&cache), ((3, 1), (3, 1), (1, 2, 1), (1, 3, 3)));
         assert_eq!(cache.fit_store_size(), (2, 2));
+    }
+
+    /// Holds taken while another handle on the split drops keep the entry:
+    /// the key always points at the entry its live holders share, and
+    /// nothing is left behind once every hold is gone. The threads churn
+    /// holds on one key, so last drops race fresh holds.
+    #[test]
+    fn a_hold_taken_while_another_drops_keeps_its_entry() {
+        let cache = Arc::new(ArtifactCache::new());
+        let current = |held: &SplitArtifacts| {
+            lock(&cache.splits)
+                .get(&held.entry.key)
+                .is_some_and(|entry| std::ptr::eq(entry.as_ptr(), Arc::as_ptr(&held.entry)))
+        };
+        let first = cache.hold("ds", 1);
+        first.memo_insert(key(1, false, &[0]), sample_eval(0.5));
+        let second = cache.hold("ds", 1);
+        drop(first);
+        assert!(current(&second));
+        assert_eq!(second.memo_lookup(&key(1, false, &[0])).map(|e| e.f1), Some(0.5));
+        drop(second);
+        assert!(lock(&cache.splits).is_empty());
+
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (cache, current) = (&cache, &current);
+                scope.spawn(move || {
+                    for i in 0..300 {
+                        let held = cache.hold("ds", 1);
+                        let k = key(t, false, &[i % 8]);
+                        held.memo_insert(k.clone(), sample_eval(0.5));
+                        assert!(current(&held), "thread {t} round {i}: the key left a live entry");
+                        assert!(held.memo_lookup(&k).is_some(), "thread {t} round {i}");
+                    }
+                });
+            }
+        });
+        assert!(lock(&cache.splits).is_empty(), "a dead key stayed behind");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   **per-model** (Table 6) breakdowns, **normalized F1** for the utility
 //!   benchmark, and the **greedy portfolios** of Table 8.
 
-use crate::artifacts::{split_fingerprint, ArtifactCache, SplitArtifacts};
+use crate::artifacts::{split_fingerprint, warm_rankings, ArtifactCache, SplitArtifacts};
 use crate::error::{panic_payload_to_string, DfsError};
 use crate::exec::{env_threads, Executor};
 use crate::fault::{FaultKind, FaultPlan};
@@ -396,42 +396,6 @@ fn run_on(
         .map(|(&i, row)| (i, row))
         .collect();
 
-    // Warm the shared ranking cache before the cells race for it: the
-    // cache's exactly-once semantics would serialize the first arms on the
-    // heavyweight rankings; warming computes them all up front, as one
-    // queue over every dataset the run still needs.
-    let observing = opts.observer.is_some() && obs::trace_enabled();
-    let warm_depth = observing.then(obs::push_collector);
-    {
-        let _g = obs::span("warm_rankings");
-        let mut kinds: Vec<RankingKind> = Vec::new();
-        for arm in arms {
-            if let Arm::Strategy(StrategyId::TpeRanking(k)) = arm {
-                if !kinds.contains(k) {
-                    kinds.push(*k);
-                }
-            }
-        }
-        let mut datasets: Vec<(&str, &Split)> = Vec::new();
-        for (i, s) in scenarios.iter().enumerate() {
-            let name = s.dataset.as_str();
-            if resumed.contains_key(&i) || datasets.iter().any(|(d, _)| *d == name) {
-                continue;
-            }
-            if let Some(split) = shared_splits.get(name) {
-                datasets.push((name, split.as_ref()));
-            }
-        }
-        if !kinds.is_empty() {
-            artifacts.warm_rankings(&datasets, &kinds, &exec);
-        }
-    }
-    if let (Some(observer), Some(depth)) = (opts.observer, warm_depth) {
-        if let Some(c) = obs::take_collector(depth) {
-            observer.absorb_run(c);
-        }
-    }
-
     // The rows the workers run; a row whose dataset has no split is
     // recorded by the watchdog without one.
     let mut work = Vec::new();
@@ -452,14 +416,48 @@ fn run_on(
         }
     }
     // One hold per dataset that still has rows: every scenario on a split
-    // reuses the split's models until the watchdog records its last row.
+    // reuses the split's rankings, memo and models until the watchdog
+    // records its last row. The warm-up below fills the cells through
+    // these holds, in the order the datasets' first rows appear.
     let mut holds: HashMap<String, (usize, SplitArtifacts)> = HashMap::new();
+    let mut warm_order: Vec<(&str, &Split)> = Vec::new();
     for job in &work {
         let dataset = &job.scenario.dataset;
         holds
             .entry(dataset.clone())
-            .or_insert_with(|| (0, artifacts.hold(dataset, split_fingerprint(&job.split))))
+            .or_insert_with(|| {
+                warm_order.push((dataset, &job.split));
+                (0, artifacts.hold(dataset, split_fingerprint(&job.split)))
+            })
             .0 += 1;
+    }
+
+    // Warm the shared ranking cache before the cells race for it: the
+    // cache's exactly-once semantics would serialize the first arms on the
+    // heavyweight rankings; warming computes them all up front, as one
+    // queue over every dataset the run still needs.
+    let observing = opts.observer.is_some() && obs::trace_enabled();
+    let warm_depth = observing.then(obs::push_collector);
+    {
+        let _g = obs::span("warm_rankings");
+        let mut kinds: Vec<RankingKind> = Vec::new();
+        for arm in arms {
+            if let Arm::Strategy(StrategyId::TpeRanking(k)) = arm {
+                if !kinds.contains(k) {
+                    kinds.push(*k);
+                }
+            }
+        }
+        if !kinds.is_empty() {
+            let held: Vec<(&SplitArtifacts, &Split)> =
+                warm_order.iter().map(|&(dataset, split)| (&holds[dataset].1, split)).collect();
+            warm_rankings(&held, &kinds, &exec);
+        }
+    }
+    if let (Some(observer), Some(depth)) = (opts.observer, warm_depth) {
+        if let Some(c) = obs::take_collector(depth) {
+            observer.absorb_run(c);
+        }
     }
     let workers = outer.min(work.len());
     // The workers' permits, held for the run: a nested loop sees the

@@ -259,7 +259,7 @@ pub struct ScenarioContext<'a> {
     /// This split's rankings, bins, subset-evaluation memo and fit store,
     /// in a cache private to this context unless
     /// [`ScenarioContext::with_artifacts`] shares one. The handle holds the
-    /// split: its models stay stored at least as long as the context.
+    /// split: its entry stays at least as long as the context.
     artifacts: SplitArtifacts,
     /// [`settings_fingerprint`] of this context's configuration — part of
     /// every memo key, so a context rebuilt with different settings can
@@ -1757,13 +1757,14 @@ mod tests {
             let exec = Arc::new(Executor::new(width));
             let prepared = || {
                 let artifacts = Arc::new(ArtifactCache::new());
-                ScenarioContext::new(&sc, &split, &settings)
+                // `ctx` holds the split, so the warm-up's memo entry stays.
+                let mut ctx = ScenarioContext::new(&sc, &split, &settings)
                     .with_artifacts(Arc::clone(&artifacts))
+                    .with_executor(Arc::clone(&exec));
+                ScenarioContext::new(&sc, &split, &settings)
+                    .with_artifacts(artifacts)
                     .evaluate(&[4], None)
                     .expect("warm-up");
-                let mut ctx = ScenarioContext::new(&sc, &split, &settings)
-                    .with_artifacts(artifacts)
-                    .with_executor(Arc::clone(&exec));
                 ctx.evaluate(&[0, 1], None).expect("exact entry");
                 ctx.evaluate(&[2, 3], Some(0.0)).expect("bounded entry");
                 assert_eq!(ctx.perf().bound_skips, 1, "[2, 3] must be left bounded");
@@ -2131,6 +2132,8 @@ mod tests {
         assert!(split.train.n_rows() > settings.max_train_rows);
         let subsets = [vec![2], vec![5, 0, 3, 1], (0..d).rev().step_by(2).collect::<Vec<_>>()];
         let artifacts = Arc::new(ArtifactCache::new());
+        // Holds the split across the contexts, so they share one bin set.
+        let _hold = artifacts.hold("tiny", split_fingerprint(&split));
         for model in [
             ModelKind::LogisticRegression,
             ModelKind::GaussianNb,

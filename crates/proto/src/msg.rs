@@ -390,6 +390,12 @@ pub struct ServerStats {
     pub ranking_computes: u64,
     /// Rankings served from the warm artifact cache.
     pub ranking_hits: u64,
+    /// Splits in the engine's cache.
+    pub cache_entries: u64,
+    /// Bytes charged for them (matrix and label bytes).
+    pub cache_bytes: u64,
+    /// Splits evicted from the cache past its byte budget.
+    pub cache_evictions: u64,
     /// Per-request latency histogram, `Histogram::encode_sparse` wire
     /// form (`"count;sum;i:c,..."`, nanoseconds). Empty from peers that
     /// predate tail reporting.
@@ -410,16 +416,21 @@ impl ServerStats {
             ("malformed", Json::Num(self.malformed as f64)),
             ("ranking_computes", Json::Num(self.ranking_computes as f64)),
             ("ranking_hits", Json::Num(self.ranking_hits as f64)),
+            ("cache_entries", Json::Num(self.cache_entries as f64)),
+            ("cache_bytes", Json::Num(self.cache_bytes as f64)),
+            ("cache_evictions", Json::Num(self.cache_evictions as f64)),
             ("latency_hist", Json::Str(self.latency_hist.clone())),
             ("queue_hist", Json::Str(self.queue_hist.clone())),
         ])
     }
 
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        // Hist fields default to empty so stats from older peers decode.
+        // Hist fields default to empty and cache counters to 0 so stats
+        // from older peers decode.
         let opt_hist = |key: &str| -> String {
             j.get(key).and_then(|v| v.as_str()).unwrap_or("").to_string()
         };
+        let opt_count = |key: &str| if j.get(key).is_some() { need_u64(j, key) } else { Ok(0) };
         Ok(Self {
             connections: need_u64(j, "connections")?,
             served: need_u64(j, "served")?,
@@ -430,6 +441,9 @@ impl ServerStats {
             malformed: need_u64(j, "malformed")?,
             ranking_computes: need_u64(j, "ranking_computes")?,
             ranking_hits: need_u64(j, "ranking_hits")?,
+            cache_entries: opt_count("cache_entries")?,
+            cache_bytes: opt_count("cache_bytes")?,
+            cache_evictions: opt_count("cache_evictions")?,
             latency_hist: opt_hist("latency_hist"),
             queue_hist: opt_hist("queue_hist"),
         })
@@ -580,6 +594,27 @@ mod tests {
             let back = Response::decode(&resp.encode()).expect("decode");
             assert_eq!(back, resp);
         }
+    }
+
+    #[test]
+    fn stats_carry_cache_counters_and_older_peers_read_zero() {
+        let stats = ServerStats {
+            served: 4,
+            cache_entries: 2,
+            cache_bytes: 1 << 20,
+            cache_evictions: 9,
+            ..Default::default()
+        };
+        let back = Response::decode(&Response::Stats(stats.clone()).encode()).expect("decode");
+        assert_eq!(back, Response::Stats(stats));
+        // A peer that predates the cache counters sends none.
+        let mut older = ServerStats { served: 4, ..Default::default() }.to_json().to_string();
+        for key in ["cache_entries", "cache_bytes", "cache_evictions"] {
+            older = older.replace(&format!("\"{key}\":0,"), "");
+        }
+        assert!(!older.contains("cache_"), "{older}");
+        let back = Response::decode(format!("{{\"type\":\"stats\",\"stats\":{older}}}").as_bytes());
+        assert_eq!(back, Ok(Response::Stats(ServerStats { served: 4, ..Default::default() })));
     }
 
     #[test]

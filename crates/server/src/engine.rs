@@ -1,28 +1,34 @@
 //! The query engine: spec → scenario → `run_dfs_with_exec`, with warm
 //! caches shared across requests.
 //!
-//! Two caches make the daemon faster than one-shot CLI runs:
+//! The engine keeps one cache, an LRU map from `(dataset, rows, seed)` to
+//! a `Prepared` split. Generating a synthetic dataset and its stratified
+//! three-way split is deterministic in that key, so the first request
+//! pays and every later request reuses the split. The entry also holds
+//! the split's entry in the shared [`ArtifactCache`]: its rankings
+//! (arm-independent seeds), its subset measurements keyed `(settings
+//! fingerprint, eval leg, subset)` and its trained models. Requests from
+//! different connections warm each other, and a repeated or overlapping
+//! query skips the model fits the first one already paid, without
+//! changing any result bit (DESIGN.md § 4h).
 //!
-//! - **Prepared datasets/splits** — generating a synthetic dataset and its
-//!   stratified three-way split is deterministic in `(name, rows, seed)`,
-//!   so the first request pays and every later request reuses the `Arc`.
-//! - **The shared [`ArtifactCache`]** — one entry per `(dataset, split
-//!   fingerprint)` holds the split's rankings (arm-independent seeds) and
-//!   its whole subset measurements, keyed `(settings fingerprint, eval
-//!   leg, subset)`. Requests from different connections warm each other,
-//!   and a repeated or overlapping query skips the model fits the first
-//!   one already paid, without changing any result bit (DESIGN.md § 4h).
+//! **One byte budget.** Each entry is charged its split's matrix and label
+//! bytes; past the budget the least recently used entries are evicted
+//! until the charge fits or only the newest is left. Evicting drops the
+//! engine's hold and its copy of the split: a query still running on it
+//! keeps its own, and a later request regenerates the split and answers
+//! bit for bit the same.
 //!
 //! Every query cell runs on the server's pinned [`Executor`] permit pool:
 //! results are bit-identical for any pool width, so the chaos suite can
 //! compare a 1-thread and a 4-thread server fingerprint-for-fingerprint.
 
+use dfs_core::artifacts::{split_fingerprint, SplitArtifacts};
 use dfs_core::prelude::*;
 use dfs_core::switching::{run_with_switching, SwitchConfig};
 use dfs_core::workflow::run_dfs_with_exec;
 use dfs_data::split::{stratified_three_way, Split};
 use dfs_data::synthetic::{generate, spec_by_name};
-use dfs_data::Dataset;
 use dfs_proto::{ErrorCode, QueryResult, QuerySpec, WireError};
 use dfs_rankings::RankingKind;
 use std::collections::HashMap;
@@ -73,30 +79,111 @@ pub fn parse_model(s: &str) -> Result<ModelKind, String> {
     }
 }
 
-/// A generated dataset plus its deterministic three-way split.
-pub struct Prepared {
-    pub dataset: Dataset,
-    pub split: Split,
+/// The default [`Engine`] cache budget: 64 MiB, about six of the largest
+/// corpus splits (8000 × 160) or about 1500 storm-size ones.
+pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
+
+/// One cached split: its only copy, and the hold that keeps its artifacts.
+struct Prepared {
+    /// The generated dataset's name, which keys its artifacts.
+    name: String,
+    split: Arc<Split>,
+    _artifacts: SplitArtifacts,
+    /// [`split_bytes`] of `split`.
+    bytes: usize,
+    /// The [`SplitCache`] tick of the entry's last use.
+    used: u64,
 }
 
 type SplitKey = (String, u64, u64);
+
+/// The bytes a cached split is charged: its three parts' feature matrices
+/// and their label and protected-group vectors.
+fn split_bytes(split: &Split) -> usize {
+    [&split.train, &split.val, &split.test]
+        .iter()
+        .map(|part| std::mem::size_of_val(part.x.as_slice()) + part.y.len() + part.protected.len())
+        .sum()
+}
+
+/// The engine's split cache, least recently used first out.
+struct SplitCache {
+    entries: HashMap<SplitKey, Prepared>,
+    /// Counts uses; an entry's `used` is the tick of its last one.
+    tick: u64,
+    /// Sum of the entries' `bytes`.
+    bytes: usize,
+    budget: usize,
+    evictions: u64,
+}
+
+impl SplitCache {
+    /// The entry under `key`, marked used.
+    fn get(&mut self, key: &SplitKey) -> Option<(String, Arc<Split>)> {
+        let entry = self.entries.get_mut(key)?;
+        self.tick += 1;
+        entry.used = self.tick;
+        Some((entry.name.clone(), Arc::clone(&entry.split)))
+    }
+
+    /// Inserts `entry` under `key` unless a racing request got there
+    /// first, and returns the entry now cached with the entries to drop
+    /// (evicted ones, or the racing loser) for the caller to drop outside
+    /// the lock.
+    fn insert(
+        &mut self,
+        key: SplitKey,
+        mut entry: Prepared,
+    ) -> ((String, Arc<Split>), Vec<Prepared>) {
+        if let Some(cached) = self.get(&key) {
+            return (cached, vec![entry]);
+        }
+        self.tick += 1;
+        entry.used = self.tick;
+        let cached = (entry.name.clone(), Arc::clone(&entry.split));
+        self.bytes += entry.bytes;
+        self.entries.insert(key, entry);
+        let mut evicted = Vec::new();
+        // The new entry is the most recently used, so it is never first out.
+        while self.bytes > self.budget && self.entries.len() > 1 {
+            let oldest = self.entries.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| k.clone());
+            let Some(entry) = oldest.and_then(|k| self.entries.remove(&k)) else { break };
+            self.bytes -= entry.bytes;
+            self.evictions += 1;
+            evicted.push(entry);
+        }
+        (cached, evicted)
+    }
+}
 
 /// Warm, shared execution state for all requests.
 pub struct Engine {
     exec: Arc<Executor>,
     artifacts: Arc<ArtifactCache>,
-    splits: Mutex<HashMap<SplitKey, Arc<Prepared>>>,
+    splits: Mutex<SplitCache>,
     base_settings: ScenarioSettings,
 }
 
 impl Engine {
     /// An engine whose query cells run on a pinned permit pool of
-    /// `threads` (determinism contract: results do not depend on this).
+    /// `threads` (determinism contract: results do not depend on this),
+    /// with the default cache budget.
     pub fn new(threads: usize) -> Self {
+        Self::with_cache_bytes(threads, DEFAULT_CACHE_BYTES)
+    }
+
+    /// [`Engine::new`] with a split cache of `cache_bytes`.
+    pub fn with_cache_bytes(threads: usize, cache_bytes: usize) -> Self {
         Self {
             exec: Arc::new(Executor::new(threads)),
             artifacts: Arc::new(ArtifactCache::new()),
-            splits: Mutex::new(HashMap::new()),
+            splits: Mutex::new(SplitCache {
+                entries: HashMap::new(),
+                tick: 0,
+                bytes: 0,
+                budget: cache_bytes,
+                evictions: 0,
+            }),
             base_settings: ScenarioSettings::default_bench(),
         }
     }
@@ -112,7 +199,14 @@ impl Engine {
         self.artifacts.memo_counts()
     }
 
-    fn splits_lock(&self) -> MutexGuard<'_, HashMap<SplitKey, Arc<Prepared>>> {
+    /// (cached splits, bytes charged for them, evictions so far) of the
+    /// split cache.
+    pub fn cache_counts(&self) -> (u64, u64, u64) {
+        let cache = self.splits_lock();
+        (cache.entries.len() as u64, cache.bytes as u64, cache.evictions)
+    }
+
+    fn splits_lock(&self) -> MutexGuard<'_, SplitCache> {
         self.splits.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
@@ -131,11 +225,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Returns the prepared dataset+split for a spec, generating on miss.
-    fn prepared(&self, spec: &QuerySpec) -> Result<Arc<Prepared>, WireError> {
+    /// The dataset name and split of a spec, generated on a miss.
+    fn prepared(&self, spec: &QuerySpec) -> Result<(String, Arc<Split>), WireError> {
         let key: SplitKey = (spec.dataset.clone(), spec.rows.unwrap_or(0), spec.seed);
         if let Some(hit) = self.splits_lock().get(&key) {
-            return Ok(Arc::clone(hit));
+            return Ok(hit);
         }
         let mut dspec = spec_by_name(&spec.dataset).ok_or_else(|| {
             WireError::new(
@@ -147,13 +241,22 @@ impl Engine {
         if let Some(rows) = spec.rows {
             dspec.rows = dspec.rows.min(rows as usize).max(30);
         }
-        let dataset = generate(&dspec, spec.seed);
-        let split = stratified_three_way(&dataset, spec.seed);
-        let prepared = Arc::new(Prepared { dataset, split });
-        // Two racing requests may both generate; identical inputs produce
-        // identical data, so last-write-wins is harmless.
-        self.splits_lock().insert(key, Arc::clone(&prepared));
-        Ok(prepared)
+        // The generated dataset is dropped here: the split is its only
+        // copy the engine keeps.
+        let (name, split) = {
+            let dataset = generate(&dspec, spec.seed);
+            let split = stratified_three_way(&dataset, spec.seed);
+            (dataset.name, split)
+        };
+        let entry = Prepared {
+            _artifacts: self.artifacts.hold(&name, split_fingerprint(&split)),
+            bytes: split_bytes(&split),
+            name,
+            split: Arc::new(split),
+            used: 0,
+        };
+        let (cached, _dropped) = self.splits_lock().insert(key, entry);
+        Ok(cached)
     }
 
     /// Executes a validated query under the given effective budget.
@@ -174,7 +277,7 @@ impl Engine {
         let malformed = |msg: String| WireError::new(spec.req_id, ErrorCode::MalformedQuery, msg);
         let strategy = parse_strategy(&spec.strategy).map_err(&malformed)?;
         let model = parse_model(&spec.model).map_err(&malformed)?;
-        let prepared = self.prepared(spec)?;
+        let (dataset, split) = self.prepared(spec)?;
 
         let constraints = ConstraintSet {
             min_f1: spec.min_f1,
@@ -186,7 +289,7 @@ impl Engine {
         };
         constraints.validate().map_err(|e| malformed(format!("invalid constraints: {e}")))?;
         let scenario = MlScenario {
-            dataset: prepared.dataset.name.clone(),
+            dataset,
             model,
             hpo: spec.hpo,
             constraints,
@@ -200,7 +303,7 @@ impl Engine {
             ResolvedStrategy::Fixed(id) => {
                 let out = run_dfs_with_exec(
                     &scenario,
-                    &prepared.split,
+                    &split,
                     &settings,
                     id,
                     &self.artifacts,
@@ -222,7 +325,7 @@ impl Engine {
             }
             ResolvedStrategy::Auto => {
                 let cfg = SwitchConfig::default();
-                let out = run_with_switching(&scenario, &prepared.split, &settings, &cfg);
+                let out = run_with_switching(&scenario, &split, &settings, &cfg);
                 QueryResult {
                     req_id: spec.req_id,
                     strategy: out.winner.map_or_else(|| "auto".to_string(), |w| w.name()),
@@ -276,13 +379,53 @@ mod tests {
     #[test]
     fn identical_specs_share_one_prepared_split() {
         let e = Engine::new(1);
-        let a = e.prepared(&fast_spec(1)).expect("prepare");
-        let b = e.prepared(&fast_spec(2)).expect("prepare");
+        let (_, a) = e.prepared(&fast_spec(1)).expect("prepare");
+        let (_, b) = e.prepared(&fast_spec(2)).expect("prepare");
         assert!(Arc::ptr_eq(&a, &b), "same (dataset, rows, seed) must hit the cache");
         let mut other = fast_spec(3);
         other.seed = 999;
-        let c = e.prepared(&other).expect("prepare");
+        let (_, c) = e.prepared(&other).expect("prepare");
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    /// The bounded-cache gate: an engine with room for two small splits
+    /// serves shared and fresh seeds, and one split larger than the whole
+    /// budget. Its charge stays exact and within max(budget, largest held
+    /// split), every answer equals a fresh unbounded engine's, and a spec
+    /// asked again after its split was evicted answers the same bits.
+    #[test]
+    fn a_tiny_cache_evicts_within_budget_and_answers_like_an_unbounded_one() {
+        let spec = |req_id: u64, seed: u64, rows: u64| {
+            let mut s = fast_spec(req_id);
+            s.strategy = ["sfs", "rfe", "variance"][req_id as usize % 3].into();
+            s.seed = seed;
+            s.rows = Some(rows);
+            s
+        };
+        let run = |engine: &Engine, q: &QuerySpec| {
+            engine.run(q, Duration::from_secs(600), 12, false).expect("run").fingerprint()
+        };
+        let small = split_bytes(&Engine::new(1).prepared(&spec(0, 13, 120)).expect("prepare").1);
+        let budget = 2 * small + small / 2;
+        let engine = Engine::with_cache_bytes(1, budget);
+        let asks = [(13, 120), (14, 120), (13, 120), (15, 120), (13, 400), (16, 120), (14, 120)];
+        let mut first_answer = None;
+        for (i, &(seed, rows)) in asks.iter().enumerate() {
+            let q = spec(i as u64, seed, rows);
+            let answer = run(&engine, &q);
+            assert_eq!(answer, run(&Engine::new(1), &q), "ask {i}");
+            first_answer.get_or_insert(answer);
+            let cache = engine.splits_lock();
+            let largest = cache.entries.values().map(|e| e.bytes).max().unwrap_or(0);
+            assert_eq!(cache.bytes, cache.entries.values().map(|e| e.bytes).sum::<usize>());
+            assert!(cache.bytes <= budget.max(largest), "ask {i}: {} > {budget}", cache.bytes);
+        }
+        let key = ("compas".to_string(), 120, 13);
+        assert!(!engine.splits_lock().entries.contains_key(&key), "seed 13 was evicted");
+        let (_, _, evictions) = engine.cache_counts();
+        assert_eq!(evictions, 4);
+        assert_eq!(run(&engine, &spec(0, 13, 120)), first_answer.expect("asked"));
+        assert_eq!(engine.cache_counts().2, evictions + 1);
     }
 
     #[test]

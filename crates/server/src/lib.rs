@@ -31,9 +31,10 @@
 //!   [`ServerHold`] parks a request's worker until the test releases it,
 //!   so tests order in-flight and queued work without sleeping.
 //!
-//! Warm state (prepared splits, the shared `ArtifactCache`) lives in
-//! [`engine::Engine`]; results are bit-identical for any executor width
-//! and any cache temperature.
+//! Warm state (cached splits, each holding its entry in the shared
+//! `ArtifactCache`, under one byte budget) lives in [`engine::Engine`];
+//! results are bit-identical for any executor width and any cache
+//! temperature.
 
 pub mod engine;
 pub mod queue;
@@ -88,6 +89,9 @@ pub struct ServerConfig {
     /// Per-connection write timeout (a stuck client cannot wedge a
     /// handler).
     pub write_timeout: Duration,
+    /// Byte budget of the engine's split cache; past it the least
+    /// recently used splits are evicted (DESIGN.md § 4g).
+    pub cache_bytes: usize,
     /// Where to flush the stats sidecar on drain (atomic tmp+rename).
     pub sidecar: Option<PathBuf>,
     /// Deterministic server-side fault injection, keyed by request id.
@@ -108,6 +112,7 @@ impl Default for ServerConfig {
             deadline_grace: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
+            cache_bytes: engine::DEFAULT_CACHE_BYTES,
             sidecar: None,
             chaos: ServerFaultPlan::new(),
         }
@@ -163,7 +168,13 @@ impl Shared {
 
     fn snapshot(&self) -> ServerStats {
         let (computes, hits) = self.engine.ranking_counts();
-        self.stats.snapshot(computes, hits)
+        let (cache_entries, cache_bytes, cache_evictions) = self.engine.cache_counts();
+        ServerStats {
+            cache_entries,
+            cache_bytes,
+            cache_evictions,
+            ..self.stats.snapshot(computes, hits)
+        }
     }
 }
 
@@ -201,7 +212,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_depth),
             stats: Stats::default(),
-            engine: Engine::new(cfg.threads),
+            engine: Engine::with_cache_bytes(cfg.threads, cfg.cache_bytes),
             chaos: Mutex::new(chaos),
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
@@ -375,10 +386,11 @@ impl Drop for ServerHandle {
 }
 
 /// The stats sidecar: same atomic write discipline as the benchmark
-/// checkpoint (tmp + rename), same tab-separated idiom. v2 appends the
-/// sparse-encoded latency histograms; [`read_sidecar`] still accepts v1.
+/// checkpoint (tmp + rename), same tab-separated idiom. v2 appended the
+/// sparse-encoded latency histograms and v3 the split cache's counters;
+/// [`read_sidecar`] still accepts v1 and v2.
 fn write_sidecar(path: &std::path::Path, stats: &ServerStats) -> io::Result<()> {
-    let mut body = String::from("#dfs-server-stats\tv2\n");
+    let mut body = String::from("#dfs-server-stats\tv3\n");
     for (key, value) in [
         ("connections", stats.connections),
         ("served", stats.served),
@@ -389,6 +401,9 @@ fn write_sidecar(path: &std::path::Path, stats: &ServerStats) -> io::Result<()> 
         ("malformed", stats.malformed),
         ("ranking_computes", stats.ranking_computes),
         ("ranking_hits", stats.ranking_hits),
+        ("cache_entries", stats.cache_entries),
+        ("cache_bytes", stats.cache_bytes),
+        ("cache_evictions", stats.cache_evictions),
     ] {
         body.push_str(&format!("{key}\t{value}\n"));
     }
@@ -400,13 +415,15 @@ fn write_sidecar(path: &std::path::Path, stats: &ServerStats) -> io::Result<()> 
 }
 
 /// Parses a sidecar written by `write_sidecar` back into counters.
-/// Accepts v1 (counters only) and v2 (counters + histograms).
+/// Accepts v1 (counters only), v2 (counters + histograms) and v3 (v2 +
+/// cache counters); a counter an older version lacks reads 0.
 pub fn read_sidecar(path: &std::path::Path) -> Result<ServerStats, DfsError> {
     let text = std::fs::read_to_string(path)
         .map_err(|source| DfsError::Io { path: path.to_path_buf(), source })?;
     let mut lines = text.lines();
     let header = lines.next().unwrap_or_default();
-    if header != "#dfs-server-stats\tv1" && header != "#dfs-server-stats\tv2" {
+    let version = header.strip_prefix("#dfs-server-stats\t");
+    if !matches!(version, Some("v1" | "v2" | "v3")) {
         return Err(DfsError::CacheCorrupt {
             path: path.to_path_buf(),
             reason: format!("bad sidecar header '{header}'"),
@@ -450,6 +467,9 @@ pub fn read_sidecar(path: &std::path::Path) -> Result<ServerStats, DfsError> {
             "malformed" => stats.malformed = value,
             "ranking_computes" => stats.ranking_computes = value,
             "ranking_hits" => stats.ranking_hits = value,
+            "cache_entries" => stats.cache_entries = value,
+            "cache_bytes" => stats.cache_bytes = value,
+            "cache_evictions" => stats.cache_evictions = value,
             _ => {}
         }
     }
@@ -981,6 +1001,9 @@ mod tests {
             malformed: 7,
             ranking_computes: 11,
             ranking_hits: 13,
+            cache_entries: 3,
+            cache_bytes: 45_000,
+            cache_evictions: 17,
             latency_hist: "2;3000000;21:1,22:1".into(),
             queue_hist: "1;500;9:1".into(),
         };
@@ -1001,6 +1024,20 @@ mod tests {
         assert_eq!(back.served, 6);
         assert_eq!(back.shed, 2);
         assert_eq!(back.latency_hist, "");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sidecar_accepts_v2_without_cache_counters() {
+        let dir = std::env::temp_dir().join("dfs-server-sidecar-test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("v2.ckpt");
+        std::fs::write(&path, "#dfs-server-stats\tv2\nserved\t6\nlatency_hist\t1;500;9:1\n")
+            .expect("write");
+        let back = read_sidecar(&path).expect("v2 reads");
+        assert_eq!(back.served, 6);
+        assert_eq!(back.latency_hist, "1;500;9:1");
+        assert_eq!((back.cache_entries, back.cache_bytes, back.cache_evictions), (0, 0, 0));
         std::fs::remove_file(&path).ok();
     }
 

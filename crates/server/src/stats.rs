@@ -43,6 +43,8 @@ impl Stats {
             ranking_hits,
             latency_hist: self.latency.snapshot().encode_sparse(),
             queue_hist: self.queue_wait.snapshot().encode_sparse(),
+            // The split cache's counters are the engine's to fill.
+            ..ServerStats::default()
         }
     }
 }

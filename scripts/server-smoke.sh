@@ -10,6 +10,9 @@
 #     the daemon keeps serving (ping + stats still answer)
 #   - SIGTERM produces a graceful drain: exit code 0, a `drained` receipt
 #     on stdout, and a flushed stats sidecar
+#   - a second daemon with `--cache-mb 1`, sent fresh-seed queries, evicts
+#     splits, keeps its charged `cache_bytes` within the budget, and answers
+#     a repeated spec the same across the eviction of its split
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,11 +21,22 @@ BIN=target/release/dfs-repro
 
 OUT=$(mktemp -d)
 SRV=""
+CACHE_SRV=""
 cleanup() {
   [[ -n "$SRV" ]] && kill "$SRV" 2>/dev/null || true
+  [[ -n "$CACHE_SRV" ]] && kill "$CACHE_SRV" 2>/dev/null || true
   rm -rf "$OUT"
 }
 trap cleanup EXIT
+
+# Prints the address a daemon writing its stdout to $1 listens on, once ready.
+await_ready() {
+  for _ in $(seq 1 100); do
+    grep -q '^listening on ' "$1" 2>/dev/null && break
+    sleep 0.1
+  done
+  sed -n 's/^listening on //p' "$1"
+}
 
 export DFS_THREADS="${DFS_THREADS:-4}"
 "$BIN" server --addr 127.0.0.1:0 --workers 2 \
@@ -30,11 +44,7 @@ export DFS_THREADS="${DFS_THREADS:-4}"
   >"$OUT/server.out" 2>"$OUT/server.err" &
 SRV=$!
 
-for _ in $(seq 1 100); do
-  grep -q '^listening on ' "$OUT/server.out" 2>/dev/null && break
-  sleep 0.1
-done
-ADDR=$(sed -n 's/^listening on //p' "$OUT/server.out")
+ADDR=$(await_ready "$OUT/server.out")
 if [[ -z "$ADDR" ]]; then
   echo "FAIL: server never became ready" >&2
   cat "$OUT/server.err" >&2
@@ -73,3 +83,48 @@ fi
 grep -q '"drained":true' "$OUT/server.out"
 head -1 "$OUT/stats.ckpt" | grep -q 'dfs-server-stats'
 echo "server smoke OK: graceful drain, sidecar flushed"
+
+# Bounded cache: a 2500-row compas split is charged 385000 bytes, so a
+# 1 MiB budget holds two. Fresh seeds evict the oldest splits.
+BUDGET=$((1 << 20))
+"$BIN" server --addr 127.0.0.1:0 --workers 1 --cache-mb 1 \
+  >"$OUT/cache.out" 2>"$OUT/cache.err" &
+CACHE_SRV=$!
+CACHE_ADDR=$(await_ready "$OUT/cache.out")
+if [[ -z "$CACHE_ADDR" ]]; then
+  echo "FAIL: --cache-mb 1 server never became ready" >&2
+  cat "$OUT/cache.err" >&2
+  exit 1
+fi
+# The answer to one spec, without its timing and cache-state fields.
+answer() {
+  "$BIN" query --addr "$CACHE_ADDR" --req-id 7 --rows 2500 --seed "$1" \
+    --strategy sfs --min-f1 0.9 --time-ms 2000 --max-evals 10 2>/dev/null |
+    sed -E 's/"(elapsed_ms|model_fits|ranking_computes|ranking_hits)":[0-9]+//g'
+}
+counter() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
+FIRST=$(answer 101)
+for seed in 102 103 104 105; do
+  answer "$seed" >/dev/null
+  BYTES=$("$BIN" query --addr "$CACHE_ADDR" --stats | counter cache_bytes)
+  if (( BYTES > BUDGET )); then
+    echo "FAIL: cache_bytes $BYTES exceeds the $BUDGET-byte budget" >&2
+    exit 1
+  fi
+done
+EVICTIONS=$("$BIN" query --addr "$CACHE_ADDR" --stats | counter cache_evictions)
+if (( EVICTIONS == 0 )); then
+  echo "FAIL: five fresh seeds evicted nothing under --cache-mb 1" >&2
+  exit 1
+fi
+AGAIN=$(answer 101)
+if [[ -z "$FIRST" || "$FIRST" != "$AGAIN" ]]; then
+  echo "FAIL: seed 101 answered differently after its split was evicted" >&2
+  echo "  first: $FIRST" >&2
+  echo "  again: $AGAIN" >&2
+  exit 1
+fi
+kill -TERM "$CACHE_SRV"
+wait "$CACHE_SRV" || true
+CACHE_SRV=""
+echo "bounded cache OK: $EVICTIONS evictions, cache_bytes within $BUDGET, same answer after eviction"

@@ -125,6 +125,8 @@ OPTIONS:
     --default-time-ms <n>    budget when the query omits one [default: 300]
     --default-evals <n>      evaluations when omitted        [default: 60]
     --idle-timeout-ms <n>    drop idle connections     [default: 30000]
+    --cache-mb <n>           split cache budget in MiB; least recently
+                             used splits are evicted past it [default: 64]
     --sidecar <path>         stats checkpoint flushed on drain
     --chaos <req:kind[:ms]>  inject a one-shot server fault for request id
                              <req>; kind is drop | corrupt | panic | stall:<ms>
@@ -510,6 +512,13 @@ fn parse_server_args(args: &[String]) -> Result<ServerConfig, String> {
                     "--idle-timeout-ms",
                 )?)
             }
+            "--cache-mb" => {
+                let mib = num(value(&mut it, "--cache-mb")?, "--cache-mb")?;
+                cfg.cache_bytes = usize::try_from(mib)
+                    .ok()
+                    .and_then(|mib| mib.checked_mul(1 << 20))
+                    .ok_or_else(|| format!("--cache-mb: {mib} MiB is too large"))?;
+            }
             "--sidecar" => cfg.sidecar = Some(value(&mut it, "--sidecar")?.into()),
             "--chaos" => {
                 let (req, kind) = parse_chaos(&value(&mut it, "--chaos")?)?;
@@ -818,7 +827,7 @@ mod tests {
             "--addr 127.0.0.1:0 --workers 3 --threads 2 --queue-depth 5 \
              --quota-time-ms 900 --quota-evals 80 --default-time-ms 100 \
              --default-evals 10 --idle-timeout-ms 750 --sidecar /tmp/s.ckpt \
-             --chaos 7:stall:50 --chaos 9:drop",
+             --cache-mb 3 --chaos 7:stall:50 --chaos 9:drop",
         ))
         .expect("valid server args");
         assert_eq!(cfg.addr, "127.0.0.1:0");
@@ -830,9 +839,11 @@ mod tests {
         assert_eq!(cfg.default_time, Duration::from_millis(100));
         assert_eq!(cfg.default_evals, 10);
         assert_eq!(cfg.idle_timeout, Duration::from_millis(750));
+        assert_eq!(cfg.cache_bytes, 3 << 20);
         assert_eq!(cfg.sidecar.as_deref(), Some(std::path::Path::new("/tmp/s.ckpt")));
         assert_eq!(cfg.chaos.len(), 2);
         assert!(parse_server_args(&argv("--wat 1")).is_err());
+        assert!(parse_server_args(&argv("--cache-mb 18446744073709551615")).is_err());
     }
 
     #[test]

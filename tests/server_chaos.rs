@@ -405,6 +405,40 @@ fn warm_eval_memo_is_reused_across_requests() {
 }
 
 #[test]
+fn repeated_rfe_and_min_safety_requests_refit_nothing() {
+    // RFE ranks by the importances of fitted models, and a Min-Safety
+    // search leaves attack-free lower bounds out of the memo, so their
+    // repeats need the models themselves, not just the measurements. The
+    // daemon keeps each cached split's models with it. Min F1 is out of
+    // reach, so every search runs to its evaluation cap.
+    let mut handle = test_server(ServerFaultPlan::new(), 1);
+    let client = test_client(handle.addr());
+    let cases = [
+        ("rfe", "dt", None),
+        ("rfe", "nb", None),
+        ("sfs", "lr", Some(0.8)),
+        ("sbs", "lr", Some(0.8)),
+    ];
+    for (i, (strategy, model, min_safety)) in cases.into_iter().enumerate() {
+        let spec = |req_id: u64| {
+            let mut spec = fast_spec(req_id, strategy, 13);
+            spec.model = model.into();
+            spec.min_f1 = 0.99;
+            spec.min_safety = min_safety;
+            spec
+        };
+        let req = 31 + 2 * i as u64;
+        let first = client.query(&spec(req)).expect("first query");
+        let mut repeat = client.query(&spec(req + 1)).expect("repeat query");
+        assert!(first.model_fits >= 1, "{strategy} {model}: {first:?}");
+        assert_eq!(repeat.model_fits, 0, "{strategy} {model}: the repeat refit: {repeat:?}");
+        repeat.req_id = first.req_id;
+        assert_eq!(repeat.fingerprint(), first.fingerprint(), "{strategy} {model}");
+    }
+    handle.drain();
+}
+
+#[test]
 fn shutdown_requester_gets_bye_when_the_host_drains_at_once() {
     // The CLI host drains as soon as `shutdown_requested()` turns true.
     // Drain severs every connection with no response pending, so the
