@@ -374,6 +374,34 @@ impl SplitArtifacts {
         }
         model
     }
+
+    /// The bytes the split's entry holds right now: its rankings, its bin
+    /// codes and edges, its memo entries and its stored models' keys and
+    /// parameters. The daemon charges each cached split this on top of
+    /// the split's own bytes.
+    pub fn bytes(&self) -> usize {
+        let entry = &self.entry;
+        let rankings: usize = entry
+            .rankings
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|r| size_of_val(&r.scores[..]) + size_of_val(&r.order[..]))
+            .sum();
+        let bins = entry.bins.get().map_or(0, |b| b.bytes());
+        let memo = {
+            let memo = lock(&entry.memo);
+            // Every key of one split has the same subset width.
+            let width = memo.keys().next().map_or(0, |k| size_of_val(&k.subset[..]));
+            memo.len() * (size_of::<(EvalKey, Evaluation)>() + width)
+        };
+        let models: usize = lock(&entry.models)
+            .iter()
+            .map(|(k, m)| {
+                size_of::<(FitKey, TrainedModel)>() + size_of_val(&k.subset[..]) + m.param_bytes()
+            })
+            .sum();
+        rankings + bins + memo + models
+    }
 }
 
 /// Memo key for one subset measurement within a split (see

@@ -31,6 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One column of the benchmark matrix.
@@ -376,10 +377,6 @@ fn run_on(
     opts: &RunnerOptions<'_>,
 ) -> BenchmarkMatrix {
     let n = scenarios.len();
-    // Row workers are detached threads, and an abandoned one outlives the
-    // run, so everything they read is shared by `Arc`.
-    let shared_splits: HashMap<&str, Arc<Split>> =
-        splits.iter().map(|(k, v)| (k.as_str(), Arc::new(v.clone()))).collect();
 
     // One permit pool for the whole run: the row workers and every inner
     // hot loop draw from it, so the total number of computing threads never
@@ -404,12 +401,15 @@ fn run_on(
         if resumed.contains_key(&row) {
             continue;
         }
-        match shared_splits.get(scenario.dataset.as_str()) {
+        match splits.get(&scenario.dataset) {
             None => missing.push(row),
+            // Row workers are detached threads, and an abandoned one
+            // outlives the run: each job's clone shares the caller's parts
+            // and keeps them alive for as long as a worker reads them.
             Some(split) => work.push(RowJob {
                 row,
                 scenario: scenario.clone(),
-                split: Arc::clone(split),
+                split: split.clone(),
                 deadline: scenario.constraints.max_search_time.mul_f64(opts.deadline_factor)
                     + opts.deadline_grace,
             }),
@@ -514,7 +514,7 @@ struct RowJob {
     /// Index into the matrix.
     row: usize,
     scenario: MlScenario,
-    split: Arc<Split>,
+    split: Split,
     /// The watchdog's hard deadline for each of the row's cells.
     deadline: Duration,
 }
@@ -643,6 +643,10 @@ struct Watchdog<'a> {
     rx: Receiver<Msg>,
     /// Workers by id; `None` once stopped, abandoned or never started.
     workers: Vec<Option<Arc<Worker>>>,
+    /// Worker threads by id, joined when they report their exit: a run
+    /// returns only after every worker it did not abandon has ended and
+    /// released its share of the run's state.
+    threads: Vec<Option<JoinHandle<()>>>,
     spawned: u64,
     /// Cells delivered so far, per work index.
     cells: Vec<Vec<Option<CellResult>>>,
@@ -673,6 +677,7 @@ impl<'a> Watchdog<'a> {
             tx,
             rx,
             workers: Vec::new(),
+            threads: Vec::new(),
             spawned: 0,
             cells: (0..jobs).map(|_| vec![None; arms]).collect(),
             traces: (0..jobs).map(|_| None).collect(),
@@ -720,7 +725,15 @@ impl<'a> Watchdog<'a> {
                     }
                     self.deliver(k, arm, cell);
                 }
-                Ok(Msg::Exit(id)) => self.workers[id] = None,
+                Ok(Msg::Exit(id)) => {
+                    self.workers[id] = None;
+                    // The worker has only its drops left, so this returns
+                    // at once; a panic outside cell isolation leaves its
+                    // row to the skipped-row check below.
+                    if let Some(thread) = self.threads[id].take() {
+                        let _ = thread.join();
+                    }
+                }
                 Err(RecvTimeoutError::Timeout) => self.expire(),
                 // Unreachable: the watchdog holds a sender itself.
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -768,12 +781,14 @@ impl<'a> Watchdog<'a> {
             .name(format!("dfs-row-{id}"))
             .spawn(move || run_worker(&run, &me, &tx, id));
         match started {
-            Ok(_) => {
+            Ok(thread) => {
                 self.workers.push(Some(worker));
+                self.threads.push(Some(thread));
                 self.spawned += 1;
             }
             Err(e) => {
                 self.workers.push(None);
+                self.threads.push(None);
                 obs::warn!("dfs-core", "cannot start a benchmark worker: {e}");
             }
         }
@@ -1537,6 +1552,26 @@ mod tests {
         // The 5 s stall blows the 150 ms watchdog deadline.
         assert_eq!(m.results[2][1].status, CellStatus::TimedOut);
         assert_eq!(m.results[2][0].status, CellStatus::Ok);
+    }
+
+    /// The row jobs share the caller's split parts instead of copying
+    /// them, and every share is released by the time the run returns.
+    #[test]
+    fn a_run_shares_the_callers_splits_and_releases_them() {
+        let mut splits = HashMap::new();
+        splits.insert("tiny".to_string(), tiny_split());
+        let counts = Mutex::new(Vec::new());
+        let sink = |_: usize, _: &[CellResult]| {
+            lock(&counts).push(Arc::strong_count(&splits["tiny"].train));
+        };
+        let scenarios = (0..3).map(|_| real_scenario("tiny", Duration::from_secs(20))).collect();
+        let opts = RunnerOptions { on_row: Some(&sink), ..RunnerOptions::with_threads(2) };
+        let arms = [Arm::Original, Arm::Strategy(StrategyId::Sfs)];
+        run_benchmark_opts(&splits, scenarios, &arms, &ScenarioSettings::fast(), &opts);
+        let counts = counts.into_inner().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(counts.len(), 3);
+        assert!(counts.iter().all(|&n| n > 1), "a deep copy reads 1: {counts:?}");
+        assert_eq!(Arc::strong_count(&splits["tiny"].train), 1, "a share outlived the run");
     }
 
     #[test]

@@ -144,17 +144,6 @@ impl Dataset {
         self.x.ncols()
     }
 
-    /// Projects the dataset onto a feature subset (by column indices).
-    pub fn select_features(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            name: self.name.clone(),
-            x: self.x.select_cols(indices),
-            y: self.y.clone(),
-            protected: self.protected.clone(),
-            feature_names: indices.iter().map(|&i| self.feature_names[i].clone()).collect(),
-        }
-    }
-
     /// Restricts the dataset to a row subset (by instance indices).
     pub fn select_rows(&self, indices: &[usize]) -> Dataset {
         Dataset {
@@ -279,16 +268,6 @@ mod tests {
             protected: vec![true, false, false, false],
             feature_names: vec!["a".into(), "b".into(), "c".into()],
         }
-    }
-
-    #[test]
-    fn select_features_projects() {
-        let d = tiny_dense();
-        let s = d.select_features(&[2, 0]);
-        assert_eq!(s.n_features(), 2);
-        assert_eq!(s.feature_names, vec!["c", "a"]);
-        assert_eq!(s.x.row(0), &[0.5, 0.0]);
-        assert_eq!(s.y, d.y);
     }
 
     #[test]

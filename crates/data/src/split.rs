@@ -7,28 +7,25 @@
 
 use crate::dataset::Dataset;
 use dfs_linalg::rng::{shuffled_indices, Rng};
+use std::sync::Arc;
 
 /// A train/validation/test split of a [`Dataset`].
+///
+/// A cheap handle: cloning shares the three parts, so every holder of a
+/// clone (a run's row workers, the daemon's cache and the queries it
+/// serves) reads one copy of the data, which lives until the last clone
+/// drops.
 #[derive(Debug, Clone)]
 pub struct Split {
     /// 3/5 of the data; models are trained here.
-    pub train: Dataset,
+    pub train: Arc<Dataset>,
     /// 1/5; constraints are checked here during search.
-    pub val: Dataset,
+    pub val: Arc<Dataset>,
     /// 1/5; satisfied scenarios are confirmed here.
-    pub test: Dataset,
+    pub test: Arc<Dataset>,
 }
 
 impl Split {
-    /// Projects all three parts onto a feature subset.
-    pub fn select_features(&self, indices: &[usize]) -> Split {
-        Split {
-            train: self.train.select_features(indices),
-            val: self.val.select_features(indices),
-            test: self.test.select_features(indices),
-        }
-    }
-
     /// Number of features (identical across parts).
     pub fn n_features(&self) -> usize {
         self.train.n_features()
@@ -45,7 +42,7 @@ pub fn stratified_three_way(ds: &Dataset, seed: u64) -> Split {
     else {
         unreachable!("stratified_split returns one part per weight")
     };
-    Split { train, val, test }
+    Split { train: Arc::new(train), val: Arc::new(val), test: Arc::new(test) }
 }
 
 /// Generic stratified split by integer ratio weights.
@@ -196,12 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn select_features_keeps_parts_aligned() {
-        let ds = dataset(60);
-        let s = stratified_three_way(&ds, 5).select_features(&[1]);
-        assert_eq!(s.n_features(), 1);
-        assert_eq!(s.train.feature_names, vec!["b"]);
-        assert_eq!(s.test.n_features(), 1);
+    fn a_clone_shares_the_three_parts() {
+        let s = stratified_three_way(&dataset(60), 5);
+        let c = s.clone();
+        assert!(Arc::ptr_eq(&s.train, &c.train));
+        assert!(Arc::ptr_eq(&s.val, &c.val));
+        assert!(Arc::ptr_eq(&s.test, &c.test));
+        assert_eq!(Arc::strong_count(&s.train), 2);
+        drop(c);
+        assert_eq!(Arc::strong_count(&s.train), 1);
     }
 
     #[test]

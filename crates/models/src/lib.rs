@@ -275,6 +275,22 @@ impl TrainedModel {
             TrainedModel::Nb(m) => m.n_features(),
         }
     }
+
+    /// The bytes of the fitted parameters: the weights and bias, the
+    /// per-class statistics, or the tree's nodes and importances.
+    pub fn param_bytes(&self) -> usize {
+        const F64: usize = size_of::<f64>();
+        match self {
+            TrainedModel::Lr(m) => (m.weights().len() + 1) * F64,
+            TrainedModel::Svm(m) => (m.weights().len() + 1) * F64,
+            // Per class a prior, and per feature a mean, a variance and a
+            // log-normaliser.
+            TrainedModel::Nb(m) => (2 + 6 * m.n_features()) * F64,
+            TrainedModel::Dt(m) => {
+                m.n_nodes() * size_of::<tree::Node>() + m.importances().len() * F64
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -292,7 +308,7 @@ pub(crate) mod tests {
         let split = stratified_three_way(&generate(&spec, 41), 41);
         let rows: Vec<usize> = (0..600.min(split.train.x.nrows())).collect();
         let y_train = rows.iter().map(|&i| split.train.y[i]).collect();
-        (split.train.x.select_rows(&rows), y_train, split.val.x, split.val.y)
+        (split.train.x.select_rows(&rows), y_train, split.val.x.clone(), split.val.y.clone())
     }
 
     fn separable() -> (Matrix, Vec<bool>) {

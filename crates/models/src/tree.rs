@@ -207,6 +207,13 @@ impl BinSet {
         self.n_rows
     }
 
+    /// The bytes the bins hold: one code per source cell and every
+    /// feature's bin edges.
+    pub fn bytes(&self) -> usize {
+        let edges = |f: &FeatureBins| size_of_val(&f.lo[..]) + size_of_val(&f.hi[..]);
+        self.codes.len() + self.feats.iter().map(edges).sum::<usize>()
+    }
+
     /// The bin layout of feature `j`.
     pub fn feature(&self, j: usize) -> &FeatureBins {
         &self.feats[j]

@@ -4,20 +4,22 @@
 //! The engine keeps one cache, an LRU map from `(dataset, rows, seed)` to
 //! a `Prepared` split. Generating a synthetic dataset and its stratified
 //! three-way split is deterministic in that key, so the first request
-//! pays and every later request reuses the split. The entry also holds
-//! the split's entry in the shared [`ArtifactCache`]: its rankings
-//! (arm-independent seeds), its subset measurements keyed `(settings
-//! fingerprint, eval leg, subset)` and its trained models. Requests from
-//! different connections warm each other, and a repeated or overlapping
-//! query skips the model fits the first one already paid, without
-//! changing any result bit (DESIGN.md § 4h).
+//! pays and every later request reuses the split: each query gets a
+//! clone of the entry's `Split` handle, which shares its parts. The entry
+//! also holds the split's entry in the shared [`ArtifactCache`]: its
+//! rankings (arm-independent seeds), its subset measurements keyed
+//! `(settings fingerprint, eval leg, subset)` and its trained models.
+//! Requests from different connections warm each other, and a repeated
+//! or overlapping query skips the model fits the first one already paid,
+//! without changing any result bit (DESIGN.md § 4h).
 //!
 //! **One byte budget.** Each entry is charged its split's matrix and label
-//! bytes; past the budget the least recently used entries are evicted
-//! until the charge fits or only the newest is left. Evicting drops the
-//! engine's hold and its copy of the split: a query still running on it
-//! keeps its own, and a later request regenerates the split and answers
-//! bit for bit the same.
+//! bytes plus its artifacts' bytes, charged again when a query on it
+//! finishes; past the budget the least recently used entries are evicted
+//! until the charge fits or only one is left. Evicting drops the engine's
+//! hold and its handle on the split: a query still running on it keeps
+//! its own, and a later request regenerates the split and answers bit for
+//! bit the same.
 //!
 //! Every query cell runs on the server's pinned [`Executor`] permit pool:
 //! results are bit-identical for any pool width, so the chaos suite can
@@ -83,13 +85,15 @@ pub fn parse_model(s: &str) -> Result<ModelKind, String> {
 /// corpus splits (8000 × 160) or about 1500 storm-size ones.
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
-/// One cached split: its only copy, and the hold that keeps its artifacts.
+/// One cached split: a handle on its parts, and the hold that keeps its
+/// artifacts.
 struct Prepared {
     /// The generated dataset's name, which keys its artifacts.
     name: String,
-    split: Arc<Split>,
-    _artifacts: SplitArtifacts,
-    /// [`split_bytes`] of `split`.
+    split: Split,
+    artifacts: SplitArtifacts,
+    /// The entry's charge: [`split_bytes`] of `split` plus the artifacts'
+    /// bytes when the entry was last charged.
     bytes: usize,
     /// The [`SplitCache`] tick of the entry's last use.
     used: u64,
@@ -97,8 +101,14 @@ struct Prepared {
 
 type SplitKey = (String, u64, u64);
 
-/// The bytes a cached split is charged: its three parts' feature matrices
-/// and their label and protected-group vectors.
+/// A spec's `(dataset, rows, seed)`: everything its split is generated
+/// from.
+fn split_key(spec: &QuerySpec) -> SplitKey {
+    (spec.dataset.clone(), spec.rows.unwrap_or(0), spec.seed)
+}
+
+/// The bytes of a split's data: its three parts' feature matrices and
+/// their label and protected-group vectors.
 fn split_bytes(split: &Split) -> usize {
     [&split.train, &split.val, &split.test]
         .iter()
@@ -119,11 +129,11 @@ struct SplitCache {
 
 impl SplitCache {
     /// The entry under `key`, marked used.
-    fn get(&mut self, key: &SplitKey) -> Option<(String, Arc<Split>)> {
+    fn get(&mut self, key: &SplitKey) -> Option<(String, Split)> {
         let entry = self.entries.get_mut(key)?;
         self.tick += 1;
         entry.used = self.tick;
-        Some((entry.name.clone(), Arc::clone(&entry.split)))
+        Some((entry.name.clone(), entry.split.clone()))
     }
 
     /// Inserts `entry` under `key` unless a racing request got there
@@ -134,17 +144,34 @@ impl SplitCache {
         &mut self,
         key: SplitKey,
         mut entry: Prepared,
-    ) -> ((String, Arc<Split>), Vec<Prepared>) {
+    ) -> ((String, Split), Vec<Prepared>) {
         if let Some(cached) = self.get(&key) {
             return (cached, vec![entry]);
         }
         self.tick += 1;
         entry.used = self.tick;
-        let cached = (entry.name.clone(), Arc::clone(&entry.split));
+        let cached = (entry.name.clone(), entry.split.clone());
         self.bytes += entry.bytes;
         self.entries.insert(key, entry);
-        let mut evicted = Vec::new();
         // The new entry is the most recently used, so it is never first out.
+        (cached, self.evict_past_budget())
+    }
+
+    /// Charges the entry under `key` again, for the memo entries and
+    /// models a query on it added, and returns the entries this evicts.
+    fn recharge(&mut self, key: &SplitKey) -> Vec<Prepared> {
+        let Some(entry) = self.entries.get_mut(key) else { return Vec::new() };
+        let bytes = split_bytes(&entry.split) + entry.artifacts.bytes();
+        self.bytes = self.bytes - entry.bytes + bytes;
+        entry.bytes = bytes;
+        self.evict_past_budget()
+    }
+
+    /// Evicts least recently used entries until the charge fits the
+    /// budget or one entry is left, and returns them for the caller to
+    /// drop outside the lock.
+    fn evict_past_budget(&mut self) -> Vec<Prepared> {
+        let mut evicted = Vec::new();
         while self.bytes > self.budget && self.entries.len() > 1 {
             let oldest = self.entries.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| k.clone());
             let Some(entry) = oldest.and_then(|k| self.entries.remove(&k)) else { break };
@@ -152,7 +179,7 @@ impl SplitCache {
             self.evictions += 1;
             evicted.push(entry);
         }
-        (cached, evicted)
+        evicted
     }
 }
 
@@ -226,8 +253,8 @@ impl Engine {
     }
 
     /// The dataset name and split of a spec, generated on a miss.
-    fn prepared(&self, spec: &QuerySpec) -> Result<(String, Arc<Split>), WireError> {
-        let key: SplitKey = (spec.dataset.clone(), spec.rows.unwrap_or(0), spec.seed);
+    fn prepared(&self, spec: &QuerySpec) -> Result<(String, Split), WireError> {
+        let key = split_key(spec);
         if let Some(hit) = self.splits_lock().get(&key) {
             return Ok(hit);
         }
@@ -248,11 +275,12 @@ impl Engine {
             let split = stratified_three_way(&dataset, spec.seed);
             (dataset.name, split)
         };
+        let artifacts = self.artifacts.hold(&name, split_fingerprint(&split));
         let entry = Prepared {
-            _artifacts: self.artifacts.hold(&name, split_fingerprint(&split)),
-            bytes: split_bytes(&split),
+            bytes: split_bytes(&split) + artifacts.bytes(),
+            artifacts,
             name,
-            split: Arc::new(split),
+            split,
             used: 0,
         };
         let (cached, _dropped) = self.splits_lock().insert(key, entry);
@@ -344,6 +372,8 @@ impl Engine {
                 }
             }
         };
+        // The query grew the split's memo and fit store: charge them.
+        let _evicted = self.splits_lock().recharge(&split_key(spec));
         Ok(result)
     }
 }
@@ -381,11 +411,49 @@ mod tests {
         let e = Engine::new(1);
         let (_, a) = e.prepared(&fast_spec(1)).expect("prepare");
         let (_, b) = e.prepared(&fast_spec(2)).expect("prepare");
-        assert!(Arc::ptr_eq(&a, &b), "same (dataset, rows, seed) must hit the cache");
+        for (pa, pb) in [(&a.train, &b.train), (&a.val, &b.val), (&a.test, &b.test)] {
+            assert!(Arc::ptr_eq(pa, pb), "same (dataset, rows, seed) must hit the cache");
+        }
         let mut other = fast_spec(3);
         other.seed = 999;
         let (_, c) = e.prepared(&other).expect("prepare");
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!Arc::ptr_eq(&a.train, &c.train));
+    }
+
+    /// An entry is charged its split and its artifacts: a query that fills
+    /// its memo and fit store raises the charge, and evicting to make room
+    /// keeps the total within max(budget, the largest entry).
+    #[test]
+    fn a_query_charges_its_split_for_the_artifacts_it_adds() {
+        let spec = |req_id: u64, seed: u64| {
+            let mut s = fast_spec(req_id);
+            s.strategy = "sfs".into();
+            s.seed = seed;
+            s
+        };
+        let charge = |engine: &Engine, seed: u64| {
+            engine.splits_lock().entries[&("compas".to_string(), 120, seed)].bytes
+        };
+        let engine = Engine::new(1);
+        let (_, split) = engine.prepared(&spec(0, 21)).expect("prepare");
+        let fresh = charge(&engine, 21);
+        assert_eq!(fresh, split_bytes(&split), "a fresh entry holds no artifacts");
+        engine.run(&spec(1, 21), Duration::from_secs(600), 12, false).expect("run");
+        assert!(engine.memo_counts().2 > 0, "the query filled the memo");
+        let filled = charge(&engine, 21);
+        assert!(filled > fresh, "charge {filled} did not grow from {fresh}");
+        assert_eq!(engine.cache_counts().1 as usize, filled);
+
+        // A budget that holds one filled entry and not two.
+        let engine = Engine::with_cache_bytes(1, filled + filled / 2);
+        for (i, seed) in [21, 22, 23].into_iter().enumerate() {
+            engine.run(&spec(i as u64, seed), Duration::from_secs(600), 12, false).expect("run");
+            let cache = engine.splits_lock();
+            let largest = cache.entries.values().map(|e| e.bytes).max().unwrap_or(0);
+            assert_eq!(cache.bytes, cache.entries.values().map(|e| e.bytes).sum::<usize>());
+            assert!(cache.bytes <= cache.budget.max(largest), "seed {seed}: {}", cache.bytes);
+        }
+        assert_eq!(engine.cache_counts().2, 2, "each new seed evicted the last one");
     }
 
     /// The bounded-cache gate: an engine with room for two small splits
