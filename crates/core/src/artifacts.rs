@@ -37,6 +37,18 @@
 //! The warm-up and the on-demand compute in `ScenarioContext::ranking` use
 //! this same seed, so sharing the cache or warming it can never change a
 //! strategy's outcome, only how often and when the ranking is computed.
+//!
+//! **Warm-only handles.** A handle made warm-only (through
+//! `ScenarioContext::warm_only`) serves what its entry holds and stops its
+//! holder at the first step that would compute: here a fit-store miss, a
+//! ranking compute or a bins derivation; in the scenario layer a
+//! measurement that would end exact (and so enter the memo) or run the
+//! evasion attack, and any evaluation past the handle's deadline. It stops
+//! by unwinding with a private payload, before the step is counted;
+//! [`catch_warm_stop`] turns the unwind back into a [`WarmStop`]. The flag
+//! rides on the handle, not on the thread, so executor helpers measuring
+//! for the holder see it too, and their unwind reaches the caller with its
+//! payload intact.
 
 use dfs_constraints::Evaluation;
 use dfs_data::split::Split;
@@ -45,8 +57,10 @@ use dfs_models::{BinSet, TrainedModel};
 use dfs_rankings::{Ranking, RankingKind};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::time::Instant;
 
 /// Locks `m`, recovering from poisoning: every critical section here is a
 /// single map operation, which a panic cannot leave half-done.
@@ -92,6 +106,28 @@ fn compute_once<V>(
     (value, !computed)
 }
 
+/// Why a run on a warm-only handle stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmStop {
+    /// It reached a step that computes.
+    Cold,
+    /// Its deadline passed.
+    PastDeadline,
+}
+
+/// The unwind payload of a warm-only stop; private, so no other panic can
+/// pass for one.
+struct Stop(WarmStop);
+
+/// Runs `f` and returns its value, or why a warm-only handle it used
+/// stopped it. Any other panic unwinds on.
+pub fn catch_warm_stop<R>(f: impl FnOnce() -> R) -> Result<R, WarmStop> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| match payload.downcast::<Stop>() {
+        Ok(stop) => stop.0,
+        Err(payload) => resume_unwind(payload),
+    })
+}
+
 /// The position of `kind` in [`RankingKind::ALL`]: its ranking cell and
 /// its seed stream.
 fn slot(kind: RankingKind) -> usize {
@@ -130,6 +166,9 @@ struct SplitEntry {
     memo: Mutex<HashMap<EvalKey, Evaluation>>,
     /// The fit store.
     models: Mutex<HashMap<FitKey, Arc<TrainedModel>>>,
+    /// The stored models' own bytes (subset bitset, model and parameters),
+    /// added as each is stored.
+    model_bytes: AtomicUsize,
 }
 
 impl Drop for SplitEntry {
@@ -154,6 +193,8 @@ pub struct SplitArtifacts {
     /// Whether this handle has counted its bins request: the bin counters
     /// count one compute or hit per holder, not per fit.
     bins_counted: AtomicBool,
+    /// `Some(deadline)` on a warm-only handle (see the module docs).
+    warm_only: Option<Instant>,
 }
 
 impl ArtifactCache {
@@ -180,12 +221,13 @@ impl ArtifactCache {
                     bins: OnceLock::new(),
                     memo: Mutex::default(),
                     models: Mutex::default(),
+                    model_bytes: AtomicUsize::new(0),
                 });
                 splits.insert(key, Arc::downgrade(&entry));
                 entry
             }
         };
-        SplitArtifacts { entry, bins_counted: AtomicBool::new(false) }
+        SplitArtifacts { entry, bins_counted: AtomicBool::new(false), warm_only: None }
     }
 
     /// `(computes, hits)` so far.
@@ -270,6 +312,25 @@ pub(crate) fn warm_rankings(
 }
 
 impl SplitArtifacts {
+    /// Makes this handle warm-only until `deadline` (see the module docs).
+    pub(crate) fn set_warm_only(&mut self, deadline: Instant) {
+        self.warm_only = Some(deadline);
+    }
+
+    /// Stops a warm-only holder at a step that would compute.
+    pub(crate) fn stop_if_warm_only(&self) {
+        if self.warm_only.is_some() {
+            resume_unwind(Box::new(Stop(WarmStop::Cold)));
+        }
+    }
+
+    /// Stops a warm-only holder whose deadline has passed.
+    pub(crate) fn check_deadline(&self) {
+        if self.warm_only.is_some_and(|deadline| Instant::now() >= deadline) {
+            resume_unwind(Box::new(Stop(WarmStop::PastDeadline)));
+        }
+    }
+
     /// The split's ranking of `kind`, computed via `compute` on the first
     /// request. The second element is `true` on a cache hit. Concurrent
     /// requests for one kind block on the first computation instead of
@@ -280,7 +341,11 @@ impl SplitArtifacts {
         kind: RankingKind,
         compute: impl FnOnce() -> Ranking,
     ) -> (Arc<Ranking>, bool) {
-        compute_once(&self.entry.rankings[slot(kind)], &self.entry.cache.rankings, compute)
+        let cell = &self.entry.rankings[slot(kind)];
+        if cell.get().is_none() {
+            self.stop_if_warm_only();
+        }
+        compute_once(cell, &self.entry.cache.rankings, compute)
     }
 
     /// The split's histogram [`BinSet`], derived via `derive` on the first
@@ -295,6 +360,9 @@ impl SplitArtifacts {
     /// seed nor the model settings enter — which is what makes cross-arm
     /// sharing sound.
     pub(crate) fn bins(&self, derive: impl FnOnce() -> BinSet) -> &Arc<BinSet> {
+        if self.entry.bins.get().is_none() {
+            self.stop_if_warm_only();
+        }
         let mut derived = false;
         let bins = self.entry.bins.get_or_init(|| {
             derived = true;
@@ -362,23 +430,29 @@ impl SplitArtifacts {
         fit: impl FnOnce() -> TrainedModel,
     ) -> Arc<TrainedModel> {
         let found = lock(&self.entry.models).get(&key).cloned();
+        if found.is_none() {
+            self.stop_if_warm_only();
+        }
         self.entry.cache.fits.count(found.is_some());
         if let Some(model) = found {
             dfs_obs::counter("fit.reused", 1);
             return model;
         }
         let model = Arc::new(fit());
+        let bytes = size_of_val(&key.subset[..]) + size_of::<TrainedModel>() + model.param_bytes();
         if let Entry::Vacant(slot) = lock(&self.entry.models).entry(key) {
             slot.insert(Arc::clone(&model));
+            self.entry.model_bytes.fetch_add(bytes, Ordering::Relaxed);
             self.entry.cache.fits.inserts.fetch_add(1, Ordering::Relaxed);
         }
         model
     }
 
     /// The bytes the split's entry holds right now: its rankings, its bin
-    /// codes and edges, its memo entries and its stored models' keys and
-    /// parameters. The daemon charges each cached split this on top of
-    /// the split's own bytes.
+    /// codes and edges, its memo and fit-store tables at their capacity,
+    /// the memo keys' subset bitsets and the stored models' bytes. The
+    /// daemon charges each cached split this on top of the split's own
+    /// bytes.
     pub fn bytes(&self) -> usize {
         let entry = &self.entry;
         let rankings: usize = entry
@@ -392,14 +466,10 @@ impl SplitArtifacts {
             let memo = lock(&entry.memo);
             // Every key of one split has the same subset width.
             let width = memo.keys().next().map_or(0, |k| size_of_val(&k.subset[..]));
-            memo.len() * (size_of::<(EvalKey, Evaluation)>() + width)
+            memo.capacity() * size_of::<(EvalKey, Evaluation)>() + memo.len() * width
         };
-        let models: usize = lock(&entry.models)
-            .iter()
-            .map(|(k, m)| {
-                size_of::<(FitKey, TrainedModel)>() + size_of_val(&k.subset[..]) + m.param_bytes()
-            })
-            .sum();
+        let models = lock(&entry.models).capacity() * size_of::<(FitKey, Arc<TrainedModel>)>()
+            + entry.model_bytes.load(Ordering::Relaxed);
         rankings + bins + memo + models
     }
 }
@@ -769,6 +839,34 @@ mod tests {
         // The store leaves the other layers' counters alone.
         assert_eq!((cache.counts(), cache.bin_counts()), ((0, 0), (0, 0)));
         assert_eq!(cache.memo_counts(), (0, 0, 0));
+    }
+
+    /// An entry is charged its memo and fit-store tables at their capacity,
+    /// plus each key's subset bitset and each stored model; lookups that
+    /// hit leave the charge as it was.
+    #[test]
+    fn the_charge_covers_the_tables_capacity() {
+        let ds = generate(&tiny_spec(), 5);
+        let split = stratified_three_way(&ds, 1);
+        let spec = ModelSpec::default_for(ModelKind::GaussianNb);
+        let cache = Arc::new(ArtifactCache::new());
+        let held = cache.hold("ds", 1);
+        assert_eq!(held.bytes(), 0);
+        for f in 0..5 {
+            held.memo_insert(key(1, false, &[f]), sample_eval(0.5));
+        }
+        let model = held.model(fit_key(9, &[0]), || spec.fit(&split.train.x, &split.train.y));
+        let (memo_cap, models_cap) =
+            (lock(&held.entry.memo).capacity(), lock(&held.entry.models).capacity());
+        assert!(memo_cap > 5, "the memo table has spare slots: {memo_cap}");
+        let width = size_of::<u64>();
+        let tables = memo_cap * size_of::<(EvalKey, Evaluation)>()
+            + models_cap * size_of::<(FitKey, Arc<TrainedModel>)>();
+        let stored = 5 * width + width + size_of::<TrainedModel>() + model.param_bytes();
+        assert_eq!(held.bytes(), tables + stored);
+        assert!(held.memo_lookup(&key(1, false, &[3])).is_some());
+        held.model(fit_key(9, &[0]), || panic!("a stored model must not refit"));
+        assert_eq!(held.bytes(), tables + stored);
     }
 
     /// One lifetime: while a split is held, every holder is served its

@@ -520,6 +520,11 @@ fn measure_subset(
         }
     }
 
+    // Without a bound to stop at, the measurement ends exact and enters
+    // the memo: a warm-only holder stops before it.
+    if bound.is_none() || !constraints.needs_safety() {
+        env.artifacts.stop_if_warm_only();
+    }
     let model = fit_subset(env, subset, scratch, perf);
     let (eval, exact) = score_subset(env, subset, &model, eval_on_test, perf, bound);
     Measured { eval, exact }
@@ -570,6 +575,7 @@ fn score_subset(
     }
 
     let safety = constraints.needs_safety().then(|| {
+        env.artifacts.stop_if_warm_only();
         obs::heartbeat("eval.attack");
         let _attack_span = obs::span("attack");
         let seed = derive_seed(env.scenario.seed, 0xA77AC4 ^ hash_subset(subset));
@@ -668,8 +674,18 @@ impl<'a> ScenarioContext<'a> {
         self
     }
 
+    /// Makes the context's split hold warm-only until `deadline`: a run on
+    /// it serves from the artifact cache alone and unwinds at the first
+    /// step that would compute, or at the first evaluation past the
+    /// deadline (see [`crate::artifacts::catch_warm_stop`]). Set it after
+    /// [`ScenarioContext::with_artifacts`], which takes a fresh hold.
+    pub fn warm_only(mut self, deadline: std::time::Instant) -> Self {
+        self.artifacts.set_warm_only(deadline);
+        self
+    }
+
     /// The scenario under evaluation.
-    pub fn scenario(&self) -> &MlScenario {
+    pub fn scenario(&self) -> &'a MlScenario {
         self.scenario
     }
 
@@ -946,6 +962,9 @@ impl<'a> ScenarioContext<'a> {
         prune: bool,
         bound: Option<f64>,
     ) -> Option<(f64, Evaluation)> {
+        // Pruned proposals never miss a cache, so a warm-only run could
+        // otherwise loop past its deadline on them.
+        self.artifacts.check_deadline();
         match self.admit(subset, prune, bound) {
             Admission::Deny => None,
             Admission::Known(score, eval) => Some((score, eval)),
@@ -1023,6 +1042,7 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         // cache only at commit, so a repeat within the batch is matched
         // here instead. Once admission denies, every later answer is
         // `None`, as in a serial loop that stops at the first `None`.
+        self.artifacts.check_deadline();
         let plan_span = obs::span("eval.plan");
         let mut plan: Vec<Slot> = Vec::with_capacity(subsets.len());
         let mut fresh: Vec<(&[usize], Option<f64>)> = Vec::new();

@@ -76,9 +76,16 @@ pub fn run_dfs_with_exec(
     exec: &Arc<Executor>,
 ) -> DfsOutcome {
     debug_assert!(scenario.constraints.validate().is_ok(), "invalid constraint set");
-    let mut ctx = ScenarioContext::new(scenario, split, settings)
+    let ctx = ScenarioContext::new(scenario, split, settings)
         .with_artifacts(Arc::clone(artifacts))
         .with_executor(Arc::clone(exec));
+    run_dfs_in(ctx, strategy)
+}
+
+/// [`run_dfs_with_exec`] on a context the caller built, e.g. a warm-only
+/// one ([`ScenarioContext::warm_only`]).
+pub fn run_dfs_in(mut ctx: ScenarioContext<'_>, strategy: StrategyId) -> DfsOutcome {
+    let scenario = ctx.scenario();
     dfs_obs::heartbeat("search");
     let outcome = {
         let _g = dfs_obs::span("search");

@@ -392,7 +392,8 @@ pub struct ServerStats {
     pub ranking_hits: u64,
     /// Splits in the engine's cache.
     pub cache_entries: u64,
-    /// Bytes charged for them (matrix and label bytes).
+    /// Bytes charged for them: each split's matrix and label bytes plus
+    /// its cached artifacts (rankings, bins, memo and fit store).
     pub cache_bytes: u64,
     /// Splits evicted from the cache past its byte budget.
     pub cache_evictions: u64,
@@ -401,6 +402,8 @@ pub struct ServerStats {
     /// predate tail reporting.
     pub latency_hist: String,
     /// Queue-wait histogram (admission to execution start), same encoding.
+    /// Only queries that took the queue record a wait: warm answers,
+    /// served on the connection thread, record none.
     pub queue_hist: String,
 }
 

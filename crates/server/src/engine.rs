@@ -1,5 +1,5 @@
-//! The query engine: spec → scenario → `run_dfs_with_exec`, with warm
-//! caches shared across requests.
+//! The query engine: spec → scenario → `run_dfs_in`, with warm caches
+//! shared across requests.
 //!
 //! The engine keeps one cache, an LRU map from `(dataset, rows, seed)` to
 //! a `Prepared` split. Generating a synthetic dataset and its stratified
@@ -13,22 +13,26 @@
 //! or overlapping query skips the model fits the first one already paid,
 //! without changing any result bit (DESIGN.md § 4h).
 //!
+//! A repeated query can run warm ([`Engine::run_warm`]): on the caller's
+//! thread, from the split's caches alone, stopping before the first step
+//! that would compute.
+//!
 //! **One byte budget.** Each entry is charged its split's matrix and label
-//! bytes plus its artifacts' bytes, charged again when a query on it
-//! finishes; past the budget the least recently used entries are evicted
-//! until the charge fits or only one is left. Evicting drops the engine's
-//! hold and its handle on the split: a query still running on it keeps
-//! its own, and a later request regenerates the split and answers bit for
-//! bit the same.
+//! bytes plus its artifacts' bytes, charged again when a query on it may
+//! have grown them; past the budget the least recently used entries are
+//! evicted until the charge fits or only one is left. Evicting drops the
+//! engine's hold and its handle on the split: a query still running on it
+//! keeps its own, and a later request regenerates the split and answers
+//! bit for bit the same.
 //!
 //! Every query cell runs on the server's pinned [`Executor`] permit pool:
 //! results are bit-identical for any pool width, so the chaos suite can
 //! compare a 1-thread and a 4-thread server fingerprint-for-fingerprint.
 
-use dfs_core::artifacts::{split_fingerprint, SplitArtifacts};
+use dfs_core::artifacts::{catch_warm_stop, split_fingerprint, SplitArtifacts, WarmStop};
 use dfs_core::prelude::*;
 use dfs_core::switching::{run_with_switching, SwitchConfig};
-use dfs_core::workflow::run_dfs_with_exec;
+use dfs_core::workflow::run_dfs_in;
 use dfs_data::split::{stratified_three_way, Split};
 use dfs_data::synthetic::{generate, spec_by_name};
 use dfs_proto::{ErrorCode, QueryResult, QuerySpec, WireError};
@@ -289,8 +293,8 @@ impl Engine {
 
     /// Executes a validated query under the given effective budget.
     ///
-    /// Runs on the *worker/cell thread*: panics (including the chaos
-    /// plan's `PanicInCell`) unwind into the caller's `catch_unwind`.
+    /// Runs on a worker's cell thread: panics (including the chaos plan's
+    /// `PanicInCell`) unwind into the caller's `catch_unwind`.
     pub fn run(
         &self,
         spec: &QuerySpec,
@@ -301,43 +305,78 @@ impl Engine {
         if inject_panic {
             panic!("chaos: injected cell panic (req {})", spec.req_id);
         }
-        let started = Instant::now();
-        let malformed = |msg: String| WireError::new(spec.req_id, ErrorCode::MalformedQuery, msg);
-        let strategy = parse_strategy(&spec.strategy).map_err(&malformed)?;
-        let model = parse_model(&spec.model).map_err(&malformed)?;
+        let query = Query::parse(spec, search_time, max_evals)?;
         let (dataset, split) = self.prepared(spec)?;
+        let (result, grew) = self.search(&query, dataset, &split, None);
+        if grew {
+            // The query may have grown the split's memo, fit store or
+            // rankings: charge them.
+            let _evicted = self.splits_lock().recharge(&split_key(spec));
+        }
+        Ok(result)
+    }
 
-        let constraints = ConstraintSet {
-            min_f1: spec.min_f1,
-            max_search_time: search_time,
-            max_feature_frac: spec.max_feature_frac,
-            min_eo: spec.min_fairness,
-            min_safety: spec.min_safety,
-            privacy_epsilon: spec.privacy_epsilon,
+    /// [`Engine::run`] from the caches alone, by `deadline`: the answer
+    /// when the split is cached and every step the query takes is served
+    /// by its memo, fit store, rankings and bins, else why it stopped.
+    /// A stopped attempt has fitted, ranked and binned nothing and changed
+    /// no cache; the hits and memo misses it met stay counted. Results
+    /// have the same bits as [`Engine::run`]'s. Dynamic switching keeps
+    /// caches of its own, so an `auto` query never runs warm.
+    pub fn run_warm(
+        &self,
+        spec: &QuerySpec,
+        search_time: Duration,
+        max_evals: usize,
+        deadline: Instant,
+    ) -> Result<Result<QueryResult, WireError>, WarmStop> {
+        let query = match Query::parse(spec, search_time, max_evals) {
+            Ok(query) => query,
+            Err(wire) => return Ok(Err(wire)),
         };
-        constraints.validate().map_err(|e| malformed(format!("invalid constraints: {e}")))?;
+        if query.strategy == ResolvedStrategy::Auto {
+            return Err(WarmStop::Cold);
+        }
+        let Some((dataset, split)) = self.splits_lock().get(&split_key(spec)) else {
+            return Err(WarmStop::Cold);
+        };
+        catch_warm_stop(|| Ok(self.search(&query, dataset, &split, Some(deadline)).0))
+    }
+
+    /// Runs a parsed query on its split, warm-only until the deadline when
+    /// one is given. Also returns whether the query may have grown the
+    /// split's artifacts: a memo miss, a fit or a ranking compute.
+    fn search(
+        &self,
+        query: &Query<'_>,
+        dataset: String,
+        split: &Split,
+        warm: Option<Instant>,
+    ) -> (QueryResult, bool) {
+        let spec = query.spec;
         let scenario = MlScenario {
             dataset,
-            model,
+            model: query.model,
             hpo: spec.hpo,
-            constraints,
+            constraints: query.constraints.clone(),
             utility_f1: false,
             seed: spec.seed,
         };
         let mut settings = self.base_settings.clone();
-        settings.max_evals = max_evals;
+        settings.max_evals = query.max_evals;
 
-        let result = match strategy {
+        match query.strategy {
             ResolvedStrategy::Fixed(id) => {
-                let out = run_dfs_with_exec(
-                    &scenario,
-                    &split,
-                    &settings,
-                    id,
-                    &self.artifacts,
-                    &self.exec,
-                );
-                QueryResult {
+                let ctx = ScenarioContext::new(&scenario, split, &settings)
+                    .with_artifacts(Arc::clone(&self.artifacts))
+                    .with_executor(Arc::clone(&self.exec));
+                let ctx = match warm {
+                    Some(deadline) => ctx.warm_only(deadline),
+                    None => ctx,
+                };
+                let out = run_dfs_in(ctx, id);
+                let perf = out.perf;
+                let result = QueryResult {
                     req_id: spec.req_id,
                     strategy: out.strategy.name(),
                     success: out.success,
@@ -345,16 +384,17 @@ impl Engine {
                     val_distance: out.val_distance,
                     test_distance: out.test_distance,
                     evaluations: out.evaluations as u64,
-                    elapsed_ms: started.elapsed().as_millis() as u64,
-                    model_fits: out.perf.model_fits,
-                    ranking_computes: out.perf.ranking_computes,
-                    ranking_hits: out.perf.ranking_hits,
-                }
+                    elapsed_ms: query.started.elapsed().as_millis() as u64,
+                    model_fits: perf.model_fits,
+                    ranking_computes: perf.ranking_computes,
+                    ranking_hits: perf.ranking_hits,
+                };
+                (result, perf.memo_misses + perf.model_fits + perf.ranking_computes > 0)
             }
             ResolvedStrategy::Auto => {
                 let cfg = SwitchConfig::default();
-                let out = run_with_switching(&scenario, &split, &settings, &cfg);
-                QueryResult {
+                let out = run_with_switching(&scenario, split, &settings, &cfg);
+                let result = QueryResult {
                     req_id: spec.req_id,
                     strategy: out.winner.map_or_else(|| "auto".to_string(), |w| w.name()),
                     success: out.success,
@@ -365,16 +405,51 @@ impl Engine {
                     val_distance: if out.success { 0.0 } else { f64::NAN },
                     test_distance: if out.success { 0.0 } else { f64::NAN },
                     evaluations: out.evaluations as u64,
-                    elapsed_ms: started.elapsed().as_millis() as u64,
+                    elapsed_ms: query.started.elapsed().as_millis() as u64,
                     model_fits: 0,
                     ranking_computes: 0,
                     ranking_hits: 0,
-                }
+                };
+                // Switching runs on caches of its own: the split's stay
+                // as they were.
+                (result, false)
             }
+        }
+    }
+}
+
+/// A query's parsed strategy, model and constraints, and its effective
+/// evaluation cap.
+struct Query<'s> {
+    spec: &'s QuerySpec,
+    /// When the engine took the query up: `elapsed_ms` counts from here.
+    started: Instant,
+    strategy: ResolvedStrategy,
+    model: ModelKind,
+    constraints: ConstraintSet,
+    max_evals: usize,
+}
+
+impl<'s> Query<'s> {
+    fn parse(
+        spec: &'s QuerySpec,
+        search_time: Duration,
+        max_evals: usize,
+    ) -> Result<Self, WireError> {
+        let started = Instant::now();
+        let malformed = |msg: String| WireError::new(spec.req_id, ErrorCode::MalformedQuery, msg);
+        let strategy = parse_strategy(&spec.strategy).map_err(&malformed)?;
+        let model = parse_model(&spec.model).map_err(&malformed)?;
+        let constraints = ConstraintSet {
+            min_f1: spec.min_f1,
+            max_search_time: search_time,
+            max_feature_frac: spec.max_feature_frac,
+            min_eo: spec.min_fairness,
+            min_safety: spec.min_safety,
+            privacy_epsilon: spec.privacy_epsilon,
         };
-        // The query grew the split's memo and fit store: charge them.
-        let _evicted = self.splits_lock().recharge(&split_key(spec));
-        Ok(result)
+        constraints.validate().map_err(|e| malformed(format!("invalid constraints: {e}")))?;
+        Ok(Query { spec, started, strategy, model, constraints, max_evals })
     }
 }
 
@@ -443,6 +518,13 @@ mod tests {
         let filled = charge(&engine, 21);
         assert!(filled > fresh, "charge {filled} did not grow from {fresh}");
         assert_eq!(engine.cache_counts().1 as usize, filled);
+        // Repeats, warm or on a worker, add nothing to charge.
+        let deadline = Instant::now() + Duration::from_secs(600);
+        let warm = engine.run_warm(&spec(2, 21), Duration::from_secs(600), 12, deadline);
+        assert!(matches!(warm, Ok(Ok(_))), "{warm:?}");
+        engine.run(&spec(3, 21), Duration::from_secs(600), 12, false).expect("run");
+        assert_eq!(charge(&engine, 21), filled);
+        assert_eq!(engine.cache_counts().1 as usize, filled);
 
         // A budget that holds one filled entry and not two.
         let engine = Engine::with_cache_bytes(1, filled + filled / 2);
@@ -494,6 +576,84 @@ mod tests {
         assert_eq!(evictions, 4);
         assert_eq!(run(&engine, &spec(0, 13, 120)), first_answer.expect("asked"));
         assert_eq!(engine.cache_counts().2, evictions + 1);
+    }
+
+    /// The storm's strategies and models, with and without Min Safety,
+    /// plus one HPO and one DP query, all on one split.
+    fn warm_specs() -> Vec<QuerySpec> {
+        let mut specs = Vec::new();
+        for strategy in ["sfs", "sbs", "rfe", "tpe", "nsga2", "variance", "mim"] {
+            for model in ["lr", "nb", "dt"] {
+                for min_safety in [None, Some(0.8)] {
+                    let mut s = fast_spec(specs.len() as u64);
+                    s.strategy = strategy.into();
+                    s.model = model.into();
+                    s.min_f1 = 0.9;
+                    s.min_safety = min_safety;
+                    specs.push(s);
+                }
+            }
+        }
+        let mut hpo = fast_spec(specs.len() as u64);
+        hpo.strategy = "sfs".into();
+        hpo.model = "dt".into();
+        hpo.hpo = true;
+        specs.push(hpo);
+        let mut dp = fast_spec(specs.len() as u64);
+        dp.strategy = "sfs".into();
+        dp.model = "lr".into();
+        dp.privacy_epsilon = Some(5.0);
+        specs.push(dp);
+        specs
+    }
+
+    /// A result with its timing and request id blanked.
+    fn untimed(mut r: QueryResult) -> QueryResult {
+        r.req_id = 0;
+        r.elapsed_ms = 0;
+        r
+    }
+
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(600)
+    }
+
+    /// A warm attempt answers a repeated query like a worker's run does,
+    /// and one that would compute stops before it has: a fresh engine
+    /// prepares no split, and a held split with a cold memo gets no
+    /// ranking, bins, model or memo entry.
+    #[test]
+    fn a_warm_attempt_answers_like_a_worker_and_stops_before_computing() {
+        let budget = Duration::from_secs(600);
+        for threads in [1, 2] {
+            let engine = Engine::new(threads);
+            let spec = warm_specs().remove(0);
+            assert_eq!(engine.run_warm(&spec, budget, 12, far()), Err(WarmStop::Cold));
+            assert_eq!(engine.cache_counts(), (0, 0, 0), "a warm attempt prepared a split");
+            let (_, split) = engine.prepared(&spec).expect("prepare");
+            let key = split_key(&spec);
+            for spec in warm_specs() {
+                assert_eq!(engine.run_warm(&spec, budget, 12, far()), Err(WarmStop::Cold));
+            }
+            assert_eq!(engine.splits_lock().entries[&key].artifacts.bytes(), 0);
+            assert_eq!(engine.ranking_counts().0, 0, "a warm attempt computed a ranking");
+            assert_eq!(engine.memo_counts().2, 0, "a warm attempt inserted a memo entry");
+            assert_eq!(engine.cache_counts().1 as usize, split_bytes(&split));
+
+            for spec in warm_specs() {
+                let what = format!(
+                    "{} {} {:?} at width {threads}",
+                    spec.strategy, spec.model, spec.min_safety
+                );
+                let cold = engine.run(&spec, budget, 12, false).expect("cold run");
+                let warm = engine.run_warm(&spec, budget, 12, far());
+                let Ok(Ok(warm)) = warm else { panic!("{what}: not answered warm: {warm:?}") };
+                let worker = engine.run(&spec, budget, 12, false).expect("worker run");
+                assert_eq!(untimed(warm.clone()), untimed(worker), "{what}");
+                assert_eq!(warm.fingerprint(), cold.fingerprint(), "{what}");
+                assert_eq!(warm.model_fits, 0, "{what}");
+            }
+        }
     }
 
     #[test]

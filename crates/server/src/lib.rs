@@ -17,9 +17,13 @@
 //!   per-request watchdog; a blown deadline reports the cell's last
 //!   [`dfs_obs::Heartbeat`] phase (`CellTimedOut`-style attribution) in
 //!   the error frame.
+//! - **Warm answers** — the connection thread first tries each admitted
+//!   query from the engine's caches alone ([`engine::Engine::run_warm`]);
+//!   only a query that would compute takes a queue slot and a worker.
 //! - **Panic isolation** — query cells run under `catch_unwind` on named
-//!   threads and connection handlers are themselves unwind-isolated: a
-//!   panicking query answers `internal` and the daemon keeps serving.
+//!   threads, warm attempts under `catch_unwind` on the connection thread,
+//!   and connection handlers are themselves unwind-isolated: a panicking
+//!   query answers `internal` and the daemon keeps serving.
 //! - **Graceful drain** — SIGTERM (or a `shutdown` request) stops
 //!   accepting, sheds the queue with explicit `overloaded` responses,
 //!   lets in-flight queries finish and their responses flush, then writes
@@ -40,6 +44,7 @@ pub mod engine;
 pub mod queue;
 pub mod stats;
 
+use dfs_core::artifacts::WarmStop;
 use dfs_core::{DfsError, ServerFaultKind, ServerFaultPlan, ServerHold};
 use dfs_obs::{self as obs, RunObserver};
 use dfs_proto::frame::{encode_frame, read_frame, FrameError, HEADER_LEN};
@@ -63,8 +68,9 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads pulling from the admission queue (concurrent
-    /// queries in flight).
+    /// Worker threads pulling from the admission queue: how many queries
+    /// that compute run at once. Queries the caches answer in full are
+    /// answered on their connection thread and take no worker.
     pub workers: usize,
     /// Executor permit-pool width for each query cell. Results are
     /// bit-identical for any value (the determinism contract); this only
@@ -664,6 +670,18 @@ fn serve_query(
 
     // The request's Budget starts here: queue wait spends it.
     let budget = Budget::new(deadline, max_evals);
+    let expires = Instant::now() + deadline;
+    let hold = shared.chaos_lock().take_hold(spec.req_id);
+    // A query the caches already hold is answered right here, with no
+    // queue slot, worker or cell thread. Chaos faults and holds target
+    // the worker path, and a draining server answers from the queue.
+    if fault.is_none() && hold.is_none() && !shared.draining.load(Ordering::Acquire) {
+        if let Some(resp) = answer_warm(shared, &spec, search_time, max_evals, deadline, expires)
+        {
+            shared.stats.latency.record(received.elapsed().as_nanos() as u64);
+            return resp;
+        }
+    }
     if let Some(ServerFaultKind::StallHandler(wait)) = fault {
         // The stall burns the admitted request's own deadline, so a stall
         // past it must surface as `deadline_exceeded`, never a hang.
@@ -678,7 +696,7 @@ fn serve_query(
         deadline,
         budget,
         panic_in_cell: matches!(fault, Some(ServerFaultKind::PanicInCell)),
-        hold: shared.chaos_lock().take_hold(spec.req_id),
+        hold,
         reply: reply_tx,
     };
     match shared.queue.try_push(job) {
@@ -804,16 +822,60 @@ fn worker_loop(shared: &Arc<Shared>) {
             hold.enter();
         }
         let resp = execute_job(shared, &job);
-        if let Response::Result(result) = &resp {
-            Stats::bump(&shared.stats.served);
-            obs::counter("server.query.served", 1);
-            if result.success {
-                Stats::bump(&shared.stats.succeeded);
-            }
-        }
+        count_served(shared, &resp);
         // A vanished handler (client gone) is fine; the result is dropped.
         let _ = job.reply.send(resp);
     }
+}
+
+/// Counts an answered query in `served`, and in `succeeded` when its
+/// constraints were met.
+fn count_served(shared: &Shared, resp: &Response) {
+    if let Response::Result(result) = resp {
+        Stats::bump(&shared.stats.served);
+        obs::counter("server.query.served", 1);
+        if result.success {
+            Stats::bump(&shared.stats.succeeded);
+        }
+    }
+}
+
+/// Tries a query from the engine's caches alone, on the connection
+/// thread, under the request's heartbeat and until `expires` (admission
+/// plus `deadline`). `None` when the attempt stopped at a step that
+/// computes: the query then takes the queue. A finished attempt, a panic
+/// and a passed deadline are answered like a worker answers them.
+fn answer_warm(
+    shared: &Shared,
+    spec: &dfs_proto::QuerySpec,
+    search_time: Duration,
+    max_evals: usize,
+    deadline: Duration,
+    expires: Instant,
+) -> Option<Response> {
+    let heartbeat = Arc::new(obs::Heartbeat::new());
+    obs::install_heartbeat(Arc::clone(&heartbeat));
+    // A stop unwinds out of scoped collectors; this one takes them along
+    // instead of leaving them on the connection thread.
+    let depth = obs::trace_enabled().then(obs::push_collector);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        shared.engine.run_warm(spec, search_time, max_evals, expires)
+    }));
+    if let Some(depth) = depth {
+        obs::take_collector(depth);
+    }
+    obs::clear_heartbeat();
+    let outcome = match outcome {
+        Ok(Err(WarmStop::Cold)) => return None,
+        Ok(Err(WarmStop::PastDeadline)) => {
+            return Some(deadline_response(shared, spec.req_id, deadline, heartbeat.last()))
+        }
+        Ok(Ok(answer)) => Ok(answer),
+        Err(panic_payload) => Err(panic_payload),
+    };
+    let resp = cell_response(shared, spec, outcome);
+    count_served(shared, &resp);
+    Some(resp)
 }
 
 /// Runs one job under the watchdog. Mirrors the benchmark runner's
@@ -829,13 +891,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
     shared.stats.queue_wait.record(job.budget.elapsed().as_nanos() as u64);
     // Queue wait already spent the whole deadline?
     if job.budget.exhausted() {
-        Stats::bump(&shared.stats.deadline_exceeded);
-        obs::counter("server.query.deadline", 1);
-        let err = DfsError::DeadlineExceeded { deadline: job.deadline, phase: "queue".into() };
-        obs::warn!("dfs-server", "{err} (req {req_id})");
-        return Response::Error(
-            WireError::new(req_id, ErrorCode::DeadlineExceeded, err.to_string()).with_phase("queue"),
-        );
+        return deadline_response(shared, req_id, job.deadline, "queue".into());
     }
     let remaining = job.deadline.saturating_sub(job.budget.elapsed());
     let heartbeat = Arc::new(obs::Heartbeat::new());
@@ -867,46 +923,57 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
         }
     };
     match cell_rx.recv_timeout(remaining) {
-        Ok(Ok(Ok(result))) => {
+        Ok(outcome) => {
             let _ = cell.join();
-            Response::Result(result)
+            cell_response(shared, &job.spec, outcome)
         }
-        Ok(Ok(Err(wire))) => {
-            let _ = cell.join();
-            Response::Error(wire)
-        }
-        Ok(Err(panic_payload)) => {
-            let _ = cell.join();
+        // Watchdog fired. The cell thread keeps running detached (it is
+        // budget-bounded and will unwind on its own); attribution comes
+        // from its heartbeat, exactly like `CellTimedOut`.
+        Err(_) => deadline_response(shared, req_id, job.deadline, heartbeat.last()),
+    }
+}
+
+/// The response to a query that ran to an outcome: its result, its error,
+/// or `internal` for a panic, which is counted in `panicked`. Shared by
+/// the worker's cell and the connection thread's warm attempt.
+fn cell_response(
+    shared: &Shared,
+    spec: &dfs_proto::QuerySpec,
+    outcome: thread::Result<Result<dfs_proto::QueryResult, WireError>>,
+) -> Response {
+    match outcome {
+        Ok(Ok(result)) => Response::Result(result),
+        Ok(Err(wire)) => Response::Error(wire),
+        Err(panic_payload) => {
             Stats::bump(&shared.stats.panicked);
             obs::counter("server.query.panicked", 1);
             let payload = dfs_core::error::panic_payload_to_string(&*panic_payload);
             let err = DfsError::CellPanicked {
-                scenario: job.spec.dataset.clone(),
-                arm: job.spec.strategy.clone(),
+                scenario: spec.dataset.clone(),
+                arm: spec.strategy.clone(),
                 payload: payload.clone(),
             };
-            obs::warn!("dfs-server", "{err} (req {req_id}); daemon unaffected");
+            obs::warn!("dfs-server", "{err} (req {}); daemon unaffected", spec.req_id);
             Response::Error(WireError::new(
-                req_id,
+                spec.req_id,
                 ErrorCode::Internal,
                 format!("query cell panicked: {payload}"),
             ))
         }
-        Err(_) => {
-            // Watchdog fired. The cell thread keeps running detached (it
-            // is budget-bounded and will unwind on its own); attribution
-            // comes from its heartbeat, exactly like `CellTimedOut`.
-            Stats::bump(&shared.stats.deadline_exceeded);
-            obs::counter("server.query.deadline", 1);
-            let phase = heartbeat.last();
-            let err = DfsError::DeadlineExceeded { deadline: job.deadline, phase: phase.clone() };
-            obs::warn!("dfs-server", "{err} (req {req_id})");
-            Response::Error(
-                WireError::new(req_id, ErrorCode::DeadlineExceeded, err.to_string())
-                    .with_phase(phase),
-            )
-        }
     }
+}
+
+/// `deadline_exceeded` for a query that missed its deadline in `phase`,
+/// counted in `deadline_exceeded`.
+fn deadline_response(shared: &Shared, req_id: u64, deadline: Duration, phase: String) -> Response {
+    Stats::bump(&shared.stats.deadline_exceeded);
+    obs::counter("server.query.deadline", 1);
+    let err = DfsError::DeadlineExceeded { deadline, phase: phase.clone() };
+    obs::warn!("dfs-server", "{err} (req {req_id})");
+    Response::Error(
+        WireError::new(req_id, ErrorCode::DeadlineExceeded, err.to_string()).with_phase(phase),
+    )
 }
 
 #[cfg(test)]

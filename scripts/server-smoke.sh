@@ -6,6 +6,8 @@
 #
 # Asserts:
 #   - the daemon prints its readiness line and serves a query batch
+#   - a spec sent twice gets the same answer, the repeat fits no model and
+#     is answered without the queue (`served` +2, `queue_hist` count +1)
 #   - the injected in-cell panic yields a terminal `internal` error while
 #     the daemon keeps serving (ping + stats still answer)
 #   - SIGTERM produces a graceful drain: exit code 0, a `drained` receipt
@@ -59,6 +61,37 @@ for req in 1 2 3 4; do
 done
 echo "query batch served"
 
+# Warm answers: a spec sent twice is answered the second time from the
+# daemon's caches on the connection thread, which records no queue wait.
+counter() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
+queued() { sed -n 's/.*"queue_hist":"\([0-9]*\);.*/\1/p'; }
+untimed() { sed -E 's/"(req_id|elapsed_ms|model_fits|ranking_computes|ranking_hits)":("[0-9]+"|[0-9]+)//g'; }
+warm_query() {
+  "$BIN" query --addr "$ADDR" --req-id "$1" --rows 120 --seed 31 \
+    --strategy sfs --min-f1 0.9 --time-ms 2000 --max-evals 20 2>/dev/null
+}
+BEFORE=$("$BIN" query --addr "$ADDR" --stats)
+ONE=$(warm_query 11)
+TWO=$(warm_query 12)
+AFTER=$("$BIN" query --addr "$ADDR" --stats)
+if [[ -z "$ONE" || "$(untimed <<<"$ONE")" != "$(untimed <<<"$TWO")" ]]; then
+  echo "FAIL: a repeated spec answered differently" >&2
+  echo "  first:  $ONE" >&2
+  echo "  repeat: $TWO" >&2
+  exit 1
+fi
+if [[ "$(counter model_fits <<<"$TWO")" != 0 ]]; then
+  echo "FAIL: the repeat fitted models: $TWO" >&2
+  exit 1
+fi
+SERVED=$(( $(counter served <<<"$AFTER") - $(counter served <<<"$BEFORE") ))
+QUEUED=$(( $(queued <<<"$AFTER") - $(queued <<<"$BEFORE") ))
+if (( SERVED != 2 || QUEUED != 1 )); then
+  echo "FAIL: two answers served $SERVED and queued $QUEUED (want 2 and 1)" >&2
+  exit 1
+fi
+echo "warm repeat answered without the queue"
+
 # Chaos: request 99 panics inside its cell. The daemon must answer with a
 # terminal `internal` error and stay healthy.
 if "$BIN" query --addr "$ADDR" --req-id 99 \
@@ -102,7 +135,6 @@ answer() {
     --strategy sfs --min-f1 0.9 --time-ms 2000 --max-evals 10 2>/dev/null |
     sed -E 's/"(elapsed_ms|model_fits|ranking_computes|ranking_hits)":[0-9]+//g'
 }
-counter() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
 FIRST=$(answer 101)
 for seed in 102 103 104 105; do
   answer "$seed" >/dev/null

@@ -471,3 +471,82 @@ fn shutdown_requester_gets_bye_when_the_host_drains_at_once() {
         host.join().expect("host thread");
     }
 }
+
+#[test]
+fn a_warm_repeat_is_answered_while_both_workers_are_parked() {
+    let mut chaos = ServerFaultPlan::new();
+    let holds = [chaos.hold(71), chaos.hold(72)];
+    let mut handle = test_server(chaos, 1);
+    let addr = handle.addr();
+    let client = test_client(addr);
+    let first = client.query(&fast_spec(70, "sfs", 13)).expect("first query");
+
+    // Both workers park on held queries, and a cold query waits behind
+    // them in the queue.
+    let parked: Vec<_> = [71u64, 72]
+        .into_iter()
+        .map(|req| {
+            std::thread::spawn(move || test_client(addr).query(&fast_spec(req, "variance", 21)))
+        })
+        .collect();
+    for hold in &holds {
+        assert!(hold.wait_entered(Duration::from_secs(30)), "a held query reached a worker");
+    }
+    let cold = std::thread::spawn(move || test_client(addr).query(&fast_spec(73, "sfs", 29)));
+    wait_queued(&handle, 1);
+
+    // The repeat needs no worker: the connection thread answers it.
+    let before = client.stats().expect("stats");
+    let mut repeat = client.query(&fast_spec(74, "sfs", 13)).expect("warm repeat");
+    let after = client.stats().expect("stats");
+    assert_eq!(handle.queued(), 1, "the cold query is still queued");
+    assert_eq!(repeat.model_fits, 0, "{repeat:?}");
+    repeat.req_id = first.req_id;
+    assert_eq!(repeat.fingerprint(), first.fingerprint());
+    assert_eq!(after.served, before.served + 1);
+    let waits =
+        |s: &dfs_repro::proto::ServerStats| s.queue_hist.split(';').next().map(str::to_owned);
+    assert_eq!(waits(&after), waits(&before), "a warm answer records no queue wait");
+
+    for hold in &holds {
+        hold.release();
+    }
+    for run in parked {
+        run.join().expect("join").expect("a parked query completes");
+    }
+    cold.join().expect("join").expect("the queued query completes");
+    handle.drain();
+}
+
+#[test]
+fn a_warm_repeat_past_its_deadline_reports_the_search_phase() {
+    // Every proposal is over the feature cap, so pruned for free: the
+    // search only ends at its 4 s budget, far past the 300 ms deadline.
+    let spec = |req_id: u64| {
+        let mut spec = QuerySpec::example(req_id);
+        spec.strategy = "tpe".into();
+        spec.model = "nb".into();
+        spec.max_feature_frac = Some(0.01);
+        spec.min_f1 = 0.99;
+        spec.time_ms = 4000;
+        spec.deadline_ms = Some(300);
+        spec
+    };
+    let mut handle = test_server(ServerFaultPlan::new(), 1);
+    let client = test_client(handle.addr());
+    let deadline_error = |req_id: u64| {
+        let err = client.query(&spec(req_id)).expect_err("the deadline passes first");
+        let wire = err.wire().expect("server-classified error").clone();
+        assert_eq!(wire.code, ErrorCode::DeadlineExceeded, "req {req_id}: {wire:?}");
+        wire
+    };
+    deadline_error(81);
+    // The repeat measures nothing: it dies searching, answered by the
+    // connection thread's warm attempt, not by the queue.
+    let repeat = deadline_error(82);
+    assert_eq!(repeat.phase.as_deref(), Some("search"), "{repeat:?}");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.deadline_exceeded, 2, "{stats:?}");
+    assert!(stats.queue_hist.starts_with("1;"), "only the first query queued: {stats:?}");
+    handle.drain();
+}
