@@ -5,9 +5,9 @@
 //!    size-capped search is when over-cap subsets are scored without
 //!    training (`evaluate`) vs. the wrapper way (`evaluate_no_prune`,
 //!    which is what plain backward selection is stuck with).
-//! 2. **Dynamic strategy switching** (§ 7 future work): the switching
-//!    runner with a stall detector vs. the single best static strategy on
-//!    the same scenarios.
+//! 2. **Dynamic strategy switching** (§ 7 future work): the `auto`
+//!    strategy with its stall detector vs. two of its static members, as
+//!    three arms of one benchmark matrix (one shared cache).
 //!
 //! Run: `cargo bench --bench ablation_extensions`
 
@@ -16,7 +16,6 @@ use dfs_bench::corpus::{bench_settings, build_splits, CorpusConfig};
 use dfs_bench::print_table;
 use dfs_core::prelude::*;
 use dfs_core::scenario::ScenarioContext;
-use dfs_core::switching::{run_with_switching, SwitchConfig};
 use dfs_fs::SubsetEvaluator;
 use std::time::Duration;
 
@@ -80,40 +79,24 @@ fn main() {
         }
     }
 
-    let mut static_wins = vec![0usize; 2];
-    let mut switch_wins = 0usize;
-    let mut switch_attempts_total = 0usize;
-    for scenario in &scenarios {
-        let split = &splits[&scenario.dataset];
-        for (i, strategy) in [StrategyId::Sffs, StrategyId::TpeNr].into_iter().enumerate() {
-            if run_dfs(scenario, split, &settings, strategy).success {
-                static_wins[i] += 1;
-            }
-        }
-        let out = run_with_switching(scenario, split, &settings, &SwitchConfig::default());
-        switch_attempts_total += out.attempted.len();
-        if out.success {
-            switch_wins += 1;
-        }
-    }
+    let arms = [StrategyId::Sffs, StrategyId::TpeNr, StrategyId::Switching].map(Arm::Strategy);
     let n = scenarios.len();
+    let matrix = run_benchmark(&splits, scenarios, &arms, &settings, cfg.threads);
+    let rows: Vec<Vec<String>> = arms
+        .iter()
+        .enumerate()
+        .map(|(i, arm)| {
+            let wins = matrix.results.iter().filter(|row| row[i].success).count();
+            vec![arm.name(), format!("{wins}/{n}")]
+        })
+        .collect();
     print_table(
         "Ablation 2: dynamic switching (stall detector) vs static strategies",
         &["arm", "scenarios satisfied"],
-        &[
-            vec!["SFFS(NR) static".into(), format!("{}/{n}", static_wins[0])],
-            vec!["TPE(NR) static".into(), format!("{}/{n}", static_wins[1])],
-            vec![
-                format!(
-                    "switching (avg {:.1} strategies/run)",
-                    switch_attempts_total as f64 / n as f64
-                ),
-                format!("{switch_wins}/{n}"),
-            ],
-        ],
+        &rows,
     );
     println!(
         "\n[shape-check] pruning must consume zero budget and be orders of magnitude faster; \
-         switching should match or beat its best member (it subsumes SFFS and TPE(NR))."
+         auto should match or beat its best member (it subsumes SFFS and TPE(NR))."
     );
 }

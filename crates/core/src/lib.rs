@@ -67,7 +67,6 @@ pub mod perf;
 pub mod runner;
 pub mod sampler;
 pub mod scenario;
-pub mod switching;
 pub mod transfer;
 pub mod workflow;
 
@@ -81,7 +80,6 @@ pub use exec::Executor;
 pub use fault::{FaultKind, FaultPlan, ServerFaultKind, ServerFaultPlan, ServerHold};
 pub use perf::EvalPerf;
 pub use scenario::{settings_fingerprint, MlScenario, ScenarioContext, ScenarioSettings};
-pub use switching::{run_with_switching, SwitchConfig, SwitchOutcome};
 pub use workflow::{run_dfs, DfsOutcome};
 
 /// Convenient glob-import surface for examples and benches.

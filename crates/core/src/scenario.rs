@@ -1175,6 +1175,10 @@ impl SubsetEvaluator for ScenarioContext<'_> {
     fn seed(&self) -> u64 {
         self.scenario.seed
     }
+
+    fn time_left(&self) -> Option<std::time::Duration> {
+        Some(self.budget.time_left())
+    }
 }
 
 #[inline]

@@ -2,6 +2,7 @@
 
 use dfs_linalg::Matrix;
 use dfs_rankings::{Ranking, RankingKind};
+use std::time::Duration;
 
 /// Wrapper-approach access to an ML scenario.
 ///
@@ -106,6 +107,12 @@ pub trait SubsetEvaluator {
 
     /// Deterministic seed for the strategy's own randomness.
     fn seed(&self) -> u64;
+
+    /// Search time left before the budget's clock runs out, or `None` for
+    /// an evaluator without a clock (its budget counts evaluations only).
+    fn time_left(&self) -> Option<Duration> {
+        None
+    }
 }
 
 /// Result of one strategy run.

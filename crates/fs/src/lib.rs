@@ -17,13 +17,15 @@
 //! | multi-objective | NSGA-II(NR) |
 //!
 //! See [`StrategyId`] for the registry and [`run_strategy`] for the entry
-//! point.
+//! point. One more id, [`StrategyId::Switching`] (`auto`), runs a fixed
+//! schedule of them, switching when an attempt stalls (§ 7 future work).
 
 pub mod evaluator;
 pub mod exhaustive;
 pub mod rfe;
 pub mod randomized;
 pub mod sequential;
+mod switching;
 
 pub use evaluator::{SearchOutcome, SubsetEvaluator};
 
@@ -52,6 +54,9 @@ pub enum StrategyId {
     SaNr,
     /// NSGA-II with one objective per constraint.
     Nsga2Nr,
+    /// `auto`: dynamic switching over a fixed schedule of the strategies
+    /// above (paper § 7, future work). Not one of the 16.
+    Switching,
 }
 
 impl StrategyId {
@@ -93,6 +98,7 @@ impl StrategyId {
             StrategyId::TpeNr => "TPE(NR)".into(),
             StrategyId::SaNr => "SA(NR)".into(),
             StrategyId::Nsga2Nr => "NSGA-II(NR)".into(),
+            StrategyId::Switching => "auto".into(),
         }
     }
 }
@@ -111,6 +117,7 @@ pub fn run_strategy(id: StrategyId, ev: &mut dyn SubsetEvaluator) -> SearchOutco
         StrategyId::TpeNr => randomized::tpe_no_ranking(ev),
         StrategyId::SaNr => randomized::sa_no_ranking(ev),
         StrategyId::Nsga2Nr => randomized::nsga2_no_ranking(ev),
+        StrategyId::Switching => switching::run_schedule(ev),
     }
 }
 
@@ -118,13 +125,17 @@ pub fn run_strategy(id: StrategyId, ev: &mut dyn SubsetEvaluator) -> SearchOutco
 pub(crate) mod testutil {
     use super::evaluator::SubsetEvaluator;
     use dfs_linalg::Matrix;
+    use dfs_rankings::{Ranking, RankingKind};
+    use std::time::Duration;
 
     /// A synthetic evaluator with a known satisfying subset.
     ///
     /// Distance = 0.1·(#target features missing) + 0.05·(#extra features),
     /// so the scenario is satisfied exactly on the target subset, greedy
     /// moves are informative, and extra features hurt less than missing
-    /// ones (mirroring real accuracy/constraint trade-offs).
+    /// ones (mirroring real accuracy/constraint trade-offs). With
+    /// `ms_left` set, a clock ticks 1 ms per evaluation and denies the
+    /// evaluation once it reads zero.
     pub struct MockEvaluator {
         pub target: Vec<usize>,
         pub d: usize,
@@ -135,6 +146,8 @@ pub(crate) mod testutil {
         pub x: Matrix,
         pub y: Vec<bool>,
         pub log: Vec<Vec<usize>>,
+        pub ms_left: Option<u64>,
+        pub rankings: usize,
     }
 
     impl MockEvaluator {
@@ -166,7 +179,21 @@ pub(crate) mod testutil {
                 x: Matrix::from_rows(&rows),
                 y,
                 log: Vec::new(),
+                ms_left: None,
+                rankings: 0,
             }
+        }
+
+        /// Spends one evaluation of the budget; `false` when it is spent.
+        fn spend(&mut self) -> bool {
+            if self.used >= self.max_evals || self.ms_left == Some(0) {
+                return false;
+            }
+            self.used += 1;
+            if let Some(ms) = &mut self.ms_left {
+                *ms -= 1;
+            }
+            true
         }
 
         fn distance(&self, subset: &[usize]) -> f64 {
@@ -188,10 +215,9 @@ pub(crate) mod testutil {
         }
 
         fn evaluate(&mut self, subset: &[usize], _bound: Option<f64>) -> Option<f64> {
-            if self.used >= self.max_evals {
+            if !self.spend() {
                 return None;
             }
-            self.used += 1;
             self.log.push(subset.to_vec());
             let d = self.distance(subset);
             if self.utility_mode && d == 0.0 {
@@ -203,10 +229,9 @@ pub(crate) mod testutil {
         }
 
         fn evaluate_multi(&mut self, subset: &[usize]) -> Option<Vec<f64>> {
-            if self.used >= self.max_evals {
+            if !self.spend() {
                 return None;
             }
-            self.used += 1;
             self.log.push(subset.to_vec());
             let missing =
                 self.target.iter().filter(|t| !subset.contains(t)).count() as f64;
@@ -228,10 +253,9 @@ pub(crate) mod testutil {
         }
 
         fn importances(&mut self, subset: &[usize]) -> Option<Vec<f64>> {
-            if self.used >= self.max_evals {
+            if !self.spend() {
                 return None;
             }
-            self.used += 1;
             Some(
                 subset
                     .iter()
@@ -240,8 +264,17 @@ pub(crate) mod testutil {
             )
         }
 
+        fn ranking(&mut self, kind: RankingKind) -> Ranking {
+            self.rankings += 1;
+            kind.compute(&self.x, &self.y, self.seed())
+        }
+
         fn seed(&self) -> u64 {
             7
+        }
+
+        fn time_left(&self) -> Option<Duration> {
+            self.ms_left.map(Duration::from_millis)
         }
     }
 }
@@ -267,7 +300,7 @@ mod tests {
         // 6 features, target {1}: small enough for everyone. (A singleton
         // target keeps the scenario fair for MCFS, whose lasso step zeroes
         // out duplicated/correlated columns by design.)
-        for id in StrategyId::all() {
+        for id in StrategyId::all().into_iter().chain([StrategyId::Switching]) {
             let mut ev = MockEvaluator::new(6, vec![1], 100_000);
             let outcome = run_strategy(id, &mut ev);
             assert_eq!(
@@ -283,7 +316,7 @@ mod tests {
 
     #[test]
     fn every_strategy_respects_budget_exhaustion() {
-        for id in StrategyId::all() {
+        for id in StrategyId::all().into_iter().chain([StrategyId::Switching]) {
             let mut ev = MockEvaluator::new(10, vec![0, 3, 7], 5);
             let outcome = run_strategy(id, &mut ev);
             assert!(ev.used <= 5, "{} overspent: {}", id.name(), ev.used);

@@ -88,7 +88,8 @@ pub struct QuerySpec {
     pub rows: Option<u64>,
     /// Model id: `lr`, `nb`, `dt`, `svm`.
     pub model: String,
-    /// Strategy id (same names as the CLI), or `auto` for switching.
+    /// Strategy id (same names as the CLI); `auto` is dynamic switching
+    /// over SFFS, TPE(FCBF) and TPE(NR), and answers as strategy `auto`.
     pub strategy: String,
     /// Mandatory minimum validation F1.
     pub min_f1: f64,

@@ -98,33 +98,6 @@ impl Budget {
         Self { clock, limit, max_evals, evals: AtomicUsize::new(0) }
     }
 
-    /// Starts a wall-clock-only budget.
-    pub fn with_time(limit: Duration) -> Self {
-        Self::new(limit, usize::MAX)
-    }
-
-    /// Starts a budget ending at an absolute deadline (shared across
-    /// several searches, e.g. strategy switching under one scenario clock).
-    /// A deadline already in the past yields an immediately exhausted
-    /// budget rather than a panic.
-    pub fn until(deadline: Instant, max_evals: usize) -> Self {
-        let now = Instant::now();
-        Self::until_with_clock(deadline, now, max_evals, Clock::Real(now))
-    }
-
-    /// Deadline budget reading time from an explicit [`Clock`], with the
-    /// deadline resolved against an explicit `now`. `until` delegates here
-    /// anchored at a single wall-clock read; tests inject a [`ManualClock`]
-    /// so deadline expiry is exercised without touching `Instant::now()`.
-    pub fn until_with_clock(
-        deadline: Instant,
-        now: Instant,
-        max_evals: usize,
-        clock: Clock,
-    ) -> Self {
-        Self::with_clock(deadline.saturating_duration_since(now), max_evals, clock)
-    }
-
     /// `true` once either limit is hit.
     pub fn exhausted(&self) -> bool {
         self.evals.load(Ordering::Acquire) >= self.max_evals || self.clock.elapsed() >= self.limit
@@ -156,6 +129,11 @@ impl Budget {
     /// Elapsed wall-clock time.
     pub fn elapsed(&self) -> Duration {
         self.clock.elapsed()
+    }
+
+    /// Wall-clock time left before the limit; zero once it has passed.
+    pub fn time_left(&self) -> Duration {
+        self.limit.saturating_sub(self.clock.elapsed())
     }
 }
 
@@ -246,6 +224,17 @@ mod tests {
     }
 
     #[test]
+    fn time_left_counts_down_to_zero() {
+        let clock = ManualClock::new();
+        let b = Budget::with_clock(Duration::from_millis(10), usize::MAX, clock.clock());
+        assert_eq!(b.time_left(), Duration::from_millis(10));
+        clock.advance(Duration::from_millis(4));
+        assert_eq!(b.time_left(), Duration::from_millis(6));
+        clock.advance(Duration::from_millis(7));
+        assert_eq!(b.time_left(), Duration::ZERO, "an expired budget has no time left");
+    }
+
+    #[test]
     fn zero_wall_clock_budget_is_exhausted_before_the_first_evaluation() {
         let b = Budget::new(Duration::ZERO, usize::MAX);
         assert!(b.exhausted());
@@ -259,42 +248,6 @@ mod tests {
         assert!(b.exhausted());
         assert!(!b.try_consume(), "no evaluation may run on a zero eval cap");
         assert_eq!(b.evals_used(), 0);
-    }
-
-    #[test]
-    fn elapsed_deadline_is_exhausted_before_the_first_evaluation() {
-        // `now` is an arbitrary anchor: only the deadline-vs-now difference
-        // matters, and the injected clock controls everything after that.
-        let now = Instant::now();
-        let past = now.checked_sub(Duration::from_secs(5)).unwrap_or(now);
-        let clock = ManualClock::new();
-        let b = Budget::until_with_clock(past, now, usize::MAX, clock.clock());
-        assert!(b.exhausted());
-        assert!(!b.try_consume());
-        assert_eq!(b.evals_used(), 0);
-    }
-
-    #[test]
-    fn future_deadline_budget_admits_evaluations() {
-        let now = Instant::now();
-        let clock = ManualClock::new();
-        let b = Budget::until_with_clock(now + Duration::from_secs(60), now, 2, clock.clock());
-        assert!(!b.exhausted());
-        assert!(b.try_consume());
-        assert!(b.try_consume());
-        assert!(!b.try_consume(), "eval cap still applies to deadline budgets");
-    }
-
-    #[test]
-    fn deadline_budget_expires_on_the_injected_clock() {
-        let now = Instant::now();
-        let clock = ManualClock::new();
-        let b = Budget::until_with_clock(now + Duration::from_millis(10), now, usize::MAX, clock.clock());
-        assert!(b.try_consume(), "inside the deadline window");
-        clock.advance(Duration::from_millis(11));
-        assert!(b.exhausted(), "manual clock must drive deadline expiry");
-        assert!(!b.try_consume());
-        assert_eq!(b.evals_used(), 1);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 
 use dfs_core::artifacts::{catch_warm_stop, split_fingerprint, SplitArtifacts, WarmStop};
 use dfs_core::prelude::*;
-use dfs_core::switching::{run_with_switching, SwitchConfig};
 use dfs_core::workflow::run_dfs_in;
 use dfs_data::split::{stratified_three_way, Split};
 use dfs_data::synthetic::{generate, spec_by_name};
@@ -41,35 +40,26 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// The strategy a query resolved to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ResolvedStrategy {
-    Fixed(StrategyId),
-    /// Dynamic strategy switching (paper § 7).
-    Auto,
-}
-
 /// Parses a strategy name: one vocabulary for the wire and the CLI.
-pub fn parse_strategy(s: &str) -> Result<ResolvedStrategy, String> {
-    let fixed = |id| Ok(ResolvedStrategy::Fixed(id));
+pub fn parse_strategy(s: &str) -> Result<StrategyId, String> {
     match s {
-        "auto" => Ok(ResolvedStrategy::Auto),
-        "sfs" => fixed(StrategyId::Sfs),
-        "sbs" => fixed(StrategyId::Sbs),
-        "sffs" => fixed(StrategyId::Sffs),
-        "sbfs" => fixed(StrategyId::Sbfs),
-        "rfe" => fixed(StrategyId::Rfe),
-        "es" => fixed(StrategyId::Es),
-        "tpe" => fixed(StrategyId::TpeNr),
-        "sa" => fixed(StrategyId::SaNr),
-        "nsga2" => fixed(StrategyId::Nsga2Nr),
-        "chi2" => fixed(StrategyId::TpeRanking(RankingKind::Chi2)),
-        "variance" => fixed(StrategyId::TpeRanking(RankingKind::Variance)),
-        "fisher" => fixed(StrategyId::TpeRanking(RankingKind::Fisher)),
-        "mim" => fixed(StrategyId::TpeRanking(RankingKind::Mim)),
-        "fcbf" => fixed(StrategyId::TpeRanking(RankingKind::Fcbf)),
-        "relieff" => fixed(StrategyId::TpeRanking(RankingKind::ReliefF)),
-        "mcfs" => fixed(StrategyId::TpeRanking(RankingKind::Mcfs)),
+        "auto" => Ok(StrategyId::Switching),
+        "sfs" => Ok(StrategyId::Sfs),
+        "sbs" => Ok(StrategyId::Sbs),
+        "sffs" => Ok(StrategyId::Sffs),
+        "sbfs" => Ok(StrategyId::Sbfs),
+        "rfe" => Ok(StrategyId::Rfe),
+        "es" => Ok(StrategyId::Es),
+        "tpe" => Ok(StrategyId::TpeNr),
+        "sa" => Ok(StrategyId::SaNr),
+        "nsga2" => Ok(StrategyId::Nsga2Nr),
+        "chi2" => Ok(StrategyId::TpeRanking(RankingKind::Chi2)),
+        "variance" => Ok(StrategyId::TpeRanking(RankingKind::Variance)),
+        "fisher" => Ok(StrategyId::TpeRanking(RankingKind::Fisher)),
+        "mim" => Ok(StrategyId::TpeRanking(RankingKind::Mim)),
+        "fcbf" => Ok(StrategyId::TpeRanking(RankingKind::Fcbf)),
+        "relieff" => Ok(StrategyId::TpeRanking(RankingKind::ReliefF)),
+        "mcfs" => Ok(StrategyId::TpeRanking(RankingKind::Mcfs)),
         other => Err(format!("unknown strategy '{other}'")),
     }
 }
@@ -321,8 +311,7 @@ impl Engine {
     /// by its memo, fit store, rankings and bins, else why it stopped.
     /// A stopped attempt has fitted, ranked and binned nothing and changed
     /// no cache; the hits and memo misses it met stay counted. Results
-    /// have the same bits as [`Engine::run`]'s. Dynamic switching keeps
-    /// caches of its own, so an `auto` query never runs warm.
+    /// have the same bits as [`Engine::run`]'s.
     pub fn run_warm(
         &self,
         spec: &QuerySpec,
@@ -334,9 +323,6 @@ impl Engine {
             Ok(query) => query,
             Err(wire) => return Ok(Err(wire)),
         };
-        if query.strategy == ResolvedStrategy::Auto {
-            return Err(WarmStop::Cold);
-        }
         let Some((dataset, split)) = self.splits_lock().get(&split_key(spec)) else {
             return Err(WarmStop::Cold);
         };
@@ -365,56 +351,29 @@ impl Engine {
         let mut settings = self.base_settings.clone();
         settings.max_evals = query.max_evals;
 
-        match query.strategy {
-            ResolvedStrategy::Fixed(id) => {
-                let ctx = ScenarioContext::new(&scenario, split, &settings)
-                    .with_artifacts(Arc::clone(&self.artifacts))
-                    .with_executor(Arc::clone(&self.exec));
-                let ctx = match warm {
-                    Some(deadline) => ctx.warm_only(deadline),
-                    None => ctx,
-                };
-                let out = run_dfs_in(ctx, id);
-                let perf = out.perf;
-                let result = QueryResult {
-                    req_id: spec.req_id,
-                    strategy: out.strategy.name(),
-                    success: out.success,
-                    subset: out.subset.unwrap_or_default().iter().map(|&i| i as u64).collect(),
-                    val_distance: out.val_distance,
-                    test_distance: out.test_distance,
-                    evaluations: out.evaluations as u64,
-                    elapsed_ms: query.started.elapsed().as_millis() as u64,
-                    model_fits: perf.model_fits,
-                    ranking_computes: perf.ranking_computes,
-                    ranking_hits: perf.ranking_hits,
-                };
-                (result, perf.memo_misses + perf.model_fits + perf.ranking_computes > 0)
-            }
-            ResolvedStrategy::Auto => {
-                let cfg = SwitchConfig::default();
-                let out = run_with_switching(&scenario, split, &settings, &cfg);
-                let result = QueryResult {
-                    req_id: spec.req_id,
-                    strategy: out.winner.map_or_else(|| "auto".to_string(), |w| w.name()),
-                    success: out.success,
-                    // The switching API reports satisfaction, not raw
-                    // distances; encode "not measured" as NaN (the wire
-                    // format round-trips it).
-                    subset: out.subset.unwrap_or_default().iter().map(|&i| i as u64).collect(),
-                    val_distance: if out.success { 0.0 } else { f64::NAN },
-                    test_distance: if out.success { 0.0 } else { f64::NAN },
-                    evaluations: out.evaluations as u64,
-                    elapsed_ms: query.started.elapsed().as_millis() as u64,
-                    model_fits: 0,
-                    ranking_computes: 0,
-                    ranking_hits: 0,
-                };
-                // Switching runs on caches of its own: the split's stay
-                // as they were.
-                (result, false)
-            }
-        }
+        let ctx = ScenarioContext::new(&scenario, split, &settings)
+            .with_artifacts(Arc::clone(&self.artifacts))
+            .with_executor(Arc::clone(&self.exec));
+        let ctx = match warm {
+            Some(deadline) => ctx.warm_only(deadline),
+            None => ctx,
+        };
+        let out = run_dfs_in(ctx, query.strategy);
+        let perf = out.perf;
+        let result = QueryResult {
+            req_id: spec.req_id,
+            strategy: out.strategy.name(),
+            success: out.success,
+            subset: out.subset.unwrap_or_default().iter().map(|&i| i as u64).collect(),
+            val_distance: out.val_distance,
+            test_distance: out.test_distance,
+            evaluations: out.evaluations as u64,
+            elapsed_ms: query.started.elapsed().as_millis() as u64,
+            model_fits: perf.model_fits,
+            ranking_computes: perf.ranking_computes,
+            ranking_hits: perf.ranking_hits,
+        };
+        (result, perf.memo_misses + perf.model_fits + perf.ranking_computes > 0)
     }
 }
 
@@ -424,7 +383,7 @@ struct Query<'s> {
     spec: &'s QuerySpec,
     /// When the engine took the query up: `elapsed_ms` counts from here.
     started: Instant,
-    strategy: ResolvedStrategy,
+    strategy: StrategyId,
     model: ModelKind,
     constraints: ConstraintSet,
     max_evals: usize,
@@ -582,7 +541,7 @@ mod tests {
     /// plus one HPO and one DP query, all on one split.
     fn warm_specs() -> Vec<QuerySpec> {
         let mut specs = Vec::new();
-        for strategy in ["sfs", "sbs", "rfe", "tpe", "nsga2", "variance", "mim"] {
+        for strategy in ["sfs", "sbs", "rfe", "tpe", "nsga2", "variance", "mim", "auto"] {
             for model in ["lr", "nb", "dt"] {
                 for min_safety in [None, Some(0.8)] {
                     let mut s = fast_spec(specs.len() as u64);
@@ -654,6 +613,49 @@ mod tests {
                 assert_eq!(warm.model_fits, 0, "{what}");
             }
         }
+    }
+
+    /// An `auto` query runs the switching schedule on the engine's shared
+    /// cache: on a split other queries have warmed it reports real
+    /// distances and its own fits, and answers like `run_dfs` on a fresh
+    /// cache under the same binding evaluation cap.
+    #[test]
+    fn an_auto_query_on_a_warmed_cache_answers_like_a_fresh_run() {
+        let (budget, max_evals) = (Duration::from_secs(600), 150);
+        let engine = Engine::new(2);
+        for spec in warm_specs().into_iter().filter(|s| s.strategy != "auto") {
+            engine.run(&spec, budget, 12, false).expect("warm-up run");
+        }
+        let mut spec = fast_spec(99);
+        spec.strategy = "auto".into();
+        spec.min_f1 = 1.0;
+        let got = engine.run(&spec, budget, max_evals, false).expect("auto run");
+        assert_eq!(got.strategy, "auto");
+        assert!(got.val_distance.is_finite() && got.test_distance.is_finite(), "{got:?}");
+        assert!(got.model_fits > 0, "{got:?}");
+        // No warm-up query ranks by FCBF: the schedule reached TPE(FCBF).
+        assert_eq!(got.ranking_computes, 1, "{got:?}");
+
+        let query = Query::parse(&spec, budget, max_evals).expect("parse");
+        let (dataset, split) = Engine::new(1).prepared(&spec).expect("prepare");
+        let scenario = MlScenario {
+            dataset,
+            model: query.model,
+            hpo: spec.hpo,
+            constraints: query.constraints,
+            utility_f1: false,
+            seed: spec.seed,
+        };
+        let mut settings = ScenarioSettings::default_bench();
+        settings.max_evals = max_evals;
+        let fresh = run_dfs(&scenario, &split, &settings, StrategyId::Switching);
+        assert_eq!(got.evaluations, max_evals as u64, "the evaluation cap binds");
+        assert_eq!(got.evaluations, fresh.evaluations as u64);
+        assert_eq!(got.success, fresh.success);
+        let subset: Vec<u64> = fresh.subset.unwrap_or_default().iter().map(|&i| i as u64).collect();
+        assert_eq!(got.subset, subset);
+        assert_eq!(got.val_distance.to_bits(), fresh.val_distance.to_bits());
+        assert_eq!(got.test_distance.to_bits(), fresh.test_distance.to_bits());
     }
 
     #[test]

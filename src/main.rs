@@ -16,13 +16,12 @@
 
 use dfs_repro::client::{Client, ClientConfig, ClientError};
 use dfs_repro::core::prelude::*;
-use dfs_repro::core::switching::{run_with_switching, SwitchConfig};
 use dfs_repro::data::preprocess::fit_transform;
 use dfs_repro::data::split::stratified_three_way;
 use dfs_repro::data::synthetic::{generate, spec_by_name};
 use dfs_repro::data::Dataset;
 use dfs_repro::proto::{Json, QuerySpec, Request, Response};
-use dfs_repro::server::engine::{parse_model, parse_strategy, ResolvedStrategy};
+use dfs_repro::server::engine::{parse_model, parse_strategy};
 use dfs_repro::server::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +33,7 @@ struct CliArgs {
     data_path: Option<String>,
     dataset: Option<String>,
     model: ModelKind,
-    strategy: ResolvedStrategy,
+    strategy: StrategyId,
     min_f1: f64,
     min_eo: Option<f64>,
     min_safety: Option<f64>,
@@ -54,7 +53,7 @@ impl Default for CliArgs {
             data_path: None,
             dataset: None,
             model: ModelKind::LogisticRegression,
-            strategy: ResolvedStrategy::Fixed(StrategyId::Sffs),
+            strategy: StrategyId::Sffs,
             min_f1: 0.6,
             min_eo: None,
             min_safety: None,
@@ -89,8 +88,9 @@ OPTIONS:
     --model <lr|nb|dt|svm>   classification model       [default: lr]
     --strategy <name|auto>   FS strategy: sfs, sbs, sffs, sbfs, rfe, es,
                              tpe, sa, nsga2, chi2, variance, fisher, mim,
-                             fcbf, relieff, mcfs, or `auto` (dynamic
-                             switching)                  [default: sffs]
+                             fcbf, relieff, mcfs, or `auto` (sffs, then
+                             fcbf, then tpe, each abandoned when it
+                             stalls)                     [default: sffs]
     --min-f1 <0..1>          minimum F1 score           [default: 0.6]
     --min-eo <0..1>          minimum equal opportunity
     --min-safety <0..1>      minimum adversarial safety
@@ -331,29 +331,9 @@ fn main() -> ExitCode {
     let trace_depth = tracing.then(dfs_repro::obs::push_collector);
 
     let run_started = Instant::now();
-    let (success, subset, evaluations, label, perf) = match args.strategy {
-        ResolvedStrategy::Fixed(strategy) => {
-            eprintln!("strategy: {}", strategy.name());
-            let out = run_dfs(&scenario, &split, &settings, strategy);
-            (out.success, out.subset, out.evaluations, strategy.name(), out.perf)
-        }
-        ResolvedStrategy::Auto => {
-            let cfg = SwitchConfig::default();
-            eprintln!(
-                "strategy: auto (dynamic switching over {})",
-                cfg.schedule.iter().map(|s| s.name()).collect::<Vec<_>>().join(" -> ")
-            );
-            let out = run_with_switching(&scenario, &split, &settings, &cfg);
-            let label = out
-                .winner
-                .map(|w| format!("auto/{}", w.name()))
-                .unwrap_or_else(|| "auto".into());
-            // The switching workflow does not surface per-attempt perf
-            // counters; the summary reports zeros for the sharing fields.
-            (out.success, out.subset, out.evaluations, label, EvalPerf::default())
-        }
-    };
-
+    eprintln!("strategy: {}", args.strategy.name());
+    let out = run_dfs(&scenario, &split, &settings, args.strategy);
+    let (label, evaluations) = (out.strategy.name(), out.evaluations);
     let wall = run_started.elapsed();
     if let Some(depth) = trace_depth {
         if let Some(collector) = dfs_repro::obs::take_collector(depth) {
@@ -366,7 +346,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let (code, subset_len) = match (success, &subset) {
+    let (code, subset_len) = match (out.success, &out.subset) {
         (true, Some(subset)) => {
             eprintln!(
                 "SATISFIED by {label} with {} of {} features after {evaluations} evaluations:",
@@ -390,7 +370,7 @@ fn main() -> ExitCode {
         // WIND-style run summary: the final stdout line, one JSON object,
         // so scripts can `tail -1 | parse`.
         let rows = dataset.n_rows();
-        println!("{}", run_summary(success, &label, evaluations, subset_len, wall, &perf, rows));
+        println!("{}", run_summary(out.success, &label, evaluations, subset_len, wall, &out.perf, rows));
     }
     code
 }
@@ -722,8 +702,7 @@ mod tests {
         .expect("valid args");
         assert_eq!(args.dataset.as_deref(), Some("compas"));
         assert_eq!(args.model, ModelKind::DecisionTree);
-        let fcbf = ResolvedStrategy::Fixed(StrategyId::TpeRanking(RankingKind::Fcbf));
-        assert_eq!(args.strategy, fcbf);
+        assert_eq!(args.strategy, StrategyId::TpeRanking(RankingKind::Fcbf));
         assert_eq!(args.min_f1, 0.7);
         assert_eq!(args.min_eo, Some(0.9));
         assert_eq!(args.max_feature_frac, Some(0.4));
@@ -775,7 +754,7 @@ mod tests {
     #[test]
     fn auto_strategy_flag() {
         let args = parse_args(&argv("--dataset compas --strategy auto")).unwrap();
-        assert_eq!(args.strategy, ResolvedStrategy::Auto);
+        assert_eq!(args.strategy, StrategyId::Switching);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Integration tests for the extension surfaces: the alternative fairness
-//! metrics, the dynamic-switching runner, and the CSV → CLI-style pipeline.
+//! metrics, the dynamic-switching strategy, and the CSV → CLI-style pipeline.
 
 use dfs_repro::core::prelude::*;
-use dfs_repro::core::switching::{run_with_switching, SwitchConfig};
 use dfs_repro::data::preprocess::fit_transform;
 use dfs_repro::data::split::stratified_three_way;
 use dfs_repro::data::synthetic::{generate, generate_raw, tiny_spec};
@@ -76,15 +75,18 @@ fn switching_runner_is_never_worse_formed_than_static() {
     };
     let mut settings = ScenarioSettings::fast();
     settings.max_evals = 150;
-    let switched = run_with_switching(&scenario, &split, &settings, &SwitchConfig::default());
-    // The default schedule starts with SFFS; on an easy scenario both must
-    // succeed and the switcher should not have needed a second strategy.
+    let switched = run_dfs(&scenario, &split, &settings, StrategyId::Switching);
+    // The schedule starts with SFFS; on an easy scenario both must succeed
+    // and the switcher should not have needed a second strategy, so it
+    // answers exactly like SFFS run alone.
     let static_run = run_dfs(&scenario, &split, &settings, StrategyId::Sffs);
+    assert!(static_run.success, "{static_run:?}");
+    assert_eq!(switched.strategy.name(), "auto");
     assert_eq!(switched.success, static_run.success);
-    if switched.success {
-        assert_eq!(switched.attempted.len(), 1);
-        assert!(switched.subset.is_some());
-    }
+    assert_eq!(switched.subset, static_run.subset);
+    assert_eq!(switched.evaluations, static_run.evaluations);
+    assert_eq!(switched.val_distance.to_bits(), static_run.val_distance.to_bits());
+    assert_eq!(switched.test_distance.to_bits(), static_run.test_distance.to_bits());
 }
 
 #[test]
