@@ -38,17 +38,18 @@
 //! this same seed, so sharing the cache or warming it can never change a
 //! strategy's outcome, only how often and when the ranking is computed.
 //!
-//! **Warm-only handles.** A handle made warm-only (through
-//! `ScenarioContext::warm_only`) serves what its entry holds and stops its
-//! holder at the first step that would compute: here a fit-store miss, a
-//! ranking compute or a bins derivation; in the scenario layer a
-//! measurement that would end exact (and so enter the memo) or run the
-//! evasion attack, and any evaluation past the handle's deadline. It stops
-//! by unwinding with a private payload, before the step is counted;
-//! [`catch_warm_stop`] turns the unwind back into a [`WarmStop`]. The flag
-//! rides on the handle, not on the thread, so executor helpers measuring
-//! for the holder see it too, and their unwind reaches the caller with its
-//! payload intact.
+//! **Stopping handles.** A handle can carry a deadline and a warm-only
+//! flag (set through `ScenarioContext::with_deadline` and
+//! `ScenarioContext::warm_only`). A handle with a deadline stops its
+//! holder at the first evaluation past it. A warm-only handle serves what
+//! its entry holds and stops its holder at the first step that would
+//! compute: here a fit-store miss, a ranking compute or a bins derivation;
+//! in the scenario layer a measurement that would end exact (and so enter
+//! the memo) or run the evasion attack. Either stop unwinds with a private
+//! payload, before the step is counted; [`catch_stop`] turns the unwind
+//! back into a [`CellStop`]. The deadline and the flag ride on the handle,
+//! not on the thread, so executor helpers measuring for the holder see
+//! them too, and their unwind reaches the caller with its payload intact.
 
 use dfs_constraints::Evaluation;
 use dfs_data::split::Split;
@@ -106,22 +107,22 @@ fn compute_once<V>(
     (value, !computed)
 }
 
-/// Why a run on a warm-only handle stopped.
+/// Why a run on a stopping handle stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmStop {
-    /// It reached a step that computes.
+pub enum CellStop {
+    /// It reached a step that computes, on a warm-only handle.
     Cold,
     /// Its deadline passed.
     PastDeadline,
 }
 
-/// The unwind payload of a warm-only stop; private, so no other panic can
-/// pass for one.
-struct Stop(WarmStop);
+/// The unwind payload of a stop; private, so no other panic can pass for
+/// one.
+struct Stop(CellStop);
 
-/// Runs `f` and returns its value, or why a warm-only handle it used
+/// Runs `f` and returns its value, or why a stopping handle it used
 /// stopped it. Any other panic unwinds on.
-pub fn catch_warm_stop<R>(f: impl FnOnce() -> R) -> Result<R, WarmStop> {
+pub fn catch_stop<R>(f: impl FnOnce() -> R) -> Result<R, CellStop> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| match payload.downcast::<Stop>() {
         Ok(stop) => stop.0,
         Err(payload) => resume_unwind(payload),
@@ -193,8 +194,10 @@ pub struct SplitArtifacts {
     /// Whether this handle has counted its bins request: the bin counters
     /// count one compute or hit per holder, not per fit.
     bins_counted: AtomicBool,
-    /// `Some(deadline)` on a warm-only handle (see the module docs).
-    warm_only: Option<Instant>,
+    /// The deadline a holder stops at (see the module docs).
+    deadline: Option<Instant>,
+    /// Whether a holder stops at a step that computes.
+    warm_only: bool,
 }
 
 impl ArtifactCache {
@@ -227,7 +230,12 @@ impl ArtifactCache {
                 entry
             }
         };
-        SplitArtifacts { entry, bins_counted: AtomicBool::new(false), warm_only: None }
+        SplitArtifacts {
+            entry,
+            bins_counted: AtomicBool::new(false),
+            deadline: None,
+            warm_only: false,
+        }
     }
 
     /// `(computes, hits)` so far.
@@ -312,22 +320,28 @@ pub(crate) fn warm_rankings(
 }
 
 impl SplitArtifacts {
-    /// Makes this handle warm-only until `deadline` (see the module docs).
-    pub(crate) fn set_warm_only(&mut self, deadline: Instant) {
-        self.warm_only = Some(deadline);
+    /// Stops this handle's holder at its first evaluation past `deadline`
+    /// (see the module docs).
+    pub(crate) fn set_deadline(&mut self, deadline: Instant) {
+        self.deadline = Some(deadline);
+    }
+
+    /// Makes this handle warm-only (see the module docs).
+    pub(crate) fn set_warm_only(&mut self) {
+        self.warm_only = true;
     }
 
     /// Stops a warm-only holder at a step that would compute.
     pub(crate) fn stop_if_warm_only(&self) {
-        if self.warm_only.is_some() {
-            resume_unwind(Box::new(Stop(WarmStop::Cold)));
+        if self.warm_only {
+            resume_unwind(Box::new(Stop(CellStop::Cold)));
         }
     }
 
-    /// Stops a warm-only holder whose deadline has passed.
+    /// Stops a holder whose deadline has passed.
     pub(crate) fn check_deadline(&self) {
-        if self.warm_only.is_some_and(|deadline| Instant::now() >= deadline) {
-            resume_unwind(Box::new(Stop(WarmStop::PastDeadline)));
+        if self.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            resume_unwind(Box::new(Stop(CellStop::PastDeadline)));
         }
     }
 

@@ -674,14 +674,21 @@ impl<'a> ScenarioContext<'a> {
         self
     }
 
-    /// Makes the context's split hold warm-only until `deadline`: a run on
-    /// it serves from the artifact cache alone and unwinds at the first
-    /// step that would compute, or at the first evaluation past the
-    /// deadline (see [`crate::artifacts::catch_warm_stop`]). Set it after
-    /// [`ScenarioContext::with_artifacts`], which takes a fresh hold.
-    pub fn warm_only(mut self, deadline: std::time::Instant) -> Self {
-        self.artifacts.set_warm_only(deadline);
+    /// Stops a run on the context at its first evaluation past `deadline`,
+    /// by an unwind [`crate::artifacts::catch_stop`] turns into
+    /// `CellStop::PastDeadline`. Pruned proposals are checked too. Set it
+    /// after [`ScenarioContext::with_artifacts`], which takes a fresh hold.
+    pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
+        self.artifacts.set_deadline(deadline);
         self
+    }
+
+    /// [`ScenarioContext::with_deadline`], and a run on the context serves
+    /// from the artifact cache alone: it unwinds with `CellStop::Cold` at
+    /// the first step that would compute.
+    pub fn warm_only(mut self, deadline: std::time::Instant) -> Self {
+        self.artifacts.set_warm_only();
+        self.with_deadline(deadline)
     }
 
     /// The scenario under evaluation.
@@ -962,8 +969,8 @@ impl<'a> ScenarioContext<'a> {
         prune: bool,
         bound: Option<f64>,
     ) -> Option<(f64, Evaluation)> {
-        // Pruned proposals never miss a cache, so a warm-only run could
-        // otherwise loop past its deadline on them.
+        // Checked before admission: pruned proposals measure nothing, so a
+        // run could otherwise loop past its deadline on them.
         self.artifacts.check_deadline();
         match self.admit(subset, prune, bound) {
             Admission::Deny => None,

@@ -82,8 +82,9 @@ pub fn run_dfs_with_exec(
     run_dfs_in(ctx, strategy)
 }
 
-/// [`run_dfs_with_exec`] on a context the caller built, e.g. a warm-only
-/// one ([`ScenarioContext::warm_only`]).
+/// [`run_dfs_with_exec`] on a context the caller built, e.g. one with a
+/// deadline ([`ScenarioContext::with_deadline`]) or a warm-only one
+/// ([`ScenarioContext::warm_only`]).
 pub fn run_dfs_in(mut ctx: ScenarioContext<'_>, strategy: StrategyId) -> DfsOutcome {
     let scenario = ctx.scenario();
     dfs_obs::heartbeat("search");

@@ -110,8 +110,10 @@ pub struct QuerySpec {
     pub hpo: bool,
     /// Dataset/split seed.
     pub seed: u64,
-    /// Client deadline for the whole request in milliseconds, propagated
-    /// into the server's cell watchdog. `None` → server default.
+    /// Client deadline for the whole request in milliseconds, counted from
+    /// admission: the server stops the search at its first evaluation past
+    /// it and answers `deadline_exceeded`, at most one evaluation late.
+    /// `None` → server default.
     pub deadline_ms: Option<u64>,
 }
 
@@ -323,8 +325,9 @@ pub struct WireError {
     pub code: ErrorCode,
     /// Human-readable detail (e.g. the parse failure).
     pub message: String,
-    /// For [`ErrorCode::DeadlineExceeded`]: the heartbeat phase the cell
-    /// was in when the watchdog fired — `CellTimedOut`-style attribution.
+    /// For [`ErrorCode::DeadlineExceeded`]: the heartbeat phase the query
+    /// was in when it stopped (`queue` when its queue wait spent the
+    /// deadline) — `CellTimedOut`-style attribution.
     pub phase: Option<String>,
 }
 

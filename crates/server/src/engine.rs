@@ -13,23 +13,24 @@
 //! or overlapping query skips the model fits the first one already paid,
 //! without changing any result bit (DESIGN.md § 4h).
 //!
-//! A repeated query can run warm ([`Engine::run_warm`]): on the caller's
-//! thread, from the split's caches alone, stopping before the first step
-//! that would compute.
+//! Every query runs on the caller's thread ([`Engine::run_until`]) and
+//! stops at its first evaluation past its expiry. A repeated query can
+//! run warm: from the split's caches alone, stopping before the first
+//! step that would compute.
 //!
 //! **One byte budget.** Each entry is charged its split's matrix and label
-//! bytes plus its artifacts' bytes, charged again when a query on it may
-//! have grown them; past the budget the least recently used entries are
-//! evicted until the charge fits or only one is left. Evicting drops the
-//! engine's hold and its handle on the split: a query still running on it
-//! keeps its own, and a later request regenerates the split and answers
-//! bit for bit the same.
+//! bytes plus its artifacts' bytes, charged again after each query on it
+//! that was not warm-only, which may have grown them; past the budget the
+//! least recently used entries are evicted until the charge fits or only
+//! one is left. Evicting drops the engine's hold and its handle on the
+//! split: a query still running on it keeps its own, and a later request
+//! regenerates the split and answers bit for bit the same.
 //!
 //! Every query cell runs on the server's pinned [`Executor`] permit pool:
 //! results are bit-identical for any pool width, so the chaos suite can
 //! compare a 1-thread and a 4-thread server fingerprint-for-fingerprint.
 
-use dfs_core::artifacts::{catch_warm_stop, split_fingerprint, SplitArtifacts, WarmStop};
+use dfs_core::artifacts::{catch_stop, split_fingerprint, CellStop, SplitArtifacts};
 use dfs_core::prelude::*;
 use dfs_core::workflow::run_dfs_in;
 use dfs_data::split::{stratified_three_way, Split};
@@ -247,7 +248,7 @@ impl Engine {
     }
 
     /// The dataset name and split of a spec, generated on a miss.
-    fn prepared(&self, spec: &QuerySpec) -> Result<(String, Split), WireError> {
+    pub(crate) fn prepared(&self, spec: &QuerySpec) -> Result<(String, Split), WireError> {
         let key = split_key(spec);
         if let Some(hit) = self.splits_lock().get(&key) {
             return Ok(hit);
@@ -281,10 +282,9 @@ impl Engine {
         Ok(cached)
     }
 
-    /// Executes a validated query under the given effective budget.
-    ///
-    /// Runs on a worker's cell thread: panics (including the chaos plan's
-    /// `PanicInCell`) unwind into the caller's `catch_unwind`.
+    /// Executes a validated query under the given effective budget, with
+    /// no expiry: [`Engine::run_until`] for callers without a deadline.
+    /// Panics (including `inject_panic`'s) unwind into the caller.
     pub fn run(
         &self,
         spec: &QuerySpec,
@@ -295,50 +295,61 @@ impl Engine {
         if inject_panic {
             panic!("chaos: injected cell panic (req {})", spec.req_id);
         }
-        let query = Query::parse(spec, search_time, max_evals)?;
-        let (dataset, split) = self.prepared(spec)?;
-        let (result, grew) = self.search(&query, dataset, &split, None);
-        if grew {
-            // The query may have grown the split's memo, fit store or
-            // rankings: charge them.
-            let _evicted = self.splits_lock().recharge(&split_key(spec));
-        }
-        Ok(result)
+        self.run_until(spec, search_time, max_evals, None, false)
+            .unwrap_or_else(|stop| unreachable!("a run with no expiry stopped: {stop:?}"))
     }
 
-    /// [`Engine::run`] from the caches alone, by `deadline`: the answer
-    /// when the split is cached and every step the query takes is served
-    /// by its memo, fit store, rankings and bins, else why it stopped.
-    /// A stopped attempt has fitted, ranked and binned nothing and changed
-    /// no cache; the hits and memo misses it met stay counted. Results
-    /// have the same bits as [`Engine::run`]'s.
-    pub fn run_warm(
+    /// Runs a validated query on the calling thread until `expires`: the
+    /// answer, else why it stopped. A run stops at its first evaluation
+    /// past `expires`, so it ends at most one step late: the evaluation,
+    /// ranking compute or test confirmation under way when `expires`
+    /// passed.
+    ///
+    /// A `warm_only` run (which needs an expiry) answers from the caches
+    /// alone: when the split is cached and every step the query takes is
+    /// served by its memo, fit store, rankings and bins, else it stops
+    /// [`CellStop::Cold`] having fitted, ranked and binned nothing and
+    /// changed no cache; the hits and memo misses it met stay counted.
+    /// Any other run prepares its split and then charges it again for what
+    /// it may have added, also when its deadline stopped it. Results have
+    /// the same bits either way.
+    pub fn run_until(
         &self,
         spec: &QuerySpec,
         search_time: Duration,
         max_evals: usize,
-        deadline: Instant,
-    ) -> Result<Result<QueryResult, WireError>, WarmStop> {
+        expires: Option<Instant>,
+        warm_only: bool,
+    ) -> Result<Result<QueryResult, WireError>, CellStop> {
         let query = match Query::parse(spec, search_time, max_evals) {
             Ok(query) => query,
             Err(wire) => return Ok(Err(wire)),
         };
-        let Some((dataset, split)) = self.splits_lock().get(&split_key(spec)) else {
-            return Err(WarmStop::Cold);
+        let (dataset, split) = if warm_only {
+            self.splits_lock().get(&split_key(spec)).ok_or(CellStop::Cold)?
+        } else {
+            match self.prepared(spec) {
+                Ok(prepared) => prepared,
+                Err(wire) => return Ok(Err(wire)),
+            }
         };
-        catch_warm_stop(|| Ok(self.search(&query, dataset, &split, Some(deadline)).0))
+        let answer = catch_stop(|| self.search(&query, dataset, &split, expires, warm_only));
+        if !warm_only {
+            let _evicted = self.splits_lock().recharge(&split_key(spec));
+        }
+        answer.map(Ok)
     }
 
-    /// Runs a parsed query on its split, warm-only until the deadline when
-    /// one is given. Also returns whether the query may have grown the
-    /// split's artifacts: a memo miss, a fit or a ranking compute.
+    /// Runs a parsed query on its split, stopping at `expires` and, when
+    /// `warm_only`, at a step that computes.
     fn search(
         &self,
         query: &Query<'_>,
         dataset: String,
         split: &Split,
-        warm: Option<Instant>,
-    ) -> (QueryResult, bool) {
+        expires: Option<Instant>,
+        warm_only: bool,
+    ) -> QueryResult {
         let spec = query.spec;
         let scenario = MlScenario {
             dataset,
@@ -354,13 +365,14 @@ impl Engine {
         let ctx = ScenarioContext::new(&scenario, split, &settings)
             .with_artifacts(Arc::clone(&self.artifacts))
             .with_executor(Arc::clone(&self.exec));
-        let ctx = match warm {
-            Some(deadline) => ctx.warm_only(deadline),
+        let ctx = match expires {
+            Some(expires) if warm_only => ctx.warm_only(expires),
+            Some(expires) => ctx.with_deadline(expires),
             None => ctx,
         };
         let out = run_dfs_in(ctx, query.strategy);
         let perf = out.perf;
-        let result = QueryResult {
+        QueryResult {
             req_id: spec.req_id,
             strategy: out.strategy.name(),
             success: out.success,
@@ -372,8 +384,7 @@ impl Engine {
             model_fits: perf.model_fits,
             ranking_computes: perf.ranking_computes,
             ranking_hits: perf.ranking_hits,
-        };
-        (result, perf.memo_misses + perf.model_fits + perf.ranking_computes > 0)
+        }
     }
 }
 
@@ -455,8 +466,9 @@ mod tests {
     }
 
     /// An entry is charged its split and its artifacts: a query that fills
-    /// its memo and fit store raises the charge, and evicting to make room
-    /// keeps the total within max(budget, the largest entry).
+    /// its memo and fit store raises the charge, so does one its deadline
+    /// stopped, and evicting to make room keeps the total within
+    /// max(budget, the largest entry).
     #[test]
     fn a_query_charges_its_split_for_the_artifacts_it_adds() {
         let spec = |req_id: u64, seed: u64| {
@@ -478,12 +490,26 @@ mod tests {
         assert!(filled > fresh, "charge {filled} did not grow from {fresh}");
         assert_eq!(engine.cache_counts().1 as usize, filled);
         // Repeats, warm or on a worker, add nothing to charge.
-        let deadline = Instant::now() + Duration::from_secs(600);
-        let warm = engine.run_warm(&spec(2, 21), Duration::from_secs(600), 12, deadline);
+        let warm = run_warm(&engine, &spec(2, 21), Duration::from_secs(600), 12);
         assert!(matches!(warm, Ok(Ok(_))), "{warm:?}");
         engine.run(&spec(3, 21), Duration::from_secs(600), 12, false).expect("run");
         assert_eq!(charge(&engine, 21), filled);
         assert_eq!(engine.cache_counts().1 as usize, filled);
+
+        // A run past its expiry stops at its first evaluation, after its
+        // strategy computed its ranking, and is charged for the ranking.
+        let mut late = spec(4, 24);
+        late.strategy = "variance".into();
+        let expired = Some(Instant::now());
+        let stopped = engine.run_until(&late, Duration::from_secs(600), 12, expired, false);
+        assert_eq!(stopped, Err(CellStop::PastDeadline));
+        assert_eq!(engine.ranking_counts().0, 1, "the stopped run computed its ranking");
+        let cache = engine.splits_lock();
+        let entry = &cache.entries[&("compas".to_string(), 120, 24)];
+        assert!(entry.artifacts.bytes() > 0);
+        assert_eq!(entry.bytes, split_bytes(&entry.split) + entry.artifacts.bytes());
+        assert_eq!(cache.bytes, filled + entry.bytes);
+        drop(cache);
 
         // A budget that holds one filled entry and not two.
         let engine = Engine::with_cache_bytes(1, filled + filled / 2);
@@ -573,8 +599,15 @@ mod tests {
         r
     }
 
-    fn far() -> Instant {
-        Instant::now() + Duration::from_secs(600)
+    /// A warm-only run that expires in 600 s.
+    fn run_warm(
+        engine: &Engine,
+        spec: &QuerySpec,
+        search_time: Duration,
+        max_evals: usize,
+    ) -> Result<Result<QueryResult, WireError>, CellStop> {
+        let far = Instant::now() + Duration::from_secs(600);
+        engine.run_until(spec, search_time, max_evals, Some(far), true)
     }
 
     /// A warm attempt answers a repeated query like a worker's run does,
@@ -587,12 +620,12 @@ mod tests {
         for threads in [1, 2] {
             let engine = Engine::new(threads);
             let spec = warm_specs().remove(0);
-            assert_eq!(engine.run_warm(&spec, budget, 12, far()), Err(WarmStop::Cold));
+            assert_eq!(run_warm(&engine, &spec, budget, 12), Err(CellStop::Cold));
             assert_eq!(engine.cache_counts(), (0, 0, 0), "a warm attempt prepared a split");
             let (_, split) = engine.prepared(&spec).expect("prepare");
             let key = split_key(&spec);
             for spec in warm_specs() {
-                assert_eq!(engine.run_warm(&spec, budget, 12, far()), Err(WarmStop::Cold));
+                assert_eq!(run_warm(&engine, &spec, budget, 12), Err(CellStop::Cold));
             }
             assert_eq!(engine.splits_lock().entries[&key].artifacts.bytes(), 0);
             assert_eq!(engine.ranking_counts().0, 0, "a warm attempt computed a ranking");
@@ -605,7 +638,7 @@ mod tests {
                     spec.strategy, spec.model, spec.min_safety
                 );
                 let cold = engine.run(&spec, budget, 12, false).expect("cold run");
-                let warm = engine.run_warm(&spec, budget, 12, far());
+                let warm = run_warm(&engine, &spec, budget, 12);
                 let Ok(Ok(warm)) = warm else { panic!("{what}: not answered warm: {warm:?}") };
                 let worker = engine.run(&spec, budget, 12, false).expect("worker run");
                 assert_eq!(untimed(warm.clone()), untimed(worker), "{what}");

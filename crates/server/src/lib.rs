@@ -8,22 +8,25 @@
 //!
 //! - **Admission control** — per-request wall-clock and evaluation quotas
 //!   (requests above quota get a terminal `budget_exceeded`); the admitted
-//!   request's [`Budget`] starts at admission, so queue wait counts
-//!   against its deadline.
+//!   request's deadline counts from admission, so queue wait spends it.
 //! - **Load shedding** — a bounded queue that answers `overloaded`
 //!   immediately when full or draining; a request is never silently
 //!   dropped and never waits unboundedly.
-//! - **Deadline propagation** — the client's `deadline_ms` drives a
-//!   per-request watchdog; a blown deadline reports the cell's last
-//!   [`dfs_obs::Heartbeat`] phase (`CellTimedOut`-style attribution) in
-//!   the error frame.
+//! - **Deadline propagation** — the client's `deadline_ms` is the
+//!   request's expiry: a query waiting in the queue past it, or a search
+//!   at its first evaluation past it ([`engine::Engine::run_until`]),
+//!   answers `deadline_exceeded` with the cell's last
+//!   [`dfs_obs::Heartbeat`] phase (`CellTimedOut`-style attribution). The
+//!   answer arrives at most one evaluation late (or one ranking compute or
+//!   test confirmation), and nothing of the query runs on after it.
 //! - **Warm answers** — the connection thread first tries each admitted
-//!   query from the engine's caches alone ([`engine::Engine::run_warm`]);
-//!   only a query that would compute takes a queue slot and a worker.
-//! - **Panic isolation** — query cells run under `catch_unwind` on named
-//!   threads, warm attempts under `catch_unwind` on the connection thread,
-//!   and connection handlers are themselves unwind-isolated: a panicking
-//!   query answers `internal` and the daemon keeps serving.
+//!   query from the engine's caches alone; only a query that would compute
+//!   takes a queue slot and a worker, which runs it inline. So at most
+//!   `workers` searches compute at once, late ones included.
+//! - **Panic isolation** — query cells run under `catch_unwind` on the
+//!   worker or the connection thread that runs them, and connection
+//!   handlers are themselves unwind-isolated: a panicking query answers
+//!   `internal` and the daemon keeps serving.
 //! - **Graceful drain** — SIGTERM (or a `shutdown` request) stops
 //!   accepting, sheds the queue with explicit `overloaded` responses,
 //!   lets in-flight queries finish and their responses flush, then writes
@@ -44,12 +47,11 @@ pub mod engine;
 pub mod queue;
 pub mod stats;
 
-use dfs_core::artifacts::WarmStop;
+use dfs_core::artifacts::CellStop;
 use dfs_core::{DfsError, ServerFaultKind, ServerFaultPlan, ServerHold};
 use dfs_obs::{self as obs, RunObserver};
 use dfs_proto::frame::{encode_frame, read_frame, FrameError, HEADER_LEN};
 use dfs_proto::{ErrorCode, Request, Response, ServerStats, WireError};
-use dfs_search::Budget;
 use engine::Engine;
 use queue::{BoundedQueue, PushError};
 use stats::Stats;
@@ -87,7 +89,7 @@ pub struct ServerConfig {
     pub default_time: Duration,
     /// Evaluation cap applied when a query sends `max_evals = 0`.
     pub default_evals: usize,
-    /// Watchdog slack added on top of the search time when the client
+    /// Deadline slack added on top of the search time when the client
     /// supplies no deadline (covers result confirmation and queue wait).
     pub deadline_grace: Duration,
     /// Per-connection read idle timeout; an idle connection is closed.
@@ -132,10 +134,11 @@ struct Job {
     search_time: Duration,
     /// Effective evaluation cap.
     max_evals: usize,
-    /// Whole-request deadline (watchdog limit), measured by `budget`.
+    /// Whole-request deadline, counted from `admitted`.
     deadline: Duration,
-    /// Started at admission: queue wait counts against the deadline.
-    budget: Budget,
+    /// When the request was admitted: queue wait counts against the
+    /// deadline.
+    admitted: Instant,
     /// Chaos: panic inside the query cell.
     panic_in_cell: bool,
     /// Chaos: a gate the worker parks at before executing.
@@ -164,6 +167,22 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: ServerConfig) -> Self {
+        Self {
+            queue: BoundedQueue::new(cfg.queue_depth),
+            stats: Stats::default(),
+            engine: Engine::with_cache_bytes(cfg.threads, cfg.cache_bytes),
+            chaos: Mutex::new(cfg.chaos.clone()),
+            draining: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
+            pending: AtomicUsize::new(0),
+            active_handlers: AtomicUsize::new(0),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
+            cfg,
+        }
+    }
+
     fn conns_lock(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
         self.conns.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -214,20 +233,7 @@ impl Server {
     pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let chaos = cfg.chaos.clone();
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(cfg.queue_depth),
-            stats: Stats::default(),
-            engine: Engine::with_cache_bytes(cfg.threads, cfg.cache_bytes),
-            chaos: Mutex::new(chaos),
-            draining: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
-            active_handlers: AtomicUsize::new(0),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(cfg));
 
         let mut workers = Vec::new();
         for i in 0..shared.cfg.workers.max(1) {
@@ -650,8 +656,8 @@ fn serve_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
 }
 
 /// Validates, admits, and executes one query, returning the response to
-/// write. Never blocks unboundedly: admission sheds, execution is under a
-/// watchdog, and the reply wait is capped past the watchdog deadline.
+/// write. Never blocks unboundedly: admission sheds, execution stops at
+/// the deadline, and the reply wait is capped past it.
 fn serve_query(
     shared: &Arc<Shared>,
     spec: dfs_proto::QuerySpec,
@@ -668,16 +674,24 @@ fn serve_query(
         Err(wire) => return Response::Error(wire),
     };
 
-    // The request's Budget starts here: queue wait spends it.
-    let budget = Budget::new(deadline, max_evals);
-    let expires = Instant::now() + deadline;
-    let hold = shared.chaos_lock().take_hold(spec.req_id);
+    let req_id = spec.req_id;
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let job = Job {
+        spec,
+        search_time,
+        max_evals,
+        deadline,
+        // The deadline counts from here: queue wait spends it.
+        admitted: Instant::now(),
+        panic_in_cell: matches!(fault, Some(ServerFaultKind::PanicInCell)),
+        hold: shared.chaos_lock().take_hold(req_id),
+        reply: reply_tx,
+    };
     // A query the caches already hold is answered right here, with no
-    // queue slot, worker or cell thread. Chaos faults and holds target
-    // the worker path, and a draining server answers from the queue.
-    if fault.is_none() && hold.is_none() && !shared.draining.load(Ordering::Acquire) {
-        if let Some(resp) = answer_warm(shared, &spec, search_time, max_evals, deadline, expires)
-        {
+    // queue slot or worker. Chaos faults and holds target the worker
+    // path, and a draining server answers from the queue.
+    if fault.is_none() && job.hold.is_none() && !shared.draining.load(Ordering::Acquire) {
+        if let Some(resp) = run_cell(shared, &job, true) {
             shared.stats.latency.record(received.elapsed().as_nanos() as u64);
             return resp;
         }
@@ -685,48 +699,34 @@ fn serve_query(
     if let Some(ServerFaultKind::StallHandler(wait)) = fault {
         // The stall burns the admitted request's own deadline, so a stall
         // past it must surface as `deadline_exceeded`, never a hang.
-        obs::warn!("dfs-server", "chaos: stalling handler {wait:?} (req {})", spec.req_id);
+        obs::warn!("dfs-server", "chaos: stalling handler {wait:?} (req {req_id})");
         thread::sleep(wait);
     }
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        spec: spec.clone(),
-        search_time,
-        max_evals,
-        deadline,
-        budget,
-        panic_in_cell: matches!(fault, Some(ServerFaultKind::PanicInCell)),
-        hold,
-        reply: reply_tx,
-    };
     match shared.queue.try_push(job) {
         Err(PushError::Full { queued, capacity, .. }) => {
             Stats::bump(&shared.stats.shed);
             obs::counter("server.query.shed", 1);
             let err = DfsError::Overloaded { queued, capacity };
-            obs::warn!("dfs-server", "{err} (req {})", spec.req_id);
-            Response::Error(WireError::new(spec.req_id, ErrorCode::Overloaded, err.to_string()))
+            obs::warn!("dfs-server", "{err} (req {req_id})");
+            Response::Error(WireError::new(req_id, ErrorCode::Overloaded, err.to_string()))
         }
         Err(PushError::Closed(_)) => {
             Stats::bump(&shared.stats.shed);
             obs::counter("server.query.shed", 1);
             Response::Error(WireError::new(
-                spec.req_id,
+                req_id,
                 ErrorCode::Overloaded,
                 "server is draining; retry against another instance",
             ))
         }
         Ok(()) => {
             // The worker always replies (shed, executed, panicked, or
-            // timed out); the cap is pure insurance so a lost reply can
-            // never wedge the handler.
+            // past its deadline) and stops at most one step past the
+            // deadline; the cap is pure insurance so a lost reply or a
+            // stuck fit can never wedge the handler.
             let wait_cap = deadline + shared.cfg.deadline_grace + Duration::from_secs(5);
             let resp = reply_rx.recv_timeout(wait_cap).unwrap_or_else(|_| {
-                Response::Error(WireError::new(
-                    spec.req_id,
-                    ErrorCode::Internal,
-                    "worker reply lost",
-                ))
+                Response::Error(WireError::new(req_id, ErrorCode::Internal, "worker reply lost"))
             });
             // Request latency for every admitted query: handler entry to
             // reply resolution — validation, queue wait, and execution.
@@ -813,138 +813,71 @@ fn write_response(
 }
 
 // ---------------------------------------------------------------------------
-// Workers: guarded query execution with deadline propagation
+// Workers and query cells: guarded execution with deadline propagation
 // ---------------------------------------------------------------------------
 
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         if let Some(hold) = &job.hold {
             hold.enter();
         }
         let resp = execute_job(shared, &job);
-        count_served(shared, &resp);
         // A vanished handler (client gone) is fine; the result is dropped.
         let _ = job.reply.send(resp);
     }
 }
 
-/// Counts an answered query in `served`, and in `succeeded` when its
-/// constraints were met.
-fn count_served(shared: &Shared, resp: &Response) {
-    if let Response::Result(result) = resp {
-        Stats::bump(&shared.stats.served);
-        obs::counter("server.query.served", 1);
-        if result.success {
-            Stats::bump(&shared.stats.succeeded);
-        }
+/// Runs one job on the calling worker, unless its queue wait already
+/// spent its deadline.
+fn execute_job(shared: &Shared, job: &Job) -> Response {
+    let waited = job.admitted.elapsed();
+    // Recorded for every job, including ones the wait already killed.
+    shared.stats.queue_wait.record(waited.as_nanos() as u64);
+    if waited >= job.deadline {
+        return deadline_response(shared, job.spec.req_id, job.deadline, "queue".into());
     }
+    run_cell(shared, job, false)
+        .unwrap_or_else(|| unreachable!("only a warm-only cell stops cold"))
 }
 
-/// Tries a query from the engine's caches alone, on the connection
-/// thread, under the request's heartbeat and until `expires` (admission
-/// plus `deadline`). `None` when the attempt stopped at a step that
-/// computes: the query then takes the queue. A finished attempt, a panic
-/// and a passed deadline are answered like a worker answers them.
-fn answer_warm(
-    shared: &Shared,
-    spec: &dfs_proto::QuerySpec,
-    search_time: Duration,
-    max_evals: usize,
-    deadline: Duration,
-    expires: Instant,
-) -> Option<Response> {
+/// Runs a query cell on the calling thread, under the request's heartbeat,
+/// until its deadline (admission plus `deadline`), warm-only when
+/// `warm_only`, and maps the outcome: the query's result or error,
+/// `internal` for a panic (counted in `panicked`), and `deadline_exceeded`
+/// with the heartbeat's last phase. `None` only when a warm-only cell
+/// stopped at a step that computes: the query then takes the queue.
+fn run_cell(shared: &Shared, job: &Job, warm_only: bool) -> Option<Response> {
+    let spec = &job.spec;
     let heartbeat = Arc::new(obs::Heartbeat::new());
     obs::install_heartbeat(Arc::clone(&heartbeat));
-    // A stop unwinds out of scoped collectors; this one takes them along
-    // instead of leaving them on the connection thread.
+    // A stop or a panic unwinds out of scoped collectors; this one takes
+    // them along instead of leaving them on the calling thread.
     let depth = obs::trace_enabled().then(obs::push_collector);
+    let expires = job.admitted + job.deadline;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        shared.engine.run_warm(spec, search_time, max_evals, expires)
+        if job.panic_in_cell {
+            panic!("chaos: injected cell panic (req {})", spec.req_id);
+        }
+        shared.engine.run_until(spec, job.search_time, job.max_evals, Some(expires), warm_only)
     }));
     if let Some(depth) = depth {
         obs::take_collector(depth);
     }
     obs::clear_heartbeat();
-    let outcome = match outcome {
-        Ok(Err(WarmStop::Cold)) => return None,
-        Ok(Err(WarmStop::PastDeadline)) => {
-            return Some(deadline_response(shared, spec.req_id, deadline, heartbeat.last()))
+    let resp = match outcome {
+        Ok(Ok(Ok(result))) => {
+            Stats::bump(&shared.stats.served);
+            obs::counter("server.query.served", 1);
+            if result.success {
+                Stats::bump(&shared.stats.succeeded);
+            }
+            Response::Result(result)
         }
-        Ok(Ok(answer)) => Ok(answer),
-        Err(panic_payload) => Err(panic_payload),
-    };
-    let resp = cell_response(shared, spec, outcome);
-    count_served(shared, &resp);
-    Some(resp)
-}
-
-/// Runs one job under the watchdog. Mirrors the benchmark runner's
-/// guarded-cell pattern: the query runs on a named thread with a
-/// heartbeat installed; the worker waits with `recv_timeout` and converts
-/// expiry into a `deadline_exceeded` error frame carrying the last
-/// heartbeat phase.
-fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
-    let req_id = job.spec.req_id;
-    // The budget started at admission, so its elapsed time at pickup IS
-    // the queue wait — recorded for every job, including ones the wait
-    // already killed.
-    shared.stats.queue_wait.record(job.budget.elapsed().as_nanos() as u64);
-    // Queue wait already spent the whole deadline?
-    if job.budget.exhausted() {
-        return deadline_response(shared, req_id, job.deadline, "queue".into());
-    }
-    let remaining = job.deadline.saturating_sub(job.budget.elapsed());
-    let heartbeat = Arc::new(obs::Heartbeat::new());
-    let (cell_tx, cell_rx) = mpsc::channel();
-    let cell = {
-        let heartbeat = Arc::clone(&heartbeat);
-        let shared = Arc::clone(shared);
-        let spec = job.spec.clone();
-        let search_time = job.search_time;
-        let max_evals = job.max_evals;
-        let panic_in_cell = job.panic_in_cell;
-        thread::Builder::new().name(format!("dfs-cell-{req_id}")).spawn(move || {
-            obs::install_heartbeat(heartbeat);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                shared.engine.run(&spec, search_time, max_evals, panic_in_cell)
-            }));
-            obs::clear_heartbeat();
-            let _ = cell_tx.send(outcome);
-        })
-    };
-    let cell = match cell {
-        Ok(cell) => cell,
-        Err(e) => {
-            return Response::Error(WireError::new(
-                req_id,
-                ErrorCode::Internal,
-                format!("failed to spawn query cell: {e}"),
-            ));
+        Ok(Ok(Err(wire))) => Response::Error(wire),
+        Ok(Err(CellStop::Cold)) => return None,
+        Ok(Err(CellStop::PastDeadline)) => {
+            deadline_response(shared, spec.req_id, job.deadline, heartbeat.last())
         }
-    };
-    match cell_rx.recv_timeout(remaining) {
-        Ok(outcome) => {
-            let _ = cell.join();
-            cell_response(shared, &job.spec, outcome)
-        }
-        // Watchdog fired. The cell thread keeps running detached (it is
-        // budget-bounded and will unwind on its own); attribution comes
-        // from its heartbeat, exactly like `CellTimedOut`.
-        Err(_) => deadline_response(shared, req_id, job.deadline, heartbeat.last()),
-    }
-}
-
-/// The response to a query that ran to an outcome: its result, its error,
-/// or `internal` for a panic, which is counted in `panicked`. Shared by
-/// the worker's cell and the connection thread's warm attempt.
-fn cell_response(
-    shared: &Shared,
-    spec: &dfs_proto::QuerySpec,
-    outcome: thread::Result<Result<dfs_proto::QueryResult, WireError>>,
-) -> Response {
-    match outcome {
-        Ok(Ok(result)) => Response::Result(result),
-        Ok(Err(wire)) => Response::Error(wire),
         Err(panic_payload) => {
             Stats::bump(&shared.stats.panicked);
             obs::counter("server.query.panicked", 1);
@@ -961,7 +894,8 @@ fn cell_response(
                 format!("query cell panicked: {payload}"),
             ))
         }
-    }
+    };
+    Some(resp)
 }
 
 /// `deadline_exceeded` for a query that missed its deadline in `phase`,
@@ -1017,6 +951,46 @@ mod tests {
         assert_eq!(time, Duration::from_millis(120));
         assert_eq!(evals, 40);
         assert_eq!(deadline, Duration::from_millis(90), "client deadline propagates verbatim");
+    }
+
+    /// A cold query past its deadline stops on its worker at its next
+    /// evaluation and is answered there, well inside its search time, and
+    /// nothing of it outlives the answer: no detached search still holds
+    /// its split.
+    #[test]
+    fn a_cold_query_past_its_deadline_stops_on_its_worker() {
+        let shared = Shared::new(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let mut spec = QuerySpec::example(1);
+        spec.strategy = "es".into();
+        spec.model = "lr".into();
+        spec.rows = Some(3000);
+        spec.min_f1 = 0.99;
+        spec.time_ms = 4000;
+        spec.max_evals = 5000;
+        spec.deadline_ms = Some(150);
+        let (search_time, max_evals, deadline) = admit(&shared.cfg, &spec).expect("admit");
+        let (_, split) = shared.engine.prepared(&spec).expect("prepare");
+        let holds = Arc::strong_count(&split.train);
+        let (reply, _replies) = mpsc::channel();
+        let job = Job {
+            spec,
+            search_time,
+            max_evals,
+            deadline,
+            admitted: Instant::now(),
+            panic_in_cell: false,
+            hold: None,
+            reply,
+        };
+        let started = Instant::now();
+        let resp = execute_job(&shared, &job);
+        let took = started.elapsed();
+        let Response::Error(wire) = resp else { panic!("answered {resp:?}") };
+        assert_eq!(wire.code, ErrorCode::DeadlineExceeded, "{wire:?}");
+        assert!(wire.phase.is_some(), "{wire:?}");
+        assert!(took < Duration::from_secs(2), "answered after {took:?}");
+        assert_eq!(Arc::strong_count(&split.train), holds, "the search outlived its answer");
+        assert_eq!(shared.snapshot().deadline_exceeded, 1);
     }
 
     /// Binding the port again only succeeds once the accept thread has

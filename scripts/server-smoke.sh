@@ -15,6 +15,10 @@
 #   - a second daemon with `--cache-mb 1`, sent fresh-seed queries, evicts
 #     splits, keeps its charged `cache_bytes` within the budget, and answers
 #     a repeated spec the same across the eviction of its split
+#   - that daemon (one worker) answers five cold queries whose deadline is
+#     far below their search time with `deadline_exceeded`, and holds at
+#     most one more thread after the fifth answer than before the first:
+#     no search runs on past its answer
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -156,7 +160,29 @@ if [[ -z "$FIRST" || "$FIRST" != "$AGAIN" ]]; then
   echo "  again: $AGAIN" >&2
   exit 1
 fi
+echo "bounded cache OK: $EVICTIONS evictions, cache_bytes within $BUDGET, same answer after eviction"
+
+# Deadlines: each query would search for 4 s but must be answered at its
+# 150 ms deadline, by the one worker, which stops the search there. One
+# thread over the starting count allows for a connection handler that has
+# not exited yet.
+threads() { sed -n 's/^Threads:[[:space:]]*//p' "/proc/$CACHE_SRV/status"; }
+THREADS_BEFORE=$(threads)
+for seed in 201 202 203 204 205; do
+  LATE=$("$BIN" query --addr "$CACHE_ADDR" --req-id "$seed" --rows 3000 --seed "$seed" \
+    --strategy es --model lr --min-f1 0.99 --time-ms 4000 --max-evals 5000 \
+    --deadline-ms 150 2>/dev/null || true)
+  if ! grep -q '"code":"deadline_exceeded"' <<<"$LATE"; then
+    echo "FAIL: a query past its deadline answered: $LATE" >&2
+    exit 1
+  fi
+done
+THREADS_AFTER=$(threads)
+if (( THREADS_AFTER > THREADS_BEFORE + 1 )); then
+  echo "FAIL: $THREADS_AFTER threads after five late queries, $THREADS_BEFORE before" >&2
+  exit 1
+fi
 kill -TERM "$CACHE_SRV"
 wait "$CACHE_SRV" || true
 CACHE_SRV=""
-echo "bounded cache OK: $EVICTIONS evictions, cache_bytes within $BUDGET, same answer after eviction"
+echo "deadlines OK: five late queries answered deadline_exceeded, threads $THREADS_BEFORE -> $THREADS_AFTER"

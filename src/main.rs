@@ -359,10 +359,7 @@ fn main() -> ExitCode {
             (ExitCode::SUCCESS, subset.len())
         }
         _ => {
-            eprintln!(
-                "NOT satisfied within budget ({evaluations} evaluations); \
-                 relax a threshold, extend --time-ms, or try --strategy auto."
-            );
+            eprintln!("{}", unsatisfied_verdict(evaluations, out.val_distance, out.strategy));
             (ExitCode::FAILURE, 0)
         }
     };
@@ -373,6 +370,24 @@ fn main() -> ExitCode {
         println!("{}", run_summary(out.success, &label, evaluations, subset_len, wall, &out.perf, rows));
     }
     code
+}
+
+/// The verdict of a run that did not satisfy its constraints: one that
+/// met them on validation failed only the test confirmation, and `auto` is
+/// suggested only to a run that did not use it.
+fn unsatisfied_verdict(evaluations: usize, val_distance: f64, strategy: StrategyId) -> String {
+    if val_distance == 0.0 {
+        return format!(
+            "NOT satisfied: met on validation, failed the test confirmation \
+             ({evaluations} evaluations); relax a threshold."
+        );
+    }
+    let advice = if strategy == StrategyId::Switching {
+        "relax a threshold or extend --time-ms"
+    } else {
+        "relax a threshold, extend --time-ms, or try --strategy auto"
+    };
+    format!("NOT satisfied within budget ({evaluations} evaluations); {advice}.")
 }
 
 /// Single-line JSON run summary (the `--summary-json` contract); `rows` is
@@ -691,6 +706,32 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|t| t.to_string()).collect()
+    }
+
+    #[test]
+    fn the_verdict_names_a_failed_test_confirmation() {
+        assert_eq!(
+            unsatisfied_verdict(3, 0.0, StrategyId::Sfs),
+            "NOT satisfied: met on validation, failed the test confirmation \
+             (3 evaluations); relax a threshold."
+        );
+    }
+
+    #[test]
+    fn the_verdict_suggests_auto_to_a_run_that_did_not_use_it() {
+        assert_eq!(
+            unsatisfied_verdict(40, 0.25, StrategyId::Sffs),
+            "NOT satisfied within budget (40 evaluations); \
+             relax a threshold, extend --time-ms, or try --strategy auto."
+        );
+    }
+
+    #[test]
+    fn the_verdict_does_not_suggest_auto_to_an_auto_run() {
+        assert_eq!(
+            unsatisfied_verdict(40, f64::INFINITY, StrategyId::Switching),
+            "NOT satisfied within budget (40 evaluations); relax a threshold or extend --time-ms."
+        );
     }
 
     #[test]
