@@ -1,6 +1,7 @@
 //! Benchmark corpus: datasets, scenario sampling, and matrix computation.
 
 use crate::checkpoint::Checkpoint;
+use dfs_core::exec::host_threads;
 use dfs_core::prelude::*;
 use dfs_core::runner::{run_benchmark_opts, RunnerOptions};
 use dfs_data::split::{stratified_three_way, Split};
@@ -56,7 +57,7 @@ pub struct CorpusConfig {
     pub time_range: (Duration, Duration),
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for matrix computation.
+    /// Worker threads for set-up and matrix computation.
     pub threads: usize,
 }
 
@@ -91,7 +92,7 @@ impl Default for CorpusConfig {
             scenarios_per_dataset,
             time_range: (Duration::from_millis(80), Duration::from_millis(2000)),
             seed: 2021,
-            threads: std::thread::available_parallelism().map(|p| p.get().min(8)).unwrap_or(4),
+            threads: host_threads(),
         }
     }
 }
@@ -102,17 +103,23 @@ impl Default for CorpusConfig {
 /// error ([`DfsError::UnknownDataset`]), reported before any compute is
 /// spent rather than as a panic mid-run.
 pub fn build_splits(cfg: &CorpusConfig) -> DfsResult<HashMap<String, Split>> {
-    cfg.datasets
+    let specs = cfg
+        .datasets
         .iter()
         .map(|&(name, row_cap)| {
             let mut spec = spec_by_name(name)
                 .ok_or_else(|| DfsError::UnknownDataset { dataset: name.to_string() })?;
             spec.rows = spec.rows.min(row_cap);
-            let ds = generate(&spec, cfg.seed ^ hash_name(name));
-            let split = stratified_three_way(&ds, cfg.seed ^ 0x5517);
-            Ok((name.to_string(), split))
+            Ok(spec)
         })
-        .collect()
+        .collect::<DfsResult<Vec<_>>>()?;
+    // Each dataset's bits depend only on its spec and the seeds, so the
+    // thread count changes when a split is built, never what it holds.
+    let splits = Executor::new(cfg.threads).par_map_indexed(&specs, |_, spec| {
+        let ds = generate(spec, cfg.seed ^ hash_name(spec.name));
+        stratified_three_way(&ds, cfg.seed ^ 0x5517)
+    });
+    Ok(specs.iter().map(|spec| spec.name.to_string()).zip(splits).collect())
 }
 
 /// Samples the scenario corpus for one benchmark version (Listing 1).
@@ -262,6 +269,33 @@ mod tests {
         let compas = &splits["compas"];
         assert_eq!(compas.n_features(), 19); // matches Table 2
         assert!(compas.train.n_rows() > compas.val.n_rows());
+    }
+
+    #[test]
+    fn splits_are_bit_identical_at_every_thread_count() {
+        let cfg = |threads| CorpusConfig {
+            datasets: vec![("compas", 200), ("indian_liver_patient", 150), ("german_credit", 120)],
+            threads,
+            ..tiny_cfg()
+        };
+        let reference = build_splits(&cfg(1)).expect("splits");
+        for threads in [2, 4] {
+            let splits = build_splits(&cfg(threads)).expect("splits");
+            // Equal sizes and a reference entry for every key: one key set.
+            assert_eq!(splits.len(), reference.len(), "threads {threads}");
+            for (name, split) in &splits {
+                let want = &reference[name];
+                for (part, want) in [
+                    (&split.train, &want.train),
+                    (&split.val, &want.val),
+                    (&split.test, &want.test),
+                ] {
+                    assert_eq!(part.x.as_slice(), want.x.as_slice(), "{name} at {threads}");
+                    assert_eq!(part.y, want.y, "{name} at {threads}");
+                    assert_eq!(part.protected, want.protected, "{name} at {threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,4 +15,4 @@
 //! loops nest; inner loops that find the pool empty run sequentially
 //! inline. See `DESIGN.md` § 4d.
 
-pub use dfs_exec::{env_threads, Executor};
+pub use dfs_exec::{env_threads, host_threads, Executor};

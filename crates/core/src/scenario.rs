@@ -1147,7 +1147,11 @@ impl SubsetEvaluator for ScenarioContext<'_> {
         // ranking whether its cache is shared or private.
         let seed = ranking_seed(&self.scenario.dataset, kind);
         let (ranking, hit) = self.artifacts.ranking(kind, || {
-            let _g = obs::span(format!("ranking.compute.{}", kind.name()));
+            // The heartbeat names the compute with tracing off too, so a
+            // deadline that passes in it is reported at this phase.
+            let phase = format!("ranking.compute.{}", kind.name());
+            obs::heartbeat(&phase);
+            let _g = obs::span(phase);
             kind.compute(&self.split.train.x, &self.split.train.y, seed)
         });
         if hit {

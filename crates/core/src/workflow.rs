@@ -204,10 +204,13 @@ pub fn run_original_features_with_exec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::{catch_stop, CellStop};
     use dfs_constraints::ConstraintSet;
     use dfs_data::split::stratified_three_way;
     use dfs_data::synthetic::{generate, tiny_spec};
     use dfs_models::ModelKind;
+    use dfs_rankings::RankingKind;
+    use std::time::Instant;
 
     fn setup() -> Split {
         // 240-row tiny_spec leaves ~60 test rows, where single-feature F1
@@ -268,6 +271,20 @@ mod tests {
             let test_eval = out.test_eval.expect("test eval present on success");
             assert!(test_eval.f1 >= 0.5, "test F1 {}", test_eval.f1);
         }
+    }
+
+    #[test]
+    fn a_deadline_past_in_a_ranking_compute_reports_that_phase() {
+        let split = setup();
+        let sc = scenario(ConstraintSet::accuracy_only(0.99, Duration::from_secs(20)));
+        let settings = ScenarioSettings::fast();
+        let ctx = ScenarioContext::new(&sc, &split, &settings).with_deadline(Instant::now());
+        let heartbeat = Arc::new(dfs_obs::Heartbeat::new());
+        dfs_obs::install_heartbeat(Arc::clone(&heartbeat));
+        let stopped = catch_stop(|| run_dfs_in(ctx, StrategyId::TpeRanking(RankingKind::ReliefF)));
+        dfs_obs::clear_heartbeat();
+        assert_eq!(stopped.err(), Some(CellStop::PastDeadline));
+        assert_eq!(heartbeat.last(), "ranking.compute.ReliefF");
     }
 
     #[test]

@@ -62,8 +62,10 @@ pub fn stratified_split(ds: &Dataset, weights: &[usize], seed: u64) -> Vec<Datas
     }
 
     // Deal each stratum into the parts proportionally: positions are assigned
-    // by walking the cumulative ratio pattern.
-    let mut part_indices: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
+    // by walking the cumulative ratio pattern. Each row is tagged with its
+    // part, so collecting the parts in one pass over the rows keeps row
+    // order within every part.
+    let mut part_of = vec![0usize; ds.n_rows()];
     for bucket in &strata {
         if bucket.is_empty() {
             continue;
@@ -81,17 +83,15 @@ pub fn stratified_split(ds: &Dataset, weights: &[usize], seed: u64) -> Vec<Datas
                     break;
                 }
             }
-            part_indices[part].push(bucket[local]);
+            part_of[bucket[local]] = part;
         }
     }
 
-    part_indices
-        .into_iter()
-        .map(|mut idx| {
-            idx.sort_unstable(); // keep row order stable within parts
-            ds.select_rows(&idx)
-        })
-        .collect()
+    let mut part_indices: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
+    for (i, &part) in part_of.iter().enumerate() {
+        part_indices[part].push(i);
+    }
+    part_indices.iter().map(|idx| ds.select_rows(idx)).collect()
 }
 
 /// Deterministic k-fold indices stratified by the class label.
@@ -156,6 +156,15 @@ mod tests {
         seen.sort_unstable();
         let expected: Vec<i64> = (0..100).map(|i| 2 * i).collect();
         assert_eq!(seen, expected);
+    }
+
+    #[test]
+    fn parts_keep_row_order() {
+        let ds = dataset(400);
+        for part in stratified_split(&ds, &[3, 1, 1], 6) {
+            let ids = part.x.col(0);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "part out of row order");
+        }
     }
 
     #[test]

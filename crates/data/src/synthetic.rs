@@ -21,6 +21,7 @@
 
 use crate::dataset::{Column, Dataset, RawDataset};
 use crate::preprocess::fit_transform;
+use dfs_exec::{host_threads, Executor};
 use dfs_linalg::rng::{derive_seed, normal, uniform, Rng};
 use dfs_linalg::Matrix;
 use std::cmp::Ordering;
@@ -294,8 +295,9 @@ const STREAM_ROWS: u64 = 0x5EED_0B10;
 
 /// The million-row scaling scenario: a numeric-only spec sized past the
 /// paper's Table 2 (ROADMAP open item 2c) and generated exclusively through
-/// [`generate_streamed`] — materializing it monolithically through
-/// [`generate`] would hold every intermediate column at once.
+/// [`generate_streamed_collect`], which writes its rows in place on the
+/// host's threads — materializing it monolithically through [`generate`]
+/// would hold every intermediate column at once.
 pub fn million_row_spec() -> SyntheticSpec {
     SyntheticSpec {
         name: "million_row",
@@ -371,6 +373,51 @@ impl StreamDesign {
             row_seed_root: derive_seed(seed, STREAM_ROWS),
         }
     }
+
+    /// Writes row `index`'s features into `out` (one row, `d` wide) and
+    /// returns its `(label, group)`. `gs` is scratch for the informative
+    /// draws.
+    fn row(
+        &self,
+        spec: &SyntheticSpec,
+        index: usize,
+        out: &mut [f64],
+        gs: &mut [f64],
+    ) -> (bool, bool) {
+        let mut rng = Rng::seed_from_u64(derive_seed(self.row_seed_root, index as u64));
+        let group = rng.f64() < spec.minority_rate;
+        for g in gs.iter_mut() {
+            *g = normal(0.0, 1.0, &mut rng);
+        }
+        let eps = normal(0.0, spec.label_noise, &mut rng);
+        let mut latent = eps - if group { spec.label_bias } else { 0.0 };
+        out[0] = if group { 1.0 } else { 0.0 };
+        let mut c = 1;
+        for (g, w) in gs.iter().zip(&self.weights) {
+            latent += g * w;
+            out[c] = squash(*g);
+            c += 1;
+        }
+        for (k, &mix) in self.mixes.iter().enumerate() {
+            let a = k % spec.informative.max(1);
+            let b = (k + 1) % spec.informative.max(1);
+            let base =
+                if spec.informative == 0 { 0.0 } else { mix * gs[a] + (1.0 - mix) * gs[b] };
+            out[c] = squash(base + normal(0.0, 0.1, &mut rng));
+            c += 1;
+        }
+        for _ in 0..spec.proxies {
+            let raw = out[0] + normal(0.0, 0.3, &mut rng);
+            out[c] = squash(raw - 0.5);
+            c += 1;
+        }
+        for _ in 0..spec.noise {
+            out[c] = squash(normal(0.0, 1.0, &mut rng));
+            c += 1;
+        }
+        debug_assert_eq!(c, out.len());
+        (latent > self.threshold, group)
+    }
 }
 
 /// Abramowitz & Stegun 7.1.26 rational erf approximation (|err| ≤ 1.5e-7),
@@ -409,114 +456,67 @@ pub fn streamed_feature_names(spec: &SyntheticSpec) -> Vec<String> {
     names
 }
 
-/// Generates a numeric-only spec in fixed-size row blocks, invoking `sink`
-/// with `(first_row, features, labels, protected)` per block.
+/// Generates a numeric-only spec into one [`Dataset`], in blocks of
+/// `block_rows` rows spread over the host's threads
+/// ([`dfs_exec::host_threads`]).
 ///
 /// Every row draws from its own RNG seeded `derive_seed(row_root, row)` in
 /// a fixed order (group, informative, label noise, redundant, proxy,
 /// noise), and the label threshold is analytic (see `StreamDesign`) — so
 /// each row's bits depend only on `(spec, seed, row)`, never on the block
-/// it lands in. Bit-identity across block sizes (and with a one-block
-/// "monolithic" call) is structural, and asserted in the determinism suite.
+/// it lands in or the thread that writes it. Bit-identity across block
+/// sizes and thread counts is structural, and asserted in this module's
+/// tests.
 ///
-/// Scratch is one `block_rows × d` matrix, reused across blocks: a 10⁶-row
-/// dataset streams through a few MB instead of materializing ~170 MB of
-/// intermediates the way [`generate_raw`] would.
+/// Blocks write their rows, labels and protected flags in place into the
+/// output buffers: no per-block matrix and no concatenation copy, so a
+/// 10⁶-row dataset costs its own size and none of the ~170 MB of
+/// intermediates [`generate_raw`] would hold.
 ///
 /// # Panics
 /// Panics when `block_rows == 0` or the spec has categorical columns or a
 /// nonzero missing rate (streaming covers the numeric pipeline only —
 /// one-hot layouts and imputation both want global passes).
-pub fn generate_streamed<F>(spec: &SyntheticSpec, seed: u64, block_rows: usize, mut sink: F)
-where
-    F: FnMut(usize, &Matrix, &[bool], &[bool]),
-{
-    assert!(block_rows > 0, "generate_streamed: block_rows must be positive");
-    assert!(
-        spec.categorical.is_empty() && spec.missing_rate == 0.0,
-        "generate_streamed: numeric-only specs (no categoricals, no missing values)"
-    );
-    let design = StreamDesign::derive(spec, seed);
-    let d = spec.n_features();
-    let mut y = Vec::with_capacity(block_rows.min(spec.rows));
-    let mut prot = Vec::with_capacity(block_rows.min(spec.rows));
-    let mut gs = vec![0.0; spec.informative];
-    let mut x = Matrix::zeros(block_rows.min(spec.rows), d);
-    let mut row0 = 0;
-    while row0 < spec.rows {
-        let n = block_rows.min(spec.rows - row0);
-        if x.nrows() != n {
-            x = Matrix::zeros(n, d);
-        }
-        y.clear();
-        prot.clear();
-        for r in 0..n {
-            let mut rng = Rng::seed_from_u64(derive_seed(design.row_seed_root, (row0 + r) as u64));
-            let group = rng.f64() < spec.minority_rate;
-            for g in gs.iter_mut() {
-                *g = normal(0.0, 1.0, &mut rng);
-            }
-            let eps = normal(0.0, spec.label_noise, &mut rng);
-            let mut latent = eps - if group { spec.label_bias } else { 0.0 };
-            let row = x.row_mut(r);
-            row[0] = if group { 1.0 } else { 0.0 };
-            let mut c = 1;
-            for (g, w) in gs.iter().zip(&design.weights) {
-                latent += g * w;
-                row[c] = squash(*g);
-                c += 1;
-            }
-            for (k, &mix) in design.mixes.iter().enumerate() {
-                let a = k % spec.informative.max(1);
-                let b = (k + 1) % spec.informative.max(1);
-                let base =
-                    if spec.informative == 0 { 0.0 } else { mix * gs[a] + (1.0 - mix) * gs[b] };
-                row[c] = squash(base + normal(0.0, 0.1, &mut rng));
-                c += 1;
-            }
-            for _ in 0..spec.proxies {
-                let raw = row[0] + normal(0.0, 0.3, &mut rng);
-                row[c] = squash(raw - 0.5);
-                c += 1;
-            }
-            for _ in 0..spec.noise {
-                row[c] = squash(normal(0.0, 1.0, &mut rng));
-                c += 1;
-            }
-            debug_assert_eq!(c, d);
-            y.push(latent > design.threshold);
-            prot.push(group);
-        }
-        sink(row0, &x, &y, &prot);
-        row0 += n;
-    }
+pub fn generate_streamed_collect(spec: &SyntheticSpec, seed: u64, block_rows: usize) -> Dataset {
+    generate_streamed_on(spec, seed, block_rows, &Executor::new(host_threads()))
 }
 
-/// [`generate_streamed`] collected into one [`Dataset`] (block-concatenated
-/// in order). The result is bit-independent of `block_rows`; callers that
-/// can hold the whole dataset use this as the "monolithic" reference the
-/// streaming determinism suite compares against.
-pub fn generate_streamed_collect(
+/// [`generate_streamed_collect`] on `exec`'s threads.
+fn generate_streamed_on(
     spec: &SyntheticSpec,
     seed: u64,
     block_rows: usize,
+    exec: &Executor,
 ) -> Dataset {
+    assert!(block_rows > 0, "generate_streamed_collect: block_rows must be positive");
+    assert!(
+        spec.categorical.is_empty() && spec.missing_rate == 0.0,
+        "generate_streamed_collect: numeric-only specs (no categoricals, no missing values)"
+    );
+    let design = StreamDesign::derive(spec, seed);
     let d = spec.n_features();
-    let mut x = Matrix::zeros(spec.rows, d);
-    let mut y = Vec::with_capacity(spec.rows);
-    let mut prot = Vec::with_capacity(spec.rows);
-    generate_streamed(spec, seed, block_rows, |row0, xb, yb, pb| {
-        for r in 0..xb.nrows() {
-            x.row_mut(row0 + r).copy_from_slice(xb.row(r));
+    // Clamped to the row count, so a block's cell count cannot overflow.
+    let block_rows = block_rows.min(spec.rows).max(1);
+    let mut x = vec![0.0; spec.rows * d];
+    let mut y = vec![false; spec.rows];
+    let mut protected = vec![false; spec.rows];
+    let mut blocks: Vec<_> = x
+        .chunks_mut(block_rows * d)
+        .zip(y.chunks_mut(block_rows))
+        .zip(protected.chunks_mut(block_rows))
+        .collect();
+    exec.par_for_each_mut(&mut blocks, |b, ((xb, yb), pb)| {
+        let mut gs = vec![0.0; spec.informative];
+        let rows = xb.chunks_exact_mut(d).zip(yb.iter_mut()).zip(pb.iter_mut());
+        for (r, ((row, label), group)) in rows.enumerate() {
+            (*label, *group) = design.row(spec, b * block_rows + r, row, &mut gs);
         }
-        y.extend_from_slice(yb);
-        prot.extend_from_slice(pb);
     });
     Dataset {
         name: spec.name.into(),
-        x,
+        x: Matrix::from_vec(spec.rows, d, x),
         y,
-        protected: prot,
+        protected,
         feature_names: streamed_feature_names(spec),
     }
 }
@@ -675,21 +675,34 @@ mod tests {
     fn streamed_generation_is_bit_identical_at_every_block_size() {
         let mut spec = million_row_spec();
         spec.rows = 600;
-        let reference = generate_streamed_collect(&spec, 2021, spec.rows);
-        for block in [1usize, 7, 97, 256, 600, 8192] {
-            let ds = generate_streamed_collect(&spec, 2021, block);
-            assert_eq!(ds.x.as_slice(), reference.x.as_slice(), "block {block}");
-            assert_eq!(ds.y, reference.y, "block {block}");
-            assert_eq!(ds.protected, reference.protected, "block {block}");
+        let reference = generate_streamed_on(&spec, 2021, spec.rows, &Executor::sequential());
+        for threads in [1, 2, 4] {
+            for block in [1, 7, 8192, spec.rows] {
+                let ds = generate_streamed_on(&spec, 2021, block, &Executor::new(threads));
+                assert_eq!(ds.x.as_slice(), reference.x.as_slice(), "{threads}x{block}");
+                assert_eq!(ds.y, reference.y, "{threads}x{block}");
+                assert_eq!(ds.protected, reference.protected, "{threads}x{block}");
+            }
         }
-        // Blocks arrive in order, sized block_rows except the tail.
-        let mut seen = Vec::new();
-        generate_streamed(&spec, 2021, 256, |row0, xb, yb, pb| {
-            assert_eq!(xb.nrows(), yb.len());
-            assert_eq!(yb.len(), pb.len());
-            seen.push((row0, xb.nrows()));
-        });
-        assert_eq!(seen, vec![(0, 256), (256, 256), (512, 88)]);
+        let host = generate_streamed_collect(&spec, 2021, 64);
+        assert_eq!(host.x.as_slice(), reference.x.as_slice());
+    }
+
+    /// The bits the committed scale-corpus digests were recorded from: a
+    /// change to the row stream fails here before it reaches the benchmark.
+    #[test]
+    fn streamed_generation_matches_its_pinned_digest() {
+        let mut spec = million_row_spec();
+        spec.rows = 600;
+        let ds = generate_streamed_collect(&spec, 2021, 64);
+        let mut h = dfs_linalg::rng::Fnv1a::new();
+        for v in ds.x.as_slice() {
+            h.mix(v.to_bits());
+        }
+        for (&y, &p) in ds.y.iter().zip(&ds.protected) {
+            h.mix(u64::from(y) << 1 | u64::from(p));
+        }
+        assert_eq!(h.finish(), 0xb2ca_5b9c_7087_a217);
     }
 
     #[test]
@@ -730,7 +743,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "numeric-only")]
     fn streamed_rejects_categorical_specs() {
-        generate_streamed(&tiny_spec(), 1, 64, |_, _, _, _| {});
+        generate_streamed_collect(&tiny_spec(), 1, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "block_rows must be positive")]
+    fn streamed_rejects_empty_blocks() {
+        generate_streamed_collect(&million_row_spec(), 1, 0);
     }
 
     #[test]

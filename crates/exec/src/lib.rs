@@ -32,12 +32,13 @@
 //! call sites, tested end-to-end by the determinism regression suite.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Mutex;
 use std::thread;
 
 /// A shared thread budget for nested parallel loops.
 ///
-/// Cheap to clone via [`Arc`]; all clones share the same permit pool.
+/// Shared through [`Arc`](std::sync::Arc): every holder draws from the
+/// same permit pool.
 #[derive(Debug)]
 pub struct Executor {
     /// Helper permits still available (total budget minus one implicit
@@ -86,19 +87,6 @@ impl Executor {
     /// The configured total thread budget.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The process-wide default executor, sized from the `DFS_THREADS`
-    /// environment variable (default 1). Read once; later changes to the
-    /// environment do not resize it.
-    pub fn global() -> &'static Arc<Executor> {
-        static GLOBAL: OnceLock<Arc<Executor>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(Executor::new(env_threads())))
-    }
-
-    /// A clone of the global executor's handle.
-    pub fn global_arc() -> Arc<Executor> {
-        Arc::clone(Self::global())
     }
 
     /// Takes up to `want` helper permits (possibly zero) and holds them
@@ -168,32 +156,9 @@ impl Executor {
 
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(lease.count);
-            for k in 0..lease.count {
-                let builder = thread::Builder::new().name(format!("dfs-exec-{k}"));
-                match builder.spawn_scoped(scope, &worker) {
-                    Ok(h) => handles.push(h),
-                    // Spawn failure is non-fatal: the caller thread still
-                    // drains the queue; the unused permit returns via the
-                    // lease's drop.
-                    Err(_) => break,
-                }
-            }
-            for (i, v) in worker() {
-                slots[i] = Some(v);
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(pairs) => {
-                        for (i, v) in pairs {
-                            slots[i] = Some(v);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
+        for (i, v) in fan_out(lease.count, worker).into_iter().flatten() {
+            slots[i] = Some(v);
+        }
         // Every index in 0..n was claimed by exactly one worker, so every
         // slot is filled once the scope joins.
         slots
@@ -204,6 +169,82 @@ impl Executor {
             })
             .collect()
     }
+
+    /// Calls `f(index, &mut item)` once for every item, in parallel when
+    /// helper permits are free. `f` writes its results into the item, so
+    /// a caller fills one output buffer in place by passing its disjoint
+    /// chunks as the items (`chunks_mut`), with no per-item buffers and no
+    /// copy at the end.
+    ///
+    /// Exactly equivalent to
+    /// `for (i, it) in items.iter_mut().enumerate() { f(i, it) }` as long
+    /// as `f` reads nothing but `index`, its item and shared state it does
+    /// not write (rule 1 of the determinism contract): which thread runs
+    /// an item never changes what is written.
+    pub fn par_for_each_mut<I, F>(&self, items: &mut [I], f: F)
+    where
+        I: Send,
+        F: Fn(usize, &mut I) + Sync,
+    {
+        let lease = self.lease(items.len().saturating_sub(1));
+        if lease.count == 0 {
+            for (i, it) in items.iter_mut().enumerate() {
+                f(i, it);
+            }
+            return;
+        }
+        // Workers claim the next item under the lock and release it
+        // before running `f`, so a panicking `f` cannot poison the queue.
+        let queue = Mutex::new(items.iter_mut().enumerate());
+        let worker = || loop {
+            let next = match queue.lock() {
+                Ok(mut q) => q.next(),
+                Err(_) => None,
+            };
+            match next {
+                Some((i, it)) => f(i, it),
+                None => break,
+            }
+        };
+        fan_out(lease.count, worker);
+    }
+}
+
+/// Runs `worker` on `helpers` scoped threads and on the caller's own,
+/// returning every run's result (the caller's first). Spawn failure is
+/// non-fatal: the caller's run and the helpers that did start drain the
+/// work, and the unused permits return through the caller's lease. A
+/// helper's panic resumes on the caller once every helper has joined.
+fn fan_out<R, W>(helpers: usize, worker: W) -> Vec<R>
+where
+    R: Send,
+    W: Fn() -> R + Sync,
+{
+    thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(helpers);
+        for k in 0..helpers {
+            let builder = thread::Builder::new().name(format!("dfs-exec-{k}"));
+            match builder.spawn_scoped(scope, &worker) {
+                Ok(h) => handles.push(h),
+                Err(_) => break,
+            }
+        }
+        let mut out = vec![worker()];
+        for h in handles {
+            match h.join() {
+                Ok(r) => out.push(r),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+}
+
+/// The host's width for work that runs before any thread budget is set
+/// (corpus set-up): `available_parallelism`, capped at 8 (4 when it is
+/// unknown).
+pub fn host_threads() -> usize {
+    thread::available_parallelism().map(|p| p.get().min(8)).unwrap_or(4)
 }
 
 /// The thread budget requested via the `DFS_THREADS` environment variable
@@ -328,6 +369,44 @@ mod tests {
             seen.lock().unwrap().push(v);
         });
         assert_eq!(*seen.lock().unwrap(), items);
+    }
+
+    #[test]
+    fn for_each_mut_fills_chunks_in_place_at_every_width() {
+        let fill = |exec: &Executor, chunk: usize| {
+            let mut out = vec![0u64; 103];
+            let mut chunks: Vec<&mut [u64]> = out.chunks_mut(chunk).collect();
+            exec.par_for_each_mut(&mut chunks, |c, part| {
+                for (r, v) in part.iter_mut().enumerate() {
+                    *v = ((c * chunk + r) as u64).wrapping_mul(0x9E37_79B9) ^ c as u64;
+                }
+            });
+            out
+        };
+        for threads in [1, 2, 4, 8] {
+            for chunk in [1, 7, 103] {
+                let expect: Vec<u64> = (0..103)
+                    .map(|i| (i as u64).wrapping_mul(0x9E37_79B9) ^ (i / chunk) as u64)
+                    .collect();
+                assert_eq!(fill(&Executor::new(threads), chunk), expect, "{threads}x{chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_mut_restores_permits_after_a_panic() {
+        let exec = Executor::new(4);
+        let mut items: Vec<usize> = (0..16).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            exec.par_for_each_mut(&mut items, |i, v| {
+                if i == 7 {
+                    panic!("boom");
+                }
+                *v += 1;
+            });
+        }));
+        assert!(caught.is_err());
+        assert_eq!(exec.permits.load(Ordering::SeqCst), 3, "permits leaked after panic");
     }
 
     #[test]
